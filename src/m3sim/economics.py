@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .chains import AbsorbingChain, ChainStatistics, absorption_statistics
 from .compression import (
@@ -20,7 +20,7 @@ from .compression import (
     aggregate_availability,
     climb_topology,
 )
-from .grid import Destinations, GridParams, SubcellGrid
+from .grid import NUM_COLORS, Destinations, GridParams, SubcellGrid
 from .radio import LinkContext, RadioParams, link_capacity, link_sinr
 from .routing import (
     LAR,
@@ -59,7 +59,6 @@ class EconParams:
 
     mno_revenue: float = 2.0
     sso_revenue: float = 2.0
-    reward_scale: float = 1.0
     price_step: float = 0.01
     tol: float = 1e-9
     max_iter: int = 100_000
@@ -171,33 +170,35 @@ def network_utility(metrics: Iterable[RouteMetrics], revenue: float) -> float:
     return total
 
 
-def route_capacity(
-    route: Route,
-    slots: Mapping[tuple[int, int], int],
+def link_capacities(
+    slots: Mapping[int, Sequence[tuple[int, int]]],
     radio: RadioParams,
     grid: SubcellGrid,
-) -> float:
-    """Bottleneck link capacity of a scheduled route.
+) -> dict[tuple[int, int], float]:
+    """Capacity of every scheduled link, keyed by link.
 
-    Each link's SINR counts every other transmitter sharing its slot (the
-    link's own endpoints excluded).  Incomplete routes carry no capacity.
+    A link's SINR counts every other transmitter sharing its slot (the
+    link's own endpoints excluded).  Each link must sit in exactly one slot;
+    it is evaluated once, however many routes use it.
     """
+    caps = {}
+    for links in slots.values():
+        transmitters = {tx for tx, _ in links}
+        for tx, rx in links:
+            ctx = LinkContext(
+                tx=grid.cell(tx),
+                rx=grid.cell(rx),
+                interferers=tuple(grid.cell(a) for a in sorted(transmitters - {tx, rx})),
+            )
+            caps[(tx, rx)] = link_capacity(link_sinr(ctx, radio, grid), radio.log_base)
+    return caps
+
+
+def route_capacity(route: Route, caps: Mapping[tuple[int, int], float]) -> float:
+    """Bottleneck link capacity of a scheduled route; incomplete routes carry none."""
     if not route.complete or not route.links:
         return 0.0
-    worst = math.inf
-    for tx, rx in route.links:
-        slot = slots[(tx, rx)]
-        others = sorted(
-            {a for (a, b), s in slots.items() if s == slot and (a, b) != (tx, rx)}
-            - {tx, rx}
-        )
-        ctx = LinkContext(
-            tx=grid.cell(tx),
-            rx=grid.cell(rx),
-            interferers=tuple(grid.cell(a) for a in others),
-        )
-        worst = min(worst, link_capacity(link_sinr(ctx, radio, grid), radio.log_base))
-    return worst
+    return min(caps[link] for link in route.links)
 
 
 def expected_route_delay(
@@ -217,7 +218,7 @@ def expected_route_delay(
         return math.inf
     tau = float(stats.tau[idx])
     if config.kind in (MDR, MMDR, LAR):
-        return config.K * tau
+        return NUM_COLORS * tau
     return tau
 
 
@@ -233,17 +234,12 @@ def route_cost(route: Route, radio: RadioParams) -> float:
     return radio.power * max(len(route.links), 1)
 
 
-def expected_route_cost(radio: RadioParams, tau: float) -> float:
-    """Energy of the probabilistic route: power times mean hop count."""
-    return radio.power * tau
-
-
 def network_capacity_throughput(
     route_set: RouteSet, radio: RadioParams, grid: SubcellGrid
 ) -> tuple[float, float]:
     """Total capacity of the scheduled routes and its per-slot throughput."""
-    slots = route_set.slot_of()
-    total = sum(route_capacity(r, slots, radio, grid) for r in route_set.complete_routes)
+    caps = link_capacities(route_set.slots, radio, grid)
+    total = sum(route_capacity(r, caps) for r in route_set.complete_routes)
     if route_set.cycle_length <= 0:
         return total, 0.0
     return total, total / route_set.cycle_length
@@ -290,6 +286,29 @@ def snap_sites(
     return out
 
 
+def _scored_mdr_routes(
+    grid: SubcellGrid,
+    dest: Destinations,
+    radio: RadioParams,
+    sources: Sequence[int],
+    availability: float,
+) -> Iterator[tuple[Route, float, ChainStatistics, int]]:
+    """Each source's scheduled MDR route with its capacity and chain statistics.
+
+    Yields (route, bottleneck capacity, discovery-chain statistics, the
+    route source's transient index in that chain).
+    """
+    config = ProtocolConfig(kind=MDR, p=availability)
+    overlay = ScenarioOverlay(sources=tuple(sources))
+    route_set = schedule(extract_routes(grid, dest, overlay, config), config, grid)
+    caps = link_capacities(route_set.slots, radio, grid)
+
+    chain = build_mdr_chain(grid, dest, availability)
+    stats = absorption_statistics(chain)
+    for route in route_set.routes:
+        yield route, route_capacity(route, caps), stats, chain.transient_index(route.source)
+
+
 def macrocell_utility(
     h: int,
     power: float,
@@ -297,7 +316,6 @@ def macrocell_utility(
     sites: Sequence[tuple[float, float]] = DEFAULT_USER_SITES,
     availability: float = 1.0,
     macro_radius: float = 1000.0,
-    cluster: int = 7,
     alpha: float = 2.0,
     noise: float = 1e-4,
     revenue: float = 2.0,
@@ -312,28 +330,17 @@ def macrocell_utility(
     subcell's route, so each occupied subcell contributes once: a coarser
     grid merges users rather than multiplying demand.
     """
-    grid = SubcellGrid(GridParams(H=h, R=macro_radius, K=cluster))
+    grid = SubcellGrid(GridParams(H=h, R=macro_radius))
     dest = Destinations(bs=grid.cell(0))
     radio = RadioParams(power=power, alpha=alpha, noise=noise, log_base=log_base)
-    config = ProtocolConfig(kind=MDR, p=availability, K=cluster)
-
     occupied = sorted(set(snap_sites(grid, sites)))
-    overlay = ScenarioOverlay(sources=tuple(occupied))
-    route_set = schedule(extract_routes(grid, dest, overlay, config), config, grid)
-    slots = route_set.slot_of()
-
-    chain = build_mdr_chain(grid, dest, availability)
-    stats = absorption_statistics(chain)
 
     total = 0.0
-    for route in route_set.routes:
-        cap = route_capacity(route, slots, radio, grid)
+    for _, cap, stats, idx in _scored_mdr_routes(grid, dest, radio, occupied, availability):
         if cap <= 0.0:
             continue
-        tau = float(stats.tau[chain.transient_index(route.source)])
-        delay = cluster * tau
-        cost = radio.power * tau
-        total += user_utility(cap, delay, cost, revenue)
+        tau = float(stats.tau[idx])
+        total += user_utility(cap, NUM_COLORS * tau, radio.power * tau, revenue)
     return total
 
 
@@ -391,7 +398,6 @@ def state_utility(
     *,
     sites: Sequence[tuple[float, float]] = DEFAULT_USER_SITES,
     macro_radius: float = 1000.0,
-    cluster: int = 7,
     alpha: float = 2.0,
     noise: float = 1e-4,
     revenue: float = 2.0,
@@ -412,7 +418,6 @@ def state_utility(
         sites=sites,
         availability=p,
         macro_radius=macro_radius,
-        cluster=cluster,
         alpha=alpha,
         noise=noise,
         revenue=revenue,
@@ -428,7 +433,6 @@ def expected_network_capacity(
     dest: Destinations,
     radio: RadioParams,
     availability: float,
-    cluster: int = 7,
 ) -> float:
     """Capacity deliverable from every subcell, weighted by discovery success.
 
@@ -436,23 +440,11 @@ def expected_network_capacity(
     capacity times the probability that a discovery walk from it ends at a
     destination rather than the no-route state.
     """
-    config = ProtocolConfig(kind=MDR, p=availability, K=cluster)
-    sources = tuple(
-        c.i for c in grid.cells if c.h > 0 and c.i not in dest.indices()
+    sources = [c.i for c in grid.cells if c.h > 0 and c.i not in dest.indices()]
+    return sum(
+        float(stats.absorb_probs[idx, :-1].sum()) * cap
+        for _, cap, stats, idx in _scored_mdr_routes(grid, dest, radio, sources, availability)
     )
-    overlay = ScenarioOverlay(sources=sources)
-    route_set = schedule(extract_routes(grid, dest, overlay, config), config, grid)
-    slots = route_set.slot_of()
-
-    chain = build_mdr_chain(grid, dest, availability)
-    stats = absorption_statistics(chain)
-
-    total = 0.0
-    for route in route_set.routes:
-        idx = chain.transient_index(route.source)
-        success = float(stats.absorb_probs[idx, :-1].sum())
-        total += success * route_capacity(route, slots, radio, grid)
-    return total
 
 
 def cooperation_capacity_ratio(
@@ -463,7 +455,6 @@ def cooperation_capacity_ratio(
     idle: float = 0.6,
     visibility: float = 1.0,
     presence: float = 0.5,
-    cluster: int = 7,
 ) -> tuple[float, float, float]:
     """Capacity gain from pooling two operators' subscribers.
 
@@ -473,8 +464,8 @@ def cooperation_capacity_ratio(
     """
     single = aggregate_availability(idle, visibility, [presence])
     double = aggregate_availability(idle, visibility, [presence, presence])
-    c_single = expected_network_capacity(grid, dest, radio, single, cluster)
-    c_double = expected_network_capacity(grid, dest, radio, double, cluster)
+    c_single = expected_network_capacity(grid, dest, radio, single)
+    c_double = expected_network_capacity(grid, dest, radio, double)
     if c_single <= 0.0:
         raise EconError("single-operator capacity vanished; cannot form a ratio")
     return c_double / c_single, single, double
@@ -520,10 +511,21 @@ def _routes_toward(ctx: OffloadContext, cells: Iterable[int], to_ap: bool) -> di
         dest = Destinations(bs=None, aps=ctx.dest.aps, coverage=ctx.dest.coverage)
     else:
         dest = Destinations(bs=ctx.dest.bs)
-    config = ProtocolConfig(kind=MDR, p=1.0, K=ctx.grid.params.K)
+    config = ProtocolConfig(kind=MDR, p=1.0)
     overlay = ScenarioOverlay(sources=tuple(cells))
     route_set = extract_routes(ctx.grid, dest, overlay, config)
     return {r.source: r for r in route_set.routes}
+
+
+def _user_routes(
+    ctx: OffloadContext, bs_users: Iterable[str], wlan_users: Iterable[str]
+) -> dict[str, Route]:
+    """Route of every user, base-station users first, each group in name order."""
+    routes: dict[str, Route] = {}
+    for users, to_ap in ((sorted(bs_users), False), (sorted(wlan_users), True)):
+        by_cell = _routes_toward(ctx, (ctx.placements[u] for u in users), to_ap)
+        routes.update((u, by_cell[ctx.placements[u]]) for u in users)
+    return routes
 
 
 def _instant_metrics(
@@ -540,41 +542,18 @@ def _instant_metrics(
     """
     grid, radio = ctx.grid, ctx.radio
     domain = ctx.wlan_domain
-    cluster = grid.params.K
 
-    macro_links: list[tuple[int, int]] = []
-    wlan_cycle = 0
-    seen = set()
-    for route in routes.values():
-        for link in route.links:
-            if link[0] in domain and link[1] in domain:
-                wlan_cycle += 1
-                seen.add(link)
-            elif link not in seen:
-                seen.add(link)
-                macro_links.append(link)
+    def on_wlan(link: tuple[int, int]) -> bool:
+        return link[0] in domain and link[1] in domain
 
-    macro_slots = {l: grid.cluster_color(grid.cell(l[0])) for l in macro_links}
-    by_slot: dict[int, set[int]] = {}
-    for (tx, _rx), slot in macro_slots.items():
-        by_slot.setdefault(slot, set()).add(tx)
-
-    def link_perf(link: tuple[int, int]) -> tuple[float, float]:
-        tx, rx = link
-        if link[0] in domain and link[1] in domain:
-            lctx = LinkContext(tx=grid.cell(tx), rx=grid.cell(rx))
-            return link_capacity(link_sinr(lctx, radio, grid), radio.log_base), float(
-                max(wlan_cycle, 1)
-            )
-        others = sorted(by_slot[macro_slots[link]] - {tx, rx})
-        lctx = LinkContext(
-            tx=grid.cell(tx),
-            rx=grid.cell(rx),
-            interferers=tuple(grid.cell(a) for a in others),
-        )
-        return link_capacity(link_sinr(lctx, radio, grid), radio.log_base), float(cluster)
-
-    perf = {l: link_perf(l) for l in seen}
+    instances = [link for route in routes.values() for link in route.links]
+    wlan_cycle = sum(map(on_wlan, instances))
+    slots: dict[int, list[tuple[int, int]]] = {}
+    for n, link in enumerate(dict.fromkeys(instances)):
+        # Each WLAN hop gets a slot of its own past the color round robin.
+        slot = NUM_COLORS + n if on_wlan(link) else grid.cluster_color(grid.cell(link[0]))
+        slots.setdefault(slot, []).append(link)
+    caps = link_capacities(slots, radio, grid)
 
     metrics: dict[str, RouteMetrics] = {}
     macro_capacity = 0.0
@@ -583,8 +562,8 @@ def _instant_metrics(
         if not route.complete or not route.links:
             metrics[user] = RouteMetrics(user, 0.0, math.inf, radio.power, 0, routed=False)
             continue
-        caps, waits = zip(*(perf[l] for l in route.links))
-        cap = min(caps)
+        cap = route_capacity(route, caps)
+        waits = [max(wlan_cycle, 1) if on_wlan(l) else grid.params.K for l in route.links]
         metrics[user] = RouteMetrics(
             user=user,
             capacity=cap,
@@ -592,7 +571,7 @@ def _instant_metrics(
             cost=radio.power * len(route.links),
             hops=len(route.links),
         )
-        if all(l[0] in domain and l[1] in domain for l in route.links):
+        if all(map(on_wlan, route.links)):
             wlan_capacity += cap
         else:
             macro_capacity += cap
@@ -628,26 +607,13 @@ def offload_breakdown(ctx: OffloadContext, state: TrafficState) -> OffloadBreakd
         raise EconError(f"users without placements: {sorted(missing)}")
 
     def rates(users: Iterable[str], metrics: Mapping[str, RouteMetrics]) -> float:
-        return sum(metrics[u].rate for u in users)
+        return sum(metrics[u].rate for u in sorted(users))
 
-    bs_routes = _routes_toward(ctx, (ctx.placements[u] for u in state.bs_users), False)
-    ap_routes = _routes_toward(ctx, (ctx.placements[u] for u in state.wlan_users), True)
-    routes_before: dict[str, Route] = {}
-    for u in state.bs_users:
-        routes_before[u] = bs_routes[ctx.placements[u]]
-    for u in state.wlan_users:
-        routes_before[u] = ap_routes[ctx.placements[u]]
-    before, _, _, _ = _instant_metrics(ctx, routes_before)
-
+    before, _, _, _ = _instant_metrics(ctx, _user_routes(ctx, state.bs_users, state.wlan_users))
     bs_next, wlan_next = apply_traffic_step(state)
-    bs_routes2 = _routes_toward(ctx, (ctx.placements[u] for u in bs_next), False)
-    ap_routes2 = _routes_toward(ctx, (ctx.placements[u] for u in wlan_next), True)
-    routes_after: dict[str, Route] = {}
-    for u in bs_next:
-        routes_after[u] = bs_routes2[ctx.placements[u]]
-    for u in wlan_next:
-        routes_after[u] = ap_routes2[ctx.placements[u]]
-    after, macro_cap, wlan_cap, wlan_link_count = _instant_metrics(ctx, routes_after)
+    after, macro_cap, wlan_cap, wlan_link_count = _instant_metrics(
+        ctx, _user_routes(ctx, bs_next, wlan_next)
+    )
 
     return OffloadBreakdown(
         bs_before=rates(state.bs_users, before),
@@ -667,24 +633,6 @@ def _check_price(chi: float, econ: EconParams) -> None:
     lo, hi = econ.bounds
     if not lo <= chi <= hi:
         raise EconError(f"price {chi!r} outside the agreed bounds [{lo}, {hi}]")
-
-
-def mno_offset(
-    ctx: OffloadContext, state: TrafficState, chi: float, econ: EconParams
-) -> float:
-    """Macrocell operator's utility change from the step at price ``chi``."""
-    _check_price(chi, econ)
-    b = offload_breakdown(ctx, state)
-    return _mno_offset_from(b, chi, econ)
-
-
-def sso_offset(
-    ctx: OffloadContext, state: TrafficState, chi: float, econ: EconParams
-) -> float:
-    """Access-point operator's utility change from the step at price ``chi``."""
-    _check_price(chi, econ)
-    b = offload_breakdown(ctx, state)
-    return _sso_offset_from(b, chi, econ)
 
 
 def _mno_offset_from(b: OffloadBreakdown, chi: float, econ: EconParams) -> float:

@@ -137,9 +137,6 @@ class SubcellGrid:
             raise GridError(f"ring {h} outside 0..{self.params.H}")
         return self._rings[h]
 
-    def at_axial(self, q: int, r: int) -> SubcellId | None:
-        return self._by_axial.get((q, r))
-
     def polar_of(self, i: int) -> tuple[int, float]:
         c = self.cell(i)
         return c.h, c.theta

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Hashable
 
 from .chains import NO_ROUTE, AbsorbingChain, build_chain
-from .grid import Destinations, GridError, SubcellGrid, SubcellId
+from .grid import NUM_COLORS, Destinations, GridError, SubcellGrid, SubcellId
 
 MDR = "MDR"
 LIR = "LIR"
@@ -60,7 +60,6 @@ class ProtocolConfig:
 
     kind: str = MDR
     p: float = 1.0
-    K: int = 7
     dwell_mdr: float | None = None
     dwell_lir: float = 1.0
     interference_threshold: float = 1.0
@@ -72,8 +71,6 @@ class ProtocolConfig:
             raise RoutingError(f"unknown protocol kind {self.kind!r}, expected one of {KINDS}")
         if not 0.0 <= self.p <= 1.0:
             raise RoutingError(f"availability p must lie in [0, 1], got {self.p!r}")
-        if self.K < 1:
-            raise RoutingError(f"cycle length K must be >= 1, got {self.K!r}")
         if self.relay_color is not None and not 0 <= self.relay_color < 7:
             raise RoutingError(f"relay color must lie in 0..6, got {self.relay_color!r}")
         if self.interference_threshold < 0:
@@ -81,22 +78,19 @@ class ProtocolConfig:
 
     @property
     def mdr_dwell(self) -> float:
-        return float(self.K) if self.dwell_mdr is None else self.dwell_mdr
+        return float(NUM_COLORS) if self.dwell_mdr is None else self.dwell_mdr
 
 
 @dataclass(frozen=True)
 class ScenarioOverlay:
     """Deterministic availability: sources and unavailable subcells by index.
 
-    ``source_colors`` carries declared reuse colors for sources when a
-    scenario file annotates them; ``k0`` optionally pins the mLIR relay
-    color.
+    ``k0`` optionally pins the mLIR relay color.
     """
 
     sources: tuple[int, ...]
     unavailable: frozenset[int] = frozenset()
     k0: int | None = None
-    source_colors: tuple[int | None, ...] = ()
     name: str = ""
 
     def __post_init__(self):
@@ -501,7 +495,7 @@ def schedule(route_set: RouteSet, config: ProtocolConfig, grid: SubcellGrid) -> 
     if config.kind in (MDR, LAR):
         for link in links:
             put(grid.cluster_color(grid.cell(link[0])), link)
-        cycle = config.K
+        cycle = NUM_COLORS
     elif config.kind == MMDR:
         assigned: dict[tuple[int, int], int] = {}
         for link in links:
@@ -534,7 +528,7 @@ def schedule(route_set: RouteSet, config: ProtocolConfig, grid: SubcellGrid) -> 
         offset = len(groups)
         for link in fallback_links:
             put(offset + grid.cluster_color(grid.cell(link[0])), link)
-        cycle = offset + (config.K if fallback_links else 0)
+        cycle = offset + (NUM_COLORS if fallback_links else 0)
     else:
         raise RoutingError(f"no schedule rule for protocol {config.kind!r}")
 

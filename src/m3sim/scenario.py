@@ -292,7 +292,6 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         protocol = ProtocolConfig(
             kind=kind,
             p=availability,
-            K=params.K,
             interference_threshold=_number(
                 "protocol", "interference_threshold", pr.get("interference_threshold", 1.0)
             ),
@@ -321,35 +320,31 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     if not d.get("bs", True):
         dest = Destinations(bs=None, aps=dest.aps, coverage=dest.coverage)
 
-    def resolve(spec: Any, where: str) -> tuple[int, int | None]:
-        """Snap one placement; returns (subcell index, declared color or None)."""
+    def resolve(spec: Any, where: str) -> int:
+        """Snap one placement to its subcell index, warning on a color mismatch."""
         k, h, theta = _parse_user_spec(spec, where)
         try:
             cell, gap = grid.nearest_in_ring(h, theta)
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
-        color = None
         if k is not None:
-            color = k - 1
             actual = grid.cluster_color(cell)
-            if actual != color:
+            if actual != k - 1:
                 warn(
-                    f"{where}: u^{k}({h},{theta:g}) declares color {color} but "
+                    f"{where}: u^{k}({h},{theta:g}) declares color {k - 1} but "
                     f"subcell {cell.i} has color {actual}"
                 )
-        return cell.i, color
+        return cell.i
 
     # -- overlay scenarios
     o = _check_keys("overlay", raw.get("overlay"), ("sources", "scenarios"))
     sources: list[int] = []
-    source_colors: list[int | None] = []
     for i, spec in enumerate(o.get("sources", ()) or ()):
-        idx, color = resolve(spec, f"overlay.sources[{i}]")
+        idx = resolve(spec, f"overlay.sources[{i}]")
         if idx in sources:
             warn(f"overlay.sources[{i}]: duplicate source subcell {idx} dropped")
             continue
         sources.append(idx)
-        source_colors.append(color)
     overlays = []
     for i, entry in enumerate(o.get("scenarios", ()) or ()):
         where = f"overlay.scenarios[{i}]"
@@ -357,7 +352,7 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         name = str(entry.get("name", f"scenario-{i + 1}"))
         unavailable: list[int] = []
         for j, spec in enumerate(entry.get("unavailable", ()) or ()):
-            idx, _ = resolve(spec, f"{where}.unavailable[{j}]")
+            idx = resolve(spec, f"{where}.unavailable[{j}]")
             if idx in unavailable:
                 warn(f"{where}.unavailable[{j}]: duplicate subcell {idx} dropped ({spec!r})")
                 continue
@@ -376,7 +371,6 @@ def load_scenario(path: str | Path) -> ScenarioFile:
                     sources=tuple(sources),
                     unavailable=frozenset(unavailable),
                     k0=None if k0 is None else _number(where, "k0", k0, int) - 1,
-                    source_colors=tuple(source_colors),
                     name=name,
                 )
             )
@@ -387,7 +381,7 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     t = _check_keys("traffic", raw.get("traffic"), ("users", "steps"))
     users: dict[str, int] = {}
     for uname, spec in (t.get("users") or {}).items():
-        users[str(uname)] = resolve(spec, f"traffic.users.{uname}")[0]
+        users[str(uname)] = resolve(spec, f"traffic.users.{uname}")
 
     def user_set(step: int, entry: Mapping, key: str) -> frozenset[str]:
         members = entry.get(key, ()) or ()
@@ -426,7 +420,7 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     e = _check_keys(
         "econ",
         raw.get("econ"),
-        ("rho", "rho1", "gamma", "step", "chi0", "tol", "bounds", "max_iter", "mode"),
+        ("rho", "rho1", "step", "chi0", "tol", "bounds", "max_iter", "mode"),
     )
     bounds = None
     if e.get("bounds") is not None:
@@ -437,7 +431,6 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         econ = EconParams(
             mno_revenue=_number("econ", "rho", e.get("rho", 2.0)),
             sso_revenue=_number("econ", "rho1", e.get("rho1", 2.0)),
-            reward_scale=_number("econ", "gamma", e.get("gamma", 1.0)),
             price_step=_number("econ", "step", e.get("step", 0.01)),
             tol=_number("econ", "tol", e.get("tol", 1e-9)),
             max_iter=_number("econ", "max_iter", e.get("max_iter", 100_000), int),
@@ -573,7 +566,6 @@ def _cmd_tessellate(scn: ScenarioFile, seed: int, walks: int) -> ResultTable:
         sites=exp.sites or DEFAULT_USER_SITES,
         availability=scn.availability,
         macro_radius=scn.grid.params.R,
-        cluster=scn.grid.params.K,
         alpha=scn.radio.alpha,
         noise=scn.radio.noise,
         revenue=scn.econ.mno_revenue,
@@ -640,18 +632,13 @@ def _cmd_capacity(scn: ScenarioFile, seed: int, walks: int) -> ResultTable:
             run_cfg = ProtocolConfig(
                 kind=kind,
                 p=1.0,
-                K=grid.params.K,
                 interference_threshold=cfg.interference_threshold,
                 relay_color=cfg.relay_color,
                 allow_fallback=cfg.allow_fallback,
             )
             # "ideal" is plain minimum-distance routing with every relay up.
             run_overlay = (
-                ScenarioOverlay(
-                    sources=overlay.sources,
-                    source_colors=overlay.source_colors,
-                    name=overlay.name,
-                )
+                ScenarioOverlay(sources=overlay.sources, name=overlay.name)
                 if label == "ideal"
                 else overlay
             )

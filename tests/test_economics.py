@@ -1,9 +1,11 @@
 """Utility accounting, traffic bookkeeping, offloading and the price walk."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
+from m3sim.cli import bundled_scenario
 from m3sim.economics import (
     DEFAULT_USER_SITES,
     EconError,
@@ -17,21 +19,36 @@ from m3sim.economics import (
     evaluate_offload,
     expected_network_capacity,
     expected_route_delay,
+    link_capacities,
     macrocell_utility,
     negotiate,
     negotiate_price,
     network_utility,
     offload_breakdown,
     optimize_tessellation,
+    route_capacity,
     route_cost,
     scheduled_route_delay,
     snap_sites,
     user_utility,
 )
 from m3sim.chains import absorption_statistics
-from m3sim.grid import GridParams, SubcellGrid, make_destinations
-from m3sim.radio import RadioParams
-from m3sim.routing import MDR, LIR, ProtocolConfig, Route, build_mdr_chain
+from m3sim.grid import Destinations, GridParams, SubcellGrid, make_destinations
+from m3sim.radio import LinkContext, RadioParams, link_capacity, link_sinr
+from m3sim.routing import (
+    LAR,
+    LIR,
+    MDR,
+    MLIR,
+    MMDR,
+    ProtocolConfig,
+    Route,
+    ScenarioOverlay,
+    build_mdr_chain,
+    extract_routes,
+    schedule,
+)
+from m3sim.scenario import load_scenario
 
 GRID4 = SubcellGrid(GridParams(H=4))
 
@@ -200,6 +217,91 @@ def test_cooperation_ratio_pools_operators():
     assert single == pytest.approx(0.3)
     assert double == pytest.approx(0.51)
     assert ratio > 1.0
+
+
+# -- link-capacity table -----------------------------------------------------
+
+
+def _capacity(grid, radio, tx, rx, interferers):
+    ctx = LinkContext(
+        tx=grid.cell(tx), rx=grid.cell(rx), interferers=tuple(grid.cell(a) for a in interferers)
+    )
+    return link_capacity(link_sinr(ctx, radio, grid), radio.log_base)
+
+
+def _rescanned_route_capacity(route, slot_of, radio, grid):
+    """Reference: rescan the whole link -> slot map for every link of the route."""
+    worst = math.inf
+    for tx, rx in route.links:
+        slot = slot_of[(tx, rx)]
+        others = sorted(
+            {a for (a, b), s in slot_of.items() if s == slot and (a, b) != (tx, rx)} - {tx, rx}
+        )
+        worst = min(worst, _capacity(grid, radio, tx, rx, others))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["default", "offload"])
+def test_link_table_matches_rescanned_route_capacity(name):
+    scn = load_scenario(bundled_scenario(name))
+    dest = Destinations(bs=scn.dest.bs)
+    checked = 0
+    for overlay in scn.overlays:
+        for kind in (MDR, MMDR, MLIR, LAR):
+            config = replace(scn.protocol, kind=kind, p=1.0)
+            run_overlay = ScenarioOverlay(sources=overlay.sources) if kind == MDR else overlay
+            rs = schedule(extract_routes(scn.grid, dest, run_overlay, config), config, scn.grid)
+            caps = link_capacities(rs.slots, scn.radio, scn.grid)
+            slot_of = rs.slot_of()
+            for route in rs.complete_routes:
+                expected = _rescanned_route_capacity(route, slot_of, scn.radio, scn.grid)
+                assert route_capacity(route, caps) == expected
+                checked += 1
+    assert checked == 4 * sum(len(o.sources) for o in scn.overlays)
+
+
+def _reference_user_capacities(ctx, bs_users, wlan_users):
+    """Reference: a WLAN hop is interference-free; a macro hop hears every
+    other macro transmitter of its color."""
+    grid, domain = ctx.grid, ctx.wlan_domain
+    to_bs = Destinations(bs=ctx.dest.bs)
+    to_ap = Destinations(bs=None, aps=ctx.dest.aps, coverage=ctx.dest.coverage)
+    routes = {}
+    for users, dest in ((bs_users, to_bs), (wlan_users, to_ap)):
+        for u in users:
+            overlay = ScenarioOverlay(sources=(ctx.placements[u],))
+            routes[u] = extract_routes(grid, dest, overlay, ProtocolConfig(kind=MDR)).routes[0]
+
+    def on_wlan(link):
+        return link[0] in domain and link[1] in domain
+
+    def color(i):
+        return grid.cluster_color(grid.cell(i))
+
+    macro_tx = {l[0] for r in routes.values() for l in r.links if not on_wlan(l)}
+    out = {}
+    for u, route in routes.items():
+        caps = []
+        for tx, rx in route.links:
+            same_color = {a for a in macro_tx if color(a) == color(tx)}
+            others = [] if on_wlan((tx, rx)) else sorted(same_color - {tx, rx})
+            caps.append(_capacity(grid, ctx.radio, tx, rx, others))
+        out[u] = min(caps) if route.complete and caps else 0.0
+    return out
+
+
+def test_offload_user_capacities_match_reference():
+    scn = load_scenario(bundled_scenario("offload"))
+    ctx = OffloadContext(grid=scn.grid, dest=scn.dest, radio=scn.radio, placements=scn.users)
+    for state in scn.steps:
+        b = offload_breakdown(ctx, state)
+        instants = (
+            ((state.bs_users, state.wlan_users), b.metrics_before),
+            (apply_traffic_step(state), b.metrics_after),
+        )
+        for (bs_users, wlan_users), metrics in instants:
+            expected = _reference_user_capacities(ctx, bs_users, wlan_users)
+            assert {u: m.capacity for u, m in metrics.items()} == expected
 
 
 # -- offloading --------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Route discovery: transition laws, chain builders, extraction, scheduling."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from m3sim.chains import NO_ROUTE, absorption_statistics
 from m3sim.grid import GridParams, SubcellGrid, make_destinations
@@ -21,6 +25,7 @@ from m3sim.routing import (
     coordination_probability,
     extract_routes,
     rank_probabilities,
+    _conflicts,
     schedule,
     start_state,
 )
@@ -191,10 +196,7 @@ def test_protocol_config_validation():
     with pytest.raises(RoutingError):
         ProtocolConfig(p=1.5)
     with pytest.raises(RoutingError):
-        ProtocolConfig(K=0)
-    with pytest.raises(RoutingError):
         ProtocolConfig(relay_color=7)
-    assert ProtocolConfig(K=5).mdr_dwell == 5.0
     assert ProtocolConfig(dwell_mdr=3.0).mdr_dwell == 3.0
 
 
@@ -247,3 +249,70 @@ def test_single_route_needs_one_coordinated_slot():
     )
     assert rs.cycle_length == 8
     assert rs.slots[0] == [(25, 12)]
+
+
+# -- schedule properties over generated overlays ------------------------------
+
+GRIDS = {h: SubcellGrid(GridParams(H=h)) for h in range(2, 7)}
+
+
+@st.composite
+def scheduled(draw, kinds):
+    """A random H in 2..6 with random sources and unavailable relays, scheduled."""
+    grid = GRIDS[draw(st.integers(2, 6))]
+    cells = range(1, len(grid.cells))
+    sources = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=12, unique=True))
+    free = sorted(set(cells) - set(sources))
+    unavailable = draw(st.frozensets(st.sampled_from(free), max_size=len(free) // 3))
+    config = ProtocolConfig(
+        kind=draw(st.sampled_from(kinds)),
+        interference_threshold=draw(st.sampled_from((1.0, 1.5, 2.0))),
+    )
+    overlay = ScenarioOverlay(sources=tuple(sources), unavailable=unavailable)
+    dest = make_destinations(grid)
+    return grid, config, schedule(extract_routes(grid, dest, overlay, config), config, grid)
+
+
+@settings(max_examples=25, deadline=None)
+@given(scheduled((MDR, MMDR, LIR, MLIR, LAR)))
+def test_every_route_link_sits_in_exactly_one_slot(case):
+    _, _, rs = case
+    placed = Counter(link for links in rs.slots.values() for link in links)
+    assert set(placed) == {link for route in rs.routes for link in route.links}
+    assert set(placed.values()) <= {1}
+
+
+@settings(max_examples=25, deadline=None)
+@given(scheduled((MMDR,)))
+def test_mmdr_slots_hold_no_conflicting_links(case):
+    grid, config, rs = case
+    for links in rs.slots.values():
+        for i, a in enumerate(links):
+            for b in links[i + 1 :]:
+                assert not _conflicts(grid, a, b, config.interference_threshold)
+
+
+@settings(max_examples=25, deadline=None)
+@given(scheduled((MDR, LAR)))
+def test_round_robin_slot_is_the_transmitter_color(case):
+    grid, _, rs = case
+    for slot, links in rs.slots.items():
+        for tx, _ in links:
+            assert slot == grid.cluster_color(grid.cell(tx))
+
+
+@settings(max_examples=25, deadline=None)
+@given(scheduled((LIR, MLIR)))
+def test_coordinated_slots_share_no_subcell(case):
+    _, _, rs = case
+    slot_of = rs.slot_of()
+    coordinated = {
+        slot_of[link]
+        for route in rs.routes
+        for link, mode in zip(route.links, route.link_modes)
+        if mode == COORD
+    }
+    for slot in coordinated:
+        cells = [cell for link in rs.slots[slot] for cell in link]
+        assert len(cells) == len(set(cells))
+

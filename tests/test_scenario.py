@@ -1,10 +1,16 @@
 """Scenario files, result tables, the five commands and the CLI."""
 
 import math
+import os
+import re
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import m3sim
 from m3sim.cli import build_parser, bundled_scenario, main
 from m3sim.economics import EconParams, OffloadContext, negotiate
 from m3sim.scenario import (
@@ -243,6 +249,8 @@ def test_econ_section(tmp_path):
         load_scenario(write(tmp_path, "econ: {bounds: [1.0]}\n"))
     with pytest.raises(ScenarioError, match="econ"):
         load_scenario(write(tmp_path, "econ: {rho: 1, rho1: 2}\n"))
+    with pytest.raises(ScenarioError, match=r"unknown key econ\.gamma"):
+        load_scenario(write(tmp_path, "econ: {gamma: 1.0}\n"))
 
 
 def test_bundled_scenarios_resolve(default_scenario):
@@ -252,6 +260,14 @@ def test_bundled_scenarios_resolve(default_scenario):
     offload = load_scenario(bundled_scenario("offload"))
     assert offload.radio.noise == 1e-6
     assert offload.availability == 1.0
+
+
+def test_readme_scenario_examples_load(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```yaml\n(.*?)```", readme.read_text(), re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        load_scenario(write(tmp_path, block, f"readme-{i}.yaml"))
 
 
 # -- result tables ---------------------------------------------------------
@@ -390,6 +406,29 @@ def test_negotiate_command_matches_direct_call(tmp_path):
     assert last[5] == direct.price
     assert last[6] == direct.crossing
     assert last[7] == direct.verdict
+
+
+def test_negotiate_output_does_not_depend_on_string_hashing(tmp_path):
+    script = (
+        "import sys\n"
+        "from m3sim.cli import bundled_scenario, main\n"
+        "for name in ('default', 'offload'):\n"
+        "    main(['negotiate', '--scenario', str(bundled_scenario(name)),\n"
+        "          '--out', f'{sys.argv[1]}/{name}'])\n"
+    )
+    src = str(Path(m3sim.__file__).resolve().parents[1])
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / seed)],
+            env=env,
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+    for name in ("default", "offload"):
+        first = (tmp_path / "1" / name / "negotiate.csv").read_bytes()
+        assert first == (tmp_path / "2" / name / "negotiate.csv").read_bytes()
 
 
 def test_negotiate_command_requires_offload_steps(tmp_path):
