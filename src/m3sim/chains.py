@@ -11,10 +11,13 @@ in canonical form
 the fundamental matrix (I - Q)^-1 yields mean absorption times, their
 variances and the absorption probabilities.  All linear algebra goes
 through one dense LU factorization; the matrix is never inverted
-explicitly.
+explicitly.  Whether absorption is reachable from every transient state is
+decided exactly, by a reverse breadth-first search over the positive
+transitions, before any solve.
 
 A seeded Monte Carlo walk simulator doubles as an independent oracle for
-the analytic results.
+the analytic results.  It samples each step from the nonzeros of the
+current row, so a step costs O(row degree) rather than O(states).
 """
 
 from __future__ import annotations
@@ -111,7 +114,9 @@ def canonical_form(chain: AbsorbingChain) -> tuple[np.ndarray, np.ndarray]:
     """Extract (Q, R): transient-to-transient and transient-to-absorbing blocks.
 
     Validates row stochasticity and that absorption is reachable from every
-    transient state (spectral radius of Q strictly below one).
+    transient state along transitions of positive probability.  The check
+    is exact: a reverse breadth-first search from the absorbing states over
+    the nonzero entries, with no tolerance.
     """
     n = len(chain.transient)
     sums = chain.matrix.sum(axis=1)
@@ -120,15 +125,27 @@ def canonical_form(chain: AbsorbingChain) -> tuple[np.ndarray, np.ndarray]:
         raise ChainError(f"row {bad[0]} sums to {sums[bad[0]]!r}, expected 1")
     if np.any(chain.matrix < -_ROW_SUM_TOL):
         raise ChainError("transition probabilities cannot be negative")
-    Q = chain.matrix[:n, :n]
-    R = chain.matrix[:n, n:]
-    if n:
-        radius = np.max(np.abs(np.linalg.eigvals(Q)))
-        if radius >= 1.0 - 1e-12:
-            raise ChainError(
-                f"absorption unreachable from some state (spectral radius {radius!r})"
-            )
-    return Q, R
+    trapped = _first_trapped(chain.matrix, n)
+    if trapped is not None:
+        raise ChainError(f"absorption unreachable from state {chain.transient[trapped]!r}")
+    return chain.matrix[:n, :n], chain.matrix[:n, n:]
+
+
+def _first_trapped(matrix: np.ndarray, n: int) -> int | None:
+    """First transient index with no positive path to an absorbing state."""
+    rows, cols = np.nonzero(matrix[:n] > 0)
+    order = np.argsort(cols, kind="stable")
+    sources = rows[order].tolist()
+    start = np.searchsorted(cols[order], np.arange(matrix.shape[0] + 1)).tolist()
+    reached = [False] * n + [True] * (matrix.shape[0] - n)
+    frontier = list(range(n, matrix.shape[0]))
+    while frontier:
+        j = frontier.pop()
+        for i in sources[start[j] : start[j + 1]]:
+            if not reached[i]:
+                reached[i] = True
+                frontier.append(i)
+    return next((i for i in range(n) if not reached[i]), None)
 
 
 @dataclass(frozen=True)
@@ -164,7 +181,8 @@ def absorption_statistics(chain: AbsorbingChain, start: np.ndarray | None = None
 
     Solves (I - Q) x = b by LU factorization for the dwell vector, its
     square and the R block; the variance follows the second-moment identity
-    for per-state dwell costs.
+    for per-state dwell costs.  Variances within roundoff below zero read
+    0; a more negative one raises ChainError naming its state.
     """
     Q, R = canonical_form(chain)
     n = len(chain.transient)
@@ -174,6 +192,13 @@ def absorption_statistics(chain: AbsorbingChain, start: np.ndarray | None = None
     tau = lu_solve(lu, e)
     # var = 2 (I-Q)^-1 T Q tau + (I-Q)^-1 e^2 - tau^2, with T = diag(dwell)
     var = 2.0 * lu_solve(lu, e * (Q @ tau)) + lu_solve(lu, e * e) - tau * tau
+    # roundoff may leave a zero variance slightly negative; more is an error
+    negative = np.flatnonzero(var < -_ROW_SUM_TOL * np.maximum(1.0, tau * tau))
+    if negative.size:
+        k = negative[0]
+        raise ChainError(
+            f"variance {var[k]!r} of state {chain.transient[k]!r} is negative beyond roundoff"
+        )
     var = np.maximum(var, 0.0)
     absorb = lu_solve(lu, R)
     f = _initial_distribution(chain, start)
@@ -186,23 +211,27 @@ def absorption_statistics(chain: AbsorbingChain, start: np.ndarray | None = None
     )
 
 
-def uniform_dwell_variance(chain: AbsorbingChain) -> np.ndarray:
-    """Variance of absorption time via the fundamental-matrix identity.
-
-    Valid only for a uniform dwell T: var = ((2N - I) N 1 - (N 1)^2) T^2.
-    Kept separate from absorption_statistics as a cross-check route.
-    """
-    t = chain.dwell[0]
-    if not np.allclose(chain.dwell, t):
-        raise ChainError("uniform-dwell variance requires equal dwell times")
-    Q, _ = canonical_form(chain)
-    n = len(chain.transient)
-    fundamental = np.linalg.inv(np.eye(n) - Q)
-    steps = fundamental @ np.ones(n)
-    return ((2.0 * fundamental - np.eye(n)) @ steps - steps * steps) * t * t
-
-
 _CHUNK = 200_000
+
+
+def _sampling_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Padded per-row (target column, cumulative probability) arrays.
+
+    Entries are the nonzeros before the last column, in column order, then
+    the last column at cumulative 1.0; padding repeats that closing entry.
+    """
+    last = rows.shape[1] - 1
+    r, c = np.nonzero(rows[:, :last])
+    degree = np.bincount(r, minlength=rows.shape[0])
+    slot = np.arange(r.size) - np.repeat(np.cumsum(degree) - degree, degree)
+    width = int(degree.max(initial=0)) + 1
+    target = np.full((rows.shape[0], width), last)
+    target[r, slot] = c
+    values = np.zeros((rows.shape[0], width))
+    values[r, slot] = rows[r, c]
+    cum = np.cumsum(values, axis=1)
+    cum[np.arange(width) >= degree[:, None]] = 1.0
+    return target, cum
 
 
 def simulate_walks(
@@ -217,14 +246,20 @@ def simulate_walks(
     partitioned into fixed-size chunks with seeds derived from ``seed`` and
     merged deterministically, so results are reproducible for a given seed
     regardless of chunking.
+
+    Each row is sampled from padded (target, cumulative probability) arrays
+    built from its nonzeros in column order.  The last column always closes
+    the row at exactly 1.0, as a nonzero or as an appended entry, so a step
+    with uniform draw ``u`` goes to the first target whose cumulative
+    probability reaches ``u``: the column a cumulative sum over the full
+    row would pick, since zeros leave that sum unchanged.
     """
     if n_walks < 1:
         raise ChainError(f"need at least one walk, got {n_walks}")
-    Q, R = canonical_form(chain)
-    n, a = Q.shape[0], R.shape[1]
+    canonical_form(chain)
+    n, a = len(chain.transient), len(chain.absorbing)
     f = _initial_distribution(chain, start)
-    cum = np.cumsum(np.hstack([Q, R]), axis=1)
-    cum[:, -1] = 1.0
+    target, cum = _sampling_rows(chain.matrix[:n])
     dwell = chain.dwell
 
     counts = np.zeros(n, dtype=np.int64)
@@ -244,8 +279,9 @@ def simulate_walks(
         active = np.arange(size)
         landed = np.empty(size, dtype=np.int64)
         while active.size:
-            rows = cum[state[active]]
-            step = (rows < rng.random((active.size, 1))).sum(axis=1)
+            current = state[active]
+            k = (cum[current] < rng.random((active.size, 1))).sum(axis=1)
+            step = target[current, k]
             absorbed = step >= n
             hit = active[absorbed]
             landed[hit] = step[absorbed] - n

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .chains import AbsorbingChain, ChainStatistics, absorption_statistics
+from .chains import ChainStatistics, absorption_statistics
 from .compression import (
     CompressedStateVector,
     FullStateVector,
@@ -23,9 +23,7 @@ from .compression import (
 from .grid import NUM_COLORS, Destinations, GridParams, SubcellGrid
 from .radio import LinkContext, RadioParams, link_capacity, link_sinr
 from .routing import (
-    LAR,
     MDR,
-    MMDR,
     ProtocolConfig,
     Route,
     RouteSet,
@@ -33,7 +31,6 @@ from .routing import (
     build_mdr_chain,
     extract_routes,
     schedule,
-    start_state,
 )
 
 
@@ -161,15 +158,6 @@ def user_utility(capacity: float, delay: float, cost: float, revenue: float) -> 
     return revenue * capacity / (delay * cost)
 
 
-def network_utility(metrics: Iterable[RouteMetrics], revenue: float) -> float:
-    """Sum of per-user utilities; unrouted users contribute nothing."""
-    total = 0.0
-    for m in metrics:
-        if m.routed:
-            total += user_utility(m.capacity, m.delay, m.cost, revenue)
-    return total
-
-
 def link_capacities(
     slots: Mapping[int, Sequence[tuple[int, int]]],
     radio: RadioParams,
@@ -199,39 +187,6 @@ def route_capacity(route: Route, caps: Mapping[tuple[int, int], float]) -> float
     if not route.complete or not route.links:
         return 0.0
     return min(caps[link] for link in route.links)
-
-
-def expected_route_delay(
-    chain: AbsorbingChain,
-    stats: ChainStatistics,
-    origin: int,
-    config: ProtocolConfig,
-) -> float:
-    """Mean slots until absorption for a route-discovery walk from ``origin``.
-
-    Round-robin protocols pay the full cycle per hop on a unit-dwell chain;
-    the two-mode chain already carries per-mode dwell times.  Origins that
-    can only end at the no-route state get an infinite delay.
-    """
-    idx = chain.transient_index(start_state(config, origin))
-    if stats.absorb_probs[idx, :-1].sum() <= 0.0:
-        return math.inf
-    tau = float(stats.tau[idx])
-    if config.kind in (MDR, MMDR, LAR):
-        return NUM_COLORS * tau
-    return tau
-
-
-def scheduled_route_delay(route: Route, cycle_length: int) -> float:
-    """Slots to drain a deterministic route: one cycle per hop."""
-    if not route.complete:
-        return math.inf
-    return len(route.links) * cycle_length
-
-
-def route_cost(route: Route, radio: RadioParams) -> float:
-    """Transmit energy of one pass over the route (at least one transmission)."""
-    return radio.power * max(len(route.links), 1)
 
 
 def network_capacity_throughput(

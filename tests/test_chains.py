@@ -2,16 +2,107 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import m3sim.chains
 from m3sim.chains import (
+    _ROW_SUM_TOL,
     ChainError,
+    ChainStatistics,
     absorption_statistics,
     build_chain,
     canonical_form,
     simulate_walks,
-    uniform_dwell_variance,
 )
+from m3sim.cli import bundled_scenario
+from m3sim.grid import GridParams, SubcellGrid, make_destinations
+from m3sim.routing import LIR, ProtocolConfig, build_lir_chain, build_mdr_chain
+from m3sim.scenario import load_scenario
+
+# -- dense oracles -----------------------------------------------------------
+
+
+def uniform_dwell_variance(chain):
+    """Variance of absorption time via the fundamental-matrix identity.
+
+    Valid only for a uniform dwell T: var = ((2N - I) N 1 - (N 1)^2) T^2.
+    """
+    t = chain.dwell[0]
+    if not np.allclose(chain.dwell, t):
+        raise ChainError("uniform-dwell variance requires equal dwell times")
+    Q, _ = canonical_form(chain)
+    n = len(chain.transient)
+    fundamental = np.linalg.inv(np.eye(n) - Q)
+    steps = fundamental @ np.ones(n)
+    return ((2.0 * fundamental - np.eye(n)) @ steps - steps * steps) * t * t
+
+
+def spectral_radius(chain):
+    """Spectral radius of Q; absorption is unreachable somewhere iff it is ~1."""
+    n = len(chain.transient)
+    return float(np.max(np.abs(np.linalg.eigvals(chain.matrix[:n, :n])))) if n else 0.0
+
+
+def dense_walks(chain, n_walks, seed):
+    """Uniform-start walker sampling from dense cumulative rows over all states."""
+    n, a = len(chain.transient), len(chain.absorbing)
+    cum = np.cumsum(chain.matrix[:n], axis=1)
+    cum[:, -1] = 1.0
+    counts = np.zeros(n, dtype=np.int64)
+    time_sum = np.zeros(n)
+    time_sqsum = np.zeros(n)
+    absorb_counts = np.zeros((n, a), dtype=np.int64)
+    chunks = [m3sim.chains._CHUNK] * (n_walks // m3sim.chains._CHUNK)
+    if n_walks % m3sim.chains._CHUNK:
+        chunks.append(n_walks % m3sim.chains._CHUNK)
+    seeds = np.random.SeedSequence(seed).spawn(len(chunks))
+    for size, chunk_seed in zip(chunks, seeds):
+        rng = np.random.Generator(np.random.PCG64(chunk_seed))
+        origin = rng.choice(n, size=size, p=np.full(n, 1.0 / n))
+        state = origin.copy()
+        elapsed = chain.dwell[state].copy()
+        active = np.arange(size)
+        landed = np.empty(size, dtype=np.int64)
+        while active.size:
+            step = (cum[state[active]] < rng.random((active.size, 1))).sum(axis=1)
+            absorbed = step >= n
+            landed[active[absorbed]] = step[absorbed] - n
+            moved = active[~absorbed]
+            state[moved] = step[~absorbed]
+            elapsed[moved] += chain.dwell[state[moved]]
+            active = moved
+        np.add.at(counts, origin, 1)
+        np.add.at(time_sum, origin, elapsed)
+        np.add.at(time_sqsum, origin, elapsed * elapsed)
+        np.add.at(absorb_counts, (origin, landed), 1)
+    visited = counts > 0
+    tau = np.full(n, np.nan)
+    var = np.full(n, np.nan)
+    tau[visited] = time_sum[visited] / counts[visited]
+    twice = counts > 1
+    var[twice] = (time_sqsum[twice] - counts[twice] * tau[twice] ** 2) / (counts[twice] - 1)
+    probs = np.full((n, a), np.nan)
+    probs[visited] = absorb_counts[visited] / counts[visited, None]
+    return ChainStatistics(
+        tau=tau,
+        var_tau=var,
+        absorb_probs=probs,
+        tau_mean=float(time_sum.sum() / n_walks),
+        absorb_dist=absorb_counts.sum(axis=0) / n_walks,
+        counts=counts,
+    )
+
+
+def assert_same_walks(chain, n_walks, seed):
+    got, ref = simulate_walks(chain, n_walks, seed), dense_walks(chain, n_walks, seed)
+    assert np.array_equal(got.counts, ref.counts)
+    assert np.array_equal(got.absorb_probs, ref.absorb_probs, equal_nan=True)
+    assert np.array_equal(got.tau, ref.tau, equal_nan=True)
+    assert np.array_equal(got.var_tau, ref.var_tau, equal_nan=True)
+    assert got.tau_mean == ref.tau_mean
+    assert np.array_equal(got.absorb_dist, ref.absorb_dist)
 
 
 def geometric(p, dwell=1.0):
@@ -112,8 +203,32 @@ def test_canonical_form_requires_reachable_absorption():
     chain = build_chain(
         {"trap": [("trap", 1.0)], "s": [("trap", 0.5), ("done", 0.5)]}, ["done"]
     )
-    with pytest.raises(ChainError, match="unreachable"):
+    with pytest.raises(ChainError, match="unreachable from state 'trap'"):
         canonical_form(chain)
+
+
+def test_canonical_form_names_a_trapped_cycle():
+    # two states feeding each other, one reachable from a leaking state
+    chain = build_chain(
+        {
+            "s": [("a", 0.5), ("done", 0.5)],
+            "a": [("b", 1.0)],
+            "b": [("a", 0.7), ("b", 0.3)],
+        },
+        ["done"],
+    )
+    with pytest.raises(ChainError, match="unreachable from state 'a'"):
+        canonical_form(chain)
+    assert spectral_radius(chain) >= 1.0 - 1e-12
+
+
+def test_reachability_is_exact_where_the_spectral_radius_is_not():
+    # absorption is reachable, but the leak is below the old eigenvalue tolerance
+    leak = 1e-14
+    chain = build_chain({"s": [("s", 1.0 - leak), ("done", leak)]}, ["done"])
+    Q, R = canonical_form(chain)
+    assert Q[0, 0] < 1.0 and R[0, 0] > 0.0
+    assert spectral_radius(chain) >= 1.0 - 1e-12
 
 
 def test_transient_index():
@@ -152,6 +267,32 @@ def test_simulation_matches_analysis():
     assert mc.absorb_dist[0] == pytest.approx(1.0)
 
 
+def _negative_variance_solve(offset):
+    """lu_solve whose third solve, (I - Q)^-1 e^2, is shifted by ``offset``."""
+    calls = []
+    solve = m3sim.chains.lu_solve
+
+    def shifted(lu, b):
+        calls.append(None)
+        out = solve(lu, b)
+        return out + offset if len(calls) == 3 else out
+
+    return shifted
+
+
+def test_negative_variance_beyond_roundoff_is_reported(monkeypatch):
+    monkeypatch.setattr(m3sim.chains, "lu_solve", _negative_variance_solve(-1e-6))
+    # geometric(1.0) has tau = 1 and variance exactly 0
+    with pytest.raises(ChainError, match="variance .* of state 's' is negative"):
+        absorption_statistics(geometric(1.0))
+
+
+def test_negative_variance_within_roundoff_reads_zero(monkeypatch):
+    monkeypatch.setattr(m3sim.chains, "lu_solve", _negative_variance_solve(-1e-12))
+    stats = absorption_statistics(geometric(1.0))
+    assert stats.var_tau[0] == 0.0 and stats.tau[0] == 1.0
+
+
 def test_simulation_start_distribution_and_guards():
     chain = ladder()
     pinned = simulate_walks(chain, 2000, seed=3, start=np.array([1.0, 0.0]))
@@ -159,3 +300,89 @@ def test_simulation_start_distribution_and_guards():
     assert np.isnan(pinned.tau[1])
     with pytest.raises(ChainError):
         simulate_walks(chain, 0, seed=1)
+
+
+# -- sparse walker and reachability against the dense oracles ---------------
+
+
+@st.composite
+def random_chains(draw):
+    """Small chains with zero gaps, zero last columns, tiny negatives and traps."""
+    n = draw(st.integers(1, 5))
+    a = draw(st.integers(1, 3))
+    labels = [f"t{k}" for k in range(n)] + [f"a{k}" for k in range(a)]
+    rows = {}
+    for k in range(n):
+        # a closed row leaks nothing to the absorbing states directly
+        closed = draw(st.booleans())
+        weights = draw(st.lists(st.integers(0, 4), min_size=n + a, max_size=n + a))
+        if closed:
+            weights[n:] = [0] * a
+        if not any(weights):
+            weights[k] = 1
+        total = sum(weights)
+        row = [(labels[j], w / total) for j, w in enumerate(weights) if w]
+        zeros = [j for j, w in enumerate(weights) if not w]
+        if zeros and draw(st.booleans()):
+            # a tiny negative entry in a zero column, within the row-sum tolerance
+            row.append((labels[draw(st.sampled_from(zeros))], -0.5 * _ROW_SUM_TOL))
+        rows[labels[k]] = row
+    dwell = draw(st.sampled_from((1.0, 7.0, {label: 1.0 + (k % 3) for k, label in enumerate(labels[:n])})))
+    return build_chain(rows, labels[n:], dwell)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_chains(), st.integers(0, 2**32 - 1))
+def test_sparse_walker_and_reachability_match_dense_references(chain, seed):
+    # The two walkers pick the same target for every draw except u == 0.0, or
+    # a draw within a tiny negative entry of a non-monotone cumulative row.
+    radius = spectral_radius(chain)
+    try:
+        canonical_form(chain)
+    except ChainError as err:
+        assert "unreachable" in str(err)
+        assert radius >= 1.0 - 1e-12
+        with pytest.raises(ChainError, match="unreachable"):
+            simulate_walks(chain, 10, seed)
+        return
+    assert radius < 1.0 - 1e-12
+    assert_same_walks(chain, 400, seed)
+
+
+@pytest.mark.parametrize("name", ["default", "offload"])
+def test_sparse_walker_matches_dense_reference_on_bundled_mdr_chain(name):
+    scn = load_scenario(bundled_scenario(name))
+    chain = build_mdr_chain(scn.grid, scn.dest, scn.experiment.availabilities[0])
+    assert spectral_radius(chain) < 1.0 - 1e-12
+    assert_same_walks(chain, 3000, seed=5)
+
+
+# -- generated route-discovery chains -----------------------------------------
+
+GRIDS = {h: SubcellGrid(GridParams(H=h)) for h in range(1, 7)}
+
+
+@st.composite
+def discovery_chains(draw):
+    grid = GRIDS[draw(st.integers(1, 6))]
+    # ring-1 access points would cover the base station, which is not allowed
+    rings = st.integers(2, max(grid.params.H, 2))
+    placements = draw(st.lists(st.tuples(rings, st.floats(0.0, 359.0)), max_size=2 * (grid.params.H > 1)))
+    cells = [grid.nearest_in_ring(h, theta)[0].i for h, theta in placements]
+    if len(set(cells)) < len(cells):
+        placements = placements[:1]
+    dest = make_destinations(grid, placements)
+    p = draw(st.floats(0.0, 1.0, exclude_min=True))
+    if draw(st.booleans()):
+        return build_lir_chain(grid, dest, p, ProtocolConfig(kind=LIR, p=p))
+    return build_mdr_chain(grid, dest, p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(discovery_chains())
+def test_route_discovery_chains_are_absorbing_and_row_stochastic(chain):
+    n = len(chain.transient)
+    assert np.all(chain.matrix >= 0.0)
+    assert_allclose(chain.matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    Q, R = canonical_form(chain)
+    assert Q.shape == (n, n) and R.shape == (n, len(chain.absorbing))

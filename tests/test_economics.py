@@ -18,22 +18,18 @@ from m3sim.economics import (
     cooperation_capacity_ratio,
     evaluate_offload,
     expected_network_capacity,
-    expected_route_delay,
     link_capacities,
     macrocell_utility,
     negotiate,
     negotiate_price,
-    network_utility,
     offload_breakdown,
     optimize_tessellation,
     route_capacity,
-    route_cost,
-    scheduled_route_delay,
     snap_sites,
     user_utility,
 )
 from m3sim.chains import absorption_statistics
-from m3sim.grid import Destinations, GridParams, SubcellGrid, make_destinations
+from m3sim.grid import NUM_COLORS, Destinations, GridParams, SubcellGrid, make_destinations
 from m3sim.radio import LinkContext, RadioParams, link_capacity, link_sinr
 from m3sim.routing import (
     LAR,
@@ -47,6 +43,7 @@ from m3sim.routing import (
     build_mdr_chain,
     extract_routes,
     schedule,
+    start_state,
 )
 from m3sim.scenario import load_scenario
 
@@ -75,6 +72,46 @@ def offload_state():
 
 
 # -- utility algebra ---------------------------------------------------------
+
+# Per-route delay, cost and summed-utility oracles: the route algebra that
+# macrocell_utility and offload_breakdown fold into their own loops.
+
+
+def network_utility(metrics, revenue):
+    """Sum of per-user utilities; unrouted users contribute nothing."""
+    total = 0.0
+    for m in metrics:
+        if m.routed:
+            total += user_utility(m.capacity, m.delay, m.cost, revenue)
+    return total
+
+
+def expected_route_delay(chain, stats, origin, config):
+    """Mean slots until absorption for a route-discovery walk from ``origin``.
+
+    Round-robin protocols pay the full cycle per hop on a unit-dwell chain;
+    the two-mode chain already carries per-mode dwell times.  Origins that
+    can only end at the no-route state get an infinite delay.
+    """
+    idx = chain.transient_index(start_state(config, origin))
+    if stats.absorb_probs[idx, :-1].sum() <= 0.0:
+        return math.inf
+    tau = float(stats.tau[idx])
+    if config.kind in (MDR, MMDR, LAR):
+        return NUM_COLORS * tau
+    return tau
+
+
+def scheduled_route_delay(route, cycle_length):
+    """Slots to drain a deterministic route: one cycle per hop."""
+    if not route.complete:
+        return math.inf
+    return len(route.links) * cycle_length
+
+
+def route_cost(route, radio):
+    """Transmit energy of one pass over the route (at least one transmission)."""
+    return radio.power * max(len(route.links), 1)
 
 
 def test_user_utility():

@@ -3,8 +3,11 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from m3sim.grid import (
+    NUM_COLORS,
     Destinations,
     GridError,
     GridParams,
@@ -155,3 +158,19 @@ def test_neighbors_ranked_is_deterministic():
     dists = [min(grid.squared_step_distance(n, t) for t in dest.absorbing_cells()) for n in ranked]
     assert dists == sorted(dists)
     assert ranked == grid.neighbors_ranked(cell, dest)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 30))
+@example(30)
+def test_rings_coloring_and_neighbors_hold_at_every_depth(H):
+    grid = SubcellGrid(GridParams(H=H))
+    assert len(grid) == 1 + GridParams(H=H).subcell_count
+    for h in range(1, H + 1):
+        assert len(grid.ring(h)) == 6 * h
+    for cell in grid.cells:
+        color = grid.cluster_color(cell)
+        assert 0 <= color < NUM_COLORS
+        for n in grid.neighbors(cell):
+            assert grid.cluster_color(n) != color
+            assert cell in grid.neighbors(n)
