@@ -178,7 +178,7 @@ def link_capacities(
                 rx=grid.cell(rx),
                 interferers=tuple(grid.cell(a) for a in sorted(transmitters - {tx, rx})),
             )
-            caps[(tx, rx)] = link_capacity(link_sinr(ctx, radio, grid), radio.log_base)
+            caps[(tx, rx)] = link_capacity(link_sinr(ctx, radio, grid))
     return caps
 
 
@@ -274,7 +274,6 @@ def macrocell_utility(
     alpha: float = 2.0,
     noise: float = 1e-4,
     revenue: float = 2.0,
-    log_base: float = 2.0,
 ) -> float:
     """Total uplink utility of the fixed user population on an H-ring grid.
 
@@ -287,7 +286,7 @@ def macrocell_utility(
     """
     grid = SubcellGrid(GridParams(H=h, R=macro_radius))
     dest = Destinations(bs=grid.cell(0))
-    radio = RadioParams(power=power, alpha=alpha, noise=noise, log_base=log_base)
+    radio = RadioParams(power=power, alpha=alpha, noise=noise)
     occupied = sorted(set(snap_sites(grid, sites)))
 
     total = 0.0
@@ -347,16 +346,7 @@ def optimize_tessellation(
     )
 
 
-def state_utility(
-    vector: FullStateVector | CompressedStateVector,
-    power: float,
-    *,
-    sites: Sequence[tuple[float, float]] = DEFAULT_USER_SITES,
-    macro_radius: float = 1000.0,
-    alpha: float = 2.0,
-    noise: float = 1e-4,
-    revenue: float = 2.0,
-) -> float:
+def state_utility(vector: FullStateVector | CompressedStateVector, power: float) -> float:
     """Utility of the grid described by a full or compressed state vector.
 
     The full vector's availability is re-aggregated from its constituent
@@ -367,16 +357,7 @@ def state_utility(
         p = aggregate_availability(vector.p_a, vector.p_phi, vector.p_o)
     else:
         p = vector.p
-    return macrocell_utility(
-        vector.H,
-        power,
-        sites=sites,
-        availability=p,
-        macro_radius=macro_radius,
-        alpha=alpha,
-        noise=noise,
-        revenue=revenue,
-    )
+    return macrocell_utility(vector.H, power, availability=p)
 
 
 # --------------------------------------------------------------------------
@@ -682,14 +663,14 @@ def negotiate_price(
     *,
     offload: frozenset[str] = frozenset(),
     candidates: Sequence[str] = (),
-    adapt_set: bool = False,
     chi0: float | None = None,
 ) -> NegotiationResult:
     """Walk the price in fixed steps until the two offsets balance.
 
     The offer moves down when the SSO's offset leads and up when it trails;
-    in set-adapting mode each iteration additionally grows or shrinks the
-    offload set by the user with the largest/smallest marginal MNO offset.
+    with a non-empty ``candidates`` pool each iteration additionally grows or
+    shrinks the offload set by the user with the largest/smallest marginal
+    MNO offset.
     The walk ends at equilibrium (within tolerance), when it starts cycling
     (the best probed point wins), or pinned at a bound, where the crossing
     is extrapolated from the last two probes.
@@ -755,7 +736,7 @@ def negotiate_price(
 
         k_next = k - 1 if d_sso > d_mno else k + 1
         next_set = current
-        if adapt_set:
+        if candidates:
             next_set = _adjust_offload(delta_mno, chi, current, pool, d_mno, d_sso)
 
         if chi_at(k_next) == chi and next_set == current:
@@ -850,6 +831,5 @@ def negotiate(
         econ,
         offload=state.offload,
         candidates=candidates,
-        adapt_set=(mode == "price-and-set"),
         chi0=chi0,
     )

@@ -13,7 +13,7 @@ applied; the geometry is the channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .grid import GridParams, SubcellGrid, SubcellId
 
@@ -30,8 +30,6 @@ class RadioParams:
     alpha: float = 2.0
     noise: float = 1e-4
     sensitivity: float = 1e-6
-    log_base: float = 2.0
-    noise_by_ring: dict[int, float] | None = None
 
     def __post_init__(self):
         if self.power <= 0:
@@ -40,13 +38,6 @@ class RadioParams:
             raise RadioError(f"path-loss exponent must be positive, got {self.alpha!r}")
         if self.noise < 0:
             raise RadioError(f"noise power cannot be negative, got {self.noise!r}")
-        if self.log_base <= 1:
-            raise RadioError(f"capacity log base must exceed 1, got {self.log_base!r}")
-
-    def noise_at(self, ring: int) -> float:
-        if self.noise_by_ring and ring in self.noise_by_ring:
-            return self.noise_by_ring[ring]
-        return self.noise
 
 
 @dataclass(frozen=True)
@@ -75,15 +66,15 @@ def link_sinr(ctx: LinkContext, radio: RadioParams, grid: SubcellGrid) -> float:
             raise RadioError(f"interferer co-located with receiver {ctx.rx.i}")
         z = grid.interference_distance(cell, ctx.rx)
         interference += radio.power / z**radio.alpha
-    noise = radio.noise_at(ctx.rx.h) * d_r**radio.alpha
+    noise = radio.noise * d_r**radio.alpha
     return radio.power / (interference + noise)
 
 
-def link_capacity(sinr: float, log_base: float = 2.0) -> float:
-    """Shannon capacity of a unit-bandwidth link, log_base(1 + sinr)."""
+def link_capacity(sinr: float) -> float:
+    """Shannon capacity of a unit-bandwidth link, log2(1 + sinr)."""
     if sinr < 0:
         raise RadioError(f"SINR cannot be negative, got {sinr!r}")
-    return math.log1p(sinr) / math.log(log_base)
+    return math.log1p(sinr) / math.log(2.0)
 
 
 def min_power(params: GridParams, sensitivity: float, alpha: float) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Hashable
 
 from .chains import NO_ROUTE, AbsorbingChain, build_chain
-from .grid import NUM_COLORS, Destinations, GridError, SubcellGrid, SubcellId
+from .grid import NUM_COLORS, Destinations, SubcellGrid, SubcellId
 
 MDR = "MDR"
 LIR = "LIR"
@@ -49,19 +49,16 @@ class RoutingError(ValueError):
 class ProtocolConfig:
     """Protocol selection and its knobs.
 
-    ``dwell_mdr`` defaults to the schedule cycle K; ``interference_threshold``
-    is the center-distance ratio below which two links may not share a slot;
-    ``relay_color`` pins the coordinated relay color (otherwise the most
-    populated color class is assumed when sizing availability, and route
-    extraction searches all colors); ``allow_fallback`` lets deterministic
-    mLIR routes fall back to minimum-distance hops when no relay of the
-    chosen color is reachable.
+    ``interference_threshold`` is the center-distance ratio below which two
+    links may not share a slot; ``relay_color`` pins the coordinated relay
+    color (otherwise the most populated color class is assumed when sizing
+    availability, and route extraction searches all colors);
+    ``allow_fallback`` lets deterministic mLIR routes fall back to
+    minimum-distance hops when no relay of the chosen color is reachable.
     """
 
     kind: str = MDR
     p: float = 1.0
-    dwell_mdr: float | None = None
-    dwell_lir: float = 1.0
     interference_threshold: float = 1.0
     relay_color: int | None = None
     allow_fallback: bool = True
@@ -75,10 +72,6 @@ class ProtocolConfig:
             raise RoutingError(f"relay color must lie in 0..6, got {self.relay_color!r}")
         if self.interference_threshold < 0:
             raise RoutingError("interference threshold cannot be negative")
-
-    @property
-    def mdr_dwell(self) -> float:
-        return float(NUM_COLORS) if self.dwell_mdr is None else self.dwell_mdr
 
 
 @dataclass(frozen=True)
@@ -225,8 +218,8 @@ def build_lir_chain(
 ) -> AbsorbingChain:
     """LIR absorbing chain with doubled (coordinated, fallback) subcell states.
 
-    Walks start in the coordinated copy; dwell is ``config.dwell_lir`` for
-    coordinated states and the round-robin cycle for fallback states.
+    Walks start in the coordinated copy; a coordinated state dwells one slot
+    and a fallback state the round-robin cycle.
     """
     dest_idx = dest.indices()
     n_color = coordinated_color_population(grid, dest, config.relay_color)
@@ -237,9 +230,9 @@ def build_lir_chain(
             continue
         pair = lir_transition_rows(grid, dest, cell, p, n_color)
         rows[(cell.i, COORD)] = pair[COORD]
-        dwell[(cell.i, COORD)] = config.dwell_lir
+        dwell[(cell.i, COORD)] = 1.0
         rows[(cell.i, FALLBACK)] = pair[FALLBACK]
-        dwell[(cell.i, FALLBACK)] = config.mdr_dwell
+        dwell[(cell.i, FALLBACK)] = float(NUM_COLORS)
     absorbing = [c.i for c in dest.absorbing_cells()] + [NO_ROUTE]
     return build_chain(rows, absorbing, dwell)
 

@@ -1,12 +1,14 @@
 """Scenario files, experiment commands, and CSV/plot-data output.
 
-A scenario is a YAML document with up to nine sections (``name``, ``grid``,
-``radio``, ``compression``, ``protocol``, ``destinations``, ``overlay``,
-``traffic``, ``econ``, ``experiment``).  Every section is optional; omitted
-values fall back to the baseline constants (R = 1000 m, K = 7, alpha = 2,
-noise = 1e-4, per-user revenues rho = rho1 = 2).  Unknown keys anywhere are
-hard errors -- scenario files double as test fixtures, so a silent typo is
-worse than a crash.
+A scenario is a YAML document whose top-level keys are ``name`` and the
+sections ``grid``, ``radio``, ``compression``, ``protocol``,
+``destinations``, ``overlay``, ``traffic``, ``econ`` and ``experiment``.
+Every key is optional; the README's key reference table gives each key's
+type, default and meaning.  A key that maps one-to-one onto a constructor
+field is listed in ``_SCHEMA`` with that field, and a file that leaves it
+out gets the dataclass default.  Unknown keys anywhere are hard errors --
+scenario files double as test fixtures, so a silent typo is worse than a
+crash.
 
 Users and unavailable relays may be written either as ``[h, theta]`` pairs
 or in the compact ``u^k(h,theta)`` form, where k is the 1-based reuse type
@@ -36,14 +38,14 @@ import csv
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import yaml
 
 from .chains import absorption_statistics, simulate_walks
-from .compression import CompressedStateVector, absorb, full_vector
+from .compression import absorb, full_vector
 from .economics import (
     DEFAULT_USER_SITES,
     EconParams,
@@ -54,7 +56,7 @@ from .economics import (
     network_capacity_throughput,
     optimize_tessellation,
 )
-from .grid import Destinations, GridParams, SubcellGrid, make_destinations
+from .grid import NUM_COLORS, Destinations, GridParams, SubcellGrid, make_destinations
 from .radio import RadioParams, min_power
 from .routing import (
     LAR,
@@ -77,6 +79,50 @@ _KIND_ALIASES = {k.lower(): k for k in (MDR, LIR, MMDR, MLIR, LAR)}
 
 # u^k(h, theta): 1-based reuse type k, ring h, angle theta in degrees.
 _USER_SPEC = re.compile(r"^\s*u\^(\d+)\(\s*(\d+)\s*,\s*(-?\d+(?:\.\d+)?)\s*\)\s*$")
+
+# Every section's keys.  A key that maps one-to-one onto a constructor
+# field carries (field, type); the loader resolves the keys marked None.
+_SCHEMA: dict[str, dict[str, tuple[str, type] | None]] = {
+    "grid": {"H": ("H", int), "R": ("R", float), "K": ("K", int)},
+    "radio": {
+        "P": None,
+        "P_range": None,
+        "alpha": ("alpha", float),
+        "noise": ("noise", float),
+        "sensitivity": ("sensitivity", float),
+    },
+    "compression": {"n_o": None, "zeta": None, "phi": None, "gamma": ("gamma", float), "p": None},
+    "protocol": {
+        "kind": None,
+        "p": ("p", float),
+        "interference_threshold": ("interference_threshold", float),
+        "k0": None,
+        "fallback": ("allow_fallback", bool),
+    },
+    "destinations": {"bs": None, "aps": None, "coverage": None},
+    "overlay": {"sources": None, "scenarios": None},
+    "traffic": {"users": None, "steps": None},
+    "econ": {
+        "rho": ("mno_revenue", float),
+        "rho1": ("sso_revenue", float),
+        "step": ("price_step", float),
+        "chi0": None,
+        "tol": ("tol", float),
+        "bounds": None,
+        "max_iter": ("max_iter", int),
+        "mode": None,
+    },
+    "experiment": {
+        "h_values": None,
+        "powers": None,
+        "availabilities": None,
+        "seed": ("seed", int),
+        "n_walks": ("n_walks", int),
+        "sites": None,
+    },
+}
+
+_OVERLAY_KEYS = ("name", "k0", "unavailable", "unavailable_types")
 
 _TRAFFIC_KEYS = (
     "bs",
@@ -101,22 +147,57 @@ class ScenarioWarning(UserWarning):
 # schema plumbing
 
 
-def _check_keys(section: str, mapping: Any, allowed: Sequence[str]) -> dict:
-    if mapping is None:
+def _mapping(where: str, value: Any) -> dict:
+    if value is None:
         return {}
-    if not isinstance(mapping, Mapping):
-        raise ScenarioError(f"section {section!r} must be a mapping, got {type(mapping).__name__}")
+    if not isinstance(value, Mapping):
+        raise ScenarioError(f"{where} must be a mapping, got {type(value).__name__}")
+    return dict(value)
+
+
+def _check_keys(where: str, mapping: Any, allowed: Sequence[str]) -> dict:
+    mapping = _mapping(where, mapping)
     for key in mapping:
         if key not in allowed:
-            raise ScenarioError(f"unknown key {section}.{key} (allowed: {', '.join(sorted(allowed))})")
-    return dict(mapping)
+            raise ScenarioError(f"unknown key {where}.{key} (allowed: {', '.join(sorted(allowed))})")
+    return mapping
 
 
-def _number(section: str, key: str, value: Any, cast=float):
+def _list(where: str, value: Any) -> list:
+    if value is None:
+        return []
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"{where} must be a list, got {value!r}")
+    return list(value)
+
+
+def _number(where: str, value: Any, cast=float):
+    """``cast(value)``; an int key takes only whole numbers, a bool key only true/false."""
+    if cast is bool:
+        if not isinstance(value, bool):
+            raise ScenarioError(f"{where} must be true or false, got {value!r}")
+        return value
     try:
+        if cast is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
         return cast(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{section}.{key} must be a number, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        kind = "a whole number" if cast is int else "a number"
+        raise ScenarioError(f"{where} must be {kind}, got {value!r}") from None
+
+
+def _numbers(where: str, value: Any, cast=float) -> tuple:
+    return tuple(_number(f"{where}[{i}]", v, cast) for i, v in enumerate(_list(where, value)))
+
+
+def _fields(section: str, mapping: Mapping) -> dict[str, Any]:
+    """Constructor keywords for the one-to-one keys the file sets."""
+    out = {}
+    for key, value in mapping.items():
+        spec = _SCHEMA[section][key]
+        if spec is not None:
+            out[spec[0]] = _number(f"{section}.{key}", value, spec[1])
+    return out
 
 
 def _parse_user_spec(value: Any, where: str) -> tuple[int | None, int, float]:
@@ -130,7 +211,7 @@ def _parse_user_spec(value: Any, where: str) -> tuple[int | None, int, float]:
             raise ScenarioError(f"{where}: user type k must lie in 1..7, got {k}")
         return k, h, theta
     if isinstance(value, Sequence) and len(value) == 2:
-        return None, _number(where, "h", value[0], int), _number(where, "theta", value[1])
+        return None, _number(f"{where}.h", value[0], int), _number(f"{where}.theta", value[1])
     raise ScenarioError(f"{where}: expected u^k(h,theta) or [h, theta], got {value!r}")
 
 
@@ -155,7 +236,6 @@ class ScenarioFile:
     radio: RadioParams
     protocol: ProtocolConfig
     dest: Destinations
-    compressed: CompressedStateVector | None
     overlays: tuple[ScenarioOverlay, ...]
     users: dict[str, int]
     steps: tuple[TrafficState, ...]
@@ -175,7 +255,7 @@ class ScenarioFile:
 
 
 def load_scenario(path: str | Path) -> ScenarioFile:
-    """Parse and validate one scenario file, applying the default constants."""
+    """Parse and validate one scenario file; omitted keys take their defaults."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -187,137 +267,94 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         mark = getattr(exc, "problem_mark", None)
         at = f" at line {mark.line + 1}" if mark is not None else ""
         raise ScenarioError(f"{path}: parse error{at}: {exc}") from exc
-    if raw is None:
-        raw = {}
-    raw = _check_keys(
-        str(path),
-        raw,
-        (
-            "name",
-            "grid",
-            "radio",
-            "compression",
-            "protocol",
-            "destinations",
-            "overlay",
-            "traffic",
-            "econ",
-            "experiment",
-        ),
-    )
+    raw = _check_keys(str(path), raw, ("name", *_SCHEMA))
     notes: list[str] = []
 
     def warn(message: str) -> None:
         notes.append(message)
         warnings.warn(message, ScenarioWarning, stacklevel=3)
 
-    # -- grid
-    g = _check_keys("grid", raw.get("grid"), ("H", "R", "K"))
+    def section(name: str) -> dict:
+        return _check_keys(name, raw.get(name), _SCHEMA[name])
+
+    # -- grid (four rings unless the file says otherwise)
     try:
-        params = GridParams(
-            H=_number("grid", "H", g.get("H", 4), int),
-            R=_number("grid", "R", g.get("R", 1000.0)),
-            K=_number("grid", "K", g.get("K", 7), int),
-        )
+        params = GridParams(**{"H": 4, **_fields("grid", section("grid"))})
         grid = SubcellGrid(params)
     except ValueError as exc:
         raise ScenarioError(f"grid: {exc}") from exc
 
     # -- radio
-    r = _check_keys("radio", raw.get("radio"), ("P", "P_range", "alpha", "noise", "sensitivity"))
-    alpha = _number("radio", "alpha", r.get("alpha", 2.0))
-    noise = _number("radio", "noise", r.get("noise", 1e-4))
-    sensitivity = _number("radio", "sensitivity", r.get("sensitivity", 1e-6))
-    p_range = tuple(_number("radio", "P_range", v) for v in r.get("P_range", ()))
+    r = section("radio")
+    radio_fields = _fields("radio", r)
+    p_range = _numbers("radio.P_range", r.get("P_range"))
     power = r.get("P")
-    if power == "min":
-        power = min_power(params, sensitivity, alpha)
-    elif power is None:
-        power = p_range[0] if p_range else 0.15
+    if power is None and p_range:
+        power = p_range[0]
+    if power is not None and power != "min":
+        radio_fields["power"] = _number("radio.P", power)
     try:
-        radio = RadioParams(
-            power=_number("radio", "P", power),
-            alpha=alpha,
-            noise=noise,
-            sensitivity=sensitivity,
-        )
+        radio = RadioParams(**radio_fields)
+        if power == "min":
+            radio = replace(radio, power=min_power(params, radio.sensitivity, radio.alpha))
     except ValueError as exc:
         raise ScenarioError(f"radio: {exc}") from exc
 
     # -- compression (optional availability source)
-    compressed = None
-    c = _check_keys("compression", raw.get("compression"), ("n_o", "zeta", "phi", "gamma", "p"))
-    if c:
+    c = section("compression")
+    compressed_p = None
+    if "p" in c:
+        extra = sorted(set(c) - {"p"})
+        if extra:
+            raise ScenarioError(f"compression: direct p excludes {', '.join(extra)}")
+        compressed_p = _number("compression.p", c["p"])
+    elif c:
         try:
-            if "p" in c:
-                extra = sorted(set(c) - {"p"})
-                if extra:
-                    raise ScenarioError(
-                        f"compression: direct p excludes {', '.join(extra)}"
-                    )
-                compressed = CompressedStateVector(
-                    H=params.H, n_o=(), p=_number("compression", "p", c["p"]), zeta=0.0, phi=360.0
-                )
-            else:
-                vec = full_vector(
-                    params.H,
-                    tuple(_number("compression", "n_o", v, int) for v in c.get("n_o", ())),
-                    _number("compression", "zeta", c.get("zeta", 0.0)),
-                    _number("compression", "phi", c.get("phi", 360.0)),
-                    alpha=alpha,
-                    gamma=_number("compression", "gamma", c.get("gamma", 1.0)),
-                )
-                compressed = absorb(vec)
+            vec = full_vector(
+                params.H,
+                _numbers("compression.n_o", c.get("n_o"), int),
+                _number("compression.zeta", c.get("zeta", 0.0)),
+                _number("compression.phi", c.get("phi", 360.0)),
+                alpha=radio.alpha,
+                **_fields("compression", c),
+            )
         except ValueError as exc:
             raise ScenarioError(f"compression: {exc}") from exc
+        compressed_p = absorb(vec).p
 
     # -- protocol
-    pr = _check_keys(
-        "protocol", raw.get("protocol"), ("kind", "p", "interference_threshold", "k0", "fallback")
-    )
+    pr = section("protocol")
     kind_raw = str(pr.get("kind", "MDR"))
     kind = _KIND_ALIASES.get(kind_raw.lower())
     if kind is None:
         raise ScenarioError(f"protocol.kind: unknown protocol {kind_raw!r}")
-    if "p" in pr:
-        availability = _number("protocol", "p", pr["p"])
-    elif compressed is not None:
-        availability = compressed.p
-    else:
-        availability = 1.0
-    relay_color = None
+    protocol_fields = _fields("protocol", pr)
+    if compressed_p is not None:
+        protocol_fields.setdefault("p", compressed_p)
     if "k0" in pr:
-        relay_color = _number("protocol", "k0", pr["k0"], int) - 1
+        protocol_fields["relay_color"] = _number("protocol.k0", pr["k0"], int) - 1
     try:
-        protocol = ProtocolConfig(
-            kind=kind,
-            p=availability,
-            interference_threshold=_number(
-                "protocol", "interference_threshold", pr.get("interference_threshold", 1.0)
-            ),
-            relay_color=relay_color,
-            allow_fallback=bool(pr.get("fallback", True)),
-        )
+        protocol = ProtocolConfig(kind=kind, **protocol_fields)
     except ValueError as exc:
         raise ScenarioError(f"protocol: {exc}") from exc
 
     # -- destinations
-    d = _check_keys("destinations", raw.get("destinations"), ("bs", "aps", "coverage"))
-    ap_polars = []
-    for i, spec in enumerate(d.get("aps", ()) or ()):
-        _, h, theta = _parse_user_spec(spec, f"destinations.aps[{i}]")
-        ap_polars.append((h, theta))
+    d = section("destinations")
+    ap_polars = [
+        _parse_user_spec(spec, f"destinations.aps[{i}]")[1:]
+        for i, spec in enumerate(_list("destinations.aps", d.get("aps")))
+    ]
     coverage = None
     if d.get("coverage"):
-        coverage = [
-            [(_parse_user_spec(s, f"destinations.coverage[{i}]")[1:]) for s in cluster]
-            for i, cluster in enumerate(d["coverage"])
-        ]
+        coverage = []
+        for i, cluster in enumerate(_list("destinations.coverage", d["coverage"])):
+            where = f"destinations.coverage[{i}]"
+            coverage.append([_parse_user_spec(s, where)[1:] for s in _list(where, cluster)])
     try:
         dest = make_destinations(grid, ap_polars or None, coverage)
     except ValueError as exc:
         raise ScenarioError(f"destinations: {exc}") from exc
-    if not d.get("bs", True):
+    if not _number("destinations.bs", d.get("bs", True), bool):
         dest = Destinations(bs=None, aps=dest.aps, coverage=dest.coverage)
 
     def resolve(spec: Any, where: str) -> int:
@@ -337,28 +374,27 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         return cell.i
 
     # -- overlay scenarios
-    o = _check_keys("overlay", raw.get("overlay"), ("sources", "scenarios"))
+    o = section("overlay")
     sources: list[int] = []
-    for i, spec in enumerate(o.get("sources", ()) or ()):
+    for i, spec in enumerate(_list("overlay.sources", o.get("sources"))):
         idx = resolve(spec, f"overlay.sources[{i}]")
         if idx in sources:
             warn(f"overlay.sources[{i}]: duplicate source subcell {idx} dropped")
             continue
         sources.append(idx)
     overlays = []
-    for i, entry in enumerate(o.get("scenarios", ()) or ()):
+    for i, entry in enumerate(_list("overlay.scenarios", o.get("scenarios"))):
         where = f"overlay.scenarios[{i}]"
-        entry = _check_keys(where, entry, ("name", "k0", "unavailable", "unavailable_types"))
+        entry = _check_keys(where, entry, _OVERLAY_KEYS)
         name = str(entry.get("name", f"scenario-{i + 1}"))
         unavailable: list[int] = []
-        for j, spec in enumerate(entry.get("unavailable", ()) or ()):
+        for j, spec in enumerate(_list(f"{where}.unavailable", entry.get("unavailable"))):
             idx = resolve(spec, f"{where}.unavailable[{j}]")
             if idx in unavailable:
                 warn(f"{where}.unavailable[{j}]: duplicate subcell {idx} dropped ({spec!r})")
                 continue
             unavailable.append(idx)
-        for k in entry.get("unavailable_types", ()) or ():
-            k = _number(where, "unavailable_types", k, int)
+        for k in _numbers(f"{where}.unavailable_types", entry.get("unavailable_types"), int):
             if not 1 <= k <= 7:
                 raise ScenarioError(f"{where}.unavailable_types: type {k} outside 1..7")
             unavailable.extend(
@@ -370,7 +406,7 @@ def load_scenario(path: str | Path) -> ScenarioFile:
                 ScenarioOverlay(
                     sources=tuple(sources),
                     unavailable=frozenset(unavailable),
-                    k0=None if k0 is None else _number(where, "k0", k0, int) - 1,
+                    k0=None if k0 is None else _number(f"{where}.k0", k0, int) - 1,
                     name=name,
                 )
             )
@@ -378,24 +414,23 @@ def load_scenario(path: str | Path) -> ScenarioFile:
             raise ScenarioError(f"{where}: {exc}") from exc
 
     # -- traffic
-    t = _check_keys("traffic", raw.get("traffic"), ("users", "steps"))
+    t = section("traffic")
     users: dict[str, int] = {}
-    for uname, spec in (t.get("users") or {}).items():
+    for uname, spec in _mapping("traffic.users", t.get("users")).items():
         users[str(uname)] = resolve(spec, f"traffic.users.{uname}")
 
     def user_set(step: int, entry: Mapping, key: str) -> frozenset[str]:
-        members = entry.get(key, ()) or ()
-        unknown = [str(u) for u in members if str(u) not in users]
+        where = f"traffic.steps[{step}].{key}"
+        members = [str(u) for u in _list(where, entry.get(key))]
+        unknown = [u for u in members if u not in users]
         if unknown:
-            raise ScenarioError(
-                f"traffic.steps[{step}].{key}: unplaced users {', '.join(unknown)}"
-            )
-        return frozenset(str(u) for u in members)
+            raise ScenarioError(f"{where}: unplaced users {', '.join(unknown)}")
+        return frozenset(members)
 
     steps: list[TrafficState] = []
     bs_now: frozenset[str] = frozenset()
     wlan_now: frozenset[str] = frozenset()
-    for i, entry in enumerate(t.get("steps", ()) or ()):
+    for i, entry in enumerate(_list("traffic.steps", t.get("steps"))):
         entry = _check_keys(f"traffic.steps[{i}]", entry, _TRAFFIC_KEYS)
         if "bs" in entry:
             bs_now = user_set(i, entry, "bs")
@@ -417,60 +452,38 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         bs_now, wlan_now = apply_traffic_step(state)
 
     # -- economics
-    e = _check_keys(
-        "econ",
-        raw.get("econ"),
-        ("rho", "rho1", "step", "chi0", "tol", "bounds", "max_iter", "mode"),
-    )
-    bounds = None
+    e = section("econ")
+    econ_fields = _fields("econ", e)
     if e.get("bounds") is not None:
-        bounds = tuple(_number("econ", "bounds", v) for v in e["bounds"])
+        bounds = _numbers("econ.bounds", e["bounds"])
         if len(bounds) != 2:
             raise ScenarioError(f"econ.bounds: expected [low, high], got {e['bounds']!r}")
+        econ_fields["price_bounds"] = bounds
     try:
-        econ = EconParams(
-            mno_revenue=_number("econ", "rho", e.get("rho", 2.0)),
-            sso_revenue=_number("econ", "rho1", e.get("rho1", 2.0)),
-            price_step=_number("econ", "step", e.get("step", 0.01)),
-            tol=_number("econ", "tol", e.get("tol", 1e-9)),
-            max_iter=_number("econ", "max_iter", e.get("max_iter", 100_000), int),
-            price_bounds=bounds,
-        )
+        econ = EconParams(**econ_fields)
     except ValueError as exc:
         raise ScenarioError(f"econ: {exc}") from exc
     mode = str(e.get("mode", "price"))
     if mode not in ("price", "price-and-set"):
         raise ScenarioError(f"econ.mode: expected 'price' or 'price-and-set', got {mode!r}")
-    chi0 = None if e.get("chi0") is None else _number("econ", "chi0", e["chi0"])
+    chi0 = None if e.get("chi0") is None else _number("econ.chi0", e["chi0"])
 
-    # -- experiment
-    x = _check_keys(
-        "experiment",
-        raw.get("experiment"),
-        ("h_values", "powers", "availabilities", "seed", "n_walks", "sites"),
-    )
-    defaults = ExperimentSpec()
-    sites = None
-    if x.get("sites"):
-        sites = tuple(
-            (_number("experiment", "sites", a), _number("experiment", "sites", b))
-            for a, b in x["sites"]
-        )
+    # -- experiment (an empty or omitted sweep keeps the default axis)
+    x = section("experiment")
+    experiment_fields = _fields("experiment", x)
+    sweeps = {
+        "h_values": _numbers("experiment.h_values", x.get("h_values"), int),
+        "powers": _numbers("experiment.powers", x.get("powers")) or p_range,
+        "availabilities": _numbers("experiment.availabilities", x.get("availabilities")),
+        "sites": tuple(
+            _numbers(f"experiment.sites[{i}]", site)
+            for i, site in enumerate(_list("experiment.sites", x.get("sites")))
+        ),
+    }
+    if any(len(site) != 2 for site in sweeps["sites"]):
+        raise ScenarioError("experiment.sites: expected [radius fraction, bearing] pairs")
     experiment = ExperimentSpec(
-        h_values=tuple(_number("experiment", "h_values", v, int) for v in x["h_values"])
-        if x.get("h_values")
-        else defaults.h_values,
-        powers=tuple(_number("experiment", "powers", v) for v in x["powers"])
-        if x.get("powers")
-        else (p_range or defaults.powers),
-        availabilities=tuple(
-            _number("experiment", "availabilities", v) for v in x["availabilities"]
-        )
-        if x.get("availabilities")
-        else defaults.availabilities,
-        seed=_number("experiment", "seed", x.get("seed", defaults.seed), int),
-        n_walks=_number("experiment", "n_walks", x.get("n_walks", defaults.n_walks), int),
-        sites=sites,
+        **experiment_fields, **{key: value for key, value in sweeps.items() if value}
     )
 
     return ScenarioFile(
@@ -479,7 +492,6 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         radio=radio,
         protocol=protocol,
         dest=dest,
-        compressed=compressed,
         overlays=tuple(overlays),
         users=users,
         steps=tuple(steps),
@@ -590,7 +602,7 @@ def _cmd_routes(scn: ScenarioFile, seed: int, walks: int) -> ResultTable:
     if cfg.kind in (LIR, MLIR):
         chain = build_lir_chain(grid, dest, cfg.p, cfg)
     else:
-        chain = build_mdr_chain(grid, dest, cfg.p, dwell=cfg.mdr_dwell)
+        chain = build_mdr_chain(grid, dest, cfg.p, dwell=float(NUM_COLORS))
     stats = absorption_statistics(chain)
     absorbing = [getattr(c, "i", c) for c in dest.absorbing_cells()]
     columns = ["subcell", "ring", "theta", "tau", "var_tau"]
@@ -629,13 +641,7 @@ def _cmd_capacity(scn: ScenarioFile, seed: int, walks: int) -> ResultTable:
     rows = []
     for overlay in scn.overlays:
         for label, kind in (("ideal", MDR), ("mMDR", MMDR), ("mLIR", MLIR), ("LAR", LAR)):
-            run_cfg = ProtocolConfig(
-                kind=kind,
-                p=1.0,
-                interference_threshold=cfg.interference_threshold,
-                relay_color=cfg.relay_color,
-                allow_fallback=cfg.allow_fallback,
-            )
+            run_cfg = replace(cfg, kind=kind, p=1.0)
             # "ideal" is plain minimum-distance routing with every relay up.
             run_overlay = (
                 ScenarioOverlay(sources=overlay.sources, name=overlay.name)

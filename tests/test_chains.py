@@ -1,5 +1,9 @@
 """Absorbing-chain analytics against closed-form cases and Monte Carlo runs."""
 
+import importlib.util
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -355,6 +359,56 @@ def test_sparse_walker_matches_dense_reference_on_bundled_mdr_chain(name):
     chain = build_mdr_chain(scn.grid, scn.dest, scn.experiment.availabilities[0])
     assert spectral_radius(chain) < 1.0 - 1e-12
     assert_same_walks(chain, 3000, seed=5)
+
+
+# -- analytic statistics against the Monte Carlo oracle -----------------------
+
+
+def _benchmark_checks():
+    """perfbench/checks.py, whose limits every benchmarked `verify` row meets."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CHECKS = _benchmark_checks()
+
+
+@st.composite
+def absorbing_chains(draw):
+    """Up to 8 transient states, 1-2 absorbing states and integer dwells."""
+    n = draw(st.integers(1, 8))
+    a = draw(st.integers(1, 2))
+    labels = [f"t{k}" for k in range(n)] + [f"a{k}" for k in range(a)]
+    rows = {}
+    for k in range(n):
+        weights = draw(st.lists(st.integers(0, 4), min_size=n + a, max_size=n + a))
+        # the path t_k -> t_(k-1) -> ... -> t0 -> a0 keeps absorption reachable
+        weights[k - 1 if k else n] += 1
+        total = sum(weights)
+        rows[labels[k]] = [(labels[j], w / total) for j, w in enumerate(weights) if w]
+    dwell = {label: float(draw(st.integers(1, 7))) for label in labels[:n]}
+    return build_chain(rows, labels[n:], dwell)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(absorbing_chains(), st.integers(0, 2**32 - 1))
+def test_analytic_statistics_agree_with_monte_carlo_on_random_chains(chain, seed):
+    analytic = absorption_statistics(chain)
+    empirical = simulate_walks(chain, 4000, seed)
+    for k in range(len(chain.transient)):
+        count = int(empirical.counts[k])
+        assert count > 0
+        tau, var = float(analytic.tau[k]), float(analytic.var_tau[k])
+        if var > 1e-9 * max(1.0, tau**2):
+            z = (float(empirical.tau[k]) - tau) / math.sqrt(var / count)
+            assert abs(z) <= CHECKS.Z_LIMIT
+        else:  # a deterministic absorption time
+            assert empirical.tau[k] == pytest.approx(tau, rel=1e-9)
+        gap = float(max(abs(empirical.absorb_probs[k] - analytic.absorb_probs[k])))
+        assert gap <= CHECKS.GAP_SIGMAS * 0.5 / math.sqrt(count)
 
 
 # -- generated route-discovery chains -----------------------------------------

@@ -4,6 +4,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from m3sim.cli import bundled_scenario
 from m3sim.economics import (
@@ -263,7 +265,7 @@ def _capacity(grid, radio, tx, rx, interferers):
     ctx = LinkContext(
         tx=grid.cell(tx), rx=grid.cell(rx), interferers=tuple(grid.cell(a) for a in interferers)
     )
-    return link_capacity(link_sinr(ctx, radio, grid), radio.log_base)
+    return link_capacity(link_sinr(ctx, radio, grid))
 
 
 def _rescanned_route_capacity(route, slot_of, radio, grid):
@@ -453,12 +455,36 @@ def test_joint_walk_adapts_the_offload_set():
         ECON,
         offload=frozenset({"a"}),
         candidates=("b", "c"),
-        adapt_set=True,
     )
     assert result.offload == frozenset({"a", "c"})
     assert result.price == pytest.approx(1.24)
     assert result.iterations == 4
     assert result.converged and result.verdict == "offload"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    a=st.floats(-10.0, 10.0),
+    b=st.floats(-10.0, 10.0),
+    o=st.one_of(st.just(0.0), st.floats(0.05, 5.0)),
+    lo=st.floats(0.01, 5.0),
+    width=st.floats(0.01, 5.0),
+    step=st.floats(1e-3, 0.5),
+    chi0=st.one_of(st.none(), st.floats(-1.0, 11.0)),
+)
+def test_negotiation_terminates_at_the_closed_form_crossing(a, b, o, lo, width, step, chi0):
+    # For a fixed set both offsets are affine in the price, A - chi*o and
+    # B + chi*o, so they cross exactly at chi* = (A - B) / (2o).
+    econ = EconParams(price_step=step, price_bounds=(lo, lo + width))
+    lo, hi = econ.bounds
+    result = negotiate_price(lambda chi, s: a - chi * o, lambda chi, s: b + chi * o, econ, chi0=chi0)
+    assert len(result.trace) <= math.ceil((hi - lo) / step) + 3
+    if o > 0.0:
+        exact = (a - b) / (2.0 * o)
+        assert abs(result.price - min(max(exact, lo), hi)) <= step * (1.0 + 1e-9)
+        assert abs(result.crossing - exact) <= max(econ.tol / (2.0 * o), 1e-9 * max(1.0, abs(exact)))
+    else:
+        assert result.converged or result.crossing is None
 
 
 def test_negotiate_end_to_end(offload_ctx, offload_state):

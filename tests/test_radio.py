@@ -1,7 +1,5 @@
 """Link physics: SINR with explicit interferer sets, capacity, power floor."""
 
-import math
-
 import pytest
 
 from m3sim.grid import GridParams, SubcellGrid
@@ -36,20 +34,10 @@ def test_sinr_rejects_bad_geometry():
         link_sinr(LinkContext(GRID.cell(1), GRID.cell(0), (GRID.cell(0),)), radio, GRID)
 
 
-def test_noise_override_by_ring():
-    radio = RadioParams(noise=1e-4, noise_by_ring={0: 1e-6})
-    assert radio.noise_at(0) == 1e-6
-    assert radio.noise_at(2) == 1e-4
-    quiet = link_sinr(LinkContext(GRID.cell(1), GRID.cell(0)), radio, GRID)
-    loud = link_sinr(LinkContext(GRID.cell(7), GRID.cell(1)), radio, GRID)
-    assert quiet == pytest.approx(100.0 * loud, rel=1e-12)
-
-
 def test_capacity_log_bases():
     assert link_capacity(0.0) == 0.0
     assert link_capacity(1.0) == pytest.approx(1.0)
     assert link_capacity(3.0) == pytest.approx(2.0)
-    assert link_capacity(math.e - 1.0, log_base=math.e) == pytest.approx(1.0)
     with pytest.raises(RadioError):
         link_capacity(-0.1)
 
@@ -71,7 +59,6 @@ def test_min_power_exact():
         {"power": -1.0},
         {"alpha": 0.0},
         {"noise": -1e-9},
-        {"log_base": 1.0},
     ],
 )
 def test_params_validation(kwargs):

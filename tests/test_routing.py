@@ -197,7 +197,6 @@ def test_protocol_config_validation():
         ProtocolConfig(p=1.5)
     with pytest.raises(RoutingError):
         ProtocolConfig(relay_color=7)
-    assert ProtocolConfig(dwell_mdr=3.0).mdr_dwell == 3.0
 
 
 def test_round_robin_schedule_keys_slots_by_transmitter_color():

@@ -9,11 +9,13 @@ import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
 
 import m3sim
 from m3sim.cli import build_parser, bundled_scenario, main
 from m3sim.economics import EconParams, OffloadContext, negotiate
 from m3sim.scenario import (
+    _SCHEMA,
     ResultTable,
     ScenarioError,
     ScenarioWarning,
@@ -22,6 +24,9 @@ from m3sim.scenario import (
     load_scenario,
     run_experiment,
 )
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write(tmp_path, text, name="case.yaml"):
@@ -49,6 +54,8 @@ def test_defaults_from_minimal_file(tmp_path):
     assert scn.econ.mno_revenue == 2.0 and scn.mode == "price"
     assert scn.experiment.h_values == (2, 3, 4, 5, 6, 7)
     assert scn.experiment.seed == 20260825 and scn.experiment.n_walks == 20000
+    # a float that holds a whole number is a valid integer key
+    assert load_scenario(write(tmp_path, "grid: {H: 2.0}\n")).grid.params.H == 2
 
 
 def test_unknown_keys_carry_dotted_paths(tmp_path):
@@ -253,6 +260,38 @@ def test_econ_section(tmp_path):
         load_scenario(write(tmp_path, "econ: {gamma: 1.0}\n"))
 
 
+# (scenario text, dotted key the error must name)
+MALFORMED = [
+    ("experiment: {sites: [1.0]}", "experiment.sites[0]"),
+    ("radio: {P_range: 0.1}", "radio.P_range"),
+    ("experiment: {h_values: 3}", "experiment.h_values"),
+    ("econ: {bounds: 1.0}", "econ.bounds"),
+    ("overlay: {sources: 5}", "overlay.sources"),
+    ("overlay: {scenarios: [{unavailable_types: 3}]}", "overlay.scenarios[0].unavailable_types"),
+    ("destinations: {aps: 3}", "destinations.aps"),
+    ("traffic: {users: [u1]}", "traffic.users"),
+    ("radio: {P: min, sensitivity: 0}", "radio: sensitivity"),
+    ("grid: {H: 2.5}", "grid.H"),
+    # integer keys take whole numbers only; int() would truncate these
+    ("experiment: {seed: 1.5}", "experiment.seed"),
+    ("experiment: {n_walks: 100.5}", "experiment.n_walks"),
+    ("experiment: {h_values: [2, 3.5]}", "experiment.h_values[1]"),
+    ("protocol: {k0: 2.5}", "protocol.k0"),
+    ("econ: {max_iter: 10.5}", "econ.max_iter"),
+    ("overlay: {scenarios: [{unavailable_types: [2.5]}]}", "overlay.scenarios[0].unavailable_types[0]"),
+    ("grid: {H: .inf}", "grid.H"),
+    # bool keys take true or false only; bool() reads any non-empty string as true
+    ('protocol: {fallback: "no"}', "protocol.fallback"),
+    ('destinations: {bs: "false"}', "destinations.bs"),
+]
+
+
+@pytest.mark.parametrize("text, key", MALFORMED, ids=[key for _, key in MALFORMED])
+def test_malformed_values_raise_scenario_errors_naming_the_key(tmp_path, text, key):
+    with pytest.raises(ScenarioError, match=re.escape(key)):
+        load_scenario(write(tmp_path, text + "\n"))
+
+
 def test_bundled_scenarios_resolve(default_scenario):
     assert default_scenario.name == "default"
     assert len(default_scenario.overlays) == 6
@@ -263,11 +302,54 @@ def test_bundled_scenarios_resolve(default_scenario):
 
 
 def test_readme_scenario_examples_load(tmp_path):
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    blocks = re.findall(r"```yaml\n(.*?)```", readme.read_text(), re.S)
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.S)
     assert blocks
     for i, block in enumerate(blocks):
         load_scenario(write(tmp_path, block, f"readme-{i}.yaml"))
+
+
+def _readme_key_table():
+    """README key reference: dotted key -> default cell."""
+    text = README.read_text().split("#### Key reference", 1)[1].split("\n#", 1)[0]
+    return dict(re.findall(r"^\| `([^`]+)` \| .*? \| (.*?) \| .*\|$", text, re.M))
+
+
+def _unknown_key_probe(section):
+    """A scenario with one unknown key inside ``section`` ('' is the top level)."""
+    doc = {"bogus_key": 1}
+    for part in reversed(section.split(".") if section else []):
+        doc = {part[:-2]: [doc]} if part.endswith("[]") else {part: doc}
+    return yaml.safe_dump(doc)
+
+
+def test_readme_key_table_matches_the_loader(tmp_path):
+    table = _readme_key_table()
+    documented = {}
+    for key in table:
+        section, _, name = key.rpartition(".")
+        documented.setdefault(section, set()).add(name)
+    documented[""] |= {s for s in documented if s and "." not in s}
+    assert {"", "grid", "overlay.scenarios[]", "traffic.steps[]"} <= set(documented)
+    for section, keys in documented.items():
+        with pytest.raises(ScenarioError, match="unknown key") as err:
+            load_scenario(write(tmp_path, _unknown_key_probe(section)))
+        allowed = re.search(r"\(allowed: (.*)\)$", str(err.value)).group(1)
+        assert set(allowed.split(", ")) == keys, section
+
+    # the first literal in a one-to-one key's default cell is what an empty file gets
+    scn = load_scenario(write(tmp_path, "{}\n"))
+    built = {
+        "grid": scn.grid.params,
+        "radio": scn.radio,
+        "protocol": scn.protocol,
+        "econ": scn.econ,
+        "experiment": scn.experiment,
+    }
+    for section, obj in built.items():
+        for key, spec in _SCHEMA[section].items():
+            if spec is not None:
+                literal = re.match(r"`([^`]*)`", table[f"{section}.{key}"]).group(1)
+                assert yaml.safe_load(literal) == getattr(obj, spec[0]), f"{section}.{key}"
 
 
 # -- result tables ---------------------------------------------------------
@@ -517,6 +599,13 @@ def test_cli_reports_errors(tmp_path, capsys):
     code = main(["routes", "--scenario", str(tmp_path / "gone.yaml"), "--out", str(tmp_path)])
     assert code == 1
     assert "m3sim: error:" in capsys.readouterr().err
+
+
+def test_cli_reports_malformed_values(tmp_path, capsys):
+    path = write(tmp_path, "traffic: {users: [u1]}\n")
+    code = main(["routes", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    assert "m3sim: error: traffic.users must be a mapping" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_command():
