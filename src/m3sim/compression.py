@@ -9,10 +9,12 @@ traffic load, beamwidth).  The dropped entries are recomputed on demand:
 * visibility              p_phi = phi / 360       (beamwidth fraction)
 * operator presence       p_o,i = n_o,i / N       (terminals per subcell count)
 * channel gain            G     = (2H / (sqrt(3) R))**alpha
-* relay reward            w     = gamma * zeta    (reporting only)
+* relay reward            w     = gamma * zeta    (Python API only)
 
 and the per-subcell availability aggregates across operators as the
 probability that at least one operator provides a visible, idle terminal.
+The reward only fills ``FullStateVector.reward``: no study reads it, so the
+``compression.gamma`` scenario key changes no command output.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .grid import SQRT3, GridParams
+from .radio import RadioParams
 
 
 class CompressionError(ValueError):
@@ -82,7 +85,7 @@ def reconstruct_gain(H: int, R: float, alpha: float) -> float:
 
 
 def reconstruct_reward(gamma: float, zeta: float) -> float:
-    """Relay reward offered at traffic load zeta; reported, never priced into utility."""
+    """Relay reward offered at traffic load zeta; never priced into utility."""
     return gamma * zeta
 
 
@@ -92,7 +95,7 @@ def full_vector(
     zeta: float,
     phi: float,
     grid_like: GridParams | None = None,
-    alpha: float = 2.0,
+    alpha: float = RadioParams.alpha,
     gamma: float = 1.0,
     interference: float = 0.0,
 ) -> FullStateVector:
@@ -146,8 +149,8 @@ def absorb(full: FullStateVector) -> CompressedStateVector:
 
 def expand(
     comp: CompressedStateVector,
-    R: float = 1000.0,
-    alpha: float = 2.0,
+    R: float = GridParams.R,
+    alpha: float = RadioParams.alpha,
     gamma: float = 1.0,
 ) -> FullStateVector:
     """Rebuild a full vector from a compressed one via the reconstruction rules."""

@@ -10,7 +10,8 @@ increments until their utility offsets balance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .chains import ChainStatistics, absorption_statistics
@@ -270,10 +271,10 @@ def macrocell_utility(
     *,
     sites: Sequence[tuple[float, float]] = DEFAULT_USER_SITES,
     availability: float = 1.0,
-    macro_radius: float = 1000.0,
-    alpha: float = 2.0,
-    noise: float = 1e-4,
-    revenue: float = 2.0,
+    macro_radius: float = GridParams.R,
+    alpha: float = RadioParams.alpha,
+    noise: float = RadioParams.noise,
+    revenue: float = EconParams.mno_revenue,
 ) -> float:
     """Total uplink utility of the fixed user population on an H-ring grid.
 
@@ -413,12 +414,19 @@ def cooperation_capacity_ratio(
 
 @dataclass(frozen=True)
 class OffloadContext:
-    """Static side of an offload study: geometry, radio and user placement."""
+    """Static side of an offload study: geometry, radio and user placement.
+
+    The context memoizes the work that repeats across the offload sets of a
+    negotiation: each placed cell's route in each direction and each
+    traffic instant's metrics (see ``_cell_routes`` and ``_instant``).
+    """
 
     grid: SubcellGrid
     dest: Destinations
     radio: RadioParams
     placements: Mapping[str, int]
+    _routes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _instants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.dest.aps:
@@ -439,29 +447,46 @@ class OffloadContext:
         return frozenset(cells)
 
 
-def _routes_toward(ctx: OffloadContext, cells: Iterable[int], to_ap: bool) -> dict[int, Route]:
-    cells = sorted(set(cells))
-    if not cells:
-        return {}
-    if to_ap:
-        dest = Destinations(bs=None, aps=ctx.dest.aps, coverage=ctx.dest.coverage)
-    else:
-        dest = Destinations(bs=ctx.dest.bs)
-    config = ProtocolConfig(kind=MDR, p=1.0)
-    overlay = ScenarioOverlay(sources=tuple(cells))
-    route_set = extract_routes(ctx.grid, dest, overlay, config)
-    return {r.source: r for r in route_set.routes}
+def _cell_routes(ctx: OffloadContext, cells: Iterable[int], to_ap: bool) -> dict[int, Route]:
+    """MDR route of each cell toward the access points or the base station.
+
+    At p=1 with every relay up a route depends only on its cell and its
+    direction, so the memo is keyed by cell and a miss extracts every placed
+    cell at once: one extraction per direction and context.
+    """
+    memo = ctx._routes.setdefault(to_ap, {})
+    missing = set(cells) - memo.keys()
+    if missing:
+        missing |= set(ctx.placements.values()) - memo.keys()
+        if to_ap:
+            dest = Destinations(bs=None, aps=ctx.dest.aps, coverage=ctx.dest.coverage)
+        else:
+            dest = Destinations(bs=ctx.dest.bs)
+        config = ProtocolConfig(kind=MDR, p=1.0)
+        overlay = ScenarioOverlay(sources=tuple(sorted(missing)))
+        memo.update((r.source, r) for r in extract_routes(ctx.grid, dest, overlay, config).routes)
+    return memo
 
 
-def _user_routes(
+def _instant(
     ctx: OffloadContext, bs_users: Iterable[str], wlan_users: Iterable[str]
-) -> dict[str, Route]:
-    """Route of every user, base-station users first, each group in name order."""
-    routes: dict[str, Route] = {}
-    for users, to_ap in ((sorted(bs_users), False), (sorted(wlan_users), True)):
-        by_cell = _routes_toward(ctx, (ctx.placements[u] for u in users), to_ap)
-        routes.update((u, by_cell[ctx.placements[u]]) for u in users)
-    return routes
+) -> tuple[Mapping[str, RouteMetrics], float, float, int]:
+    """``_instant_metrics`` of one traffic instant, computed once per context.
+
+    Routes list the base-station users first, each group in name order; that
+    order fixes every capacity sum, so the key lists the users the same way,
+    each with its cell.
+    """
+    groups = ((sorted(bs_users), False), (sorted(wlan_users), True))
+    key = tuple(tuple((u, ctx.placements[u]) for u in users) for users, _ in groups)
+    if key not in ctx._instants:
+        routes: dict[str, Route] = {}
+        for users, to_ap in groups:
+            by_cell = _cell_routes(ctx, (ctx.placements[u] for u in users), to_ap)
+            routes.update((u, by_cell[ctx.placements[u]]) for u in users)
+        metrics, *sums = _instant_metrics(ctx, routes)
+        ctx._instants[key] = (MappingProxyType(metrics), *sums)
+    return ctx._instants[key]
 
 
 def _instant_metrics(
@@ -545,11 +570,9 @@ def offload_breakdown(ctx: OffloadContext, state: TrafficState) -> OffloadBreakd
     def rates(users: Iterable[str], metrics: Mapping[str, RouteMetrics]) -> float:
         return sum(metrics[u].rate for u in sorted(users))
 
-    before, _, _, _ = _instant_metrics(ctx, _user_routes(ctx, state.bs_users, state.wlan_users))
+    before, _, _, _ = _instant(ctx, state.bs_users, state.wlan_users)
     bs_next, wlan_next = apply_traffic_step(state)
-    after, macro_cap, wlan_cap, wlan_link_count = _instant_metrics(
-        ctx, _user_routes(ctx, bs_next, wlan_next)
-    )
+    after, macro_cap, wlan_cap, wlan_link_count = _instant(ctx, bs_next, wlan_next)
 
     return OffloadBreakdown(
         bs_before=rates(state.bs_users, before),

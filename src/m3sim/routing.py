@@ -283,9 +283,6 @@ class RouteSet:
     def complete_routes(self) -> list[Route]:
         return [r for r in self.routes if r.complete]
 
-    def slot_of(self) -> dict[tuple[int, int], int]:
-        return {link: s for s, links in self.slots.items() for link in links}
-
 
 def _admissible(grid, overlay, visited, cell):
     out = []

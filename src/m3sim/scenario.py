@@ -524,6 +524,8 @@ class ResultTable:
 
 
 def _fmt(value: Any) -> str:
+    if type(value) is float:  # most cells; the same text as the branch below
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, bool):

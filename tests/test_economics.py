@@ -1,13 +1,16 @@
 """Utility accounting, traffic bookkeeping, offloading and the price walk."""
 
+import inspect
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from m3sim import economics
 from m3sim.cli import bundled_scenario
+from m3sim.compression import expand, full_vector
 from m3sim.economics import (
     DEFAULT_USER_SITES,
     EconError,
@@ -291,7 +294,7 @@ def test_link_table_matches_rescanned_route_capacity(name):
             run_overlay = ScenarioOverlay(sources=overlay.sources) if kind == MDR else overlay
             rs = schedule(extract_routes(scn.grid, dest, run_overlay, config), config, scn.grid)
             caps = link_capacities(rs.slots, scn.radio, scn.grid)
-            slot_of = rs.slot_of()
+            slot_of = {link: s for s, links in rs.slots.items() for link in links}
             for route in rs.complete_routes:
                 expected = _rescanned_route_capacity(route, slot_of, scn.radio, scn.grid)
                 assert route_capacity(route, caps) == expected
@@ -500,3 +503,134 @@ def test_negotiate_end_to_end(offload_ctx, offload_state):
             TrafficState(bs_users=frozenset({"u1"})),
             econ,
         )
+
+
+# -- memoized offload work ---------------------------------------------------
+
+
+def _fresh_negotiate(ctx, state, econ, mode):
+    """Reference: ``negotiate`` with a new context, so no memo, for every breakdown.
+
+    Returns the result and each probed set's breakdown.
+    """
+    cache = {}
+
+    def breakdown(off):
+        if off not in cache:
+            fresh = OffloadContext(
+                grid=ctx.grid, dest=ctx.dest, radio=ctx.radio, placements=dict(ctx.placements)
+            )
+            cache[off] = offload_breakdown(fresh, replace(state, offload=off))
+        return cache[off]
+
+    def d_mno(chi, off):
+        b = breakdown(off)
+        return econ.mno_revenue * (b.bs_after - b.bs_before) + (econ.mno_revenue - chi) * b.offload_after
+
+    def d_sso(chi, off):
+        b = breakdown(off)
+        return econ.sso_revenue * (b.wlan_after - b.wlan_before) + chi * b.offload_after
+
+    candidates = tuple(sorted(state.bs_users - state.bs_departures)) if mode == "price-and-set" else ()
+    result = negotiate_price(d_mno, d_sso, econ, offload=state.offload, candidates=candidates)
+    return result, cache
+
+
+def _assert_negotiations_match_fresh_contexts(ctx, steps, econ, mode):
+    for state in steps:
+        result = negotiate(ctx, state, econ, mode=mode)
+        expected, breakdowns = _fresh_negotiate(ctx, state, econ, mode)
+        assert result.trace == expected.trace
+        assert (result.price, result.crossing, result.verdict, result.iterations) == (
+            expected.price,
+            expected.crossing,
+            expected.verdict,
+            expected.iterations,
+        )
+        for off, b in breakdowns.items():
+            assert offload_breakdown(ctx, replace(state, offload=off)) == b
+
+
+@pytest.mark.parametrize("mode", ["price", "price-and-set"])
+def test_memoized_negotiation_matches_fresh_contexts(mode):
+    scn = load_scenario(bundled_scenario("offload"))
+    ctx = OffloadContext(grid=scn.grid, dest=scn.dest, radio=scn.radio, placements=scn.users)
+    _assert_negotiations_match_fresh_contexts(ctx, scn.steps, scn.econ, mode)
+
+
+@st.composite
+def offload_studies(draw):
+    """Random access points, placements and two traffic steps on the H=4 grid."""
+    # an access point on ring 1 would cover the base station
+    aps = draw(st.lists(st.sampled_from(GRID4.cells[7:]), min_size=1, max_size=2, unique=True))
+    dest = make_destinations(GRID4, [(a.h, a.theta) for a in aps])
+    free = [c.i for c in GRID4.cells if c.h > 0 and c.i not in dest.indices()]
+    cells = draw(st.lists(st.sampled_from(free), min_size=3, max_size=7, unique=True))
+    placements = {f"u{k}": c for k, c in enumerate(cells)}
+    steps = []
+    for _ in range(2):
+        users = draw(st.permutations(sorted(placements)))
+        n_bs = draw(st.integers(2, len(users)))
+        bs, wlan = frozenset(users[:n_bs]), frozenset(users[n_bs:])
+        offload = draw(st.sets(st.sampled_from(sorted(bs)), min_size=1, max_size=n_bs - 1))
+        steps.append(TrafficState(bs_users=bs, wlan_users=wlan, offload=frozenset(offload)))
+    radio = RadioParams(power=0.15, alpha=2.0, noise=1e-6)
+    ctx = OffloadContext(grid=GRID4, dest=dest, radio=radio, placements=placements)
+    return ctx, steps
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(offload_studies())
+def test_memoized_negotiation_matches_fresh_contexts_on_random_placements(study):
+    ctx, steps = study
+    econ = EconParams(mno_revenue=2.0, sso_revenue=1.0, price_step=0.02, price_bounds=(0.05, 2.0))
+    _assert_negotiations_match_fresh_contexts(ctx, steps, econ, "price-and-set")
+
+
+def test_negotiate_extracts_each_direction_and_each_instant_once(monkeypatch):
+    scn = load_scenario(bundled_scenario("offload"))
+    ctx = OffloadContext(grid=scn.grid, dest=scn.dest, radio=scn.radio, placements=scn.users)
+    calls = {"extract_routes": 0, "_instant_metrics": 0}
+    states = []
+
+    def counted(name):
+        real = getattr(economics, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(economics, name, wrapper)
+
+    counted("extract_routes")
+    counted("_instant_metrics")
+    real_breakdown = economics.offload_breakdown
+
+    def recorded(ctx, state):
+        states.append(state)
+        return real_breakdown(ctx, state)
+
+    monkeypatch.setattr(economics, "offload_breakdown", recorded)
+    for state in scn.steps:
+        negotiate(ctx, state, scn.econ, mode="price-and-set")
+    instants = {(s.bs_users, s.wlan_users) for s in states} | {apply_traffic_step(s) for s in states}
+    assert len(states) > len(scn.steps)
+    assert calls["extract_routes"] <= 2
+    assert calls["_instant_metrics"] == len(instants)
+
+
+def test_signature_defaults_come_from_the_dataclasses():
+    def default(cls, name):
+        return next(f.default for f in fields(cls) if f.name == name)
+
+    expected = {
+        (macrocell_utility, "macro_radius"): default(GridParams, "R"),
+        (macrocell_utility, "alpha"): default(RadioParams, "alpha"),
+        (macrocell_utility, "noise"): default(RadioParams, "noise"),
+        (macrocell_utility, "revenue"): default(EconParams, "mno_revenue"),
+        (expand, "R"): default(GridParams, "R"),
+        (expand, "alpha"): default(RadioParams, "alpha"),
+        (full_vector, "alpha"): default(RadioParams, "alpha"),
+    }
+    for (fn, name), value in expected.items():
+        assert inspect.signature(fn).parameters[name].default == value, (fn.__name__, name)

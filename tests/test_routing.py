@@ -33,6 +33,11 @@ from m3sim.routing import (
 GRID4 = SubcellGrid(GridParams(H=4))
 DEST4 = make_destinations(GRID4)
 
+
+def slot_of(route_set):
+    """Slot of every scheduled link."""
+    return {link: s for s, links in route_set.slots.items() for link in links}
+
 # deterministic overlay reused across scheduling tests: six active sources,
 # six unavailable relays, coordinated relays pinned to color 1
 OVERLAY = ScenarioOverlay(
@@ -227,11 +232,11 @@ def test_mlir_schedule_coordinated_slots_then_round_robin():
     rs = schedule(extract_routes(GRID4, DEST4, OVERLAY, config), config, GRID4)
     coord_slots = rs.cycle_length - 7
     assert coord_slots >= 1
-    slot_of = rs.slot_of()
+    slots = slot_of(rs)
     for route in rs.routes:
         for link, mode in zip(route.links, route.link_modes):
             if mode == COORD:
-                assert slot_of[link] < coord_slots
+                assert slots[link] < coord_slots
     # links sharing a coordinated slot never touch a common subcell
     for s in range(coord_slots):
         links = rs.slots[s]
@@ -304,9 +309,9 @@ def test_round_robin_slot_is_the_transmitter_color(case):
 @given(scheduled((LIR, MLIR)))
 def test_coordinated_slots_share_no_subcell(case):
     _, _, rs = case
-    slot_of = rs.slot_of()
+    slots = slot_of(rs)
     coordinated = {
-        slot_of[link]
+        slots[link]
         for route in rs.routes
         for link, mode in zip(route.links, route.link_modes)
         if mode == COORD

@@ -8,6 +8,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -365,6 +366,26 @@ def test_emit_csv_formatting(tmp_path):
     assert out.read_text() == "name,value,flag\na,0.1,1\nb,,0\n"
     emit_csv(table, out)  # rewriting is byte-identical
     assert out.read_text() == "name,value,flag\na,0.1,1\nb,,0\n"
+
+    class Tagged(float):
+        def __repr__(self):
+            return "Tagged"
+
+    # numpy scalars and float subclasses print as the plain Python value
+    for value, text in [
+        (np.float64(0.1), "0.1"),
+        (np.float32(0.1), "0.10000000149011612"),
+        (np.int64(7), "7"),
+        (np.bool_(True), "1"),
+        (np.bool_(False), "0"),
+        (-0.0, "-0.0"),
+        (math.nan, "nan"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (Tagged(2.5), "2.5"),
+    ]:
+        emit_csv(ResultTable(columns=("x",), rows=[(value,)]), out)
+        assert out.read_text() == f"x\n{text}\n"
 
 
 def test_emit_csv_floats_round_trip(tmp_path):
