@@ -20,7 +20,6 @@ from .compression import (
     absorb,
     aggregate_availability,
     climb_topology,
-    expand,
     full_vector,
 )
 from .economics import (
@@ -31,7 +30,6 @@ from .economics import (
     OffloadContext,
     TrafficState,
     cooperation_capacity_ratio,
-    evaluate_offload,
     expected_network_capacity,
     macrocell_utility,
     negotiate,

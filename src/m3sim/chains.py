@@ -58,7 +58,7 @@ class AbsorbingChain:
                 f"matrix shape {self.matrix.shape} does not match {n} transient + {a} absorbing states"
             )
         if self.dwell.shape != (n,):
-            raise ChainError(f"dwell vector must have one entry per transient state")
+            raise ChainError("dwell vector must have one entry per transient state")
         if np.any(self.dwell <= 0):
             raise ChainError("dwell times must be positive")
 

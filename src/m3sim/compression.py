@@ -1,26 +1,23 @@
 """Network state vectors and their compressed form.
 
-The full description of one macrocell keeps eleven parameters; most are
-redundant given the tessellation geometry and traffic intensity, so the
-compressed form keeps only (H, terminal counts, aggregate availability,
-traffic load, beamwidth).  The dropped entries are recomputed on demand:
+The full description of one macrocell keeps entries that are redundant
+given the tessellation geometry and traffic intensity, so the compressed
+form keeps only (H, terminal counts, aggregate availability, traffic load,
+beamwidth).  The dropped entries are recomputed on demand:
 
 * relay availability      p_a   = 1 - zeta        (idle fraction of a terminal)
 * visibility              p_phi = phi / 360       (beamwidth fraction)
 * operator presence       p_o,i = n_o,i / N       (terminals per subcell count)
 * channel gain            G     = (2H / (sqrt(3) R))**alpha
-* relay reward            w     = gamma * zeta    (Python API only)
 
 and the per-subcell availability aggregates across operators as the
 probability that at least one operator provides a visible, idle terminal.
-The reward only fills ``FullStateVector.reward``: no study reads it, so the
-``compression.gamma`` scenario key changes no command output.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .grid import SQRT3, GridParams
@@ -41,11 +38,9 @@ class FullStateVector:
     p_o: tuple[float, ...]
     p_a: float
     gain: float
-    interference: float
     zeta: float
     phi: float
     p_phi: float
-    reward: float
 
 
 @dataclass(frozen=True)
@@ -84,11 +79,6 @@ def reconstruct_gain(H: int, R: float, alpha: float) -> float:
     return (2.0 * H / (SQRT3 * R)) ** alpha
 
 
-def reconstruct_reward(gamma: float, zeta: float) -> float:
-    """Relay reward offered at traffic load zeta; never priced into utility."""
-    return gamma * zeta
-
-
 def full_vector(
     H: int,
     n_o: Sequence[int],
@@ -96,8 +86,6 @@ def full_vector(
     phi: float,
     grid_like: GridParams | None = None,
     alpha: float = RadioParams.alpha,
-    gamma: float = 1.0,
-    interference: float = 0.0,
 ) -> FullStateVector:
     """Build a self-consistent full vector from the independent parameters."""
     params = grid_like if grid_like is not None else GridParams(H=H)
@@ -112,11 +100,9 @@ def full_vector(
         p_o=tuple(n / N for n in n_o),
         p_a=1.0 - zeta,
         gain=reconstruct_gain(H, params.R, alpha),
-        interference=interference,
         zeta=zeta,
         phi=phi,
         p_phi=phi / 360.0,
-        reward=reconstruct_reward(gamma, zeta),
     )
 
 
@@ -137,7 +123,7 @@ def absorb(full: FullStateVector) -> CompressedStateVector:
     """Compress a full vector, dropping everything recomputable.
 
     The kept availability p aggregates p_a = 1 - zeta, p_phi = phi/360 and
-    p_o,i = n_o,i / (3H(H+1)); gain, interference and reward are dropped.
+    p_o,i = n_o,i / (3H(H+1)); the gain is dropped.
     """
     _check_vector(full.H, full.n_o, full.zeta, full.phi)
     N = 3 * full.H * (full.H + 1)
@@ -145,24 +131,6 @@ def absorb(full: FullStateVector) -> CompressedStateVector:
         raise CompressionError(f"subcell count {full.N} inconsistent with H={full.H} (expected {N})")
     p = aggregate_availability(1.0 - full.zeta, full.phi / 360.0, [n / N for n in full.n_o])
     return CompressedStateVector(H=full.H, n_o=full.n_o, p=p, zeta=full.zeta, phi=full.phi)
-
-
-def expand(
-    comp: CompressedStateVector,
-    R: float = GridParams.R,
-    alpha: float = RadioParams.alpha,
-    gamma: float = 1.0,
-) -> FullStateVector:
-    """Rebuild a full vector from a compressed one via the reconstruction rules."""
-    return full_vector(
-        comp.H,
-        comp.n_o,
-        comp.zeta,
-        comp.phi,
-        grid_like=GridParams(H=comp.H, R=R),
-        alpha=alpha,
-        gamma=gamma,
-    )
 
 
 def topology_step(current_h: int, utility: Callable[[int], float], h_min: int = 1, h_max: int | None = None) -> int:

@@ -139,7 +139,6 @@ class RouteMetrics:
     capacity: float
     delay: float
     cost: float
-    hops: int
     routed: bool = True
 
     @property
@@ -470,7 +469,7 @@ def _cell_routes(ctx: OffloadContext, cells: Iterable[int], to_ap: bool) -> dict
 
 def _instant(
     ctx: OffloadContext, bs_users: Iterable[str], wlan_users: Iterable[str]
-) -> tuple[Mapping[str, RouteMetrics], float, float, int]:
+) -> tuple[Mapping[str, RouteMetrics], int]:
     """``_instant_metrics`` of one traffic instant, computed once per context.
 
     Routes list the base-station users first, each group in name order; that
@@ -484,22 +483,22 @@ def _instant(
         for users, to_ap in groups:
             by_cell = _cell_routes(ctx, (ctx.placements[u] for u in users), to_ap)
             routes.update((u, by_cell[ctx.placements[u]]) for u in users)
-        metrics, *sums = _instant_metrics(ctx, routes)
-        ctx._instants[key] = (MappingProxyType(metrics), *sums)
+        metrics, wlan_cycle = _instant_metrics(ctx, routes)
+        ctx._instants[key] = (MappingProxyType(metrics), wlan_cycle)
     return ctx._instants[key]
 
 
 def _instant_metrics(
     ctx: OffloadContext, routes: Mapping[str, Route]
-) -> tuple[dict[str, RouteMetrics], float, float, int]:
+) -> tuple[dict[str, RouteMetrics], int]:
     """Metrics for every user of one traffic instant.
 
     Links whose endpoints both sit in the WLAN domain run on the access
     point's sequential schedule: every user's hop gets its own slot (a
     shared relay transmits once per user), so the cycle counts link
     instances and there is no co-slot interference.  All other links share
-    the macrocell's color round robin.  Returns the per-user metrics plus
-    the macro and WLAN capacity sums and the WLAN cycle length.
+    the macrocell's color round robin.  Returns the per-user metrics and
+    the WLAN cycle length.
     """
     grid, radio = ctx.grid, ctx.radio
     domain = ctx.wlan_domain
@@ -517,11 +516,9 @@ def _instant_metrics(
     caps = link_capacities(slots, radio, grid)
 
     metrics: dict[str, RouteMetrics] = {}
-    macro_capacity = 0.0
-    wlan_capacity = 0.0
     for user, route in routes.items():
         if not route.complete or not route.links:
-            metrics[user] = RouteMetrics(user, 0.0, math.inf, radio.power, 0, routed=False)
+            metrics[user] = RouteMetrics(user, 0.0, math.inf, radio.power, routed=False)
             continue
         cap = route_capacity(route, caps)
         waits = [max(wlan_cycle, 1) if on_wlan(l) else grid.params.K for l in route.links]
@@ -530,13 +527,8 @@ def _instant_metrics(
             capacity=cap,
             delay=float(sum(waits)),
             cost=radio.power * len(route.links),
-            hops=len(route.links),
         )
-        if all(map(on_wlan, route.links)):
-            wlan_capacity += cap
-        else:
-            macro_capacity += cap
-    return metrics, macro_capacity, wlan_capacity, wlan_cycle
+    return metrics, wlan_cycle
 
 
 @dataclass(frozen=True)
@@ -550,8 +542,6 @@ class OffloadBreakdown:
     offload_after: float
     metrics_before: Mapping[str, RouteMetrics]
     metrics_after: Mapping[str, RouteMetrics]
-    macro_capacity: float
-    wlan_capacity: float
     wlan_cycle: int
 
 
@@ -570,9 +560,9 @@ def offload_breakdown(ctx: OffloadContext, state: TrafficState) -> OffloadBreakd
     def rates(users: Iterable[str], metrics: Mapping[str, RouteMetrics]) -> float:
         return sum(metrics[u].rate for u in sorted(users))
 
-    before, _, _, _ = _instant(ctx, state.bs_users, state.wlan_users)
+    before, _ = _instant(ctx, state.bs_users, state.wlan_users)
     bs_next, wlan_next = apply_traffic_step(state)
-    after, macro_cap, wlan_cap, wlan_link_count = _instant(ctx, bs_next, wlan_next)
+    after, wlan_cycle = _instant(ctx, bs_next, wlan_next)
 
     return OffloadBreakdown(
         bs_before=rates(state.bs_users, before),
@@ -582,16 +572,8 @@ def offload_breakdown(ctx: OffloadContext, state: TrafficState) -> OffloadBreakd
         offload_after=rates(state.offload, after),
         metrics_before=before,
         metrics_after=after,
-        macro_capacity=macro_cap,
-        wlan_capacity=wlan_cap,
-        wlan_cycle=wlan_link_count,
+        wlan_cycle=wlan_cycle,
     )
-
-
-def _check_price(chi: float, econ: EconParams) -> None:
-    lo, hi = econ.bounds
-    if not lo <= chi <= hi:
-        raise EconError(f"price {chi!r} outside the agreed bounds [{lo}, {hi}]")
 
 
 def _mno_offset_from(b: OffloadBreakdown, chi: float, econ: EconParams) -> float:
@@ -604,45 +586,6 @@ def _mno_offset_from(b: OffloadBreakdown, chi: float, econ: EconParams) -> float
 def _sso_offset_from(b: OffloadBreakdown, chi: float, econ: EconParams) -> float:
     return (
         econ.sso_revenue * (b.wlan_after - b.wlan_before) + chi * b.offload_after
-    )
-
-
-@dataclass(frozen=True)
-class OffloadReport:
-    """Before/after utility accounting of one offload step at a fixed price."""
-
-    mno_before: float
-    mno_after: float
-    sso_before: float
-    sso_after: float
-    delta_mno: float
-    delta_sso: float
-    capacity: float
-    throughput: float
-    per_user: Mapping[str, RouteMetrics]
-
-
-def evaluate_offload(
-    ctx: OffloadContext, state: TrafficState, chi: float, econ: EconParams
-) -> OffloadReport:
-    """Utility ledger of one offload step at price ``chi``."""
-    _check_price(chi, econ)
-    b = offload_breakdown(ctx, state)
-    mno_after = econ.mno_revenue * b.bs_after + (econ.mno_revenue - chi) * b.offload_after
-    sso_after = econ.sso_revenue * b.wlan_after + chi * b.offload_after
-    throughput = b.macro_capacity / ctx.grid.params.K
-    if b.wlan_cycle:
-        throughput += b.wlan_capacity / b.wlan_cycle
-    return OffloadReport(
-        mno_before=econ.mno_revenue * b.bs_before,
-        mno_after=mno_after,
-        sso_before=econ.sso_revenue * b.wlan_before,
-        sso_after=sso_after,
-        delta_mno=_mno_offset_from(b, chi, econ),
-        delta_sso=_sso_offset_from(b, chi, econ),
-        capacity=b.macro_capacity + b.wlan_capacity,
-        throughput=throughput,
-        per_user=b.metrics_after,
     )
 
 

@@ -137,17 +137,6 @@ class SubcellGrid:
             raise GridError(f"ring {h} outside 0..{self.params.H}")
         return self._rings[h]
 
-    def polar_of(self, i: int) -> tuple[int, float]:
-        c = self.cell(i)
-        return c.h, c.theta
-
-    def index_of(self, h: int, theta: float) -> int:
-        """Exact lookup of a (h, theta) address; raises when no subcell matches."""
-        cell, snap = self.nearest_in_ring(h, theta)
-        if snap > 1e-9:
-            raise GridError(f"no subcell at ring {h} angle {theta} (nearest is {cell.theta:.4f})")
-        return cell.i
-
     def nearest_in_ring(self, h: int, theta: float) -> tuple[SubcellId, float]:
         """Subcell of ring h nearest to angle theta, with the angular snap in degrees.
 
@@ -258,12 +247,6 @@ class Destinations:
 
     def indices(self) -> frozenset[int]:
         return frozenset(c.i for c in self.absorbing_cells())
-
-    def coverage_of(self, ap: SubcellId) -> tuple[SubcellId, ...]:
-        for a, cluster in zip(self.aps, self.coverage):
-            if a.i == ap.i:
-                return cluster
-        raise GridError(f"subcell {ap.i} is not an access point")
 
 
 def make_destinations(

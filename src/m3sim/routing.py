@@ -116,7 +116,7 @@ def mdr_transition_row(
     dest: Destinations,
     cell: SubcellId,
     p: float,
-) -> tuple[list[tuple[Hashable, float]], float]:
+) -> list[tuple[Hashable, float]]:
     """Outgoing MDR transitions of one subcell: ranked neighbours plus no-route."""
     if cell.i in dest.indices():
         raise RoutingError(f"subcell {cell.i} is a destination, not a relay source")
@@ -124,7 +124,7 @@ def mdr_transition_row(
     probs, residual = rank_probabilities(p, len(ranked))
     row: list[tuple[Hashable, float]] = [(n.i, pr) for n, pr in zip(ranked, probs)]
     row.append((NO_ROUTE, residual))
-    return row, residual
+    return row
 
 
 def coordination_probability(p: float, n_color: int) -> float:
@@ -204,8 +204,7 @@ def build_mdr_chain(
     for cell in grid.cells:
         if cell.i in dest_idx:
             continue
-        row, _ = mdr_transition_row(grid, dest, cell, p)
-        rows[cell.i] = row
+        rows[cell.i] = mdr_transition_row(grid, dest, cell, p)
     absorbing = [c.i for c in dest.absorbing_cells()] + [NO_ROUTE]
     return build_chain(rows, absorbing, dwell)
 
@@ -284,110 +283,85 @@ class RouteSet:
         return [r for r in self.routes if r.complete]
 
 
-def _admissible(grid, overlay, visited, cell):
-    out = []
-    for n in grid.neighbors(cell):
-        if n.i in overlay.unavailable or n.i in visited:
-            continue
-        out.append(n)
-    return out
+def _walk(grid, dest, overlay, source, choose):
+    """One deterministic route from ``source``; ``choose`` picks each relay hop.
 
-
-def _greedy_route(grid, dest, overlay, source_idx, load=None):
-    """Minimum-distance route avoiding unavailable subcells; None-terminated.
-
-    With a ``load`` map the hop choice minimizes (1 + load) * rank instead
-    of plain rank, which is the load-aware variant.
+    A hop considers the available, unvisited neighbours of the current cell.
+    A destination among them ends the route there (the lowest index wins);
+    no candidate, or ``choose(current, candidates)`` returning None, strands
+    the route.  Otherwise ``choose`` returns the next cell and the hop mode.
+    Every hop visits a new cell, so the walk always ends.
     """
     dest_idx = dest.indices()
-    cells = [source_idx]
+    cells = [source]
     modes = []
-    visited = {source_idx}
-    current = grid.cell(source_idx)
-    for _ in range(len(grid.cells)):
-        candidates = _admissible(grid, overlay, visited, current)
+    visited = {source}
+    current = grid.cell(source)
+    while True:
+        candidates = [
+            n for n in grid.neighbors(current) if n.i not in overlay.unavailable and n.i not in visited
+        ]
         hits = [n for n in candidates if n.i in dest_idx]
         if hits:
-            nxt = min(hits, key=lambda n: n.i)
-        elif not candidates:
-            return Route(source_idx, tuple(cells), None, tuple(modes))
-        else:
-            ranked = [n for n in grid.neighbors_ranked(current, dest) if n in candidates]
-            if load is None:
-                nxt = ranked[0]
-            else:
-                nxt = min(
-                    ranked,
-                    key=lambda n: ((1 + load.get(n.i, 0)) * (ranked.index(n) + 1), n.i),
-                )
-        cells.append(nxt.i)
-        modes.append(FALLBACK)
-        if nxt.i in dest_idx:
-            return Route(source_idx, tuple(cells), nxt.i, tuple(modes))
-        visited.add(nxt.i)
-        current = nxt
-    return Route(source_idx, tuple(cells), None, tuple(modes))
-
-
-def _color_route(grid, dest, overlay, source_idx, k0, allow_fallback):
-    """Alternating color-relay route: hop to the unique k0 neighbour, then re-aim.
-
-    Every cell has exactly one neighbour of each other reuse color, so a
-    coordinated hop is unambiguous; from a k0 cell (or when the k0 relay is
-    unavailable and fallback is on) the hop follows the minimum-distance
-    rule.  Without fallback such a hop strands the route.
-    """
-    dest_idx = dest.indices()
-    cells = [source_idx]
-    modes = []
-    visited = {source_idx}
-    current = grid.cell(source_idx)
-    for _ in range(len(grid.cells)):
-        candidates = _admissible(grid, overlay, visited, current)
-        hits = [n for n in candidates if n.i in dest_idx]
-        if hits:
-            nxt, mode = min(hits, key=lambda n: n.i), FALLBACK
-        elif not candidates:
-            return Route(source_idx, tuple(cells), None, tuple(modes))
-        else:
-            typed = [n for n in candidates if grid.cluster_color(n) == k0]
-            if grid.cluster_color(current) != k0 and typed:
-                nxt, mode = typed[0], COORD
-            elif grid.cluster_color(current) == k0 or allow_fallback:
-                ranked = [n for n in grid.neighbors_ranked(current, dest) if n in candidates]
-                nxt, mode = ranked[0], FALLBACK
-            else:
-                return Route(source_idx, tuple(cells), None, tuple(modes))
-        cells.append(nxt.i)
+            reached = min(n.i for n in hits)
+            return Route(source, (*cells, reached), reached, (*modes, FALLBACK))
+        hop = choose(current, candidates) if candidates else None
+        if hop is None:
+            return Route(source, tuple(cells), None, tuple(modes))
+        current, mode = hop
+        cells.append(current.i)
         modes.append(mode)
-        if nxt.i in dest_idx:
-            return Route(source_idx, tuple(cells), nxt.i, tuple(modes))
-        visited.add(nxt.i)
-        current = nxt
-    return Route(source_idx, tuple(cells), None, tuple(modes))
+        visited.add(current.i)
 
 
-def lar_route(
-    grid: SubcellGrid,
-    dest: Destinations,
-    overlay: ScenarioOverlay,
-) -> RouteSet:
+def _ranked(grid, dest, current, candidates):
+    """The candidates in minimum-distance order."""
+    return [n for n in grid.neighbors_ranked(current, dest) if n in candidates]
+
+
+def _lar_route(grid, dest, overlay):
     """Load-aware routes: sources routed in order, relay loads updated between.
 
     The hop cost is (1 + load(target)) * distance rank, so later sources
     divert around relays already carrying traffic.  A single source sees
     zero loads and reproduces the plain minimum-distance route.
     """
-    _check_overlay(grid, dest, overlay)
     load: dict[int, int] = {}
+
+    def least_loaded(current, candidates):
+        ranked = enumerate(_ranked(grid, dest, current, candidates), 1)
+        _, nxt = min(ranked, key=lambda rn: ((1 + load.get(rn[1].i, 0)) * rn[0], rn[1].i))
+        return nxt, FALLBACK
+
     routes = []
     for src in overlay.sources:
-        route = _greedy_route(grid, dest, overlay, src, load=load)
+        route = _walk(grid, dest, overlay, src, least_loaded)
         routes.append(route)
         if route.complete:
             for idx in route.cells[1:-1]:
                 load[idx] = load.get(idx, 0) + 1
     return RouteSet(routes=routes, kind=LAR)
+
+
+def _color_routes(grid, dest, overlay, k0, allow_fallback):
+    """Alternating color-relay routes: hop to the unique k0 neighbour, then re-aim.
+
+    Every cell has exactly one neighbour of each other reuse color, so a
+    coordinated hop is unambiguous; from a k0 cell (or when the k0 relay is
+    unavailable and fallback is on) the hop follows the minimum-distance
+    rule.  Without fallback such a hop strands the route.
+    """
+
+    def color_hop(current, candidates):
+        at_k0 = grid.cluster_color(current) == k0
+        typed = [n for n in candidates if grid.cluster_color(n) == k0]
+        if not at_k0 and typed:
+            return typed[0], COORD
+        if at_k0 or allow_fallback:
+            return _ranked(grid, dest, current, candidates)[0], FALLBACK
+        return None
+
+    return [_walk(grid, dest, overlay, s, color_hop) for s in overlay.sources]
 
 
 def _check_overlay(grid, dest, overlay):
@@ -419,9 +393,13 @@ def extract_routes(
     """
     _check_overlay(grid, dest, overlay)
     if config.kind in (MDR, MMDR):
-        return RouteSet(routes=[_greedy_route(grid, dest, overlay, s) for s in overlay.sources], kind=config.kind)
+
+        def nearest(current, candidates):
+            return _ranked(grid, dest, current, candidates)[0], FALLBACK
+
+        return RouteSet([_walk(grid, dest, overlay, s, nearest) for s in overlay.sources], config.kind)
     if config.kind == LAR:
-        return lar_route(grid, dest, overlay)
+        return _lar_route(grid, dest, overlay)
     if config.kind not in (LIR, MLIR):
         raise RoutingError(f"no deterministic extraction for protocol {config.kind!r}")
 
@@ -430,8 +408,7 @@ def extract_routes(
         # pick the color whose strict (fallback-free) routes complete most sources
         best_color, best_complete = 0, -1
         for color in range(7):
-            strict = [_color_route(grid, dest, overlay, s, color, False) for s in overlay.sources]
-            complete = sum(r.complete for r in strict)
+            complete = sum(r.complete for r in _color_routes(grid, dest, overlay, color, False))
             if complete > best_complete:
                 best_color, best_complete = color, complete
         if best_complete < len(overlay.sources) and not config.allow_fallback:
@@ -439,7 +416,7 @@ def extract_routes(
                 "every relay color strands at least one source and fallback is disabled"
             )
         k0 = best_color
-    routes = [_color_route(grid, dest, overlay, s, k0, config.allow_fallback) for s in overlay.sources]
+    routes = _color_routes(grid, dest, overlay, k0, config.allow_fallback)
     return RouteSet(routes=routes, kind=config.kind, k0=k0)
 
 

@@ -91,7 +91,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, type] | None]] = {
         "noise": ("noise", float),
         "sensitivity": ("sensitivity", float),
     },
-    "compression": {"n_o": None, "zeta": None, "phi": None, "gamma": ("gamma", float), "p": None},
+    "compression": {"n_o": None, "zeta": None, "phi": None, "p": None},
     "protocol": {
         "kind": None,
         "p": ("p", float),
@@ -316,7 +316,6 @@ def load_scenario(path: str | Path) -> ScenarioFile:
                 _number("compression.zeta", c.get("zeta", 0.0)),
                 _number("compression.phi", c.get("phi", 360.0)),
                 alpha=radio.alpha,
-                **_fields("compression", c),
             )
         except ValueError as exc:
             raise ScenarioError(f"compression: {exc}") from exc
@@ -606,7 +605,8 @@ def _cmd_routes(scn: ScenarioFile, seed: int, walks: int) -> ResultTable:
     else:
         chain = build_mdr_chain(grid, dest, cfg.p, dwell=float(NUM_COLORS))
     stats = absorption_statistics(chain)
-    absorbing = [getattr(c, "i", c) for c in dest.absorbing_cells()]
+    absorbing = [c.i for c in dest.absorbing_cells()]
+    dest_idx = dest.indices()
     columns = ["subcell", "ring", "theta", "tau", "var_tau"]
     columns += [f"b_ap{j + 1}" for j in range(len(dest.aps))]
     if dest.bs is not None:
@@ -614,7 +614,7 @@ def _cmd_routes(scn: ScenarioFile, seed: int, walks: int) -> ResultTable:
     columns.append("b_nr")
     rows = []
     for cell in grid.cells[1:]:
-        if cell.i in dest.indices():
+        if cell.i in dest_idx:
             split = [0.0] * (len(absorbing) + 1)
             split[absorbing.index(cell.i)] = 1.0
             rows.append((cell.i, cell.h, cell.theta, 0.0, 0.0, *split))

@@ -10,10 +10,8 @@ from m3sim.compression import (
     absorb,
     aggregate_availability,
     climb_topology,
-    expand,
     full_vector,
     reconstruct_gain,
-    reconstruct_reward,
     topology_step,
 )
 
@@ -25,7 +23,6 @@ def test_full_vector_fields_are_consistent():
     assert full.p_o == (0.75, 0.75)
     assert full.p_phi == 1.0
     assert full.gain == pytest.approx((8.0 / (math.sqrt(3) * 1000.0)) ** 2)
-    assert full.reward == pytest.approx(0.25)
 
 
 def test_absorb_drops_redundancy():
@@ -33,12 +30,6 @@ def test_absorb_drops_redundancy():
     # 1 - (1 - 0.75 * 0.75)^2 with exact dyadic fractions
     assert comp.p == 0.80859375
     assert comp == CompressedStateVector(H=4, n_o=(45, 45), p=0.80859375, zeta=0.25, phi=360.0)
-
-
-def test_expand_round_trip():
-    full = full_vector(H=3, n_o=(20,), zeta=0.4, phi=180.0, alpha=2.5, gamma=2.0)
-    again = expand(absorb(full), alpha=2.5, gamma=2.0)
-    assert again == full
 
 
 def test_absorb_rejects_inconsistent_subcell_count():
@@ -66,7 +57,6 @@ def test_aggregate_availability_algebra():
 def test_reconstruction_rules():
     assert reconstruct_gain(4, 1000.0, 2.0) == pytest.approx((8e-3 / math.sqrt(3)) ** 2)
     assert reconstruct_gain(8, 1000.0, 2.0) == pytest.approx(4 * reconstruct_gain(4, 1000.0, 2.0))
-    assert reconstruct_reward(2.0, 0.3) == pytest.approx(0.6)
     with pytest.raises(CompressionError):
         reconstruct_gain(0, 1000.0, 2.0)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from m3sim import economics
 from m3sim.cli import bundled_scenario
-from m3sim.compression import expand, full_vector
+from m3sim.compression import full_vector
 from m3sim.economics import (
     DEFAULT_USER_SITES,
     EconError,
@@ -21,7 +21,6 @@ from m3sim.economics import (
     TrafficState,
     apply_traffic_step,
     cooperation_capacity_ratio,
-    evaluate_offload,
     expected_network_capacity,
     link_capacities,
     macrocell_utility,
@@ -130,8 +129,8 @@ def test_user_utility():
 
 
 def test_network_utility_skips_unrouted():
-    routed = RouteMetrics("a", capacity=2.0, delay=4.0, cost=0.5, hops=2)
-    stranded = RouteMetrics("b", capacity=0.0, delay=math.inf, cost=0.5, hops=0, routed=False)
+    routed = RouteMetrics("a", capacity=2.0, delay=4.0, cost=0.5)
+    stranded = RouteMetrics("b", capacity=0.0, delay=math.inf, cost=0.5, routed=False)
     assert network_utility([routed, stranded], revenue=2.0) == pytest.approx(2.0)
     assert stranded.rate == 0.0
     assert routed.rate == pytest.approx(1.0)
@@ -386,15 +385,25 @@ def test_offload_breakdown_requires_placements(offload_ctx):
 
 def test_evaluate_offload_ledger(offload_ctx, offload_state):
     econ = EconParams(price_step=0.002, price_bounds=(0.05, 2.0))
-    report = evaluate_offload(offload_ctx, offload_state, 1.0, econ)
-    assert report.delta_mno == pytest.approx(report.mno_after - report.mno_before)
-    assert report.delta_sso == pytest.approx(report.sso_after - report.sso_before)
-    cheap = evaluate_offload(offload_ctx, offload_state, 0.5, econ)
-    dear = evaluate_offload(offload_ctx, offload_state, 1.5, econ)
-    assert cheap.delta_mno > dear.delta_mno  # the buyer prefers low prices
-    assert cheap.delta_sso < dear.delta_sso  # the seller prefers high ones
-    with pytest.raises(EconError):
-        evaluate_offload(offload_ctx, offload_state, 3.0, econ)
+    b = offload_breakdown(offload_ctx, offload_state)
+
+    def offsets(chi):
+        # Utility ledger of both operators before and after the step at price chi.
+        mno_before = econ.mno_revenue * b.bs_before
+        mno_after = econ.mno_revenue * b.bs_after + (econ.mno_revenue - chi) * b.offload_after
+        sso_before = econ.sso_revenue * b.wlan_before
+        sso_after = econ.sso_revenue * b.wlan_after + chi * b.offload_after
+        d_mno = economics._mno_offset_from(b, chi, econ)
+        d_sso = economics._sso_offset_from(b, chi, econ)
+        assert d_mno == pytest.approx(mno_after - mno_before)
+        assert d_sso == pytest.approx(sso_after - sso_before)
+        return d_mno, d_sso
+
+    offsets(1.0)
+    cheap_mno, cheap_sso = offsets(0.5)
+    dear_mno, dear_sso = offsets(1.5)
+    assert cheap_mno > dear_mno  # the buyer prefers low prices
+    assert cheap_sso < dear_sso  # the seller prefers high ones
 
 
 # -- price negotiation -------------------------------------------------------
@@ -628,8 +637,6 @@ def test_signature_defaults_come_from_the_dataclasses():
         (macrocell_utility, "alpha"): default(RadioParams, "alpha"),
         (macrocell_utility, "noise"): default(RadioParams, "noise"),
         (macrocell_utility, "revenue"): default(EconParams, "mno_revenue"),
-        (expand, "R"): default(GridParams, "R"),
-        (expand, "alpha"): default(RadioParams, "alpha"),
         (full_vector, "alpha"): default(RadioParams, "alpha"),
     }
     for (fn, name), value in expected.items():

@@ -57,11 +57,9 @@ def test_cell_addressing_roundtrip():
     for cell in grid.cells[1:]:
         lo, hi = ring_index_range(cell.h)
         assert lo <= cell.i <= hi
-        assert grid.index_of(*grid.polar_of(cell.i)) == cell.i
+        assert grid.nearest_in_ring(cell.h, cell.theta) == (cell, 0.0)
     with pytest.raises(GridError):
         grid.cell(61)
-    with pytest.raises(GridError):
-        grid.index_of(2, 17.0)  # between two ring-2 subcells
 
 
 def test_ring_angles_sorted():
@@ -138,9 +136,6 @@ def test_destinations_from_polar_placement():
     # access points come before the base station in the absorbing order
     assert [c.i for c in dest.absorbing_cells()] == [31, 0]
     assert dest.indices() == frozenset({31, 0})
-    assert len(dest.coverage_of(dest.aps[0])) == 6
-    with pytest.raises(GridError):
-        dest.coverage_of(grid.cell(5))
 
 
 def test_destinations_without_base_station():

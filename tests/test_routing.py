@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from m3sim.chains import NO_ROUTE, absorption_statistics
-from m3sim.grid import GridParams, SubcellGrid, make_destinations
+from m3sim.grid import Destinations, GridParams, SubcellGrid, make_destinations
 from m3sim.routing import (
     COORD,
     FALLBACK,
@@ -17,6 +17,7 @@ from m3sim.routing import (
     MLIR,
     MMDR,
     ProtocolConfig,
+    Route,
     RoutingError,
     ScenarioOverlay,
     build_lir_chain,
@@ -320,3 +321,132 @@ def test_coordinated_slots_share_no_subcell(case):
         cells = [cell for link in rs.slots[slot] for cell in link]
         assert len(cells) == len(set(cells))
 
+
+
+# -- route extraction against the per-protocol loops it replaced --------------
+
+
+def _ref_admissible(grid, overlay, visited, cell):
+    return [n for n in grid.neighbors(cell) if n.i not in overlay.unavailable and n.i not in visited]
+
+
+def _ref_greedy_route(grid, dest, overlay, source_idx, load=None):
+    dest_idx = dest.indices()
+    cells, modes, visited = [source_idx], [], {source_idx}
+    current = grid.cell(source_idx)
+    for _ in range(len(grid.cells)):
+        candidates = _ref_admissible(grid, overlay, visited, current)
+        hits = [n for n in candidates if n.i in dest_idx]
+        if hits:
+            nxt = min(hits, key=lambda n: n.i)
+        elif not candidates:
+            return Route(source_idx, tuple(cells), None, tuple(modes))
+        else:
+            ranked = [n for n in grid.neighbors_ranked(current, dest) if n in candidates]
+            if load is None:
+                nxt = ranked[0]
+            else:
+                nxt = min(ranked, key=lambda n: ((1 + load.get(n.i, 0)) * (ranked.index(n) + 1), n.i))
+        cells.append(nxt.i)
+        modes.append(FALLBACK)
+        if nxt.i in dest_idx:
+            return Route(source_idx, tuple(cells), nxt.i, tuple(modes))
+        visited.add(nxt.i)
+        current = nxt
+    return Route(source_idx, tuple(cells), None, tuple(modes))
+
+
+def _ref_color_route(grid, dest, overlay, source_idx, k0, allow_fallback):
+    dest_idx = dest.indices()
+    cells, modes, visited = [source_idx], [], {source_idx}
+    current = grid.cell(source_idx)
+    for _ in range(len(grid.cells)):
+        candidates = _ref_admissible(grid, overlay, visited, current)
+        hits = [n for n in candidates if n.i in dest_idx]
+        if hits:
+            nxt, mode = min(hits, key=lambda n: n.i), FALLBACK
+        elif not candidates:
+            return Route(source_idx, tuple(cells), None, tuple(modes))
+        else:
+            typed = [n for n in candidates if grid.cluster_color(n) == k0]
+            if grid.cluster_color(current) != k0 and typed:
+                nxt, mode = typed[0], COORD
+            elif grid.cluster_color(current) == k0 or allow_fallback:
+                ranked = [n for n in grid.neighbors_ranked(current, dest) if n in candidates]
+                nxt, mode = ranked[0], FALLBACK
+            else:
+                return Route(source_idx, tuple(cells), None, tuple(modes))
+        cells.append(nxt.i)
+        modes.append(mode)
+        if nxt.i in dest_idx:
+            return Route(source_idx, tuple(cells), nxt.i, tuple(modes))
+        visited.add(nxt.i)
+        current = nxt
+    return Route(source_idx, tuple(cells), None, tuple(modes))
+
+
+def _ref_extract_routes(grid, dest, overlay, config):
+    """Route extraction as three separate loops: greedy, load-aware, color."""
+    if config.kind in (MDR, MMDR):
+        return [_ref_greedy_route(grid, dest, overlay, s) for s in overlay.sources], None
+    if config.kind == LAR:
+        load, routes = {}, []
+        for src in overlay.sources:
+            route = _ref_greedy_route(grid, dest, overlay, src, load=load)
+            routes.append(route)
+            if route.complete:
+                for idx in route.cells[1:-1]:
+                    load[idx] = load.get(idx, 0) + 1
+        return routes, None
+    k0 = overlay.k0 if overlay.k0 is not None else config.relay_color
+    if k0 is None:
+        best_color, best_complete = 0, -1
+        for color in range(7):
+            strict = [_ref_color_route(grid, dest, overlay, s, color, False) for s in overlay.sources]
+            complete = sum(r.complete for r in strict)
+            if complete > best_complete:
+                best_color, best_complete = color, complete
+        if best_complete < len(overlay.sources) and not config.allow_fallback:
+            raise RoutingError("stranded")
+        k0 = best_color
+    routes = [_ref_color_route(grid, dest, overlay, s, k0, config.allow_fallback) for s in overlay.sources]
+    return routes, k0
+
+
+WALK_GRIDS = {h: SubcellGrid(GridParams(H=h)) for h in range(1, 9)}
+COLORS = st.one_of(st.none(), st.integers(0, 6))
+
+
+@st.composite
+def extraction_case(draw):
+    """Random H in 1..8, destinations, sources, unavailable relays and protocol."""
+    grid = WALK_GRIDS[draw(st.integers(1, 8))]
+    cells = range(1, len(grid.cells))
+    aps = draw(st.lists(st.sampled_from(cells), max_size=2, unique=True))
+    bs = grid.cell(0) if not aps or draw(st.booleans()) else None
+    dest = Destinations(bs=bs, aps=tuple(grid.cell(a) for a in aps))
+    free = [c for c in cells if c not in dest.indices()]
+    sources = draw(st.lists(st.sampled_from(free), min_size=1, max_size=10, unique=True))
+    rest = sorted(set(range(len(grid.cells))) - dest.indices() - set(sources))
+    unavailable = frozenset(draw(st.lists(st.sampled_from(rest), max_size=len(rest) // 2))) if rest else frozenset()
+    overlay = ScenarioOverlay(sources=tuple(sources), unavailable=unavailable, k0=draw(COLORS))
+    config = ProtocolConfig(
+        kind=draw(st.sampled_from((MDR, MMDR, LAR, LIR, MLIR))),
+        relay_color=draw(COLORS),
+        allow_fallback=draw(st.booleans()),
+    )
+    return grid, dest, overlay, config
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(extraction_case())
+def test_extract_routes_matches_per_protocol_loops(case):
+    grid, dest, overlay, config = case
+    try:
+        expected = _ref_extract_routes(grid, dest, overlay, config)
+    except RoutingError:
+        with pytest.raises(RoutingError, match="fallback is disabled"):
+            extract_routes(grid, dest, overlay, config)
+        return
+    rs = extract_routes(grid, dest, overlay, config)
+    assert (rs.routes, rs.k0, rs.kind) == (*expected, config.kind)

@@ -257,8 +257,9 @@ def test_econ_section(tmp_path):
         load_scenario(write(tmp_path, "econ: {bounds: [1.0]}\n"))
     with pytest.raises(ScenarioError, match="econ"):
         load_scenario(write(tmp_path, "econ: {rho: 1, rho1: 2}\n"))
-    with pytest.raises(ScenarioError, match=r"unknown key econ\.gamma"):
-        load_scenario(write(tmp_path, "econ: {gamma: 1.0}\n"))
+    for section in ("econ", "compression"):
+        with pytest.raises(ScenarioError, match=rf"unknown key {section}\.gamma"):
+            load_scenario(write(tmp_path, f"{section}: {{gamma: 1.0}}\n"))
 
 
 # (scenario text, dotted key the error must name)
