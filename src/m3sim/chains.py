@@ -23,7 +23,7 @@ current row, so a step costs O(row degree) rather than O(states).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve

@@ -68,9 +68,9 @@ class EconParams:
                 "revenues must satisfy mno_revenue >= sso_revenue > 0, got "
                 f"{self.mno_revenue!r} / {self.sso_revenue!r}"
             )
-        if self.price_step <= 0:
+        if not self.price_step > 0:
             raise EconError(f"price step must be positive, got {self.price_step!r}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise EconError(f"tolerance must be positive, got {self.tol!r}")
         if self.max_iter < 1:
             raise EconError("negotiation needs at least one iteration")
@@ -169,14 +169,15 @@ def link_capacities(
     link's own endpoints excluded).  Each link must sit in exactly one slot;
     it is evaluated once, however many routes use it.
     """
+    cells = grid.cells
     caps = {}
     for links in slots.values():
         transmitters = {tx for tx, _ in links}
         for tx, rx in links:
             ctx = LinkContext(
-                tx=grid.cell(tx),
-                rx=grid.cell(rx),
-                interferers=tuple(grid.cell(a) for a in sorted(transmitters - {tx, rx})),
+                tx=cells[tx],
+                rx=cells[rx],
+                interferers=tuple(cells[a] for a in sorted(transmitters - {tx, rx})),
             )
             caps[(tx, rx)] = link_capacity(link_sinr(ctx, radio, grid))
     return caps
@@ -469,7 +470,7 @@ def _cell_routes(ctx: OffloadContext, cells: Iterable[int], to_ap: bool) -> dict
 
 def _instant(
     ctx: OffloadContext, bs_users: Iterable[str], wlan_users: Iterable[str]
-) -> tuple[Mapping[str, RouteMetrics], int]:
+) -> Mapping[str, RouteMetrics]:
     """``_instant_metrics`` of one traffic instant, computed once per context.
 
     Routes list the base-station users first, each group in name order; that
@@ -483,22 +484,20 @@ def _instant(
         for users, to_ap in groups:
             by_cell = _cell_routes(ctx, (ctx.placements[u] for u in users), to_ap)
             routes.update((u, by_cell[ctx.placements[u]]) for u in users)
-        metrics, wlan_cycle = _instant_metrics(ctx, routes)
-        ctx._instants[key] = (MappingProxyType(metrics), wlan_cycle)
+        ctx._instants[key] = MappingProxyType(_instant_metrics(ctx, routes))
     return ctx._instants[key]
 
 
 def _instant_metrics(
     ctx: OffloadContext, routes: Mapping[str, Route]
-) -> tuple[dict[str, RouteMetrics], int]:
+) -> dict[str, RouteMetrics]:
     """Metrics for every user of one traffic instant.
 
     Links whose endpoints both sit in the WLAN domain run on the access
     point's sequential schedule: every user's hop gets its own slot (a
     shared relay transmits once per user), so the cycle counts link
     instances and there is no co-slot interference.  All other links share
-    the macrocell's color round robin.  Returns the per-user metrics and
-    the WLAN cycle length.
+    the macrocell's color round robin.
     """
     grid, radio = ctx.grid, ctx.radio
     domain = ctx.wlan_domain
@@ -511,7 +510,7 @@ def _instant_metrics(
     slots: dict[int, list[tuple[int, int]]] = {}
     for n, link in enumerate(dict.fromkeys(instances)):
         # Each WLAN hop gets a slot of its own past the color round robin.
-        slot = NUM_COLORS + n if on_wlan(link) else grid.cluster_color(grid.cell(link[0]))
+        slot = NUM_COLORS + n if on_wlan(link) else grid.colors[link[0]]
         slots.setdefault(slot, []).append(link)
     caps = link_capacities(slots, radio, grid)
 
@@ -528,7 +527,7 @@ def _instant_metrics(
             delay=float(sum(waits)),
             cost=radio.power * len(route.links),
         )
-    return metrics, wlan_cycle
+    return metrics
 
 
 @dataclass(frozen=True)
@@ -542,7 +541,6 @@ class OffloadBreakdown:
     offload_after: float
     metrics_before: Mapping[str, RouteMetrics]
     metrics_after: Mapping[str, RouteMetrics]
-    wlan_cycle: int
 
 
 def offload_breakdown(ctx: OffloadContext, state: TrafficState) -> OffloadBreakdown:
@@ -560,9 +558,9 @@ def offload_breakdown(ctx: OffloadContext, state: TrafficState) -> OffloadBreakd
     def rates(users: Iterable[str], metrics: Mapping[str, RouteMetrics]) -> float:
         return sum(metrics[u].rate for u in sorted(users))
 
-    before, _ = _instant(ctx, state.bs_users, state.wlan_users)
+    before = _instant(ctx, state.bs_users, state.wlan_users)
     bs_next, wlan_next = apply_traffic_step(state)
-    after, wlan_cycle = _instant(ctx, bs_next, wlan_next)
+    after = _instant(ctx, bs_next, wlan_next)
 
     return OffloadBreakdown(
         bs_before=rates(state.bs_users, before),
@@ -572,7 +570,6 @@ def offload_breakdown(ctx: OffloadContext, state: TrafficState) -> OffloadBreakd
         offload_after=rates(state.offload, after),
         metrics_before=before,
         metrics_after=after,
-        wlan_cycle=wlan_cycle,
     )
 
 

@@ -47,7 +47,7 @@ class GridParams:
     def __post_init__(self):
         if not isinstance(self.H, int) or self.H < 1:
             raise GridError(f"ring count H must be an integer >= 1, got {self.H!r}")
-        if self.R <= 0:
+        if not self.R > 0:
             raise GridError(f"macrocell radius R must be positive, got {self.R!r}")
         if self.K != NUM_COLORS:
             raise GridError(f"only the {NUM_COLORS}-cell rhombic clustering is supported, got K={self.K!r}")
@@ -116,7 +116,16 @@ class SubcellGrid:
             for theta, q, r in members:
                 cells.append(SubcellId(h=h, theta=theta, i=len(cells), q=q, r=r))
         self.cells: tuple[SubcellId, ...] = tuple(cells)
-        self._by_axial = {(c.q, c.r): c for c in self.cells}
+        # Integer tables: axial (q, r) -> linear index, each cell's neighbour
+        # indices in DIRECTIONS order, and each cell's reuse color.
+        index = {(c.q, c.r): c.i for c in cells}
+        self.index: dict[tuple[int, int], int] = index
+        self.adjacent: tuple[tuple[int, ...], ...] = tuple(
+            tuple(n for n in [index.get((c.q + dq, c.r + dr)) for dq, dr in DIRECTIONS] if n is not None)
+            for c in cells
+        )
+        self.colors: tuple[int, ...] = tuple((c.q + 5 * c.r) % NUM_COLORS for c in cells)
+        self._rank_tables: dict[frozenset[int], tuple[tuple[int, ...], ...]] = {}
         self._rings: tuple[tuple[SubcellId, ...], ...] = tuple(
             tuple(self.cells[a] for a in range(*_ring_slice(h))) if h else (self.cells[0],)
             for h in range(H + 1)
@@ -178,36 +187,41 @@ class SubcellGrid:
 
     def neighbors(self, cell: SubcellId) -> list[SubcellId]:
         """Existing lattice neighbours (at most six; fewer on the outer ring)."""
-        out = []
-        for dq, dr in DIRECTIONS:
-            n = self._by_axial.get((cell.q + dq, cell.r + dr))
-            if n is not None:
-                out.append(n)
-        return out
+        return [self.cells[n] for n in self.adjacent[cell.i]]
+
+    def rank_table(self, dest: "Destinations") -> tuple[tuple[int, ...], ...]:
+        """Each cell's neighbour indices sorted by (squared distance to the nearest destination, index).
+
+        Built once per grid and set of absorbing cells.
+        """
+        key = dest.indices()
+        table = self._rank_tables.get(key)
+        if table is None:
+            targets = dest.absorbing_cells()
+            near = [min(self.squared_step_distance(c, t) for t in targets) for c in self.cells]
+            table = tuple(tuple(sorted(ns, key=lambda n: (near[n], n))) for ns in self.adjacent)
+            self._rank_tables[key] = table
+        return table
 
     def neighbors_ranked(self, cell: SubcellId, dest: "Destinations") -> list[SubcellId]:
         """Neighbours sorted by center distance to the nearest destination.
 
         Ties resolve to the lower linear index so rankings are reproducible.
         """
-        targets = dest.absorbing_cells()
-        return sorted(
-            self.neighbors(cell),
-            key=lambda n: (min(self.squared_step_distance(n, t) for t in targets), n.i),
-        )
+        return [self.cells[n] for n in self.rank_table(dest)[cell.i]]
 
     # -- clustering ---------------------------------------------------------
 
     def cluster_color(self, cell: SubcellId) -> int:
         """Reuse color 0..6; the center has color 0 and no two neighbours share one."""
-        return (cell.q + 5 * cell.r) % NUM_COLORS
+        return self.colors[cell.i]
 
     def color_populations(self, exclude: frozenset[int] = frozenset()) -> list[int]:
         """Ring-subcell count per color, skipping the center and excluded indices."""
         pops = [0] * NUM_COLORS
-        for c in self.cells[1:]:
-            if c.i not in exclude:
-                pops[self.cluster_color(c)] += 1
+        for i in range(1, len(self.cells)):
+            if i not in exclude:
+                pops[self.colors[i]] += 1
         return pops
 
 

@@ -32,11 +32,11 @@ class RadioParams:
     sensitivity: float = 1e-6
 
     def __post_init__(self):
-        if self.power <= 0:
+        if not self.power > 0:
             raise RadioError(f"transmit power must be positive, got {self.power!r}")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise RadioError(f"path-loss exponent must be positive, got {self.alpha!r}")
-        if self.noise < 0:
+        if not self.noise >= 0:
             raise RadioError(f"noise power cannot be negative, got {self.noise!r}")
 
 
@@ -55,17 +55,17 @@ def link_sinr(ctx: LinkContext, radio: RadioParams, grid: SubcellGrid) -> float:
     Interference is summed over the co-slot transmitters in ``ctx``; each
     must occupy a subcell distinct from the receiver.
     """
-    if grid.squared_step_distance(ctx.tx, ctx.rx) != 1:
-        raise RadioError(
-            f"link {ctx.tx.i}->{ctx.rx.i} does not span adjacent subcells"
-        )
+    rx = ctx.rx
+    if grid.squared_step_distance(ctx.tx, rx) != 1:
+        raise RadioError(f"link {ctx.tx.i}->{rx.i} does not span adjacent subcells")
     d_r = grid.params.relay_distance
+    power, alpha = radio.power, radio.alpha
     interference = 0.0
     for cell in ctx.interferers:
-        if cell.i == ctx.rx.i:
-            raise RadioError(f"interferer co-located with receiver {ctx.rx.i}")
-        z = grid.interference_distance(cell, ctx.rx)
-        interference += radio.power / z**radio.alpha
+        if cell.i == rx.i:
+            raise RadioError(f"interferer co-located with receiver {rx.i}")
+        dq, dr = cell.q - rx.q, cell.r - rx.r
+        interference += power / math.sqrt(dq * dq + dr * dr + dq * dr) ** alpha
     noise = radio.noise * d_r**radio.alpha
     return radio.power / (interference + noise)
 
@@ -83,8 +83,8 @@ def min_power(params: GridParams, sensitivity: float, alpha: float) -> float:
     With received power P/d_r**alpha and a receiver sensitivity floor, the
     minimum is sensitivity * d_r**alpha.
     """
-    if sensitivity <= 0:
+    if not sensitivity > 0:
         raise RadioError(f"sensitivity must be positive, got {sensitivity!r}")
-    if alpha <= 0:
+    if not alpha > 0:
         raise RadioError(f"path-loss exponent must be positive, got {alpha!r}")
     return sensitivity * params.relay_distance**alpha

@@ -22,6 +22,8 @@ spreads routes by penalizing already-loaded relays.
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Hashable
 
@@ -70,8 +72,8 @@ class ProtocolConfig:
             raise RoutingError(f"availability p must lie in [0, 1], got {self.p!r}")
         if self.relay_color is not None and not 0 <= self.relay_color < 7:
             raise RoutingError(f"relay color must lie in 0..6, got {self.relay_color!r}")
-        if self.interference_threshold < 0:
-            raise RoutingError("interference threshold cannot be negative")
+        if not self.interference_threshold >= 0:
+            raise RoutingError(f"interference threshold must be >= 0, got {self.interference_threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -120,9 +122,9 @@ def mdr_transition_row(
     """Outgoing MDR transitions of one subcell: ranked neighbours plus no-route."""
     if cell.i in dest.indices():
         raise RoutingError(f"subcell {cell.i} is a destination, not a relay source")
-    ranked = grid.neighbors_ranked(cell, dest)
+    ranked = grid.rank_table(dest)[cell.i]
     probs, residual = rank_probabilities(p, len(ranked))
-    row: list[tuple[Hashable, float]] = [(n.i, pr) for n, pr in zip(ranked, probs)]
+    row: list[tuple[Hashable, float]] = list(zip(ranked, probs))
     row.append((NO_ROUTE, residual))
     return row
 
@@ -165,16 +167,16 @@ def lir_transition_rows(
     returns to the coordinated copy with weight 1 - q0.  Destination
     neighbours absorb regardless of mode.
     """
-    if cell.i in dest.indices():
-        raise RoutingError(f"subcell {cell.i} is a destination, not a relay source")
-    ranked = grid.neighbors_ranked(cell, dest)
     dest_idx = dest.indices()
+    if cell.i in dest_idx:
+        raise RoutingError(f"subcell {cell.i} is a destination, not a relay source")
+    ranked = grid.rank_table(dest)[cell.i]
     q = coordination_probability(p, n_color)
     coord_probs, coord_residual = rank_probabilities(q, len(ranked))
     fall_probs, fall_residual = rank_probabilities(p, len(ranked))
 
-    def target(neighbor: SubcellId, mode: str) -> Hashable:
-        return neighbor.i if neighbor.i in dest_idx else (neighbor.i, mode)
+    def target(neighbor: int, mode: str) -> Hashable:
+        return neighbor if neighbor in dest_idx else (neighbor, mode)
 
     coord_row: list[tuple[Hashable, float]] = []
     fall_row: list[tuple[Hashable, float]] = []
@@ -290,33 +292,28 @@ def _walk(grid, dest, overlay, source, choose):
     A destination among them ends the route there (the lowest index wins);
     no candidate, or ``choose(current, candidates)`` returning None, strands
     the route.  Otherwise ``choose`` returns the next cell and the hop mode.
-    Every hop visits a new cell, so the walk always ends.
+    Cells are linear indices.  Every hop visits a new cell, so the walk
+    always ends.
     """
     dest_idx = dest.indices()
+    adjacent, unavailable = grid.adjacent, overlay.unavailable
     cells = [source]
     modes = []
     visited = {source}
-    current = grid.cell(source)
+    current = source
     while True:
-        candidates = [
-            n for n in grid.neighbors(current) if n.i not in overlay.unavailable and n.i not in visited
-        ]
-        hits = [n for n in candidates if n.i in dest_idx]
+        candidates = [n for n in adjacent[current] if n not in unavailable and n not in visited]
+        hits = [n for n in candidates if n in dest_idx]
         if hits:
-            reached = min(n.i for n in hits)
+            reached = min(hits)
             return Route(source, (*cells, reached), reached, (*modes, FALLBACK))
         hop = choose(current, candidates) if candidates else None
         if hop is None:
             return Route(source, tuple(cells), None, tuple(modes))
         current, mode = hop
-        cells.append(current.i)
+        cells.append(current)
         modes.append(mode)
-        visited.add(current.i)
-
-
-def _ranked(grid, dest, current, candidates):
-    """The candidates in minimum-distance order."""
-    return [n for n in grid.neighbors_ranked(current, dest) if n in candidates]
+        visited.add(current)
 
 
 def _lar_route(grid, dest, overlay):
@@ -326,11 +323,12 @@ def _lar_route(grid, dest, overlay):
     divert around relays already carrying traffic.  A single source sees
     zero loads and reproduces the plain minimum-distance route.
     """
+    ranks = grid.rank_table(dest)
     load: dict[int, int] = {}
 
     def least_loaded(current, candidates):
-        ranked = enumerate(_ranked(grid, dest, current, candidates), 1)
-        _, nxt = min(ranked, key=lambda rn: ((1 + load.get(rn[1].i, 0)) * rn[0], rn[1].i))
+        ranked = enumerate((n for n in ranks[current] if n in candidates), 1)
+        _, nxt = min(ranked, key=lambda rn: ((1 + load.get(rn[1], 0)) * rn[0], rn[1]))
         return nxt, FALLBACK
 
     routes = []
@@ -351,14 +349,15 @@ def _color_routes(grid, dest, overlay, k0, allow_fallback):
     unavailable and fallback is on) the hop follows the minimum-distance
     rule.  Without fallback such a hop strands the route.
     """
+    ranks, colors = grid.rank_table(dest), grid.colors
 
     def color_hop(current, candidates):
-        at_k0 = grid.cluster_color(current) == k0
-        typed = [n for n in candidates if grid.cluster_color(n) == k0]
+        at_k0 = colors[current] == k0
+        typed = [n for n in candidates if colors[n] == k0]
         if not at_k0 and typed:
             return typed[0], COORD
         if at_k0 or allow_fallback:
-            return _ranked(grid, dest, current, candidates)[0], FALLBACK
+            return next(n for n in ranks[current] if n in candidates), FALLBACK
         return None
 
     return [_walk(grid, dest, overlay, s, color_hop) for s in overlay.sources]
@@ -393,9 +392,10 @@ def extract_routes(
     """
     _check_overlay(grid, dest, overlay)
     if config.kind in (MDR, MMDR):
+        ranks = grid.rank_table(dest)
 
         def nearest(current, candidates):
-            return _ranked(grid, dest, current, candidates)[0], FALLBACK
+            return next(n for n in ranks[current] if n in candidates), FALLBACK
 
         return RouteSet([_walk(grid, dest, overlay, s, nearest) for s in overlay.sources], config.kind)
     if config.kind == LAR:
@@ -424,14 +424,21 @@ def extract_routes(
 # slot scheduling
 
 
-def _conflicts(grid, a, b, threshold):
-    """Two links may not share a slot when they touch or sit too close."""
-    (t1, r1), (t2, r2) = a, b
-    if len({t1, r1, t2, r2}) < 4:
-        return True
-    z1 = grid.interference_distance(grid.cell(t1), grid.cell(r2))
-    z2 = grid.interference_distance(grid.cell(t2), grid.cell(r1))
-    return z1 <= threshold or z2 <= threshold
+def _conflict_offsets(grid, threshold):
+    """Axial offsets (dq, dr) != (0, 0) whose center distance is within ``threshold``.
+
+    The distance of an offset h hops long is at least h*sqrt(3)/2, so no
+    offset beyond 2*threshold hops qualifies, and none beyond the grid
+    diameter 2H separates two cells of the grid.
+    """
+    H = grid.params.H
+    reach = 2 * H if threshold >= H else int(2 * threshold)
+    return [
+        (dq, dr)
+        for dq in range(-reach, reach + 1)
+        for dr in range(max(-reach, -dq - reach), min(reach, -dq + reach) + 1)
+        if (dq, dr) != (0, 0) and math.sqrt(dq * dq + dr * dr + dq * dr) <= threshold
+    ]
 
 
 def schedule(route_set: RouteSet, config: ProtocolConfig, grid: SubcellGrid) -> RouteSet:
@@ -461,19 +468,29 @@ def schedule(route_set: RouteSet, config: ProtocolConfig, grid: SubcellGrid) -> 
 
     if config.kind in (MDR, LAR):
         for link in links:
-            put(grid.cluster_color(grid.cell(link[0])), link)
+            put(grid.colors[link[0]], link)
         cycle = NUM_COLORS
     elif config.kind == MMDR:
-        assigned: dict[tuple[int, int], int] = {}
-        for link in links:
-            used = {
-                assigned[other]
-                for other in assigned
-                if _conflicts(grid, link, other, config.interference_threshold)
-            }
+        # First fit over the slots each cell already sends and hears in.  A
+        # link conflicts with every assigned link that touches its endpoints,
+        # whose receiver lies near its transmitter, or whose transmitter lies
+        # near its receiver.
+        offsets = _conflict_offsets(grid, config.interference_threshold)
+        sent: defaultdict[int, set[int]] = defaultdict(set)
+        heard: defaultdict[int, set[int]] = defaultdict(set)
+
+        def near(i):
+            c = grid.cells[i]
+            return [grid.index[a] for a in ((c.q + dq, c.r + dr) for dq, dr in offsets) if a in grid.index]
+
+        for tx, rx in links:
+            used = sent[tx].union(
+                heard[tx], sent[rx], heard[rx], *(heard[c] for c in near(tx)), *(sent[c] for c in near(rx))
+            )
             slot = next(s for s in range(len(links) + 1) if s not in used)
-            assigned[link] = slot
-            put(slot, link)
+            sent[tx].add(slot)
+            heard[rx].add(slot)
+            put(slot, (tx, rx))
         cycle = max(slots) + 1 if slots else 0
     elif config.kind in (LIR, MLIR):
         fallback_links = [l for l in links if l not in coord_links]
@@ -494,7 +511,7 @@ def schedule(route_set: RouteSet, config: ProtocolConfig, grid: SubcellGrid) -> 
                 put(s, link)
         offset = len(groups)
         for link in fallback_links:
-            put(offset + grid.cluster_color(grid.cell(link[0])), link)
+            put(offset + grid.colors[link[0]], link)
         cycle = offset + (NUM_COLORS if fallback_links else 0)
     else:
         raise RoutingError(f"no schedule rule for protocol {config.kind!r}")

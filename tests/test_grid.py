@@ -155,6 +155,28 @@ def test_neighbors_ranked_is_deterministic():
     assert ranked == grid.neighbors_ranked(cell, dest)
 
 
+@st.composite
+def destination_case(draw):
+    """A random H in 1..8 with a random destination set of up to three access points."""
+    grid = SubcellGrid(GridParams(H=draw(st.integers(1, 8))))
+    aps = draw(st.lists(st.integers(1, len(grid.cells) - 1), max_size=3, unique=True))
+    bs = grid.cell(0) if not aps or draw(st.booleans()) else None
+    return grid, Destinations(bs=bs, aps=tuple(grid.cell(a) for a in aps))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(destination_case())
+def test_neighbors_ranked_matches_sort_by_minimum_distance(case):
+    grid, dest = case
+    targets = dest.absorbing_cells()
+    for cell in grid.cells:
+        expected = sorted(
+            grid.neighbors(cell),
+            key=lambda n: (min(grid.squared_step_distance(n, t) for t in targets), n.i),
+        )
+        assert grid.neighbors_ranked(cell, dest) == expected
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.integers(1, 30))
 @example(30)

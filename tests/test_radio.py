@@ -1,5 +1,7 @@
 """Link physics: SINR with explicit interferer sets, capacity, power floor."""
 
+import math
+
 import pytest
 
 from m3sim.grid import GridParams, SubcellGrid
@@ -59,6 +61,9 @@ def test_min_power_exact():
         {"power": -1.0},
         {"alpha": 0.0},
         {"noise": -1e-9},
+        {"power": math.nan},
+        {"alpha": math.nan},
+        {"noise": math.nan},
     ],
 )
 def test_params_validation(kwargs):

@@ -1,5 +1,6 @@
 """Route discovery: transition laws, chain builders, extraction, scheduling."""
 
+import math
 from collections import Counter
 
 import pytest
@@ -26,7 +27,6 @@ from m3sim.routing import (
     coordination_probability,
     extract_routes,
     rank_probabilities,
-    _conflicts,
     schedule,
     start_state,
 )
@@ -203,6 +203,10 @@ def test_protocol_config_validation():
         ProtocolConfig(p=1.5)
     with pytest.raises(RoutingError):
         ProtocolConfig(relay_color=7)
+    # NaN would pass a plain < 0 guard and silently turn off distance conflicts
+    for threshold in (-0.5, math.nan):
+        with pytest.raises(RoutingError, match="threshold"):
+            ProtocolConfig(interference_threshold=threshold)
 
 
 def test_round_robin_schedule_keys_slots_by_transmitter_color():
@@ -258,7 +262,7 @@ def test_single_route_needs_one_coordinated_slot():
 
 # -- schedule properties over generated overlays ------------------------------
 
-GRIDS = {h: SubcellGrid(GridParams(H=h)) for h in range(2, 7)}
+GRIDS = {h: SubcellGrid(GridParams(H=h)) for h in range(1, 9)}
 
 
 @st.composite
@@ -285,6 +289,52 @@ def test_every_route_link_sits_in_exactly_one_slot(case):
     placed = Counter(link for links in rs.slots.values() for link in links)
     assert set(placed) == {link for route in rs.routes for link in route.links}
     assert set(placed.values()) <= {1}
+
+
+def _conflicts(grid, a, b, threshold):
+    """Two links may not share a slot when they touch or sit too close."""
+    (t1, r1), (t2, r2) = a, b
+    if len({t1, r1, t2, r2}) < 4:
+        return True
+    z1 = grid.interference_distance(grid.cell(t1), grid.cell(r2))
+    z2 = grid.interference_distance(grid.cell(t2), grid.cell(r1))
+    return z1 <= threshold or z2 <= threshold
+
+
+def _ref_mmdr_first_fit(grid, routes, threshold):
+    """mMDR slots by testing each link against every link already assigned."""
+    links = list(dict.fromkeys(link for route in routes for link in route.links))
+    assigned, slots = {}, {}
+    for link in links:
+        used = {assigned[other] for other in assigned if _conflicts(grid, link, other, threshold)}
+        slot = next(s for s in range(len(links) + 1) if s not in used)
+        assigned[link] = slot
+        slots.setdefault(slot, []).append(link)
+    return slots, max(slots) + 1 if slots else 0
+
+
+THRESHOLDS = (0.0, 1.0, 1.5, math.sqrt(3.0), 2.0, 2.5, 7.3, 1e6, math.inf)
+
+
+@st.composite
+def mmdr_case(draw):
+    """Random H in 1..8, sources, unavailable relays and interference threshold."""
+    grid = GRIDS[draw(st.integers(1, 8))]
+    cells = range(1, len(grid.cells))
+    sources = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=16, unique=True))
+    free = sorted(set(cells) - set(sources))
+    unavailable = frozenset(draw(st.lists(st.sampled_from(free), max_size=len(free) // 3))) if free else frozenset()
+    config = ProtocolConfig(kind=MMDR, interference_threshold=draw(st.sampled_from(THRESHOLDS)))
+    return grid, ScenarioOverlay(sources=tuple(sources), unavailable=unavailable), config
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mmdr_case())
+def test_mmdr_schedule_matches_pairwise_first_fit(case):
+    grid, overlay, config = case
+    rs = schedule(extract_routes(grid, make_destinations(grid), overlay, config), config, grid)
+    expected = _ref_mmdr_first_fit(grid, rs.routes, config.interference_threshold)
+    assert (rs.slots, rs.cycle_length) == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -413,14 +463,13 @@ def _ref_extract_routes(grid, dest, overlay, config):
     return routes, k0
 
 
-WALK_GRIDS = {h: SubcellGrid(GridParams(H=h)) for h in range(1, 9)}
 COLORS = st.one_of(st.none(), st.integers(0, 6))
 
 
 @st.composite
 def extraction_case(draw):
     """Random H in 1..8, destinations, sources, unavailable relays and protocol."""
-    grid = WALK_GRIDS[draw(st.integers(1, 8))]
+    grid = GRIDS[draw(st.integers(1, 8))]
     cells = range(1, len(grid.cells))
     aps = draw(st.lists(st.sampled_from(cells), max_size=2, unique=True))
     bs = grid.cell(0) if not aps or draw(st.booleans()) else None

@@ -14,7 +14,7 @@ import yaml
 
 import m3sim
 from m3sim.cli import build_parser, bundled_scenario, main
-from m3sim.economics import EconParams, OffloadContext, negotiate
+from m3sim.economics import OffloadContext, negotiate
 from m3sim.scenario import (
     _SCHEMA,
     ResultTable,
@@ -280,6 +280,15 @@ MALFORMED = [
     ("experiment: {h_values: [2, 3.5]}", "experiment.h_values[1]"),
     ("protocol: {k0: 2.5}", "protocol.k0"),
     ("econ: {max_iter: 10.5}", "econ.max_iter"),
+    # NaN passes a plain < 0 guard; the constructors reject it by name
+    ("protocol: {interference_threshold: .nan}", "protocol: interference threshold"),
+    ("radio: {P: .nan}", "radio: transmit power"),
+    ("radio: {alpha: .nan}", "radio: path-loss exponent"),
+    ("radio: {noise: .nan}", "radio: noise power"),
+    ("radio: {P: min, sensitivity: .nan}", "radio: sensitivity must be positive, got nan"),
+    ("grid: {R: .nan}", "grid: macrocell radius"),
+    ("econ: {step: .nan}", "econ: price step"),
+    ("econ: {tol: .nan}", "econ: tolerance"),
     ("overlay: {scenarios: [{unavailable_types: [2.5]}]}", "overlay.scenarios[0].unavailable_types[0]"),
     ("grid: {H: .inf}", "grid.H"),
     # bool keys take true or false only; bool() reads any non-empty string as true
