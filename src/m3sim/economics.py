@@ -39,7 +39,7 @@ class EconError(ValueError):
     pass
 
 
-class NegotiationError(RuntimeError):
+class NegotiationError(EconError):
     """Raised when the price walk exhausts its iteration budget."""
 
     def __init__(self, message: str, trace: Sequence[tuple[float, float, float]]):
@@ -573,19 +573,6 @@ def offload_breakdown(ctx: OffloadContext, state: TrafficState) -> OffloadBreakd
     )
 
 
-def _mno_offset_from(b: OffloadBreakdown, chi: float, econ: EconParams) -> float:
-    return (
-        econ.mno_revenue * (b.bs_after - b.bs_before)
-        + (econ.mno_revenue - chi) * b.offload_after
-    )
-
-
-def _sso_offset_from(b: OffloadBreakdown, chi: float, econ: EconParams) -> float:
-    return (
-        econ.sso_revenue * (b.wlan_after - b.wlan_before) + chi * b.offload_after
-    )
-
-
 # --------------------------------------------------------------------------
 # negotiation
 
@@ -594,8 +581,8 @@ def _sso_offset_from(b: OffloadBreakdown, chi: float, econ: EconParams) -> float
 class NegotiationResult:
     """Outcome of the price walk.
 
-    ``price`` is the best in-bounds offer; ``crossing`` estimates where the
-    offsets actually meet (it may fall outside the bounds, in which case the
+    ``price`` is the best in-bounds offer; ``crossing`` is where the offsets
+    of the final set meet (it may fall outside the bounds, in which case the
     verdict is "no-offload" whenever it exceeds the MNO revenue).
     """
 
@@ -603,20 +590,9 @@ class NegotiationResult:
     crossing: float | None
     verdict: str
     offload: frozenset[str]
-    delta_mno: float
-    delta_sso: float
     iterations: int
     converged: bool
     trace: tuple[tuple[float, float, float], ...]
-
-
-def _secant_crossing(
-    a: tuple[float, float], b: tuple[float, float]
-) -> float | None:
-    (chi_a, gap_a), (chi_b, gap_b) = a, b
-    if chi_a == chi_b or gap_a == gap_b:
-        return None
-    return chi_a - gap_a * (chi_b - chi_a) / (gap_b - gap_a)
 
 
 def negotiate_price(
@@ -635,8 +611,9 @@ def negotiate_price(
     shrinks the offload set by the user with the largest/smallest marginal
     MNO offset.
     The walk ends at equilibrium (within tolerance), when it starts cycling
-    (the best probed point wins), or pinned at a bound, where the crossing
-    is extrapolated from the last two probes.
+    (the best probed point wins), or pinned at a bound.  For a fixed set both
+    offsets must be affine in the price: the crossing of a pinned walk, or of
+    a cycle whose last two probes straddle it, is then exact.
     """
     lo, hi = econ.bounds
     step = econ.price_step
@@ -649,11 +626,17 @@ def negotiate_price(
     def chi_at(k: int) -> float:
         return min(max(chi0 + k * step, lo), hi)
 
+    def crossing_of(s: frozenset[str]) -> float | None:
+        # gap(chi) = g0 + (g1 - g0) * chi for a fixed set
+        g0 = delta_mno(0.0, s) - delta_sso(0.0, s)
+        g1 = delta_mno(1.0, s) - delta_sso(1.0, s)
+        return None if g0 == g1 else g0 / (g0 - g1)
+
     k = 0
     visited: set[tuple[float, frozenset[str]]] = set()
     trace: list[tuple[float, float, float]] = []
-    best: tuple[float, float, frozenset[str], float, float] | None = None
-    prev: tuple[float, float, frozenset[str]] | None = None
+    best: tuple[float, float, frozenset[str]] | None = None
+    prev: tuple[float, frozenset[str]] | None = None
 
     for _ in range(econ.max_iter):
         chi = chi_at(k)
@@ -662,74 +645,43 @@ def negotiate_price(
         gap = d_mno - d_sso
         trace.append((chi, d_mno, d_sso))
         if best is None or abs(gap) < abs(best[1]):
-            best = (chi, gap, current, d_mno, d_sso)
+            best = (chi, gap, current)
 
+        converged = True
         if abs(gap) <= econ.tol:
-            return NegotiationResult(
-                price=chi,
-                crossing=chi,
-                verdict="offload",
-                offload=current,
-                delta_mno=d_mno,
-                delta_sso=d_sso,
-                iterations=len(trace) - 1,
-                converged=True,
-                trace=tuple(trace),
-            )
+            price, crossing = chi, chi
+        elif (chi, current) in visited:
+            # The walk is cycling, so it has stepped before; settle on the best
+            # point probed so far.
+            price, _, offered = best
+            crossing = price
+            if prev[1] == current and (prev[0] > 0) != (gap > 0):
+                crossing = crossing_of(current)
+            current = offered
+        else:
+            visited.add((chi, current))
+            k_next = k - 1 if d_sso > d_mno else k + 1
+            next_set = current
+            if candidates:
+                next_set = _adjust_offload(delta_mno, chi, current, pool, d_mno, d_sso)
+            if chi_at(k_next) != chi or next_set != current:
+                prev = (gap, current)
+                k = k_next
+                current = next_set
+                continue
+            # Pinned at a bound; the crossing may lie outside it.
+            price, crossing, converged = chi, crossing_of(current), False
 
-        key = (chi, current)
-        if key in visited:
-            # The walk is cycling; settle on the best point probed so far.
-            crossing = None
-            if prev is not None and prev[2] == current and (prev[1] > 0) != (gap > 0):
-                crossing = _secant_crossing((prev[0], prev[1]), (chi, gap))
-            b_chi, b_gap, b_set, b_mno, b_sso = best
-            return NegotiationResult(
-                price=b_chi,
-                crossing=crossing if crossing is not None else b_chi,
-                verdict="offload",
-                offload=b_set,
-                delta_mno=b_mno,
-                delta_sso=b_sso,
-                iterations=len(trace) - 1,
-                converged=True,
-                trace=tuple(trace),
-            )
-        visited.add(key)
-
-        k_next = k - 1 if d_sso > d_mno else k + 1
-        next_set = current
-        if candidates:
-            next_set = _adjust_offload(delta_mno, chi, current, pool, d_mno, d_sso)
-
-        if chi_at(k_next) == chi and next_set == current:
-            # Pinned at a bound: estimate the out-of-bounds crossing.
-            probe = chi - step if chi >= hi else chi + step
-            probe = min(max(probe, lo), hi)
-            crossing = None
-            if probe != chi:
-                gap_probe = delta_mno(probe, current) - delta_sso(probe, current)
-                crossing = _secant_crossing((chi, gap), (probe, gap_probe))
-            verdict = (
-                "no-offload"
-                if crossing is None or crossing > econ.mno_revenue
-                else "offload"
-            )
-            return NegotiationResult(
-                price=chi,
-                crossing=crossing,
-                verdict=verdict,
-                offload=current,
-                delta_mno=d_mno,
-                delta_sso=d_sso,
-                iterations=len(trace) - 1,
-                converged=False,
-                trace=tuple(trace),
-            )
-
-        prev = (chi, gap, current)
-        k = k_next
-        current = next_set
+        no_offload = not converged and (crossing is None or crossing > econ.mno_revenue)
+        return NegotiationResult(
+            price=price,
+            crossing=crossing,
+            verdict="no-offload" if no_offload else "offload",
+            offload=current,
+            iterations=len(trace) - 1,
+            converged=converged,
+            trace=tuple(trace),
+        )
 
     raise NegotiationError(
         f"no equilibrium after {econ.max_iter} iterations", trace
@@ -780,10 +732,15 @@ def negotiate(
         return cache[off]
 
     def d_mno(chi: float, off: frozenset[str]) -> float:
-        return _mno_offset_from(breakdown(off), chi, econ)
+        b = breakdown(off)
+        return (
+            econ.mno_revenue * (b.bs_after - b.bs_before)
+            + (econ.mno_revenue - chi) * b.offload_after
+        )
 
     def d_sso(chi: float, off: frozenset[str]) -> float:
-        return _sso_offset_from(breakdown(off), chi, econ)
+        b = breakdown(off)
+        return econ.sso_revenue * (b.wlan_after - b.wlan_before) + chi * b.offload_after
 
     candidates: tuple[str, ...] = ()
     if mode == "price-and-set":

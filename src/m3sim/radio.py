@@ -38,6 +38,8 @@ class RadioParams:
             raise RadioError(f"path-loss exponent must be positive, got {self.alpha!r}")
         if not self.noise >= 0:
             raise RadioError(f"noise power cannot be negative, got {self.noise!r}")
+        if not self.sensitivity > 0:
+            raise RadioError(f"sensitivity must be positive, got {self.sensitivity!r}")
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,14 @@ def _number(where: str, value: Any, cast=float):
         raise ScenarioError(f"{where} must be {kind}, got {value!r}") from None
 
 
+def _real(value: Any) -> float:
+    """``float`` for the keys no constructor checks: NaN is not a number here."""
+    number = float(value)
+    if math.isnan(number):
+        raise ValueError
+    return number
+
+
 def _numbers(where: str, value: Any, cast=float) -> tuple:
     return tuple(_number(f"{where}[{i}]", v, cast) for i, v in enumerate(_list(where, value)))
 
@@ -287,7 +295,7 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     # -- radio
     r = section("radio")
     radio_fields = _fields("radio", r)
-    p_range = _numbers("radio.P_range", r.get("P_range"))
+    p_range = _numbers("radio.P_range", r.get("P_range"), _real)
     power = r.get("P")
     if power is None and p_range:
         power = p_range[0]
@@ -465,17 +473,17 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     mode = str(e.get("mode", "price"))
     if mode not in ("price", "price-and-set"):
         raise ScenarioError(f"econ.mode: expected 'price' or 'price-and-set', got {mode!r}")
-    chi0 = None if e.get("chi0") is None else _number("econ.chi0", e["chi0"])
+    chi0 = None if e.get("chi0") is None else _number("econ.chi0", e["chi0"], _real)
 
     # -- experiment (an empty or omitted sweep keeps the default axis)
     x = section("experiment")
     experiment_fields = _fields("experiment", x)
     sweeps = {
         "h_values": _numbers("experiment.h_values", x.get("h_values"), int),
-        "powers": _numbers("experiment.powers", x.get("powers")) or p_range,
-        "availabilities": _numbers("experiment.availabilities", x.get("availabilities")),
+        "powers": _numbers("experiment.powers", x.get("powers"), _real) or p_range,
+        "availabilities": _numbers("experiment.availabilities", x.get("availabilities"), _real),
         "sites": tuple(
-            _numbers(f"experiment.sites[{i}]", site)
+            _numbers(f"experiment.sites[{i}]", site, _real)
             for i, site in enumerate(_list("experiment.sites", x.get("sites")))
         ),
     }

@@ -384,22 +384,19 @@ def test_offload_breakdown_requires_placements(offload_ctx):
 def test_evaluate_offload_ledger(offload_ctx, offload_state):
     econ = EconParams(price_step=0.002, price_bounds=(0.05, 2.0))
     b = offload_breakdown(offload_ctx, offload_state)
-
-    def offsets(chi):
+    trace = negotiate(offload_ctx, offload_state, econ).trace
+    assert len(trace) > 1
+    for chi, d_mno, d_sso in trace:
         # Utility ledger of both operators before and after the step at price chi.
         mno_before = econ.mno_revenue * b.bs_before
         mno_after = econ.mno_revenue * b.bs_after + (econ.mno_revenue - chi) * b.offload_after
         sso_before = econ.sso_revenue * b.wlan_before
         sso_after = econ.sso_revenue * b.wlan_after + chi * b.offload_after
-        d_mno = economics._mno_offset_from(b, chi, econ)
-        d_sso = economics._sso_offset_from(b, chi, econ)
         assert d_mno == pytest.approx(mno_after - mno_before)
         assert d_sso == pytest.approx(sso_after - sso_before)
-        return d_mno, d_sso
 
-    offsets(1.0)
-    cheap_mno, cheap_sso = offsets(0.5)
-    dear_mno, dear_sso = offsets(1.5)
+    (cheap, cheap_mno, cheap_sso), (dear, dear_mno, dear_sso) = min(trace), max(trace)
+    assert cheap < dear
     assert cheap_mno > dear_mno  # the buyer prefers low prices
     assert cheap_sso < dear_sso  # the seller prefers high ones
 
@@ -422,9 +419,14 @@ def test_negotiation_accepts_the_opening_offer():
     assert result.iterations == 0
     assert result.price == 0.9 and result.crossing == 0.9
     assert result.converged
+    # only a pinned walk can refuse: a balanced offer above rho still offloads
+    wide = replace(ECON, price_bounds=(0.5, 4.0))
+    result = negotiate_price(lambda chi, s: 3.0, lambda chi, s: chi, wide, chi0=3.0)
+    assert result.converged and result.crossing == 3.0 > wide.mno_revenue
+    assert result.verdict == "offload"
 
 
-def test_negotiation_settles_oscillation_by_secant():
+def test_negotiation_settles_oscillation_at_the_exact_crossing():
     # equilibrium at 1.005 sits between two grid points; the walk ping-pongs
     result = negotiate_price(lambda chi, s: 1.005, lambda chi, s: chi, ECON, chi0=1.0)
     assert result.converged and result.verdict == "offload"
@@ -447,6 +449,14 @@ def test_negotiation_pinned_below_bounds_still_offloads():
     assert result.price == 0.5
     assert result.crossing == pytest.approx(0.3)
     assert result.verdict == "offload"
+
+
+def test_negotiation_with_zero_width_bounds_finds_the_crossing():
+    # rho == rho1 and no bounds key: the walk cannot leave its opening price
+    result = negotiate_price(lambda chi, s: 3.0 - 2.0 * chi, lambda chi, s: chi, EconParams())
+    assert result.trace == ((2.0, -1.0, 2.0),)
+    assert not result.converged
+    assert (result.price, result.crossing, result.verdict) == (2.0, 1.0, "offload")
 
 
 def test_negotiation_budget_exhaustion():
@@ -492,7 +502,12 @@ def test_negotiation_terminates_at_the_closed_form_crossing(a, b, o, lo, width, 
     if o > 0.0:
         exact = (a - b) / (2.0 * o)
         assert abs(result.price - min(max(exact, lo), hi)) <= step * (1.0 + 1e-9)
-        assert abs(result.crossing - exact) <= max(econ.tol / (2.0 * o), 1e-9 * max(1.0, abs(exact)))
+        _, d_mno, d_sso = result.trace[-1]
+        if abs(d_mno - d_sso) <= econ.tol:
+            assert result.crossing == result.price
+            assert abs(result.crossing - exact) <= econ.tol / (2.0 * o)
+        else:
+            assert result.crossing == pytest.approx(exact, rel=1e-12, abs=1e-12)
     else:
         assert result.converged or result.crossing is None
 

@@ -64,6 +64,8 @@ def test_min_power_exact():
         {"power": math.nan},
         {"alpha": math.nan},
         {"noise": math.nan},
+        {"sensitivity": 0.0},
+        {"sensitivity": math.nan},
     ],
 )
 def test_params_validation(kwargs):

@@ -294,6 +294,13 @@ MALFORMED = [
     # bool keys take true or false only; bool() reads any non-empty string as true
     ('protocol: {fallback: "no"}', "protocol.fallback"),
     ('destinations: {bs: "false"}', "destinations.bs"),
+    # keys no constructor checks refuse NaN at load, not when a command runs
+    ("econ: {chi0: .nan}", "econ.chi0"),
+    ("experiment: {sites: [[.nan, 10]]}", "experiment.sites[0][0]"),
+    ("experiment: {powers: [0.1, .nan]}", "experiment.powers[1]"),
+    ("experiment: {availabilities: [.nan]}", "experiment.availabilities[0]"),
+    ("radio: {P_range: [0.1, .nan]}", "radio.P_range[1]"),
+    ("radio: {sensitivity: .nan}", "radio: sensitivity must be positive"),
 ]
 
 
@@ -637,6 +644,16 @@ def test_cli_reports_malformed_values(tmp_path, capsys):
     code = main(["routes", "--scenario", str(path), "--out", str(tmp_path)])
     assert code == 1
     assert "m3sim: error: traffic.users must be a mapping" in capsys.readouterr().err
+
+
+def test_cli_reports_an_exhausted_negotiation(tmp_path, capsys):
+    doc = yaml.safe_load(bundled_scenario("offload").read_text())
+    doc["econ"]["max_iter"] = 2
+    path = write(tmp_path, yaml.safe_dump(doc))
+    code = main(["negotiate", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "m3sim: error: negotiate on scenario 'offload': no equilibrium after 2 iterations" in err
 
 
 def test_cli_rejects_unknown_command():
