@@ -62,7 +62,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, OSError) as exc:
         print(f"m3sim: error: {exc}", file=sys.stderr)
         return 1
-    print(f"{args.command} on {scenario.name!r}: {len(table.rows)} rows -> {csv_path}")
+    summary = f"{args.command} on {scenario.name!r}: {len(table.rows)} rows -> {csv_path}"
+    try:
+        print(summary)
+    except UnicodeEncodeError:  # a non-UTF-8 locale; the outputs are written already
+        print(summary.encode("ascii", "backslashreplace").decode("ascii"))
     return 0
 
 

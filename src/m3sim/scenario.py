@@ -39,6 +39,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -49,6 +50,7 @@ from .compression import absorb, full_vector
 from .economics import (
     DEFAULT_USER_SITES,
     EconParams,
+    NegotiationError,
     OffloadContext,
     TrafficState,
     apply_traffic_step,
@@ -262,19 +264,30 @@ class ScenarioFile:
 # loading
 
 
+def _quote_mark(text: str, exc: yaml.YAMLError) -> str:
+    """' at line N' and the offending source line, which libyaml's message leaves out."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is None:
+        return ""
+    lines = text.splitlines()
+    if mark.line >= len(lines):
+        return f" at line {mark.line + 1} (end of file)"
+    return f" at line {mark.line + 1}, {lines[mark.line]!r}"
+
+
 def load_scenario(path: str | Path) -> ScenarioFile:
     """Parse and validate one scenario file; omitted keys take their defaults."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=yaml.CSafeLoader)
     except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        at = f" at line {mark.line + 1}" if mark is not None else ""
-        raise ScenarioError(f"{path}: parse error{at}: {exc}") from exc
+        raise ScenarioError(f"{path}: parse error{_quote_mark(text, exc)}: {exc}") from exc
     raw = _check_keys(str(path), raw, ("name", *_SCHEMA))
     notes: list[str] = []
 
@@ -529,10 +542,34 @@ class ResultTable:
                     f"row width {len(row)} does not match {len(self.columns)} columns"
                 )
 
+    @cached_property
+    def cells(self) -> list[tuple[str, ...]]:
+        """Every row as text, formatted on first use and read by both emitters.
+
+        The text is kept, so ``rows`` must not change once the table is emitted.
+        """
+        if not self.rows:
+            raise ScenarioError("refusing to emit an empty table")
+        return list(zip(*map(_column_text, zip(*self.rows))))
+
+
+def _column_text(values: Sequence) -> list[str]:
+    """``_fmt`` of each value; a run of one object (a per-step column) is formatted once."""
+    out = []
+    last, text = object(), ""
+    for value in values:
+        if value is not last:
+            last, text = value, _fmt(value)
+        out.append(text)
+    return out
+
 
 def _fmt(value: Any) -> str:
-    if type(value) is float:  # most cells; the same text as the branch below
+    kind = type(value)
+    if kind is float:  # most cells; the same text as the subclass branch below
         return repr(value)
+    if kind is int or kind is str:
+        return str(value)
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -546,33 +583,29 @@ def _fmt(value: Any) -> str:
 
 def emit_csv(table: ResultTable, path: str | Path) -> None:
     """Write the table; fixed column order, repr floats, newline-terminated."""
-    if not table.rows:
-        raise ScenarioError("refusing to emit an empty table")
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    cells = table.cells
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(cells)
 
 
 def emit_plotdata(table: ResultTable, path: str | Path) -> None:
     """Gnuplot-style blocks: one block per value of the sweep column."""
-    if not table.rows:
-        raise ScenarioError("refusing to emit an empty table")
+    cells = table.cells
     sweep = table.sweep or table.columns[0]
     key = table.columns.index(sweep)
     rest = [j for j in range(len(table.columns)) if j != key]
-    groups: dict[Any, list[tuple]] = {}
-    for row in table.rows:
-        groups.setdefault(row[key], []).append(row)
-    lines = [f"# columns: {' '.join(table.columns[j] for j in rest)}"]
-    for value, rows in groups.items():
-        lines.append(f"# {sweep} = {_fmt(value)}")
-        for row in rows:
-            lines.append(" ".join(_fmt(row[j]) or "nan" for j in rest))
-        lines.append("")
-    Path(path).write_text("\n".join(lines))
+    groups: dict[Any, list[tuple[str, ...]]] = {}
+    for row, text in zip(table.rows, cells):
+        groups.setdefault(row[key], []).append(text)
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(f"# columns: {' '.join(table.columns[j] for j in rest)}\n")
+        blank = ""  # a blank line between blocks, none after the last
+        for block in groups.values():
+            fh.write(f"{blank}# {sweep} = {block[0][key]}\n")
+            blank = "\n"
+            fh.writelines(" ".join([text[j] or "nan" for j in rest]) + "\n" for text in block)
 
 
 # --------------------------------------------------------------------------
@@ -685,7 +718,10 @@ def _cmd_negotiate(scn: ScenarioFile, seed: int, walks: int) -> ResultTable:
     for s, state in enumerate(scn.steps, start=1):
         if not state.offload:
             continue
-        result = negotiate(ctx, state, scn.econ, mode=scn.mode, chi0=scn.chi0)
+        try:
+            result = negotiate(ctx, state, scn.econ, mode=scn.mode, chi0=scn.chi0)
+        except NegotiationError as exc:
+            raise NegotiationError(f"traffic.steps[{s - 1}] (step {s}): {exc}", exc.trace) from exc
         for j, (chi, d_mno, d_sso) in enumerate(result.trace):
             rows.append(
                 (

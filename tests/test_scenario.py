@@ -80,7 +80,15 @@ def test_unknown_keys_carry_dotted_paths(tmp_path):
 
 def test_parse_error_reports_line(tmp_path):
     path = write(tmp_path, "grid: {H: 2\nname: broken\n")
-    with pytest.raises(ScenarioError, match="parse error at line"):
+    with pytest.raises(ScenarioError, match="parse error at line") as err:
+        load_scenario(path)
+    assert "name: broken" in str(err.value)  # libyaml's own message has no source text
+
+
+def test_scenario_files_must_be_utf8(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes("name: café\n".encode("latin-1"))
+    with pytest.raises(ScenarioError, match="latin1.yaml: not UTF-8 text"):
         load_scenario(path)
 
 
@@ -653,7 +661,44 @@ def test_cli_reports_an_exhausted_negotiation(tmp_path, capsys):
     code = main(["negotiate", "--scenario", str(path), "--out", str(tmp_path)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "m3sim: error: negotiate on scenario 'offload': no equilibrium after 2 iterations" in err
+    assert (
+        "m3sim: error: negotiate on scenario 'offload': "
+        "traffic.steps[0] (step 1): no equilibrium after 2 iterations"
+    ) in err
+
+
+def test_cli_reads_and_writes_utf8_in_a_c_locale(tmp_path):
+    path = tmp_path / "café.yaml"
+    path.write_text(
+        textwrap.dedent(
+            """
+            name: café
+            grid: {H: 3}
+            overlay:
+              sources: [[3, 0], [3, 120]]
+              scenarios:
+                - {name: panne-été, unavailable: [[2, 60]]}
+            """
+        ),
+        encoding="utf-8",
+    )
+    src = str(Path(m3sim.__file__).resolve().parents[1])
+    env = dict(
+        os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=src
+    )
+    args = ["capacity", "--scenario", str(path), "--out", str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, "-m", "m3sim.cli", *args],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+    assert done.stdout.startswith(b"capacity on 'caf\\xe9': 4 rows")
+    rows = (tmp_path / "capacity.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["panne-été"] * 4
+    plot = (tmp_path / "capacity_plot.dat").read_text(encoding="utf-8")
+    assert "# protocol = ideal\npanne-été " in plot
 
 
 def test_cli_rejects_unknown_command():
