@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -162,24 +163,31 @@ def link_capacities(
     slots: Mapping[int, Sequence[tuple[int, int]]],
     radio: RadioParams,
     grid: SubcellGrid,
+    memo: dict[tuple[int, int, tuple[int, ...]], float] | None = None,
 ) -> dict[tuple[int, int], float]:
     """Capacity of every scheduled link, keyed by link.
 
     A link's SINR counts every other transmitter sharing its slot (the
     link's own endpoints excluded).  Each link must sit in exactly one slot;
-    it is evaluated once, however many routes use it.
+    it is evaluated once, however many routes use it.  A ``memo`` carries
+    capacities across calls on the same radio and grid, keyed by
+    (tx, rx, sorted co-slot transmitters): a link is then evaluated once
+    per set of transmitters it shares a slot with.
     """
     cells = grid.cells
+    memo = {} if memo is None else memo
     caps = {}
     for links in slots.values():
         transmitters = {tx for tx, _ in links}
         for tx, rx in links:
-            ctx = LinkContext(
-                tx=cells[tx],
-                rx=cells[rx],
-                interferers=tuple(cells[a] for a in sorted(transmitters - {tx, rx})),
-            )
-            caps[(tx, rx)] = link_capacity(link_sinr(ctx, radio, grid))
+            others = tuple(sorted(transmitters - {tx, rx}))
+            cap = memo.get((tx, rx, others))
+            if cap is None:
+                ctx = LinkContext(
+                    tx=cells[tx], rx=cells[rx], interferers=tuple(cells[a] for a in others)
+                )
+                cap = memo[(tx, rx, others)] = link_capacity(link_sinr(ctx, radio, grid))
+            caps[(tx, rx)] = cap
     return caps
 
 
@@ -417,8 +425,16 @@ class OffloadContext:
     """Static side of an offload study: geometry, radio and user placement.
 
     The context memoizes the work that repeats across the offload sets of a
-    negotiation: each placed cell's route in each direction and each
-    traffic instant's metrics (see ``_cell_routes`` and ``_instant``).
+    negotiation, in three tables:
+
+    * ``_routes``: each placed cell's MDR route, keyed by direction (toward
+      the access points or not) and then by cell (see ``_cell_routes``);
+    * ``_instants``: each traffic instant's metrics, keyed by its
+      base-station and WLAN users in name order, each with its cell (see
+      ``_instant``);
+    * ``_link_caps``: each link's capacity, keyed by (tx, rx, sorted co-slot
+      transmitters), the link's own endpoints excluded (see
+      ``link_capacities``).
     """
 
     grid: SubcellGrid
@@ -427,6 +443,7 @@ class OffloadContext:
     placements: Mapping[str, int]
     _routes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _instants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _link_caps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.dest.aps:
@@ -438,7 +455,7 @@ class OffloadContext:
             if cell in blocked:
                 raise EconError(f"user {user!r} sits on a destination subcell")
 
-    @property
+    @cached_property
     def wlan_domain(self) -> frozenset[int]:
         """Subcells on WLAN spectrum: the access points and their coverage."""
         cells = {a.i for a in self.dest.aps}
@@ -505,27 +522,28 @@ def _instant_metrics(
     def on_wlan(link: tuple[int, int]) -> bool:
         return link[0] in domain and link[1] in domain
 
-    instances = [link for route in routes.values() for link in route.links]
-    wlan_cycle = sum(map(on_wlan, instances))
+    wlan_hops = {user: sum(map(on_wlan, route.links)) for user, route in routes.items()}
+    wlan_wait = max(sum(wlan_hops.values()), 1)
     slots: dict[int, list[tuple[int, int]]] = {}
+    instances = (link for route in routes.values() for link in route.links)
     for n, link in enumerate(dict.fromkeys(instances)):
         # Each WLAN hop gets a slot of its own past the color round robin.
         slot = NUM_COLORS + n if on_wlan(link) else grid.colors[link[0]]
         slots.setdefault(slot, []).append(link)
-    caps = link_capacities(slots, radio, grid)
+    caps = link_capacities(slots, radio, grid, ctx._link_caps)
 
     metrics: dict[str, RouteMetrics] = {}
     for user, route in routes.items():
-        if not route.complete or not route.links:
+        hops = len(route.links)
+        if not route.complete or not hops:
             metrics[user] = RouteMetrics(user, 0.0, math.inf, radio.power, routed=False)
             continue
-        cap = route_capacity(route, caps)
-        waits = [max(wlan_cycle, 1) if on_wlan(l) else grid.params.K for l in route.links]
+        on = wlan_hops[user]
         metrics[user] = RouteMetrics(
             user=user,
-            capacity=cap,
-            delay=float(sum(waits)),
-            cost=radio.power * len(route.links),
+            capacity=route_capacity(route, caps),
+            delay=float(on * wlan_wait + (hops - on) * grid.params.K),
+            cost=radio.power * hops,
         )
     return metrics
 
@@ -551,7 +569,7 @@ def offload_breakdown(ctx: OffloadContext, state: TrafficState) -> OffloadBreakd
     """
     missing = (
         state.bs_users | state.wlan_users | state.bs_arrivals | state.wlan_arrivals
-    ) - set(ctx.placements)
+    ) - ctx.placements.keys()
     if missing:
         raise EconError(f"users without placements: {sorted(missing)}")
 
@@ -619,6 +637,8 @@ def negotiate_price(
     step = econ.price_step
     if chi0 is None:
         chi0 = (lo + hi) / 2.0
+    elif math.isnan(chi0):
+        raise EconError(f"chi0 must be a number, got {chi0!r}")
     chi0 = min(max(chi0, lo), hi)
     current = frozenset(offload)
     pool = tuple(sorted(set(candidates) | current))
@@ -632,14 +652,13 @@ def negotiate_price(
         g1 = delta_mno(1.0, s) - delta_sso(1.0, s)
         return None if g0 == g1 else g0 / (g0 - g1)
 
-    k = 0
+    k, chi = 0, chi_at(0)
     visited: set[tuple[float, frozenset[str]]] = set()
     trace: list[tuple[float, float, float]] = []
     best: tuple[float, float, frozenset[str]] | None = None
     prev: tuple[float, frozenset[str]] | None = None
 
     for _ in range(econ.max_iter):
-        chi = chi_at(k)
         d_mno = delta_mno(chi, current)
         d_sso = delta_sso(chi, current)
         gap = d_mno - d_sso
@@ -664,10 +683,10 @@ def negotiate_price(
             next_set = current
             if candidates:
                 next_set = _adjust_offload(delta_mno, chi, current, pool, d_mno, d_sso)
-            if chi_at(k_next) != chi or next_set != current:
+            chi_next = chi_at(k_next)
+            if chi_next != chi or next_set != current:
                 prev = (gap, current)
-                k = k_next
-                current = next_set
+                k, chi, current = k_next, chi_next, next_set
                 continue
             # Pinned at a bound; the crossing may lie outside it.
             price, crossing, converged = chi, crossing_of(current), False
@@ -701,12 +720,12 @@ def _adjust_offload(
         additions = [u for u in pool if u not in current]
         if not additions:
             return current
-        gains = {u: delta_mno(chi, current | {u}) - d_mno for u in additions}
-        pick = max(additions, key=lambda u: (gains[u], u))
+        pick = max(additions, key=lambda u: (delta_mno(chi, current | {u}) - d_mno, u))
         return current | {pick}
     if len(current) > 1:
-        losses = {u: d_mno - delta_mno(chi, current - {u}) for u in current}
-        pick = min(sorted(current), key=lambda u: (losses[u], u))
+        # ``pool`` is sorted and holds ``current``: its members in name order
+        members = [u for u in pool if u in current]
+        pick = min(members, key=lambda u: (d_mno - delta_mno(chi, current - {u}), u))
         return current - {pick}
     return current
 
@@ -724,23 +743,28 @@ def negotiate(
     if not state.offload:
         raise EconError("negotiation needs a non-empty starting offload set")
 
-    cache: dict[frozenset[str], OffloadBreakdown] = {}
+    rho, rho1 = econ.mno_revenue, econ.sso_revenue
+    # Per offload set, the price-free terms of both offsets:
+    # (rho * MNO rate change, rho1 * SSO rate change, offloaded rate).
+    terms: dict[frozenset[str], tuple[float, float, float]] = {}
 
-    def breakdown(off: frozenset[str]) -> OffloadBreakdown:
-        if off not in cache:
-            cache[off] = offload_breakdown(ctx, replace(state, offload=off))
-        return cache[off]
+    def term(off: frozenset[str]) -> tuple[float, float, float]:
+        if off not in terms:
+            b = offload_breakdown(ctx, replace(state, offload=off))
+            terms[off] = (
+                rho * (b.bs_after - b.bs_before),
+                rho1 * (b.wlan_after - b.wlan_before),
+                b.offload_after,
+            )
+        return terms[off]
 
     def d_mno(chi: float, off: frozenset[str]) -> float:
-        b = breakdown(off)
-        return (
-            econ.mno_revenue * (b.bs_after - b.bs_before)
-            + (econ.mno_revenue - chi) * b.offload_after
-        )
+        m, _, o = term(off)
+        return m + (rho - chi) * o
 
     def d_sso(chi: float, off: frozenset[str]) -> float:
-        b = breakdown(off)
-        return econ.sso_revenue * (b.wlan_after - b.wlan_before) + chi * b.offload_after
+        _, w, o = term(off)
+        return w + chi * o
 
     candidates: tuple[str, ...] = ()
     if mode == "price-and-set":

@@ -254,20 +254,22 @@ class Route:
     ``reached`` is the destination index (None when the route dead-ends) and
     ``link_modes`` tags each hop with its scheduling mode (COORD hops ride
     the single coordinated slot, FALLBACK hops the round-robin cycle).
+    ``links`` pairs consecutive cells; it is built once, at construction,
+    and takes no part in equality, hashing or the repr.
     """
 
     source: int
     cells: tuple[int, ...]
     reached: int | None
     link_modes: tuple[str, ...] = ()
+    links: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "links", tuple(zip(self.cells, self.cells[1:])))
 
     @property
     def complete(self) -> bool:
         return self.reached is not None
-
-    @property
-    def links(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.cells, self.cells[1:]))
 
 
 @dataclass

@@ -1,9 +1,12 @@
-"""Byte-identity guard: every bundled CLI output matches its checked-in digest.
+"""Byte-identity guard: pinned CLI outputs match their checked-in digests.
 
 The five commands run on both bundled scenarios through ``m3sim.cli.main``,
 and each CSV and plot-data file must hash to the sha256 recorded in
-``bundled_outputs.json``.  A change that alters outputs on purpose
-regenerates that file with
+``bundled_outputs.json``.  The bundled scenarios negotiate the price alone
+towards one access point, so ``negotiate`` also runs on
+``scenarios/two_ap_set.yaml`` (joint price-and-set walk, two access points),
+whose files are pinned in ``two_ap_set_outputs.json``.  A change that
+alters outputs on purpose regenerates both digest files with
 
     PYTHONPATH=src python tests/test_bundled_outputs.py
 
@@ -20,19 +23,29 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from m3sim.cli import bundled_scenario, main
 from m3sim.scenario import COMMANDS
 
-DIGESTS = Path(__file__).with_name("bundled_outputs.json")
-SRC = Path(__file__).resolve().parents[1] / "src"
-SCENARIOS = ("default", "offload")
+HERE = Path(__file__).resolve().parent
+DIGESTS = HERE / "bundled_outputs.json"
+TWO_AP_DIGESTS = HERE / "two_ap_set_outputs.json"
+TWO_AP = "two-ap-set"
+SRC = HERE.parent / "src"
+# output directory -> (scenario file, commands run on it)
+STUDIES = {
+    "default": (bundled_scenario("default"), COMMANDS),
+    "offload": (bundled_scenario("offload"), COMMANDS),
+    TWO_AP: (HERE / "scenarios" / "two_ap_set.yaml", ("negotiate",)),
+}
 
 
 def output_digests(out: Path) -> dict[str, str]:
-    """Run every command on every bundled scenario under ``out``; sha256 per file."""
-    for name in SCENARIOS:
-        for command in COMMANDS:
-            argv = [command, "--scenario", str(bundled_scenario(name)), "--out", str(out / name)]
+    """Run every pinned study under ``out``; sha256 per file."""
+    for name, (scenario, commands) in STUDIES.items():
+        for command in commands:
+            argv = [command, "--scenario", str(scenario), "--out", str(out / name)]
             assert main(argv) == 0, argv
     files = sorted(p for p in out.rglob("*") if p.is_file())
     return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
@@ -53,8 +66,23 @@ def pinned_digests(out: Path) -> dict[str, str]:
     return json.loads((out / "digests.json").read_text())
 
 
-def test_bundled_outputs_match_checked_in_digests(tmp_path):
-    assert pinned_digests(tmp_path) == json.loads(DIGESTS.read_text())
+def split(digests: dict[str, str]) -> tuple[dict[str, str], dict[str, str]]:
+    """(bundled-scenario digests, two-access-point scenario digests)."""
+    two_ap = {k: v for k, v in digests.items() if k.startswith(f"{TWO_AP}/")}
+    return {k: v for k, v in digests.items() if k not in two_ap}, two_ap
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return split(pinned_digests(tmp_path_factory.mktemp("outputs")))
+
+
+def test_bundled_outputs_match_checked_in_digests(digests):
+    assert digests[0] == json.loads(DIGESTS.read_text())
+
+
+def test_two_ap_set_negotiation_outputs_match_pinned_digests(digests):
+    assert digests[1] == json.loads(TWO_AP_DIGESTS.read_text())
 
 
 if __name__ == "__main__":
@@ -63,5 +91,6 @@ if __name__ == "__main__":
         (out / "digests.json").write_text(json.dumps(output_digests(out)))
     else:
         with tempfile.TemporaryDirectory() as tmp:
-            DIGESTS.write_text(json.dumps(pinned_digests(Path(tmp)), indent=2, sort_keys=True) + "\n")
-        print(f"wrote {DIGESTS}")
+            for path, table in zip((DIGESTS, TWO_AP_DIGESTS), split(pinned_digests(Path(tmp)))):
+                path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+                print(f"wrote {path}")

@@ -459,6 +459,12 @@ def test_negotiation_with_zero_width_bounds_finds_the_crossing():
     assert (result.price, result.crossing, result.verdict) == (2.0, 1.0, "offload")
 
 
+def test_negotiation_rejects_a_nan_opening_price():
+    with pytest.raises(EconError, match="chi0") as err:
+        negotiate_price(lambda chi, s: 3.0 - 2.0 * chi, lambda chi, s: chi, ECON, chi0=math.nan)
+    assert not isinstance(err.value, NegotiationError)
+
+
 def test_negotiation_budget_exhaustion():
     tight = EconParams(
         mno_revenue=2.0, sso_revenue=0.5, price_step=0.01, max_iter=3, price_bounds=(0.5, 100.0)
@@ -609,11 +615,48 @@ def test_memoized_negotiation_matches_fresh_contexts_on_random_placements(study)
     _assert_negotiations_match_fresh_contexts(ctx, steps, econ, "price-and-set")
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(offload_studies())
+def test_memoized_link_capacities_match_memo_free_calls(study):
+    ctx, steps = study
+    econ = EconParams(mno_revenue=2.0, sso_revenue=1.0, price_step=0.02, price_bounds=(0.05, 2.0))
+    real = economics.link_capacities
+    checked = []
+
+    def compared(slots, radio, grid, memo=None):
+        assert memo is ctx._link_caps
+        caps = real(slots, radio, grid, memo)
+        assert caps == real(slots, radio, grid)
+        checked.append(caps)
+        return caps
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(economics, "link_capacities", compared)
+        for state in steps:
+            negotiate(ctx, state, econ, mode="price-and-set")
+    assert len(checked) == len(ctx._instants)
+
+
 def test_negotiate_extracts_each_direction_and_each_instant_once(monkeypatch):
     scn = load_scenario(bundled_scenario("offload"))
     ctx = OffloadContext(grid=scn.grid, dest=scn.dest, radio=scn.radio, placements=scn.users)
     calls = {"extract_routes": 0, "_instant_metrics": 0}
     states = []
+    sinr_keys = []
+    real_sinr = economics.link_sinr
+
+    def keyed_sinr(link, radio, grid):
+        sinr_keys.append((link.tx.i, link.rx.i, tuple(c.i for c in link.interferers)))
+        return real_sinr(link, radio, grid)
+
+    scheduled = set()
+    real_caps = economics.link_capacities
+
+    def keyed_caps(slots, radio, grid, memo=None):
+        for links in slots.values():
+            transmitters = {tx for tx, _ in links}
+            scheduled.update((tx, rx, tuple(sorted(transmitters - {tx, rx}))) for tx, rx in links)
+        return real_caps(slots, radio, grid, memo)
 
     def counted(name):
         real = getattr(economics, name)
@@ -626,6 +669,8 @@ def test_negotiate_extracts_each_direction_and_each_instant_once(monkeypatch):
 
     counted("extract_routes")
     counted("_instant_metrics")
+    monkeypatch.setattr(economics, "link_sinr", keyed_sinr)
+    monkeypatch.setattr(economics, "link_capacities", keyed_caps)
     real_breakdown = economics.offload_breakdown
 
     def recorded(ctx, state):
@@ -639,6 +684,15 @@ def test_negotiate_extracts_each_direction_and_each_instant_once(monkeypatch):
     assert len(states) > len(scn.steps)
     assert calls["extract_routes"] <= 2
     assert calls["_instant_metrics"] == len(instants)
+    # one SINR per link and set of co-slot transmitters, however many
+    # instants schedule it that way
+    assert len(sinr_keys) == len(set(sinr_keys))
+    assert set(sinr_keys) == scheduled
+    assert any(others for _, _, others in sinr_keys)
+    evaluated = len(sinr_keys)
+    for state in scn.steps:
+        negotiate(ctx, state, scn.econ, mode="price-and-set")
+    assert len(sinr_keys) == evaluated
 
 
 def test_signature_defaults_come_from_the_dataclasses():

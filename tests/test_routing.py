@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,23 @@ def test_greedy_route_descends_to_base_station():
     assert route.complete and route.reached == 0
     rings = [GRID4.cell(i).h for i in route.cells]
     assert rings == [4, 3, 2, 1, 0]
+
+
+def test_route_links_are_kept_outside_equality_and_hashing():
+    rs = extract_routes(GRID4, DEST4, ScenarioOverlay(sources=(39,)), ProtocolConfig(kind=MDR))
+    read = rs.routes[0]
+    unread = Route(read.source, read.cells, read.reached, read.link_modes)
+    before = (hash(read), repr(read))
+    assert read.links == tuple(zip(read.cells, read.cells[1:])) == ((39, 20), (20, 8), (8, 1), (1, 0))
+    assert read.links is read.links  # built once, then kept
+    assert (hash(read), repr(read)) == before == (hash(unread), repr(unread))
+    assert hash(read) == hash((read.source, read.cells, read.reached, read.link_modes))
+    assert "links" not in repr(read)
+    assert read == unread and unread == read
+    assert {read: 1}[unread] == 1
+    moved = replace(read, cells=(39, 20, 9))
+    assert moved.links == ((39, 20), (20, 9)) and moved != read
+    assert Route(9, (9,), None).links == ()
 
 
 def test_greedy_route_avoids_unavailable_cells():
