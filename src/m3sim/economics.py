@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .chains import ChainStatistics, absorption_statistics
 from .compression import (
@@ -22,7 +22,7 @@ from .compression import (
     aggregate_availability,
     climb_topology,
 )
-from .grid import NUM_COLORS, Destinations, GridParams, SubcellGrid
+from .grid import NUM_COLORS, SQRT3, Destinations, GridParams, SubcellGrid
 from .radio import LinkContext, RadioParams, link_capacity, link_sinr
 from .routing import (
     MDR,
@@ -69,8 +69,8 @@ class EconParams:
                 "revenues must satisfy mno_revenue >= sso_revenue > 0, got "
                 f"{self.mno_revenue!r} / {self.sso_revenue!r}"
             )
-        if not self.price_step > 0:
-            raise EconError(f"price step must be positive, got {self.price_step!r}")
+        if not 0 < self.price_step < math.inf:
+            raise EconError(f"price step must be finite and positive, got {self.price_step!r}")
         if not self.tol > 0:
             raise EconError(f"tolerance must be positive, got {self.tol!r}")
         if self.max_iter < 1:
@@ -234,43 +234,99 @@ DEFAULT_USER_SITES: tuple[tuple[float, float], ...] = (
 def snap_sites(
     grid: SubcellGrid, sites: Sequence[tuple[float, float]]
 ) -> list[int]:
-    """Nearest subcell index for each physical (radius fraction, bearing) site."""
+    """Nearest subcell index for each physical (radius fraction, bearing) site.
+
+    The center subcell is never chosen, and ties go to the lower index.  A
+    site is rounded to the lattice cell around it, and only that cell and
+    its neighbours on the grid are compared: any center that rounding error
+    lets come as near to the site lies among them.  Where the rounded cell
+    is off the grid or next to the center, every ring subcell is compared.
+    """
+    radius, size = grid.params.R, grid.params.subcell_radius
+    cells = grid.cells
+
+    def gap(i: int, x: float, y: float) -> tuple[float, int]:
+        cx, cy = grid.center_position(cells[i])
+        return (cx - x) ** 2 + (cy - y) ** 2, i
+
     out = []
-    radius = grid.params.R
-
-    def gap(cell, x: float, y: float) -> tuple[float, int]:
-        cx, cy = grid.center_position(cell)
-        return (cx - x) ** 2 + (cy - y) ** 2, cell.i
-
     for frac, bearing in sites:
         x = frac * radius * math.cos(math.radians(bearing))
         y = frac * radius * math.sin(math.radians(bearing))
-        best = min((c for c in grid.cells if c.h > 0), key=lambda c: gap(c, x, y))
-        out.append(best.i)
+        home = None
+        if math.isfinite(x + y):
+            home = grid.index.get(_axial_round(2.0 * x / (3.0 * size), (SQRT3 * y - x) / (3.0 * size)))
+        if home is not None and cells[home].h >= 2:
+            candidates: Iterable[int] = (home, *grid.adjacent[home])
+        else:
+            candidates = range(1, len(cells))
+        out.append(min(candidates, key=lambda i: gap(i, x, y)))
     return out
 
 
-def _scored_mdr_routes(
-    grid: SubcellGrid,
-    dest: Destinations,
-    radio: RadioParams,
-    sources: Sequence[int],
-    availability: float,
-) -> Iterator[tuple[Route, float, ChainStatistics, int]]:
-    """Each source's scheduled MDR route with its capacity and chain statistics.
+def _axial_round(q: float, r: float) -> tuple[int, int]:
+    """Axial coordinates of the hexagon holding the fractional point (q, r)."""
+    s = -q - r
+    rq, rr, rs = round(q), round(r), round(s)
+    dq, dr, ds = abs(rq - q), abs(rr - r), abs(rs - s)
+    if dq > dr and dq > ds:
+        rq = -rr - rs
+    elif dr > ds:
+        rr = -rq - rs
+    return rq, rr
 
-    Yields (route, bottleneck capacity, discovery-chain statistics, the
-    route source's transient index in that chain).
+
+def _mdr_layers(
+    grid: SubcellGrid, dest: Destinations, sources: Sequence[int], availability: float
+) -> tuple[RouteSet, ChainStatistics, list[int]]:
+    """The power-free layers of an MDR study.
+
+    Returns each source's scheduled route, the discovery-chain statistics
+    and each route source's transient index in that chain.
     """
     config = ProtocolConfig(kind=MDR, p=availability)
     overlay = ScenarioOverlay(sources=tuple(sources))
     route_set = schedule(extract_routes(grid, dest, overlay, config), config, grid)
-    caps = link_capacities(route_set.slots, radio, grid)
-
     chain = build_mdr_chain(grid, dest, availability)
     stats = absorption_statistics(chain)
-    for route in route_set.routes:
-        yield route, route_capacity(route, caps), stats, chain.transient_index(route.source)
+    return route_set, stats, [chain.transient_index(r.source) for r in route_set.routes]
+
+
+@dataclass(frozen=True)
+class _TessellationLayers:
+    """What a tessellation utility needs of one ring count, whatever the power.
+
+    ``taus`` holds each scheduled route's mean discovery time, in route order.
+    """
+
+    grid: SubcellGrid
+    route_set: RouteSet
+    taus: tuple[float, ...]
+
+    @classmethod
+    def build(
+        cls,
+        h: int,
+        sites: Sequence[tuple[float, float]],
+        availability: float,
+        macro_radius: float,
+    ) -> "_TessellationLayers":
+        grid = SubcellGrid(GridParams(H=h, R=macro_radius))
+        dest = Destinations(bs=grid.cell(0))
+        occupied = sorted(set(snap_sites(grid, sites)))
+        route_set, stats, index = _mdr_layers(grid, dest, occupied, availability)
+        return cls(grid, route_set, tuple(float(stats.tau[k]) for k in index))
+
+    def utility(self, radio: RadioParams, revenue: float) -> float:
+        """Summed route utilities at one transmit power; see ``macrocell_utility``."""
+        caps = link_capacities(self.route_set.slots, radio, self.grid)
+        total = 0.0
+        for route, tau in zip(self.route_set.routes, self.taus):
+            cap = route_capacity(route, caps)
+            if cap <= 0.0:
+                continue
+            total += user_utility(cap, NUM_COLORS * tau, radio.power * tau, revenue)
+        return total
 
 
 def macrocell_utility(
@@ -293,18 +349,8 @@ def macrocell_utility(
     subcell's route, so each occupied subcell contributes once: a coarser
     grid merges users rather than multiplying demand.
     """
-    grid = SubcellGrid(GridParams(H=h, R=macro_radius))
-    dest = Destinations(bs=grid.cell(0))
-    radio = RadioParams(power=power, alpha=alpha, noise=noise)
-    occupied = sorted(set(snap_sites(grid, sites)))
-
-    total = 0.0
-    for _, cap, stats, idx in _scored_mdr_routes(grid, dest, radio, occupied, availability):
-        if cap <= 0.0:
-            continue
-        tau = float(stats.tau[idx])
-        total += user_utility(cap, NUM_COLORS * tau, radio.power * tau, revenue)
-    return total
+    layers = _TessellationLayers.build(h, sites, availability, macro_radius)
+    return layers.utility(RadioParams(power=power, alpha=alpha, noise=noise), revenue)
 
 
 @dataclass(frozen=True)
@@ -320,20 +366,37 @@ class TessellationResult:
 def optimize_tessellation(
     h_values: Sequence[int],
     powers: Sequence[float],
-    **utility_kwargs,
+    *,
+    sites: Sequence[tuple[float, float]] = DEFAULT_USER_SITES,
+    availability: float = 1.0,
+    macro_radius: float = GridParams.R,
+    alpha: float = RadioParams.alpha,
+    noise: float = RadioParams.noise,
+    revenue: float = EconParams.mno_revenue,
 ) -> TessellationResult:
     """Evaluate the utility surface and locate the best ring count per power.
 
     Alongside the exhaustive argmax, a local hill climb over H (started from
-    the middle of the range) is reported for comparison.
+    the middle of the range) is reported for comparison.  The keywords are
+    those of ``macrocell_utility``.  Only link capacities depend on the
+    power, so each ring count's grid, routes, schedule and discovery chain
+    are built once per call, for the sweep and the climb alike.
     """
     if not h_values or not powers:
         raise EconError("tessellation search needs at least one H and one power")
     hs = sorted(set(h_values))
+    radios = {p: RadioParams(power=p, alpha=alpha, noise=noise) for p in powers}
+    layers: dict[int, _TessellationLayers] = {}
+
+    def utility_at(h: int, power: float) -> float:
+        if h not in layers:
+            layers[h] = _TessellationLayers.build(h, sites, availability, macro_radius)
+        return layers[h].utility(radios[power], revenue)
+
     surface: dict[tuple[int, float], float] = {}
     for h in hs:
         for p in powers:
-            surface[(h, p)] = macrocell_utility(h, p, **utility_kwargs)
+            surface[(h, p)] = utility_at(h, p)
 
     argmax_h = {}
     climb_h = {}
@@ -343,7 +406,7 @@ def optimize_tessellation(
 
         def utility(h: int, _power=p, _cache=cache) -> float:
             if h not in _cache:
-                _cache[h] = macrocell_utility(h, _power, **utility_kwargs)
+                _cache[h] = utility_at(h, _power)
             return _cache[h]
 
         start = hs[len(hs) // 2]
@@ -386,9 +449,11 @@ def expected_network_capacity(
     destination rather than the no-route state.
     """
     sources = [c.i for c in grid.cells if c.h > 0 and c.i not in dest.indices()]
+    route_set, stats, index = _mdr_layers(grid, dest, sources, availability)
+    caps = link_capacities(route_set.slots, radio, grid)
     return sum(
-        float(stats.absorb_probs[idx, :-1].sum()) * cap
-        for _, cap, stats, idx in _scored_mdr_routes(grid, dest, radio, sources, availability)
+        float(stats.absorb_probs[k, :-1].sum()) * route_capacity(route, caps)
+        for route, k in zip(route_set.routes, index)
     )
 
 

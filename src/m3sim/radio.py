@@ -36,10 +36,14 @@ class RadioParams:
             raise RadioError(f"transmit power must be positive, got {self.power!r}")
         if not self.alpha > 0:
             raise RadioError(f"path-loss exponent must be positive, got {self.alpha!r}")
-        if not self.noise >= 0:
-            raise RadioError(f"noise power cannot be negative, got {self.noise!r}")
+        if not 0 < self.noise < math.inf:
+            raise RadioError(f"noise power must be finite and positive, got {self.noise!r}")
         if not self.sensitivity > 0:
             raise RadioError(f"sensitivity must be positive, got {self.sensitivity!r}")
+
+    def noise_term(self, relay_distance: float) -> float:
+        """Noise power over the direct-path gain of one hop: noise * d_r**alpha."""
+        return self.noise * relay_distance**self.alpha
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,6 @@ def link_sinr(ctx: LinkContext, radio: RadioParams, grid: SubcellGrid) -> float:
     rx = ctx.rx
     if grid.squared_step_distance(ctx.tx, rx) != 1:
         raise RadioError(f"link {ctx.tx.i}->{rx.i} does not span adjacent subcells")
-    d_r = grid.params.relay_distance
     power, alpha = radio.power, radio.alpha
     interference = 0.0
     for cell in ctx.interferers:
@@ -68,8 +71,7 @@ def link_sinr(ctx: LinkContext, radio: RadioParams, grid: SubcellGrid) -> float:
             raise RadioError(f"interferer co-located with receiver {rx.i}")
         dq, dr = cell.q - rx.q, cell.r - rx.r
         interference += power / math.sqrt(dq * dq + dr * dr + dq * dr) ** alpha
-    noise = radio.noise * d_r**radio.alpha
-    return radio.power / (interference + noise)
+    return radio.power / (interference + radio.noise_term(grid.params.relay_distance))
 
 
 def link_capacity(sinr: float) -> float:

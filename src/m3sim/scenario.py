@@ -506,6 +506,25 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         **experiment_fields, **{key: value for key, value in sweeps.items() if value}
     )
 
+    # -- a hop's SINR, P / (interference + noise term), must be a finite
+    # number at every depth a command builds a grid for
+    power = max(radio.power, *experiment.powers)
+    for h in sorted({params.H, *(h for h in experiment.h_values if h >= 1)}):
+        try:
+            term = radio.noise_term(replace(params, H=h).relay_distance)
+        except OverflowError:
+            term = math.inf
+        if not 0 < term < math.inf:
+            raise ScenarioError(
+                f"radio.noise * relay_distance**alpha is {term!r} at H={h}, so a link's "
+                "SINR is undefined: it must be finite and positive; change grid.R or radio.noise"
+            )
+        if power / term == math.inf:
+            raise ScenarioError(
+                f"a link's SINR overflows at H={h}: transmit power {power!r} over the noise "
+                f"term {term!r}; change radio.P, experiment.powers, grid.R or radio.noise"
+            )
+
     return ScenarioFile(
         name=str(raw.get("name", path.stem)),
         grid=grid,

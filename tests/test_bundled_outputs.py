@@ -5,8 +5,12 @@ and each CSV and plot-data file must hash to the sha256 recorded in
 ``bundled_outputs.json``.  The bundled scenarios negotiate the price alone
 towards one access point, so ``negotiate`` also runs on
 ``scenarios/two_ap_set.yaml`` (joint price-and-set walk, two access points),
-whose files are pinned in ``two_ap_set_outputs.json``.  A change that
-alters outputs on purpose regenerates both digest files with
+whose files are pinned in ``two_ap_set_outputs.json``.  The bundled
+scenarios sweep contiguous ring counts with the default user sites, so
+``tessellate`` also runs on ``scenarios/tessellate_sparse.yaml`` (ring
+counts with gaps, sites on subcell boundaries, availability below one),
+pinned in ``tessellate_sparse_outputs.json``.  A change that alters outputs
+on purpose regenerates the digest files with
 
     PYTHONPATH=src python tests/test_bundled_outputs.py
 
@@ -29,15 +33,19 @@ from m3sim.cli import bundled_scenario, main
 from m3sim.scenario import COMMANDS
 
 HERE = Path(__file__).resolve().parent
-DIGESTS = HERE / "bundled_outputs.json"
-TWO_AP_DIGESTS = HERE / "two_ap_set_outputs.json"
-TWO_AP = "two-ap-set"
 SRC = HERE.parent / "src"
 # output directory -> (scenario file, commands run on it)
 STUDIES = {
     "default": (bundled_scenario("default"), COMMANDS),
     "offload": (bundled_scenario("offload"), COMMANDS),
-    TWO_AP: (HERE / "scenarios" / "two_ap_set.yaml", ("negotiate",)),
+    "two-ap-set": (HERE / "scenarios" / "two_ap_set.yaml", ("negotiate",)),
+    "tessellate-sparse": (HERE / "scenarios" / "tessellate_sparse.yaml", ("tessellate",)),
+}
+# digest file -> the output directories it pins
+PINS = {
+    HERE / "bundled_outputs.json": ("default", "offload"),
+    HERE / "two_ap_set_outputs.json": ("two-ap-set",),
+    HERE / "tessellate_sparse_outputs.json": ("tessellate-sparse",),
 }
 
 
@@ -66,10 +74,12 @@ def pinned_digests(out: Path) -> dict[str, str]:
     return json.loads((out / "digests.json").read_text())
 
 
-def split(digests: dict[str, str]) -> tuple[dict[str, str], dict[str, str]]:
-    """(bundled-scenario digests, two-access-point scenario digests)."""
-    two_ap = {k: v for k, v in digests.items() if k.startswith(f"{TWO_AP}/")}
-    return {k: v for k, v in digests.items() if k not in two_ap}, two_ap
+def split(digests: dict[str, str]) -> dict[Path, dict[str, str]]:
+    """The digests each file of ``PINS`` holds."""
+    return {
+        path: {k: v for k, v in digests.items() if k.split("/", 1)[0] in dirs}
+        for path, dirs in PINS.items()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -77,12 +87,21 @@ def digests(tmp_path_factory):
     return split(pinned_digests(tmp_path_factory.mktemp("outputs")))
 
 
+def _check(digests, name):
+    path = HERE / name
+    assert digests[path] == json.loads(path.read_text())
+
+
 def test_bundled_outputs_match_checked_in_digests(digests):
-    assert digests[0] == json.loads(DIGESTS.read_text())
+    _check(digests, "bundled_outputs.json")
 
 
 def test_two_ap_set_negotiation_outputs_match_pinned_digests(digests):
-    assert digests[1] == json.loads(TWO_AP_DIGESTS.read_text())
+    _check(digests, "two_ap_set_outputs.json")
+
+
+def test_tessellate_sparse_outputs_match_pinned_digests(digests):
+    _check(digests, "tessellate_sparse_outputs.json")
 
 
 if __name__ == "__main__":
@@ -91,6 +110,6 @@ if __name__ == "__main__":
         (out / "digests.json").write_text(json.dumps(output_digests(out)))
     else:
         with tempfile.TemporaryDirectory() as tmp:
-            for path, table in zip((DIGESTS, TWO_AP_DIGESTS), split(pinned_digests(Path(tmp)))):
+            for path, table in split(pinned_digests(Path(tmp))).items():
                 path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
                 print(f"wrote {path}")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from m3sim import economics
 from m3sim.cli import bundled_scenario
-from m3sim.compression import full_vector
+from m3sim.compression import climb_topology, full_vector
 from m3sim.economics import (
     DEFAULT_USER_SITES,
     EconError,
@@ -164,6 +164,8 @@ def test_econ_params_validation():
         EconParams(sso_revenue=0.0, mno_revenue=1.0)
     with pytest.raises(EconError):
         EconParams(price_step=0.0)
+    with pytest.raises(EconError, match="finite"):
+        EconParams(price_step=math.inf)
     with pytest.raises(EconError):
         EconParams(tol=-1.0)
     with pytest.raises(EconError):
@@ -236,6 +238,174 @@ def test_optimize_tessellation_consistency():
     assert 2 <= result.climb_h[0.15] <= 4
     with pytest.raises(EconError):
         optimize_tessellation([], [0.15])
+
+
+# Reference search: every site snapped by a scan of all ring subcells, and
+# every layer rebuilt for every (H, P) point the sweep or the climb scores.
+
+
+def _snap_by_scan(grid, sites):
+    """Nearest ring subcell of each site by (squared distance, index) over every cell."""
+    out = []
+    radius = grid.params.R
+
+    def gap(cell, x, y):
+        cx, cy = grid.center_position(cell)
+        return (cx - x) ** 2 + (cy - y) ** 2, cell.i
+
+    for frac, bearing in sites:
+        x = frac * radius * math.cos(math.radians(bearing))
+        y = frac * radius * math.sin(math.radians(bearing))
+        out.append(min((c for c in grid.cells if c.h > 0), key=lambda c: gap(c, x, y)).i)
+    return out
+
+
+def _utility_per_point(
+    h, power, *, sites=DEFAULT_USER_SITES, availability=1.0, macro_radius=1000.0,
+    alpha=2.0, noise=1e-4, revenue=2.0,
+):
+    """One surface point with every layer rebuilt: grid, snap, routes, schedule, chain."""
+    grid = SubcellGrid(GridParams(H=h, R=macro_radius))
+    dest = Destinations(bs=grid.cell(0))
+    radio = RadioParams(power=power, alpha=alpha, noise=noise)
+    occupied = sorted(set(_snap_by_scan(grid, sites)))
+    config = ProtocolConfig(kind=MDR, p=availability)
+    overlay = ScenarioOverlay(sources=tuple(occupied))
+    route_set = schedule(extract_routes(grid, dest, overlay, config), config, grid)
+    caps = link_capacities(route_set.slots, radio, grid)
+    chain = build_mdr_chain(grid, dest, availability)
+    stats = absorption_statistics(chain)
+    total = 0.0
+    for route in route_set.routes:
+        cap = route_capacity(route, caps)
+        if cap <= 0.0:
+            continue
+        tau = float(stats.tau[chain.transient_index(route.source)])
+        total += user_utility(cap, NUM_COLORS * tau, radio.power * tau, revenue)
+    return total
+
+
+def _optimize_per_point(h_values, powers, **kwargs):
+    """The search with one ``_utility_per_point`` per (H, P), the climb's misses too."""
+    hs = sorted(set(h_values))
+    surface = {}
+    for h in hs:
+        for p in powers:
+            surface[(h, p)] = _utility_per_point(h, p, **kwargs)
+    argmax_h, climb_h = {}, {}
+    for p in powers:
+        argmax_h[p] = max(hs, key=lambda h: (surface[(h, p)], -h))
+        cache = {h: surface[(h, p)] for h in hs}
+
+        def utility(h, _power=p, _cache=cache):
+            if h not in _cache:
+                _cache[h] = _utility_per_point(h, _power, **kwargs)
+            return _cache[h]
+
+        climb_h[p] = climb_topology(hs[len(hs) // 2], utility, h_min=min(hs), h_max=max(hs))
+    best = max(surface, key=lambda hp: (surface[hp], -hp[0], -hp[1]))
+    return surface, argmax_h, climb_h, best
+
+
+EDGE_SITES = ((0.0, 0.0), (0.15, 60.0), (0.4330127, 30.0), (0.99, 152.0), (1.2, 100.0), (1.3, 245.0))
+
+TESSELLATION_CASES = {
+    # the climb starts at 9 and scores 8 and 10, which the sweep leaves out
+    "gaps": ([2, 5, 9, 12], [0.1, 0.35], {}),
+    "availability": ([2, 3, 4, 5, 6], [0.15, 0.3], {"availability": 0.7}),
+    "edge-sites": (
+        [3, 4, 6, 7],
+        [0.1, 0.3],
+        {"sites": EDGE_SITES, "availability": 0.85, "alpha": 2.5, "noise": 1e-5, "revenue": 3.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TESSELLATION_CASES))
+def test_tessellation_search_equals_the_per_point_search(case):
+    h_values, powers, kwargs = TESSELLATION_CASES[case]
+    result = optimize_tessellation(h_values, powers, **kwargs)
+    surface, argmax_h, climb_h, best = _optimize_per_point(h_values, powers, **kwargs)
+    assert list(result.surface) == list(surface)
+    assert result.surface == surface
+    assert result.argmax_h == argmax_h
+    assert result.climb_h == climb_h
+    assert result.best == best
+    for h in {h for h, _ in surface}:
+        assert macrocell_utility(h, powers[0], **kwargs) == surface[(h, powers[0])]
+
+
+def test_tessellation_search_builds_power_free_layers_once_per_ring_count(monkeypatch):
+    calls = {name: [] for name in ("SubcellGrid", "build_mdr_chain", "absorption_statistics", "link_capacities")}
+
+    def counted(name):
+        real = getattr(economics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(economics, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    powers = [0.1, 0.2, 0.35]
+    result = optimize_tessellation([2, 5, 9, 12], powers)
+    built = [params.H for params, in calls["SubcellGrid"]]
+    # the sweep, plus the depths the climb scored next to its path
+    assert {2, 5, 9, 12} | set(result.climb_h.values()) <= set(built)
+    assert len(built) == len(set(built)) > 4
+    assert len(calls["build_mdr_chain"]) == len(calls["absorption_statistics"]) == len(built)
+    priced = [(grid.params.H, radio.power) for _, radio, grid in calls["link_capacities"]]
+    assert len(priced) == len(set(priced)) >= 4 * len(powers)
+    assert {h for h, _ in priced} == set(built)
+
+
+# H 1..16: every grid the snapping properties draw from
+SNAP_GRIDS = {h: SubcellGrid(GridParams(H=h)) for h in range(1, 17)}
+
+
+@st.composite
+def boundary_sites(draw, grid):
+    """The midpoint of two adjacent centers, or the corner three cells share."""
+    a = draw(st.integers(0, len(grid.cells) - 1))
+    b = draw(st.sampled_from(grid.adjacent[a]))
+    shared = [c for c in grid.adjacent[b] if c in grid.adjacent[a]]
+    corner = draw(st.booleans()) and shared
+    points = [grid.center_position(grid.cells[i]) for i in (a, b, *(shared[:1] if corner else ()))]
+    x = sum(px for px, _ in points) / len(points)
+    y = sum(py for _, py in points) / len(points)
+    return math.hypot(x, y) / grid.params.R, math.degrees(math.atan2(y, x))
+
+
+@st.composite
+def snapping_cases(draw):
+    grid = SNAP_GRIDS[draw(st.sampled_from(sorted(SNAP_GRIDS)))]
+    anywhere = st.tuples(
+        st.floats(0.0, 1.3), st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+    )
+    sites = draw(st.lists(st.one_of(anywhere, boundary_sites(grid)), min_size=1, max_size=12))
+    return grid, sites
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(snapping_cases())
+def test_snap_sites_matches_the_full_scan(case):
+    grid, sites = case
+    assert snap_sites(grid, sites) == _snap_by_scan(grid, sites)
+
+
+@pytest.mark.parametrize("h", sorted(SNAP_GRIDS))
+def test_snap_sites_break_exact_ties_toward_the_lower_index(h):
+    # On the +x axis (bearing 0, so y is exactly 0) the cells (q, (1-q)/2)
+    # and (q, (-1-q)/2) of an odd column q mirror each other: their squared
+    # distances to the site are equal to the last bit.
+    grid = SNAP_GRIDS[h]
+    size = grid.params.subcell_radius
+    for q in range(1, h + 1, 2):
+        site = (1.5 * q * size / grid.params.R, 0.0)
+        pair = (grid.index[(q, (1 - q) // 2)], grid.index[(q, (-1 - q) // 2)])
+        assert snap_sites(grid, [site]) == _snap_by_scan(grid, [site]) == [min(pair)]
 
 
 # -- availability sweeps -----------------------------------------------------

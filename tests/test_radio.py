@@ -17,6 +17,11 @@ def test_sinr_noise_only():
     assert link_sinr(ctx, radio, GRID) == pytest.approx(0.15 / 4.6875, rel=1e-15)
 
 
+def test_noise_term_is_the_noise_over_the_hop_gain():
+    radio = RadioParams(noise=1e-4, alpha=2.0)
+    assert radio.noise_term(GRID.params.relay_distance) == pytest.approx(4.6875, rel=1e-15)
+
+
 def test_sinr_with_one_interferer():
     radio = RadioParams(power=0.15, alpha=2.0, noise=1e-4)
     tx, rx = GRID.cell(1), GRID.cell(0)
@@ -61,6 +66,8 @@ def test_min_power_exact():
         {"power": -1.0},
         {"alpha": 0.0},
         {"noise": -1e-9},
+        {"noise": 0.0},
+        {"noise": math.inf},
         {"power": math.nan},
         {"alpha": math.nan},
         {"noise": math.nan},

@@ -309,6 +309,17 @@ MALFORMED = [
     ("experiment: {availabilities: [.nan]}", "experiment.availabilities[0]"),
     ("radio: {P_range: [0.1, .nan]}", "radio.P_range[1]"),
     ("radio: {sensitivity: .nan}", "radio: sensitivity must be positive"),
+    # a link without interferers divides by the noise term alone
+    ("radio: {noise: 0.0}", "radio: noise power must be finite and positive"),
+    ("radio: {noise: .inf}", "radio: noise power must be finite and positive"),
+    ("grid: {R: 1.0e-300}", "change grid.R or radio.noise"),
+    ("grid: {R: 1.0e+200}", "relay_distance**alpha is inf at H=2"),
+    # a positive noise term so small that P over it overflows
+    ("radio: {noise: 1.0e-320}", "change radio.P, experiment.powers, grid.R or radio.noise"),
+    ("radio: {P: .inf}", "transmit power inf over the noise term"),
+    ("experiment: {powers: [0.1, .inf]}", "a link's SINR overflows at H=2"),
+    # an infinite step makes every probe after the first NaN
+    ("econ: {step: .inf}", "econ: price step must be finite and positive"),
 ]
 
 
@@ -665,6 +676,37 @@ def test_cli_reports_an_exhausted_negotiation(tmp_path, capsys):
         "m3sim: error: negotiate on scenario 'offload': "
         "traffic.steps[0] (step 1): no equilibrium after 2 iterations"
     ) in err
+
+
+def test_noise_term_is_checked_at_every_swept_depth(tmp_path):
+    # with alpha = 100 the noise term falls from 9e-197 at H=2 to 4e-251 at
+    # H=7 and underflows to 0 at H=100
+    text = "grid: {H: 4, R: 8.0}\nradio: {alpha: 100, noise: 1.0e-250}\n"
+    assert load_scenario(write(tmp_path, text)).radio.noise == 1e-250
+    with pytest.raises(ScenarioError, match=r"is 0\.0 at H=100, .*change grid\.R or radio\.noise"):
+        load_scenario(write(tmp_path, text + "experiment: {h_values: [2, 100]}\n"))
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("radio", "noise", 0.0, "radio: noise power must be finite and positive, got 0.0"),
+        ("grid", "R", 1.0e-300, "radio.noise * relay_distance**alpha is 0.0 at H=2"),
+        ("econ", "step", math.inf, "econ: price step must be finite and positive, got inf"),
+    ],
+)
+@pytest.mark.parametrize("command", ["tessellate", "capacity", "negotiate"])
+def test_cli_refuses_inputs_without_a_finite_sinr_or_price(
+    tmp_path, capsys, section, key, value, message, command
+):
+    doc = yaml.safe_load(bundled_scenario("offload").read_text())
+    doc[section][key] = value
+    path = write(tmp_path, yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"m3sim: error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_reads_and_writes_utf8_in_a_c_locale(tmp_path):
