@@ -10,10 +10,13 @@ increments until their utility offsets balance.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .chains import ChainStatistics, absorption_statistics
 from .compression import (
@@ -64,6 +67,9 @@ class EconParams:
     price_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
+        for name, value in (("MNO revenue", self.mno_revenue), ("SSO revenue", self.sso_revenue)):
+            if not math.isfinite(value):
+                raise EconError(f"{name} must be finite, got {value!r}")
         if not self.mno_revenue >= self.sso_revenue > 0:
             raise EconError(
                 "revenues must satisfy mno_revenue >= sso_revenue > 0, got "
@@ -71,11 +77,13 @@ class EconParams:
             )
         if not 0 < self.price_step < math.inf:
             raise EconError(f"price step must be finite and positive, got {self.price_step!r}")
-        if not self.tol > 0:
-            raise EconError(f"tolerance must be positive, got {self.tol!r}")
+        if not 0 < self.tol < math.inf:
+            raise EconError(f"tolerance must be finite and positive, got {self.tol!r}")
         if self.max_iter < 1:
             raise EconError("negotiation needs at least one iteration")
         lo, hi = self.bounds
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise EconError(f"price bounds must be finite, got {(lo, hi)!r}")
         if not 0 < lo <= hi:
             raise EconError(f"price bounds must satisfy 0 < lo <= hi, got {(lo, hi)!r}")
 
@@ -178,15 +186,24 @@ def link_capacities(
     memo = {} if memo is None else memo
     caps = {}
     for links in slots.values():
-        transmitters = {tx for tx, _ in links}
+        # the slot's transmitters, sorted once; a slot of one link (every
+        # WLAN hop) has no other
+        order = tuple(sorted({tx for tx, _ in links})) if len(links) > 1 else ()
         for tx, rx in links:
-            others = tuple(sorted(transmitters - {tx, rx}))
-            cap = memo.get((tx, rx, others))
+            others = order
+            if order:  # drop the link's own endpoints: tx is always there
+                i = bisect_left(order, tx)
+                others = order[:i] + order[i + 1 :]
+                j = bisect_left(others, rx)
+                if j < len(others) and others[j] == rx:
+                    others = others[:j] + others[j + 1 :]
+            key = (tx, rx, others)
+            cap = memo.get(key)
             if cap is None:
                 ctx = LinkContext(
                     tx=cells[tx], rx=cells[rx], interferers=tuple(cells[a] for a in others)
                 )
-                cap = memo[(tx, rx, others)] = link_capacity(link_sinr(ctx, radio, grid))
+                cap = memo[key] = link_capacity(link_sinr(ctx, radio, grid))
             caps[(tx, rx)] = cap
     return caps
 
@@ -659,6 +676,9 @@ def offload_breakdown(ctx: OffloadContext, state: TrafficState) -> OffloadBreakd
 # --------------------------------------------------------------------------
 # negotiation
 
+# Probes in the first array of a fixed-set run; each further array doubles.
+_FIRST_RUN = 128
+
 
 @dataclass(frozen=True)
 class NegotiationResult:
@@ -679,8 +699,8 @@ class NegotiationResult:
 
 
 def negotiate_price(
-    delta_mno: Callable[[float, frozenset[str]], float],
-    delta_sso: Callable[[float, frozenset[str]], float],
+    delta_mno: Callable[[Any, frozenset[str]], Any],
+    delta_sso: Callable[[Any, frozenset[str]], Any],
     econ: EconParams,
     *,
     offload: frozenset[str] = frozenset(),
@@ -697,6 +717,16 @@ def negotiate_price(
     (the best probed point wins), or pinned at a bound.  For a fixed set both
     offsets must be affine in the price: the crossing of a pinned walk, or of
     a cycle whose last two probes straddle it, is then exact.
+
+    For a fixed set both offsets must also accept a numpy array of prices and
+    return the offsets elementwise, with the float operations they apply to
+    one price (a constant may come back as a scalar).  Where the set cannot
+    change in the walk's direction -- always in price mode, when growing once
+    every candidate is in the set, when shrinking once one user is left --
+    the walk probes the next prices of the run as one array and keeps the
+    probes that would each have stepped on; the first that would stop is
+    probed again on its own.  The result is the one of a walk that probes
+    one price at a time.
     """
     lo, hi = econ.bounds
     step = econ.price_step
@@ -718,12 +748,51 @@ def negotiate_price(
         return None if g0 == g1 else g0 / (g0 - g1)
 
     k, chi = 0, chi_at(0)
-    visited: set[tuple[float, frozenset[str]]] = set()
+    visited: dict[frozenset[str], set[float]] = {}  # probed prices per offload set
     trace: list[tuple[float, float, float]] = []
     best: tuple[float, float, frozenset[str]] | None = None
     prev: tuple[float, frozenset[str]] | None = None
+    heading = 0  # the last step's sign: -1 down (the set grows), +1 up (it shrinks)
+    run = _FIRST_RUN
 
-    for _ in range(econ.max_iter):
+    while len(trace) < econ.max_iter:
+        # ``current`` holds only pool members, so it holds the whole pool
+        # exactly when their counts agree.
+        if heading and (
+            not candidates
+            or (heading < 0 and len(current) == len(pool))
+            or (heading > 0 and len(current) <= 1)
+        ):
+            n = min(run, econ.max_iter - len(trace))
+            chis = np.minimum(np.maximum(chi0 + (k + heading * np.arange(n + 1)) * step, lo), hi)
+            probes = chis[:-1]
+            d_mno = _elementwise(delta_mno(probes, current), probes.shape)
+            d_sso = _elementwise(delta_sso(probes, current), probes.shape)
+            gap = d_mno - d_sso
+            # a probe steps on when its gap is finite and out of tolerance, it
+            # points the run's way, its price is new and the next one differs
+            onward = np.isfinite(gap) & (np.abs(gap) > econ.tol) & (chis[1:] != probes)
+            onward &= (d_sso > d_mno) if heading < 0 else (d_sso <= d_mno)
+            taken = n if onward.all() else int(onward.argmin())
+            prices = probes[:taken].tolist()
+            seen = visited.setdefault(current, set())
+            if not seen.isdisjoint(prices):
+                taken = next(j for j, price in enumerate(prices) if price in seen)
+                del prices[taken:]
+            if taken:
+                trace.extend(zip(prices, d_mno[:taken].tolist(), d_sso[:taken].tolist()))
+                seen.update(prices)
+                j = int(np.abs(gap[:taken]).argmin())
+                if abs(gap[j]) < abs(best[1]):
+                    best = (prices[j], float(gap[j]), current)
+                prev = (float(gap[taken - 1]), current)
+                k += heading * taken
+                chi = chi_at(k)
+            if taken == n:
+                run *= 2
+                continue
+
+        run = _FIRST_RUN
         d_mno = delta_mno(chi, current)
         d_sso = delta_sso(chi, current)
         gap = d_mno - d_sso
@@ -732,9 +801,10 @@ def negotiate_price(
             best = (chi, gap, current)
 
         converged = True
+        seen = visited.setdefault(current, set())
         if abs(gap) <= econ.tol:
             price, crossing = chi, chi
-        elif (chi, current) in visited:
+        elif chi in seen:
             # The walk is cycling, so it has stepped before; settle on the best
             # point probed so far.
             price, _, offered = best
@@ -743,7 +813,7 @@ def negotiate_price(
                 crossing = crossing_of(current)
             current = offered
         else:
-            visited.add((chi, current))
+            seen.add(chi)
             k_next = k - 1 if d_sso > d_mno else k + 1
             next_set = current
             if candidates:
@@ -751,6 +821,7 @@ def negotiate_price(
             chi_next = chi_at(k_next)
             if chi_next != chi or next_set != current:
                 prev = (gap, current)
+                heading = k_next - k
                 k, chi, current = k_next, chi_next, next_set
                 continue
             # Pinned at a bound; the crossing may lie outside it.
@@ -770,6 +841,13 @@ def negotiate_price(
     raise NegotiationError(
         f"no equilibrium after {econ.max_iter} iterations", trace
     )
+
+
+def _elementwise(values: Any, shape: tuple[int, ...]) -> np.ndarray:
+    """An offset's values at an array of prices; one that ignores the price may return a constant."""
+    if getattr(values, "shape", None) == shape:
+        return values
+    return np.broadcast_to(values, shape)
 
 
 def _adjust_offload(

@@ -200,6 +200,15 @@ def _numbers(where: str, value: Any, cast=float) -> tuple:
     return tuple(_number(f"{where}[{i}]", v, cast) for i, v in enumerate(_list(where, value)))
 
 
+def _powers(where: str, value: Any) -> tuple[float, ...]:
+    """A power axis: a list of transmit powers, each a positive number."""
+    powers = _numbers(where, value, _real)
+    for i, power in enumerate(powers):
+        if not power > 0:
+            raise ScenarioError(f"{where}[{i}] must be a positive transmit power, got {power!r}")
+    return powers
+
+
 def _fields(section: str, mapping: Mapping) -> dict[str, Any]:
     """Constructor keywords for the one-to-one keys the file sets."""
     out = {}
@@ -308,7 +317,7 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     # -- radio
     r = section("radio")
     radio_fields = _fields("radio", r)
-    p_range = _numbers("radio.P_range", r.get("P_range"), _real)
+    p_range = _powers("radio.P_range", r.get("P_range"))
     power = r.get("P")
     if power is None and p_range:
         power = p_range[0]
@@ -491,9 +500,13 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     # -- experiment (an empty or omitted sweep keeps the default axis)
     x = section("experiment")
     experiment_fields = _fields("experiment", x)
+    h_values = _numbers("experiment.h_values", x.get("h_values"), int)
+    for i, h in enumerate(h_values):
+        if h < 1:
+            raise ScenarioError(f"experiment.h_values[{i}] must be a ring count >= 1, got {h!r}")
     sweeps = {
-        "h_values": _numbers("experiment.h_values", x.get("h_values"), int),
-        "powers": _numbers("experiment.powers", x.get("powers"), _real) or p_range,
+        "h_values": h_values,
+        "powers": _powers("experiment.powers", x.get("powers")) or p_range,
         "availabilities": _numbers("experiment.availabilities", x.get("availabilities"), _real),
         "sites": tuple(
             _numbers(f"experiment.sites[{i}]", site, _real)
@@ -509,7 +522,7 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     # -- a hop's SINR, P / (interference + noise term), must be a finite
     # number at every depth a command builds a grid for
     power = max(radio.power, *experiment.powers)
-    for h in sorted({params.H, *(h for h in experiment.h_values if h >= 1)}):
+    for h in sorted({params.H, *experiment.h_values}):
         try:
             term = radio.noise_term(replace(params, H=h).relay_distance)
         except OverflowError:
@@ -562,14 +575,14 @@ class ResultTable:
                 )
 
     @cached_property
-    def cells(self) -> list[tuple[str, ...]]:
-        """Every row as text, formatted on first use and read by both emitters.
+    def text(self) -> list[list[str]]:
+        """Each column's cells as text, formatted on first use and read by both emitters.
 
         The text is kept, so ``rows`` must not change once the table is emitted.
         """
         if not self.rows:
             raise ScenarioError("refusing to emit an empty table")
-        return list(zip(*map(_column_text, zip(*self.rows))))
+        return list(map(_column_text, zip(*self.rows)))
 
 
 def _column_text(values: Sequence) -> list[str]:
@@ -578,7 +591,8 @@ def _column_text(values: Sequence) -> list[str]:
     last, text = object(), ""
     for value in values:
         if value is not last:
-            last, text = value, _fmt(value)
+            # most cells are floats: their text is ``_fmt``'s, without the call
+            last, text = value, repr(value) if type(value) is float else _fmt(value)
         out.append(text)
     return out
 
@@ -601,30 +615,54 @@ def _fmt(value: Any) -> str:
 
 
 def emit_csv(table: ResultTable, path: str | Path) -> None:
-    """Write the table; fixed column order, repr floats, newline-terminated."""
-    cells = table.cells
+    """Write the table; fixed column order, repr floats, newline-terminated.
+
+    Each line is its cells joined by commas.  A table whose text ``csv``
+    would quote somewhere -- a quote, CR, comma or newline inside a cell, or
+    an empty cell as a row's only one -- is written by ``csv`` instead, so
+    the bytes are always those of ``csv.writer``.
+    """
+    lines = [",".join(table.columns), *map(",".join, zip(*table.text))]
+    text = "\n".join(lines)
+    width = len(table.columns)
+    plain = (
+        '"' not in text
+        and "\r" not in text
+        and text.count(",") == (width - 1) * len(lines)
+        and text.count("\n") == len(lines) - 1
+        and not (width == 1 and "" in lines)
+    )
+    del lines  # gone before the write encodes a copy of the text
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        if plain:
+            fh.write(text)
+            fh.write("\n")
+            return
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(table.columns)
-        writer.writerows(cells)
+        writer.writerows(zip(*table.text))
 
 
 def emit_plotdata(table: ResultTable, path: str | Path) -> None:
     """Gnuplot-style blocks: one block per value of the sweep column."""
-    cells = table.cells
+    text = table.text
     sweep = table.sweep or table.columns[0]
     key = table.columns.index(sweep)
     rest = [j for j in range(len(table.columns)) if j != key]
-    groups: dict[Any, list[tuple[str, ...]]] = {}
-    for row, text in zip(table.rows, cells):
-        groups.setdefault(row[key], []).append(text)
+    # an empty cell (None or an empty string) is written as nan
+    other = [[t or "nan" for t in text[j]] if "" in text[j] else text[j] for j in rest]
+    lines = list(map(" ".join, zip(*other))) if other else [""] * len(table.rows)
+    blocks: dict[Any, list[int]] = {}
+    for i, row in enumerate(table.rows):
+        blocks.setdefault(row[key], []).append(i)
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(f"# columns: {' '.join(table.columns[j] for j in rest)}\n")
         blank = ""  # a blank line between blocks, none after the last
-        for block in groups.values():
-            fh.write(f"{blank}# {sweep} = {block[0][key]}\n")
+        for rows in blocks.values():
+            fh.write(f"{blank}# {sweep} = {text[key][rows[0]]}\n")
+            fh.write("\n".join(map(lines.__getitem__, rows)))
+            fh.write("\n")
             blank = "\n"
-            fh.writelines(" ".join([text[j] or "nan" for j in rest]) + "\n" for text in block)
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -16,6 +17,7 @@ from m3sim.economics import (
     EconError,
     EconParams,
     NegotiationError,
+    NegotiationResult,
     OffloadContext,
     RouteMetrics,
     TrafficState,
@@ -172,6 +174,20 @@ def test_econ_params_validation():
         EconParams(max_iter=0)
     with pytest.raises(EconError):
         EconParams(price_bounds=(0.0, 1.0))
+    # every float field is finite
+    for kwargs, message in [
+        ({"mno_revenue": math.inf}, "MNO revenue must be finite, got inf"),
+        ({"mno_revenue": math.nan}, "MNO revenue must be finite, got nan"),
+        ({"sso_revenue": math.inf}, "SSO revenue must be finite, got inf"),
+        ({"sso_revenue": -math.inf}, "SSO revenue must be finite, got -inf"),
+        ({"tol": math.inf}, "tolerance must be finite and positive, got inf"),
+        ({"tol": math.nan}, "tolerance must be finite and positive, got nan"),
+        ({"price_bounds": (1e-300, math.inf)}, "price bounds must be finite, got (1e-300, inf)"),
+        ({"price_bounds": (-math.inf, 1.0)}, "price bounds must be finite"),
+        ({"price_bounds": (0.5, math.nan)}, "price bounds must be finite"),
+    ]:
+        with pytest.raises(EconError, match=re.escape(message)):
+            EconParams(**kwargs)
 
 
 # -- traffic bookkeeping -----------------------------------------------------
@@ -470,6 +486,34 @@ def test_link_table_matches_rescanned_route_capacity(name):
     assert checked == 4 * sum(len(o.sources) for o in scn.overlays)
 
 
+@st.composite
+def slot_tables(draw):
+    """Slots of hops between adjacent subcells on the H=4 grid; a receiver may
+    transmit in its own slot."""
+    hops = [(tx, rx) for tx in range(1, len(GRID4.cells)) for rx in GRID4.adjacent[tx]]
+    links = draw(st.lists(st.sampled_from(hops), max_size=24, unique=True))
+    slots = {}
+    for link in links:
+        slots.setdefault(draw(st.integers(0, 5)), []).append(link)
+    return slots
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(slot_tables())
+def test_link_capacities_key_each_link_by_its_co_slot_transmitters(slots):
+    radio = RadioParams(power=0.15, alpha=2.0, noise=1e-6)
+    expected = {}
+    for links in slots.values():
+        transmitters = {tx for tx, _ in links}
+        for tx, rx in links:
+            others = tuple(sorted(transmitters - {tx, rx}))
+            expected[(tx, rx, others)] = _capacity(GRID4, radio, tx, rx, others)
+    memo = {}
+    caps = link_capacities(slots, radio, GRID4, memo)
+    assert memo == expected
+    assert caps == {(tx, rx): cap for (tx, rx, _), cap in expected.items()}
+
+
 def _reference_user_capacities(ctx, bs_users, wlan_users):
     """Reference: a WLAN hop is interference-free; a macro hop hears every
     other macro transmitter of its color."""
@@ -686,6 +730,267 @@ def test_negotiation_terminates_at_the_closed_form_crossing(a, b, o, lo, width, 
             assert result.crossing == pytest.approx(exact, rel=1e-12, abs=1e-12)
     else:
         assert result.converged or result.crossing is None
+
+
+# -- the per-probe walk, the oracle of the array-probed one -------------------
+
+
+def _per_probe_negotiate_price(delta_mno, delta_sso, econ, *, offload=frozenset(), candidates=(), chi0=None):
+    """``negotiate_price`` as it probed one price at a time, kept as the reference."""
+    lo, hi = econ.bounds
+    step = econ.price_step
+    if chi0 is None:
+        chi0 = (lo + hi) / 2.0
+    elif math.isnan(chi0):
+        raise EconError(f"chi0 must be a number, got {chi0!r}")
+    chi0 = min(max(chi0, lo), hi)
+    current = frozenset(offload)
+    pool = tuple(sorted(set(candidates) | current))
+
+    def chi_at(k):
+        return min(max(chi0 + k * step, lo), hi)
+
+    def crossing_of(s):
+        g0 = delta_mno(0.0, s) - delta_sso(0.0, s)
+        g1 = delta_mno(1.0, s) - delta_sso(1.0, s)
+        return None if g0 == g1 else g0 / (g0 - g1)
+
+    k, chi = 0, chi_at(0)
+    visited = set()
+    trace = []
+    best = None
+    prev = None
+
+    for _ in range(econ.max_iter):
+        d_mno = delta_mno(chi, current)
+        d_sso = delta_sso(chi, current)
+        gap = d_mno - d_sso
+        trace.append((chi, d_mno, d_sso))
+        if best is None or abs(gap) < abs(best[1]):
+            best = (chi, gap, current)
+
+        converged = True
+        if abs(gap) <= econ.tol:
+            price, crossing = chi, chi
+        elif (chi, current) in visited:
+            price, _, offered = best
+            crossing = price
+            if prev[1] == current and (prev[0] > 0) != (gap > 0):
+                crossing = crossing_of(current)
+            current = offered
+        else:
+            visited.add((chi, current))
+            k_next = k - 1 if d_sso > d_mno else k + 1
+            next_set = current
+            if candidates:
+                next_set = _per_probe_adjust_offload(delta_mno, chi, current, pool, d_mno, d_sso)
+            chi_next = chi_at(k_next)
+            if chi_next != chi or next_set != current:
+                prev = (gap, current)
+                k, chi, current = k_next, chi_next, next_set
+                continue
+            price, crossing, converged = chi, crossing_of(current), False
+
+        no_offload = not converged and (crossing is None or crossing > econ.mno_revenue)
+        return NegotiationResult(
+            price=price,
+            crossing=crossing,
+            verdict="no-offload" if no_offload else "offload",
+            offload=current,
+            iterations=len(trace) - 1,
+            converged=converged,
+            trace=tuple(trace),
+        )
+
+    raise NegotiationError(f"no equilibrium after {econ.max_iter} iterations", trace)
+
+
+def _per_probe_adjust_offload(delta_mno, chi, current, pool, d_mno, d_sso):
+    if d_sso > d_mno:
+        additions = [u for u in pool if u not in current]
+        if not additions:
+            return current
+        pick = max(additions, key=lambda u: (delta_mno(chi, current | {u}) - d_mno, u))
+        return current | {pick}
+    if len(current) > 1:
+        members = [u for u in pool if u in current]
+        pick = min(members, key=lambda u: (d_mno - delta_mno(chi, current - {u}), u))
+        return current - {pick}
+    return current
+
+
+def _affine_walk(walk, terms, econ, offload, candidates, chi0, calls=None):
+    """One walk over per-set affine offsets, m + (rho - chi) o and w + chi o.
+
+    Returns the result, or the type, message and trace of the error raised.
+    ``calls`` collects each offset call's price argument.
+    """
+    rho = econ.mno_revenue
+
+    def d_mno(chi, s):
+        if calls is not None:
+            calls.append(chi)
+        m, _, o = terms[s]
+        return m + (rho - chi) * o
+
+    def d_sso(chi, s):
+        _, w, o = terms[s]
+        return w + chi * o
+
+    try:
+        return walk(d_mno, d_sso, econ, offload=offload, candidates=candidates, chi0=chi0)
+    except EconError as exc:
+        return type(exc), str(exc), getattr(exc, "trace", None)
+
+
+def _assert_walk_matches_the_per_probe_walk(terms, econ, offload, candidates, chi0):
+    expected = _affine_walk(_per_probe_negotiate_price, terms, econ, offload, candidates, chi0)
+    got = _affine_walk(negotiate_price, terms, econ, offload, candidates, chi0)
+    assert type(got) is type(expected)
+    if isinstance(expected, NegotiationResult):
+        for f in fields(NegotiationResult):
+            assert getattr(got, f.name) == getattr(expected, f.name), f.name
+    else:
+        assert got == expected
+    return expected
+
+
+_OFFSETS = st.one_of(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]), st.floats(-10.0, 10.0))
+_SLOPES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 5.0))
+
+
+@st.composite
+def affine_walks(draw):
+    """Per-set affine terms over a pool of 1-5 users, bounds, step, budget and opening price.
+
+    Dyadic terms, bounds and steps let probes land on the exact crossing;
+    the budget is small enough that a fine step can exhaust it.
+    """
+    users = [f"u{i}" for i in range(draw(st.integers(1, 5)))]
+    terms = {}
+    for mask in range(1, 2 ** len(users)):
+        members = frozenset(u for i, u in enumerate(users) if mask >> i & 1)
+        terms[members] = (draw(_OFFSETS), draw(_OFFSETS), draw(_SLOPES))
+    offload = frozenset(draw(st.sets(st.sampled_from(users), min_size=1)))
+    candidates = tuple(sorted(draw(st.sets(st.sampled_from(users)))))
+    lo = draw(st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.01, 5.0)))
+    width = draw(st.one_of(st.sampled_from([0.0, 1.5, 50.0]), st.floats(0.0, 10.0)))
+    econ = EconParams(
+        mno_revenue=2.0,
+        sso_revenue=1.0,
+        price_step=draw(st.one_of(st.sampled_from([1e-6, 1e-3, 0.25, 1.0]), st.floats(1e-6, 1.0))),
+        tol=draw(st.sampled_from([1e-9, 1e-3, 0.25])),
+        max_iter=draw(st.integers(1, 2000)),
+        price_bounds=(lo, lo + width),
+    )
+    chi0 = draw(st.one_of(st.none(), st.sampled_from([0.5, 1.5]), st.floats(-1.0, 60.0)))
+    return terms, econ, offload, candidates, chi0
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(affine_walks())
+def test_array_probed_walk_matches_the_per_probe_walk(walk):
+    _assert_walk_matches_the_per_probe_walk(*walk)
+
+
+A, B, AB = frozenset("a"), frozenset("b"), frozenset("ab")
+# name: (terms per set, offered set, candidates, EconParams knobs, chi0,
+#        (price, crossing, offload, converged, probes))
+# With rho = 2, gap(chi) = m - w + (2 - 2 chi) o for the terms (m, w, o).
+WALKS = {
+    # from 0.5 up in quarter steps onto the crossing at 1.5
+    "tolerance-hit": (
+        {A: (1.0, 0.0, 1.0)}, A, (), {"price_step": 0.25, "price_bounds": (0.5, 2.5)}, 0.5,
+        (1.5, 1.5, A, True, 5),
+    ),
+    # the gap at 1.25 equals the tolerance, which counts as balanced
+    "tolerance-edge": (
+        {A: (1.0, 0.0, 1.0)}, A, (), {"price_step": 0.25, "tol": 0.5, "price_bounds": (0.5, 2.5)}, 0.5,
+        (1.25, 1.25, A, True, 4),
+    ),
+    # steps of 0.3 straddle 1.5, so the walk turns back onto a probed price
+    "cycle": (
+        {A: (1.0, 0.0, 1.0)}, A, (), {"price_step": 0.3, "price_bounds": (0.5, 2.5)}, 0.5,
+        (1.4, 1.5, A, True, 6),
+    ),
+    # the crossing at 3.5 lies above the bounds
+    "pinned": (
+        {A: (5.0, 0.0, 1.0)}, A, (), {"price_step": 0.01, "price_bounds": (0.5, 2.5)}, None,
+        (2.5, 3.5, A, False, 101),
+    ),
+    "zero-width": (
+        {A: (1.0, 0.0, 1.0)}, A, (), {"price_step": 0.01, "price_bounds": (1.0, 1.0)}, None,
+        (1.0, 1.5, A, False, 1),
+    ),
+    "budget": (
+        {A: (1.0, 0.0, 1.0)}, A, (), {"price_step": 1e-6, "price_bounds": (0.5, 2.5), "max_iter": 700}, 0.5,
+        None,
+    ),
+    # every set trails: the three users shrink to two at 0.75 and to one at
+    # 1.0, who walks up alone
+    "set-shrinks-to-one": (
+        {s: (3.0, 0.0, 1.0) for s in map(frozenset, ("a", "b", "c", "ab", "ac", "bc", "abc"))},
+        frozenset("abc"), ("a", "b", "c"),
+        {"price_step": 0.25, "price_bounds": (0.05, 3.0)}, 0.5,
+        (2.5, 2.5, frozenset("c"), True, 9),
+    ),
+    # the pair walks down from 1.0, flips at 0.4 and hands over to "b", who
+    # walks up to 1.3 and takes "a" back: the pair is at 1.0 again
+    "set-revisits-a-run": (
+        {AB: (-1.0, 0.0, 1.0), A: (0.5, 0.0, 1.0), B: (0.5, 0.0, 1.0)}, AB, ("a", "b"),
+        {"price_step": 0.3, "price_bounds": (0.05, 2.5)}, 1.0,
+        (1.3, 1.3, B, True, 7),
+    ),
+    # the pair flips at 0.4 first; back from 1.3 it walks down onto that flip,
+    # so its last two probes straddle its crossing at 0.5
+    "set-runs-onto-a-flip": (
+        {AB: (-1.0, 0.0, 1.0), A: (0.5, 0.0, 1.0), B: (0.5, 0.0, 1.0)}, AB, ("a", "b"),
+        {"price_step": 0.3, "price_bounds": (0.05, 2.5)}, 0.4,
+        (1.3, 0.5, B, True, 7),
+    ),
+    # the pair's gap at 1.0 ties the opening gap of "b" at 1.5: the first stays best
+    "set-ties-the-best": (
+        {B: (-1.0, 0.0, 0.0), AB: (-1.0, 0.0, 2.0), A: (-2.0, 0.0, 0.0)}, B, ("a", "b"),
+        {"price_step": 0.5, "price_bounds": (0.05, 2.5)}, 1.5,
+        (1.5, 1.5, B, True, 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WALKS)
+def test_each_way_a_walk_ends_matches_the_per_probe_walk(name):
+    terms, offload, candidates, knobs, chi0, expected = WALKS[name]
+    econ = EconParams(mno_revenue=2.0, sso_revenue=1.0, **knobs)
+    outcome = _assert_walk_matches_the_per_probe_walk(terms, econ, offload, candidates, chi0)
+    if expected is None:
+        assert outcome[0] is NegotiationError and len(outcome[2]) == econ.max_iter
+        return
+    price, crossing, offload, converged, probes = expected
+    assert outcome.price == pytest.approx(price)
+    assert outcome.crossing == pytest.approx(crossing)
+    assert (outcome.offload, outcome.converged, len(outcome.trace)) == (offload, converged, probes)
+
+
+def test_joint_walk_probes_each_fixed_set_run_as_arrays():
+    # The whole pool, offered at 2.0, walks down to its crossing at 0.3 with
+    # no user left to add; user "a" alone, offered at 0.1, walks up to its
+    # crossing at 2.0 with no user left to drop.
+    users = ("a", "b", "c")
+    terms = {}
+    for mask in range(1, 8):
+        members = frozenset(u for i, u in enumerate(users) if mask >> i & 1)
+        terms[members] = (0.0, 0.0, 1.0)
+    terms[frozenset(users)] = (-1.4, 0.0, 1.0)
+    terms[frozenset({"a"})] = (2.0, 0.0, 1.0)
+    econ = EconParams(mno_revenue=2.0, sso_revenue=1.0, price_step=0.001, price_bounds=(0.05, 2.5))
+    for chi0, offload in ((2.0, frozenset(users)), (0.1, frozenset({"a"}))):
+        outcome = _assert_walk_matches_the_per_probe_walk(terms, econ, offload, users, chi0)
+        assert outcome.offload == offload and len(outcome.trace) > 1500
+        calls = []
+        _affine_walk(negotiate_price, terms, econ, offload, users, chi0, calls)
+        assert sum(1 for chi in calls if isinstance(chi, float)) < 10
+        # each array of a run is twice as long as the one before it
+        assert sum(1 for chi in calls if not isinstance(chi, float)) <= math.log2(len(outcome.trace))
 
 
 def test_negotiate_end_to_end(offload_ctx, offload_state):

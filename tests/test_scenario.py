@@ -320,6 +320,17 @@ MALFORMED = [
     ("experiment: {powers: [0.1, .inf]}", "a link's SINR overflows at H=2"),
     # an infinite step makes every probe after the first NaN
     ("econ: {step: .inf}", "econ: price step must be finite and positive"),
+    # infinite revenues, tolerances and bounds write non-finite offsets
+    ("econ: {rho: .inf}", "econ: MNO revenue must be finite, got inf"),
+    ("econ: {rho1: -.inf}", "econ: SSO revenue must be finite, got -inf"),
+    ("econ: {tol: .inf}", "econ: tolerance must be finite and positive, got inf"),
+    ("econ: {bounds: [1.0e-300, .inf]}", "econ: price bounds must be finite, got (1e-300, inf)"),
+    # sweep axes fail at load, by key and index, not when tessellate runs
+    ("experiment: {h_values: [0, 3]}", "experiment.h_values[0] must be a ring count >= 1, got 0"),
+    ("experiment: {powers: [-0.1, 0.2]}", "experiment.powers[0] must be a positive transmit power"),
+    ("experiment: {powers: [0.2, 0.0]}", "experiment.powers[1] must be a positive transmit power"),
+    ("radio: {P: 0.1, P_range: [0.1, -0.2]}", "radio.P_range[1] must be a positive transmit power"),
+    ("radio: {P_range: [-0.1, 0.2]}", "radio.P_range[0] must be a positive transmit power"),
 ]
 
 
@@ -693,6 +704,7 @@ def test_noise_term_is_checked_at_every_swept_depth(tmp_path):
         ("radio", "noise", 0.0, "radio: noise power must be finite and positive, got 0.0"),
         ("grid", "R", 1.0e-300, "radio.noise * relay_distance**alpha is 0.0 at H=2"),
         ("econ", "step", math.inf, "econ: price step must be finite and positive, got inf"),
+        ("econ", "rho", math.inf, "econ: MNO revenue must be finite, got inf"),
     ],
 )
 @pytest.mark.parametrize("command", ["tessellate", "capacity", "negotiate"])

@@ -194,3 +194,32 @@ def test_emitters_match_the_parent_emitters(tmp_path_factory, case):
     for name in "abc":
         got = (out / f"{name}.csv").read_bytes(), (out / f"{name}.dat").read_bytes()
         assert got == expected, name
+
+
+# Tables whose text csv quotes somewhere, and one it does not, each with
+# the bytes csv.writer gives.
+CSV_LITERALS = {
+    "single-column-with-empty-cells": (("only",), [(None,), ("x",), ("",), (1.5,)]),
+    "quote": (("a", "b"), [('say "hi"', 1), ("x", 2.0)]),
+    "comma": (("a", "b"), [("x,y", 1), ("x", 2.0)]),
+    "carriage-return": (("a", "b"), [("cr\rhere", None), ("x", 2.0)]),
+    "newline": (("a", "b"), [("line\nbreak", 3), ("x", 2.0)]),
+    "all-four": (
+        ("a", "b"),
+        [('say "hi"', 1), ("x,y", 2.0), ("cr\rhere", None), ("line\nbreak", 3)],
+    ),
+    "comma-in-the-header": (("c0", "last,col"), [(1, 2.5), (2, 3.5)]),
+    "comma-in-a-numeric-table": (
+        ("power", "h", "label"),
+        [(0.1, 2, "a"), (0.2, 3, "one, two"), (0.35, 4, "b")],
+    ),
+    "plain": (("step", "chi", "crossing"), [(1, 0.5, None), (1, 0.25, 1e-300), (2, -0.0, "x")]),
+}
+
+
+@pytest.mark.parametrize("name", CSV_LITERALS)
+def test_csv_literals_match_csv_writer_bytes(tmp_path, name):
+    columns, rows = CSV_LITERALS[name]
+    _parent_emit_csv(ResultTable(columns, rows), tmp_path / "parent.csv")
+    emit_csv(ResultTable(columns, rows), tmp_path / "got.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "parent.csv").read_bytes()
