@@ -16,8 +16,13 @@ decided exactly, by a reverse breadth-first search over the positive
 transitions, before any solve.
 
 A seeded Monte Carlo walk simulator doubles as an independent oracle for
-the analytic results.  It samples each step from the nonzeros of the
-current row, so a step costs O(row degree) rather than O(states).
+the analytic results.  It samples each step by inverse transform over the
+nonzeros of the current row, through a guide table (Chen & Asau, 1974):
+each row's unit interval is cut into equal buckets, and a bucket whose
+draws all land on one target stores it, so most steps cost one lookup and
+the rest O(row degree).  Since the column a draw picks never decreases as
+the draw grows, and the bucket edges are exact binary fractions, the table
+picks the same column as a count over the row for every draw.
 """
 
 from __future__ import annotations
@@ -88,19 +93,35 @@ def build_chain(
     for k, s in enumerate(absorbing):
         index[s] = len(transient) + k
     n = len(transient) + len(absorbing)
-    matrix = np.zeros((n, n))
-    for state, targets in rows.items():
-        row = matrix[index[state]]
+    # (row, column, probability) triplets in row order; an entry fault stops
+    # the collection, but a bad sum in an earlier row is reported first
+    r, c, v = [], [], []
+    fault = None
+    for k, (state, targets) in enumerate(rows.items()):
         for target, prob in targets:
             if target not in index:
-                raise ChainError(f"row for {state!r} targets unknown state {target!r}")
+                fault = k, f"row for {state!r} targets unknown state {target!r}"
+                break
             if prob < -_ROW_SUM_TOL:
-                raise ChainError(f"negative probability {prob!r} in row for {state!r}")
-            row[index[target]] += prob
-        total = row.sum()
-        if abs(total - 1.0) > _ROW_SUM_TOL:
-            raise ChainError(f"row for {state!r} sums to {total!r}, expected 1")
-        row /= total
+                fault = k, f"negative probability {prob!r} in row for {state!r}"
+                break
+            r.append(k)
+            c.append(index[target])
+            v.append(prob)
+        if fault is not None:
+            break
+    matrix = np.zeros((n, n))
+    # unbuffered, in triplet order: duplicate targets accumulate as they are listed
+    np.add.at(matrix, (np.array(r, dtype=np.intp), np.array(c, dtype=np.intp)), np.array(v, float))
+    totals = matrix[: len(transient)].sum(axis=1)
+    checked = len(transient) if fault is None else fault[0]
+    bad = np.flatnonzero(np.abs(totals[:checked] - 1.0) > _ROW_SUM_TOL)
+    if bad.size:
+        k = bad[0]
+        raise ChainError(f"row for {transient[k]!r} sums to {totals[k]!r}, expected 1")
+    if fault is not None:
+        raise ChainError(fault[1])
+    matrix[: len(transient)] /= totals[:, None]
     for k in range(len(transient), n):
         matrix[k, k] = 1.0
     if isinstance(dwell, Mapping):
@@ -212,6 +233,7 @@ def absorption_statistics(chain: AbsorbingChain, start: np.ndarray | None = None
 
 
 _CHUNK = 200_000
+_BUCKETS = 64
 
 
 def _sampling_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,6 +256,23 @@ def _sampling_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return target, cum
 
 
+def _guide_table(target: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Flat (row, bucket) table of the target every draw in the bucket picks.
+
+    Bucket ``b`` holds the draws u in [b/B, (b+1)/B).  Where count(cum < u)
+    is the same at both edges it is the same for every draw between them;
+    elsewhere the table holds -1.
+    """
+    edges = np.arange(_BUCKETS + 1) / _BUCKETS
+    below = np.zeros((cum.shape[0], _BUCKETS + 1), dtype=np.intp)
+    for column in cum.T:
+        below += column[:, None] < edges
+    lo, hi = below[:, :-1], below[:, 1:]
+    guide = np.take_along_axis(target, lo, axis=1)
+    guide[lo != hi] = -1
+    return guide.ravel()
+
+
 def simulate_walks(
     chain: AbsorbingChain,
     n_walks: int,
@@ -250,9 +289,18 @@ def simulate_walks(
     Each row is sampled from padded (target, cumulative probability) arrays
     built from its nonzeros in column order.  The last column always closes
     the row at exactly 1.0, as a nonzero or as an appended entry, so a step
-    with uniform draw ``u`` goes to the first target whose cumulative
-    probability reaches ``u``: the column a cumulative sum over the full
-    row would pick, since zeros leave that sum unchanged.
+    with uniform draw ``u`` goes to column count(cum < u): the column a
+    cumulative sum over the full row would pick, since zeros leave that sum
+    unchanged.
+
+    A guide table (Chen & Asau) splits [0, 1) into ``_BUCKETS`` equal
+    buckets per row and stores the column of each bucket whose edges give
+    the same count; a step reads it at ``floor(u * B)``, and only draws in
+    the other buckets count the row.  With B a power of two, ``u * B`` and
+    the edges ``b / B`` are exact, so the table picks what the count picks
+    for every draw.  Only live walks are carried from step to step, each
+    chunk draws one uniform per live walk and step in walk order, and each
+    walk adds its dwell times in visiting order.
     """
     if n_walks < 1:
         raise ChainError(f"need at least one walk, got {n_walks}")
@@ -260,6 +308,7 @@ def simulate_walks(
     n, a = len(chain.transient), len(chain.absorbing)
     f = _initial_distribution(chain, start)
     target, cum = _sampling_rows(chain.matrix[:n])
+    guide = _guide_table(target, cum)
     dwell = chain.dwell
 
     counts = np.zeros(n, dtype=np.int64)
@@ -274,24 +323,31 @@ def simulate_walks(
     for size, chunk_seed in zip(chunks, seeds):
         rng = np.random.Generator(np.random.PCG64(chunk_seed))
         origin = rng.choice(n, size=size, p=f)
-        state = origin.copy()
-        elapsed = dwell[state].copy()
-        active = np.arange(size)
         landed = np.empty(size, dtype=np.int64)
-        while active.size:
-            current = state[active]
-            k = (cum[current] < rng.random((active.size, 1))).sum(axis=1)
-            step = target[current, k]
+        total = np.empty(size)
+        walk = np.arange(size)
+        state = origin
+        elapsed = dwell[origin]
+        while walk.size:
+            u = rng.random(walk.size)
+            step = guide[state * _BUCKETS + (u * _BUCKETS).astype(np.intp)]
+            miss = np.flatnonzero(step < 0)
+            if miss.size:
+                rows = state[miss]
+                step[miss] = target[rows, (cum[rows] < u[miss, None]).sum(axis=1)]
             absorbed = step >= n
-            hit = active[absorbed]
-            landed[hit] = step[absorbed] - n
-            moved = active[~absorbed]
-            state[moved] = step[~absorbed]
-            elapsed[moved] += dwell[state[moved]]
-            active = moved
+            if absorbed.any():
+                # index lists, not masks: each mask index would scan the mask again
+                gone, live = np.flatnonzero(absorbed), np.flatnonzero(~absorbed)
+                done = walk[gone]
+                landed[done] = step[gone] - n
+                total[done] = elapsed[gone]
+                walk, step, elapsed = walk[live], step[live], elapsed[live]
+            state = step
+            elapsed += dwell[state]
         np.add.at(counts, origin, 1)
-        np.add.at(time_sum, origin, elapsed)
-        np.add.at(time_sqsum, origin, elapsed * elapsed)
+        np.add.at(time_sum, origin, total)
+        np.add.at(time_sqsum, origin, total * total)
         np.add.at(absorb_counts, (origin, landed), 1)
 
     visited = counts > 0

@@ -16,7 +16,7 @@ within a ring, indices increase with theta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 SQRT3 = math.sqrt(3.0)
 
@@ -241,6 +241,7 @@ class Destinations:
     bs: SubcellId | None
     aps: tuple[SubcellId, ...] = ()
     coverage: tuple[tuple[SubcellId, ...], ...] = ()
+    _indices: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bs is None and not self.aps:
@@ -251,6 +252,7 @@ class Destinations:
             for c in cluster:
                 if self.bs is not None and c.i == self.bs.i:
                     raise GridError("access-point coverage may not include the base station")
+        object.__setattr__(self, "_indices", frozenset(c.i for c in self.absorbing_cells()))
 
     def absorbing_cells(self) -> list[SubcellId]:
         """Destination subcells, access points first and the base station last."""
@@ -260,7 +262,8 @@ class Destinations:
         return cells
 
     def indices(self) -> frozenset[int]:
-        return frozenset(c.i for c in self.absorbing_cells())
+        """Linear indices of the destination subcells, built once per set."""
+        return self._indices
 
 
 def make_destinations(

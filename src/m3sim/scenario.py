@@ -43,6 +43,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+import numpy as np
 import yaml
 
 from .chains import absorption_statistics, simulate_walks
@@ -416,6 +417,11 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         where = f"overlay.scenarios[{i}]"
         entry = _check_keys(where, entry, _OVERLAY_KEYS)
         name = str(entry.get("name", f"scenario-{i + 1}"))
+        if "\r" in name:
+            # csv.writer leaves a lone CR unquoted, so the row would not read back
+            raise ScenarioError(
+                f"{where}.name: a carriage return cannot be written to a CSV cell, got {name!r}"
+            )
         unavailable: list[int] = []
         for j, spec in enumerate(_list(f"{where}.unavailable", entry.get("unavailable"))):
             idx = resolve(spec, f"{where}.unavailable[{j}]")
@@ -819,26 +825,23 @@ def _cmd_verify(scn: ScenarioFile, seed: int, walks: int) -> ResultTable:
         chain = build_mdr_chain(grid, dest, p)
         analytic = absorption_statistics(chain)
         empirical = simulate_walks(chain, walks, seed)
-        for k, state in enumerate(chain.transient):
-            count = int(empirical.counts[k])
-            var = float(analytic.var_tau[k])
-            z = 0.0
-            if count and var > 0.0:
-                z = (float(empirical.tau[k]) - float(analytic.tau[k])) / math.sqrt(var / count)
-            b_gap = float(
-                max(abs(empirical.absorb_probs[k] - analytic.absorb_probs[k]))
+        counts, var = empirical.counts, analytic.var_tau
+        z = np.zeros(len(counts))
+        scored = (counts > 0) & (var > 0.0)
+        gap = empirical.tau[scored] - analytic.tau[scored]
+        z[scored] = gap / np.sqrt(var[scored] / counts[scored])
+        b_gap = np.abs(empirical.absorb_probs - analytic.absorb_probs).max(axis=1)
+        rows.extend(
+            zip(
+                [p] * len(counts),
+                chain.transient,
+                analytic.tau.tolist(),
+                empirical.tau.tolist(),
+                z.tolist(),
+                b_gap.tolist(),
+                counts.tolist(),
             )
-            rows.append(
-                (
-                    p,
-                    state,
-                    float(analytic.tau[k]),
-                    float(empirical.tau[k]),
-                    z,
-                    b_gap,
-                    count,
-                )
-            )
+        )
     return ResultTable(
         ("availability", "subcell", "tau", "tau_mc", "z_tau", "b_gap", "walks"),
         rows,

@@ -1,8 +1,10 @@
 """Absorbing-chain analytics against closed-form cases and Monte Carlo runs."""
 
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -440,3 +442,267 @@ def test_route_discovery_chains_are_absorbing_and_row_stochastic(chain):
     assert_allclose(chain.matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     Q, R = canonical_form(chain)
     assert Q.shape == (n, n) and R.shape == (n, len(chain.absorbing))
+
+
+# -- guide-table walker and one-scatter build against the previous code ------
+
+
+def parent_sampling_rows(rows):
+    """The (target, cumulative) rows as built before the guide table."""
+    last = rows.shape[1] - 1
+    r, c = np.nonzero(rows[:, :last])
+    degree = np.bincount(r, minlength=rows.shape[0])
+    slot = np.arange(r.size) - np.repeat(np.cumsum(degree) - degree, degree)
+    width = int(degree.max(initial=0)) + 1
+    target = np.full((rows.shape[0], width), last)
+    target[r, slot] = c
+    values = np.zeros((rows.shape[0], width))
+    values[r, slot] = rows[r, c]
+    cum = np.cumsum(values, axis=1)
+    cum[np.arange(width) >= degree[:, None]] = 1.0
+    return target, cum
+
+
+def parent_walks(chain, n_walks, seed, start=None):
+    """The walker before the guide table: full-size state arrays and a count per step."""
+    if n_walks < 1:
+        raise ChainError(f"need at least one walk, got {n_walks}")
+    canonical_form(chain)
+    n, a = len(chain.transient), len(chain.absorbing)
+    f = m3sim.chains._initial_distribution(chain, start)
+    target, cum = parent_sampling_rows(chain.matrix[:n])
+    dwell = chain.dwell
+    counts = np.zeros(n, dtype=np.int64)
+    time_sum = np.zeros(n)
+    time_sqsum = np.zeros(n)
+    absorb_counts = np.zeros((n, a), dtype=np.int64)
+    chunk = m3sim.chains._CHUNK
+    chunks = [chunk] * (n_walks // chunk)
+    if n_walks % chunk:
+        chunks.append(n_walks % chunk)
+    seeds = np.random.SeedSequence(seed).spawn(len(chunks))
+    for size, chunk_seed in zip(chunks, seeds):
+        rng = np.random.Generator(np.random.PCG64(chunk_seed))
+        origin = rng.choice(n, size=size, p=f)
+        state = origin.copy()
+        elapsed = dwell[state].copy()
+        active = np.arange(size)
+        landed = np.empty(size, dtype=np.int64)
+        while active.size:
+            current = state[active]
+            k = (cum[current] < rng.random((active.size, 1))).sum(axis=1)
+            step = target[current, k]
+            absorbed = step >= n
+            hit = active[absorbed]
+            landed[hit] = step[absorbed] - n
+            moved = active[~absorbed]
+            state[moved] = step[~absorbed]
+            elapsed[moved] += dwell[state[moved]]
+            active = moved
+        np.add.at(counts, origin, 1)
+        np.add.at(time_sum, origin, elapsed)
+        np.add.at(time_sqsum, origin, elapsed * elapsed)
+        np.add.at(absorb_counts, (origin, landed), 1)
+    visited = counts > 0
+    tau = np.full(n, np.nan)
+    var = np.full(n, np.nan)
+    tau[visited] = time_sum[visited] / counts[visited]
+    twice = counts > 1
+    var[twice] = (time_sqsum[twice] - counts[twice] * tau[twice] ** 2) / (counts[twice] - 1)
+    probs = np.full((n, a), np.nan)
+    probs[visited] = absorb_counts[visited] / counts[visited, None]
+    return ChainStatistics(
+        tau=tau,
+        var_tau=var,
+        absorb_probs=probs,
+        tau_mean=float(time_sum.sum() / n_walks),
+        absorb_dist=absorb_counts.sum(axis=0) / n_walks,
+        counts=counts,
+    )
+
+
+def assert_identical_statistics(got, ref):
+    for field in dataclasses.fields(ChainStatistics):
+        x, y = getattr(got, field.name), getattr(ref, field.name)
+        if isinstance(y, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape, field.name
+            assert np.array_equal(x, y, equal_nan=True), field.name
+        else:
+            assert type(x) is type(y) and (x == y or (math.isnan(x) and math.isnan(y))), field.name
+
+
+def walks_match_parent(chain, n_walks, seed, start=None, chunk=None):
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(m3sim.chains, "_CHUNK", chunk)
+        got = simulate_walks(chain, n_walks, seed, start)
+        ref = parent_walks(chain, n_walks, seed, start)
+    assert_identical_statistics(got, ref)
+
+
+@st.composite
+def start_distributions(draw, n):
+    """None (uniform), one pinned state, or integer weights with zeros."""
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if not any(weights):
+        return None
+    return np.array(weights, dtype=float) / sum(weights)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    random_chains(),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 300),
+    st.sampled_from((None, 1, 7, 64)),
+    st.data(),
+)
+def test_guide_table_walker_equals_the_previous_walker(chain, seed, n_walks, chunk, data):
+    try:
+        canonical_form(chain)
+    except ChainError:
+        return
+    start = data.draw(start_distributions(len(chain.transient)))
+    walks_match_parent(chain, n_walks, seed, start, chunk)
+
+
+@pytest.mark.parametrize("kind", ["MDR", "LIR"])
+@pytest.mark.parametrize("p", [0.5, 0.9])
+def test_guide_table_walker_equals_the_previous_walker_on_discovery_chains(kind, p):
+    # the discovery benchmark's chains: H=10 with two access points
+    grid = SubcellGrid(GridParams(H=10))
+    dest = make_destinations(grid, [(5, 30.0), (5, 210.0)])
+    if kind == "MDR":
+        chain = build_mdr_chain(grid, dest, p)
+    else:
+        chain = build_lir_chain(grid, dest, p, ProtocolConfig(kind=LIR, p=p))
+    walks_match_parent(chain, 5000, seed=3)
+    # several chunks, the last one short
+    walks_match_parent(chain, 5000, seed=4, chunk=1500)
+    start = np.zeros(len(chain.transient))
+    start[[0, len(start) // 2, len(start) - 1]] = [0.5, 0.25, 0.25]
+    walks_match_parent(chain, 3000, seed=5, start=start, chunk=1024)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.lists(st.sampled_from((0.0, 0.125, 0.25, 0.3, 1 / 3, 0.5, -0.5 * _ROW_SUM_TOL)), min_size=1, max_size=6),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_guide_table_picks_the_counted_column_at_every_bucket_edge(entries):
+    # rows whose cumulative sums sit on bucket edges, dip below zero or fall back
+    width = max(map(len, entries)) + 1
+    values = np.zeros((len(entries), width))
+    for k, row in enumerate(entries):
+        values[k, : len(row)] = row
+        values[k, len(row)] = 1.0 - sum(row)
+    target, cum = m3sim.chains._sampling_rows(values)
+    guide = m3sim.chains._guide_table(target, cum)
+    buckets = m3sim.chains._BUCKETS
+    edges = np.arange(buckets) / buckets
+    draws = np.unique(np.concatenate([edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0)]))
+    for k in range(len(entries)):
+        picked = guide[k * buckets + (draws * buckets).astype(np.intp)]
+        counted = target[k, (cum[k] < draws[:, None]).sum(axis=1)]
+        known = picked >= 0
+        assert np.array_equal(picked[known], counted[known])
+
+
+def test_guide_table_falls_back_only_in_buckets_a_cumulative_sum_splits():
+    # 0.3 lies inside bucket 19; 0.25 is the lower edge of bucket 16, whose
+    # draw u = 0.25 still picks column 0 (cum < u fails) and all others column 2
+    values = np.array([[0.3, 0.0, 0.7], [0.25, 0.0, 0.75], [0.0, 0.0, 1.0]])
+    target, cum = m3sim.chains._sampling_rows(values)
+    guide = m3sim.chains._guide_table(target, cum).reshape(3, m3sim.chains._BUCKETS)
+    assert guide[0].tolist() == [0] * 19 + [-1] + [2] * 44
+    assert guide[1].tolist() == [0] * 16 + [-1] + [2] * 47
+    assert guide[2].tolist() == [2] * 64
+
+
+def parent_build_chain(rows, absorbing, dwell=1.0):
+    """build_chain as it was before the one-scatter assembly."""
+    transient = tuple(rows)
+    absorbing = tuple(absorbing)
+    if set(transient) & set(absorbing):
+        raise ChainError("a state cannot be both transient and absorbing")
+    index = {s: k for k, s in enumerate(transient)}
+    for k, s in enumerate(absorbing):
+        index[s] = len(transient) + k
+    n = len(transient) + len(absorbing)
+    matrix = np.zeros((n, n))
+    for state, targets in rows.items():
+        row = matrix[index[state]]
+        for target, prob in targets:
+            if target not in index:
+                raise ChainError(f"row for {state!r} targets unknown state {target!r}")
+            if prob < -_ROW_SUM_TOL:
+                raise ChainError(f"negative probability {prob!r} in row for {state!r}")
+            row[index[target]] += prob
+        total = row.sum()
+        if abs(total - 1.0) > _ROW_SUM_TOL:
+            raise ChainError(f"row for {state!r} sums to {total!r}, expected 1")
+        row /= total
+    for k in range(len(transient), n):
+        matrix[k, k] = 1.0
+    if isinstance(dwell, Mapping):
+        dwell_vec = np.array([dwell[s] for s in transient], dtype=float)
+    else:
+        dwell_vec = np.full(len(transient), float(dwell))
+    return m3sim.chains.AbsorbingChain(transient=transient, absorbing=absorbing, matrix=matrix, dwell=dwell_vec)
+
+
+def assert_same_build(rows, absorbing):
+    try:
+        ref = parent_build_chain(rows, absorbing)
+    except ChainError as err:
+        with pytest.raises(ChainError) as got:
+            build_chain(rows, absorbing)
+        assert str(got.value) == str(err)
+        return
+    chain = build_chain(rows, absorbing)
+    assert chain.transient == ref.transient and chain.absorbing == ref.absorbing
+    assert np.array_equal(chain.matrix, ref.matrix) and np.array_equal(chain.dwell, ref.dwell)
+
+
+@st.composite
+def chain_rows(draw):
+    """Rows with duplicate and unknown targets, negatives and sums off by a little or a lot."""
+    n = draw(st.integers(1, 5))
+    a = draw(st.integers(1, 3))
+    labels = [f"t{k}" for k in range(n)] + [f"a{k}" for k in range(a)]
+    targets = st.sampled_from(labels + ["gone"] if draw(st.integers(0, 3)) == 0 else labels)
+    probs = st.sampled_from((0.1, 0.2, 0.25, 1 / 3, 0.5, 0.7, 1.0, -0.5 * _ROW_SUM_TOL, -0.2, 3e-10))
+    rows = {}
+    for k in range(n):
+        entries = draw(st.lists(st.tuples(targets, probs), max_size=2 * (n + a)))
+        total = sum(p for _, p in entries)
+        if total > 0 and draw(st.integers(0, 3)):
+            entries = [(t, p / total) for t, p in entries]
+        rows[labels[k]] = entries
+    return rows, labels[n:]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(chain_rows())
+def test_one_scatter_build_equals_the_row_by_row_build(case):
+    assert_same_build(*case)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # the first faulty row in row order is reported, whatever its fault
+        {"s": [("done", 0.8)], "t": [("gone", 1.0)]},
+        {"s": [("gone", 1.0)], "t": [("done", 0.8)]},
+        {"s": [("done", 1.0)], "t": [("t", 0.5), ("done", 0.5), ("t", -0.2)], "u": [("done", 2.0)]},
+        {"s": [("done", 1.0)], "t": [("done", 0.9)], "u": [("t", -0.2)]},
+        # duplicate targets accumulate in the order they are listed
+        {"s": [("s", 0.1), ("done", 0.3), ("s", 0.2), ("done", 0.4)], "t": [("s", 1 / 3)] * 3},
+        {},
+    ],
+)
+def test_one_scatter_build_reports_the_same_first_fault(rows):
+    assert_same_build(rows, ["done"])

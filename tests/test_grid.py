@@ -138,6 +138,17 @@ def test_destinations_from_polar_placement():
     assert dest.indices() == frozenset({31, 0})
 
 
+def test_destination_indices_are_built_once_and_left_out_of_equality():
+    grid = SubcellGrid(GridParams(H=4))
+    dest = make_destinations(grid, [(3, 250)])
+    assert dest.indices() is dest.indices()
+    twin = Destinations(bs=dest.bs, aps=dest.aps, coverage=dest.coverage)
+    assert twin == dest and hash(twin) == hash(dest)
+    assert hash(dest) == hash((dest.bs, dest.aps, dest.coverage))
+    assert "_indices" not in repr(dest)
+    assert Destinations(bs=dest.bs) != dest
+
+
 def test_destinations_without_base_station():
     grid = SubcellGrid(GridParams(H=4))
     full = make_destinations(grid, [(3, 250)])

@@ -13,8 +13,10 @@ import pytest
 import yaml
 
 import m3sim
+from m3sim.chains import absorption_statistics, simulate_walks
 from m3sim.cli import build_parser, bundled_scenario, main
 from m3sim.economics import OffloadContext, negotiate
+from m3sim.routing import build_mdr_chain
 from m3sim.scenario import (
     _SCHEMA,
     ResultTable,
@@ -331,6 +333,8 @@ MALFORMED = [
     ("experiment: {powers: [0.2, 0.0]}", "experiment.powers[1] must be a positive transmit power"),
     ("radio: {P: 0.1, P_range: [0.1, -0.2]}", "radio.P_range[1] must be a positive transmit power"),
     ("radio: {P_range: [-0.1, 0.2]}", "radio.P_range[0] must be a positive transmit power"),
+    # csv.writer leaves a lone CR unquoted, so the capacity row would not read back
+    ('overlay: {scenarios: [{name: ok}, {name: "a\\rb"}]}', "overlay.scenarios[1].name"),
 ]
 
 
@@ -636,6 +640,43 @@ def test_verify_is_seed_deterministic(tmp_path):
     assert a.rows != c.rows
 
 
+def parent_verify_rows(scn, seed, walks):
+    """The verify rows as computed one state at a time before the array form."""
+    rows = []
+    for p in scn.experiment.availabilities:
+        chain = build_mdr_chain(scn.grid, scn.dest, p)
+        analytic = absorption_statistics(chain)
+        empirical = simulate_walks(chain, walks, seed)
+        for k, state in enumerate(chain.transient):
+            count = int(empirical.counts[k])
+            var = float(analytic.var_tau[k])
+            z = 0.0
+            if count and var > 0.0:
+                z = (float(empirical.tau[k]) - float(analytic.tau[k])) / math.sqrt(var / count)
+            b_gap = float(max(abs(empirical.absorb_probs[k] - analytic.absorb_probs[k])))
+            rows.append((p, state, float(analytic.tau[k]), float(empirical.tau[k]), z, b_gap, count))
+    return rows
+
+
+@pytest.mark.parametrize("walks", [7, 40, 3000])
+def test_verify_rows_match_the_per_state_computation(tmp_path, walks):
+    # 7 and 40 walks leave states unvisited (NaN tau_mc, z = 0) or visited once
+    scn = load_scenario(
+        write(
+            tmp_path,
+            """
+            grid: {H: 3}
+            destinations: {aps: [[2, 90]]}
+            experiment: {availabilities: [0.3, 0.8, 1.0]}
+            """,
+        )
+    )
+    table = run_experiment(scn, "verify", seed=11, walks=walks)
+    ref = parent_verify_rows(scn, 11, walks)
+    assert [tuple(map(repr, row)) for row in table.rows] == [tuple(map(repr, row)) for row in ref]
+    assert [tuple(map(type, row)) for row in table.rows] == [tuple(map(type, row)) for row in ref]
+
+
 def test_run_experiment_rejects_unknown_command(default_scenario):
     with pytest.raises(ScenarioError, match="unknown command"):
         run_experiment(default_scenario, "simulate")
@@ -674,6 +715,20 @@ def test_cli_reports_malformed_values(tmp_path, capsys):
     code = main(["routes", "--scenario", str(path), "--out", str(tmp_path)])
     assert code == 1
     assert "m3sim: error: traffic.users must be a mapping" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_carriage_return_in_an_overlay_name(tmp_path, capsys):
+    doc = yaml.safe_load(bundled_scenario("default").read_text())
+    doc["overlay"]["scenarios"][0]["name"] = "a\rb"
+    path = write(tmp_path, yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert main(["capacity", "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert (
+        "m3sim: error: overlay.scenarios[0].name: a carriage return cannot be written "
+        "to a CSV cell, got 'a\\rb'"
+    ) in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_cli_reports_an_exhausted_negotiation(tmp_path, capsys):
