@@ -45,7 +45,7 @@ from .grid import (
     make_destinations,
     ring_index_range,
 )
-from .radio import LinkContext, RadioError, RadioParams, link_capacity, link_sinr, min_power
+from .radio import RadioError, RadioParams, link_capacity, link_sinr, min_power
 from .routing import (
     LAR,
     LIR,

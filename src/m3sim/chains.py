@@ -27,7 +27,7 @@ picks the same column as a count over the row for every draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -48,13 +48,18 @@ class AbsorbingChain:
 
     ``matrix`` is ordered with the transient states first (in ``transient``
     order) and the absorbing states last; ``dwell`` holds the per-visit slot
-    cost of each transient state.
+    cost of each transient state.  The first solve or walk checks the matrix
+    with ``canonical_form`` and keeps its (Q, R) blocks for the later ones,
+    so the matrix must not change after that.
     """
 
     transient: tuple[Hashable, ...]
     absorbing: tuple[Hashable, ...]
     matrix: np.ndarray
     dwell: np.ndarray
+    _blocks: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         n, a = len(self.transient), len(self.absorbing)
@@ -152,6 +157,13 @@ def canonical_form(chain: AbsorbingChain) -> tuple[np.ndarray, np.ndarray]:
     return chain.matrix[:n, :n], chain.matrix[:n, n:]
 
 
+def _checked_blocks(chain: AbsorbingChain) -> tuple[np.ndarray, np.ndarray]:
+    """canonical_form of the chain, run once per chain; later calls reuse its (Q, R)."""
+    if chain._blocks is None:
+        object.__setattr__(chain, "_blocks", canonical_form(chain))
+    return chain._blocks
+
+
 def _first_trapped(matrix: np.ndarray, n: int) -> int | None:
     """First transient index with no positive path to an absorbing state."""
     rows, cols = np.nonzero(matrix[:n] > 0)
@@ -205,7 +217,7 @@ def absorption_statistics(chain: AbsorbingChain, start: np.ndarray | None = None
     for per-state dwell costs.  Variances within roundoff below zero read
     0; a more negative one raises ChainError naming its state.
     """
-    Q, R = canonical_form(chain)
+    Q, R = _checked_blocks(chain)
     n = len(chain.transient)
     eye = np.eye(n)
     lu = lu_factor(eye - Q)
@@ -304,7 +316,7 @@ def simulate_walks(
     """
     if n_walks < 1:
         raise ChainError(f"need at least one walk, got {n_walks}")
-    canonical_form(chain)
+    _checked_blocks(chain)
     n, a = len(chain.transient), len(chain.absorbing)
     f = _initial_distribution(chain, start)
     target, cum = _sampling_rows(chain.matrix[:n])

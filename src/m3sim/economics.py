@@ -26,7 +26,7 @@ from .compression import (
     climb_topology,
 )
 from .grid import NUM_COLORS, SQRT3, Destinations, GridParams, SubcellGrid
-from .radio import LinkContext, RadioParams, link_capacity, link_sinr
+from .radio import RadioParams, link_capacity, link_sinr
 from .routing import (
     MDR,
     ProtocolConfig,
@@ -182,7 +182,6 @@ def link_capacities(
     (tx, rx, sorted co-slot transmitters): a link is then evaluated once
     per set of transmitters it shares a slot with.
     """
-    cells = grid.cells
     memo = {} if memo is None else memo
     caps = {}
     for links in slots.values():
@@ -200,10 +199,7 @@ def link_capacities(
             key = (tx, rx, others)
             cap = memo.get(key)
             if cap is None:
-                ctx = LinkContext(
-                    tx=cells[tx], rx=cells[rx], interferers=tuple(cells[a] for a in others)
-                )
-                cap = memo[key] = link_capacity(link_sinr(ctx, radio, grid))
+                cap = memo[key] = link_capacity(link_sinr(tx, rx, others, radio, grid))
             caps[(tx, rx)] = cap
     return caps
 

@@ -116,10 +116,13 @@ class SubcellGrid:
             for theta, q, r in members:
                 cells.append(SubcellId(h=h, theta=theta, i=len(cells), q=q, r=r))
         self.cells: tuple[SubcellId, ...] = tuple(cells)
-        # Integer tables: axial (q, r) -> linear index, each cell's neighbour
-        # indices in DIRECTIONS order, and each cell's reuse color.
+        # Integer tables: axial (q, r) -> linear index, each cell's axial
+        # coordinates, its neighbour indices in DIRECTIONS order, and its
+        # reuse color.
         index = {(c.q, c.r): c.i for c in cells}
         self.index: dict[tuple[int, int], int] = index
+        self.axial_q: tuple[int, ...] = tuple(c.q for c in cells)
+        self.axial_r: tuple[int, ...] = tuple(c.r for c in cells)
         self.adjacent: tuple[tuple[int, ...], ...] = tuple(
             tuple(n for n in [index.get((c.q + dq, c.r + dr)) for dq, dr in DIRECTIONS] if n is not None)
             for c in cells

@@ -8,14 +8,20 @@ d_r, which turns the SINR into
 
 after normalizing by the direct-path gain 1/d_r**alpha.  No fading model is
 applied; the geometry is the channel.
+
+Links are linear subcell indices.  Z_k**2 is an integer, the squared axial
+distance, and no two subcells of an H-ring grid lie more than 2H relay
+steps apart, so every interference term P / Z**alpha is read from one
+table over Z**2 = 0 .. 4H**2, built once per (power, alpha, grid size).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .grid import GridParams, SubcellGrid, SubcellId
+from .grid import GridParams, SubcellGrid
 
 
 class RadioError(ValueError):
@@ -32,45 +38,62 @@ class RadioParams:
     sensitivity: float = 1e-6
 
     def __post_init__(self):
-        if not self.power > 0:
-            raise RadioError(f"transmit power must be positive, got {self.power!r}")
-        if not self.alpha > 0:
-            raise RadioError(f"path-loss exponent must be positive, got {self.alpha!r}")
+        _check_finite_positive("transmit power", self.power)
+        _check_finite_positive("path-loss exponent", self.alpha)
         if not 0 < self.noise < math.inf:
             raise RadioError(f"noise power must be finite and positive, got {self.noise!r}")
-        if not self.sensitivity > 0:
-            raise RadioError(f"sensitivity must be positive, got {self.sensitivity!r}")
+        _check_finite_positive("sensitivity", self.sensitivity)
 
     def noise_term(self, relay_distance: float) -> float:
         """Noise power over the direct-path gain of one hop: noise * d_r**alpha."""
         return self.noise * relay_distance**self.alpha
 
 
-@dataclass(frozen=True)
-class LinkContext:
-    """One transmission: transmitter, its adjacent receiver, co-slot interferers."""
-
-    tx: SubcellId
-    rx: SubcellId
-    interferers: tuple[SubcellId, ...] = ()
+def _check_finite_positive(label: str, value: float) -> None:
+    if not value > 0:
+        raise RadioError(f"{label} must be positive, got {value!r}")
+    if value == math.inf:
+        raise RadioError(f"{label} must be finite, got {value!r}")
 
 
-def link_sinr(ctx: LinkContext, radio: RadioParams, grid: SubcellGrid) -> float:
-    """SINR at the receiver of a single relay hop.
+@lru_cache(maxsize=32)
+def _interference_terms(power: float, alpha: float, size: int) -> tuple[float, ...]:
+    """P / sqrt(d2)**alpha for each squared axial distance d2 < size (d2 = 0 unused).
 
-    Interference is summed over the co-slot transmitters in ``ctx``; each
-    must occupy a subcell distinct from the receiver.
+    The table stops at the first d2 whose sqrt(d2)**alpha overflows a float.
     """
-    rx = ctx.rx
-    if grid.squared_step_distance(ctx.tx, rx) != 1:
-        raise RadioError(f"link {ctx.tx.i}->{rx.i} does not span adjacent subcells")
-    power, alpha = radio.power, radio.alpha
+    terms = [math.inf]
+    try:
+        for d2 in range(1, size):
+            terms.append(power / math.sqrt(d2) ** alpha)
+    except OverflowError:
+        pass
+    return tuple(terms)
+
+
+def link_sinr(
+    tx: int, rx: int, interferers: tuple[int, ...], radio: RadioParams, grid: SubcellGrid
+) -> float:
+    """SINR at the receiver ``rx`` of the relay hop tx -> rx (linear indices).
+
+    Interference is summed over the co-slot transmitters ``interferers``, in
+    the given order; each must occupy a subcell distinct from the receiver.
+    """
+    if rx not in grid.adjacent[tx]:
+        raise RadioError(f"link {tx}->{rx} does not span adjacent subcells")
+    terms = _interference_terms(radio.power, radio.alpha, 4 * grid.params.H**2 + 1)
+    q, r = grid.axial_q, grid.axial_r
+    rq, rr = q[rx], r[rx]
     interference = 0.0
-    for cell in ctx.interferers:
-        if cell.i == rx.i:
-            raise RadioError(f"interferer co-located with receiver {rx.i}")
-        dq, dr = cell.q - rx.q, cell.r - rx.r
-        interference += power / math.sqrt(dq * dq + dr * dr + dq * dr) ** alpha
+    for cell in interferers:
+        if cell == rx:
+            raise RadioError(f"interferer co-located with receiver {rx}")
+        dq, dr = q[cell] - rq, r[cell] - rr
+        d2 = dq * dq + dr * dr + dq * dr
+        try:
+            interference += terms[d2]
+        except IndexError:  # past the table the formula overflows, and raises
+            interference += radio.power / math.sqrt(d2) ** radio.alpha
     return radio.power / (interference + radio.noise_term(grid.params.relay_distance))
 
 

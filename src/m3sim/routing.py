@@ -499,19 +499,19 @@ def schedule(route_set: RouteSet, config: ProtocolConfig, grid: SubcellGrid) -> 
         # Coordinated handovers share one slot, except that links touching a
         # common subcell (same relay receiving twice, or a cell asked to
         # transmit and receive at once) cannot physically coexist and spill
-        # into further coordinated slots.
-        groups: list[list[tuple[int, int]]] = []
-        for link in sorted(coord_links):
-            for group in groups:
-                if all(not set(link) & set(other) for other in group):
-                    group.append(link)
-                    break
-            else:
-                groups.append([link])
-        for s, group in enumerate(groups):
-            for link in group:
-                put(s, link)
-        offset = len(groups)
+        # into further coordinated slots: first fit against the cells each
+        # coordinated slot already touches.
+        touched: list[set[int]] = []
+        for tx, rx in sorted(coord_links):
+            s = next(
+                (s for s, cells in enumerate(touched) if tx not in cells and rx not in cells),
+                len(touched),
+            )
+            if s == len(touched):
+                touched.append(set())
+            touched[s].update((tx, rx))
+            put(s, (tx, rx))
+        offset = len(touched)
         for link in fallback_links:
             put(offset + grid.colors[link[0]], link)
         cycle = offset + (NUM_COLORS if fallback_links else 0)

@@ -252,6 +252,40 @@ def test_start_distribution_validation():
         absorption_statistics(chain, start=np.array([1.0]))
 
 
+def _count_checks(monkeypatch):
+    calls = []
+    real = m3sim.chains.canonical_form
+
+    def counted(chain):
+        calls.append(chain)
+        return real(chain)
+
+    monkeypatch.setattr(m3sim.chains, "canonical_form", counted)
+    return calls
+
+
+def test_each_chain_is_checked_once(monkeypatch):
+    calls = _count_checks(monkeypatch)
+    chain = ladder()
+    absorption_statistics(chain)
+    simulate_walks(chain, 100, seed=1)
+    absorption_statistics(chain)
+    assert calls == [chain]
+    simulate_walks(ladder(), 100, seed=1)
+    assert len(calls) == 2
+
+
+def test_a_chain_that_fails_its_check_fails_every_call(monkeypatch):
+    calls = _count_checks(monkeypatch)
+    chain = build_chain({"trap": [("trap", 1.0)], "s": [("trap", 0.5), ("done", 0.5)]}, ["done"])
+    for _ in range(2):
+        with pytest.raises(ChainError, match="unreachable from state 'trap'"):
+            simulate_walks(chain, 100, seed=1)
+    with pytest.raises(ChainError, match="unreachable from state 'trap'"):
+        absorption_statistics(chain)
+    assert len(calls) == 3
+
+
 def test_simulation_is_seed_deterministic():
     chain = ladder(0.4)
     a = simulate_walks(chain, 5000, seed=11)

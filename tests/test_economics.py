@@ -36,7 +36,7 @@ from m3sim.economics import (
 )
 from m3sim.chains import absorption_statistics
 from m3sim.grid import NUM_COLORS, Destinations, GridParams, SubcellGrid, make_destinations
-from m3sim.radio import LinkContext, RadioParams, link_capacity, link_sinr
+from m3sim.radio import RadioParams, link_capacity, link_sinr
 from m3sim.routing import (
     LAR,
     MDR,
@@ -449,10 +449,7 @@ def test_cooperation_ratio_pools_operators():
 
 
 def _capacity(grid, radio, tx, rx, interferers):
-    ctx = LinkContext(
-        tx=grid.cell(tx), rx=grid.cell(rx), interferers=tuple(grid.cell(a) for a in interferers)
-    )
-    return link_capacity(link_sinr(ctx, radio, grid))
+    return link_capacity(link_sinr(tx, rx, tuple(interferers), radio, grid))
 
 
 def _rescanned_route_capacity(route, slot_of, radio, grid):
@@ -512,6 +509,26 @@ def test_link_capacities_key_each_link_by_its_co_slot_transmitters(slots):
     caps = link_capacities(slots, radio, GRID4, memo)
     assert memo == expected
     assert caps == {(tx, rx): cap for (tx, rx, _), cap in expected.items()}
+
+
+@pytest.mark.parametrize("kind", [MDR, MMDR, MLIR])
+def test_capacity_evaluates_each_scheduled_link_once(monkeypatch, kind):
+    scn = load_scenario(bundled_scenario("default"))
+    config = replace(scn.protocol, kind=kind)
+    overlay = scn.overlays[0]
+    rs = schedule(extract_routes(scn.grid, scn.dest, overlay, config), config, scn.grid)
+    calls = []
+    real_sinr = economics.link_sinr
+
+    def counted(tx, rx, interferers, radio, grid):
+        calls.append((tx, rx))
+        return real_sinr(tx, rx, interferers, radio, grid)
+
+    monkeypatch.setattr(economics, "link_sinr", counted)
+    economics.network_capacity_throughput(rs, scn.radio, scn.grid)
+    scheduled = [link for links in rs.slots.values() for link in links]
+    assert len(scheduled) > 1
+    assert sorted(calls) == sorted(scheduled)
 
 
 def _reference_user_capacities(ctx, bs_users, wlan_users):
@@ -1120,9 +1137,9 @@ def test_negotiate_extracts_each_direction_and_each_instant_once(monkeypatch):
     sinr_keys = []
     real_sinr = economics.link_sinr
 
-    def keyed_sinr(link, radio, grid):
-        sinr_keys.append((link.tx.i, link.rx.i, tuple(c.i for c in link.interferers)))
-        return real_sinr(link, radio, grid)
+    def keyed_sinr(tx, rx, interferers, radio, grid):
+        sinr_keys.append((tx, rx, tuple(interferers)))
+        return real_sinr(tx, rx, interferers, radio, grid)
 
     scheduled = set()
     real_caps = economics.link_capacities

@@ -3,9 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from m3sim.grid import GridParams, SubcellGrid
-from m3sim.radio import LinkContext, RadioError, RadioParams, link_capacity, link_sinr, min_power
+from m3sim.radio import RadioError, RadioParams, link_capacity, link_sinr, min_power
 
 GRID = SubcellGrid(GridParams(H=4))
 
@@ -13,8 +15,7 @@ GRID = SubcellGrid(GridParams(H=4))
 def test_sinr_noise_only():
     # d_r^2 = 3 * 125^2 = 46875 exactly, so every term below is exact
     radio = RadioParams(power=0.15, alpha=2.0, noise=1e-4)
-    ctx = LinkContext(tx=GRID.cell(1), rx=GRID.cell(0))
-    assert link_sinr(ctx, radio, GRID) == pytest.approx(0.15 / 4.6875, rel=1e-15)
+    assert link_sinr(1, 0, (), radio, GRID) == pytest.approx(0.15 / 4.6875, rel=1e-15)
 
 
 def test_noise_term_is_the_noise_over_the_hop_gain():
@@ -24,21 +25,21 @@ def test_noise_term_is_the_noise_over_the_hop_gain():
 
 def test_sinr_with_one_interferer():
     radio = RadioParams(power=0.15, alpha=2.0, noise=1e-4)
-    tx, rx = GRID.cell(1), GRID.cell(0)
-    other = GRID.cell(8)  # ring-2 subcell two relay steps from the receiver
-    got = link_sinr(LinkContext(tx, rx, (other,)), radio, GRID)
+    tx, rx = 1, 0
+    other = 8  # ring-2 subcell two relay steps from the receiver
+    got = link_sinr(tx, rx, (other,), radio, GRID)
     expected = 0.15 / (0.15 / 2.0**2 + 1e-4 * 46875.0)
     assert got == pytest.approx(expected, rel=1e-15)
     # adding interference can only lower the SINR
-    assert got < link_sinr(LinkContext(tx, rx), radio, GRID)
+    assert got < link_sinr(tx, rx, (), radio, GRID)
 
 
 def test_sinr_rejects_bad_geometry():
     radio = RadioParams()
     with pytest.raises(RadioError):
-        link_sinr(LinkContext(GRID.cell(1), GRID.cell(4)), radio, GRID)  # not adjacent
+        link_sinr(1, 4, (), radio, GRID)  # not adjacent
     with pytest.raises(RadioError):
-        link_sinr(LinkContext(GRID.cell(1), GRID.cell(0), (GRID.cell(0),)), radio, GRID)
+        link_sinr(1, 0, (0,), radio, GRID)
 
 
 def test_capacity_log_bases():
@@ -78,3 +79,87 @@ def test_min_power_exact():
 def test_params_validation(kwargs):
     with pytest.raises(RadioError):
         RadioParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "field, label",
+    [("power", "transmit power"), ("alpha", "path-loss exponent"), ("sensitivity", "sensitivity")],
+)
+def test_params_must_be_finite(field, label):
+    with pytest.raises(RadioError, match=f"^{label} must be finite, got inf$"):
+        RadioParams(**{field: math.inf})
+
+
+# -- the interference-term table against the per-interferer formula -----------
+
+SINR_GRIDS = {h: SubcellGrid(GridParams(H=h)) for h in (4, 10)}
+ALPHAS = (2.0, 3.5, 4.0)
+
+
+def _ref_link_sinr(tx, rx, interferers, radio, grid):
+    """SINR with one sqrt and power per interferer, summed in the given order."""
+    tx, rx = grid.cell(tx), grid.cell(rx)
+    if grid.squared_step_distance(tx, rx) != 1:
+        raise RadioError("not adjacent")
+    interference = 0.0
+    for cell in (grid.cell(a) for a in interferers):
+        if cell.i == rx.i:
+            raise RadioError("co-located")
+        dq, dr = cell.q - rx.q, cell.r - rx.r
+        interference += radio.power / math.sqrt(dq * dq + dr * dr + dq * dr) ** radio.alpha
+    return radio.power / (interference + radio.noise_term(grid.params.relay_distance))
+
+
+@st.composite
+def sinr_case(draw):
+    """A link of an H=4 or H=10 grid with a random ordered set of interferers."""
+    grid = SINR_GRIDS[draw(st.sampled_from(sorted(SINR_GRIDS)))]
+    radio = RadioParams(
+        power=draw(st.floats(1e-3, 10.0)),
+        alpha=draw(st.sampled_from(ALPHAS)),
+        noise=draw(st.sampled_from((1e-4, 1e-8, 1e-12))),
+    )
+    tx = draw(st.integers(0, len(grid.cells) - 1))
+    rx = draw(st.sampled_from(grid.adjacent[tx]))
+    others = [c for c in range(len(grid.cells)) if c != rx]
+    interferers = draw(st.lists(st.sampled_from(others), max_size=40, unique=True))
+    return tx, rx, tuple(interferers), radio, grid
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sinr_case())
+def test_sinr_matches_the_per_interferer_formula(case):
+    assert link_sinr(*case) == _ref_link_sinr(*case)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("H", sorted(SINR_GRIDS))
+def test_sinr_reads_the_farthest_pair_of_the_grid(H, alpha):
+    # receiver and interferer on opposite corners, 2H relay steps apart
+    grid = SINR_GRIDS[H]
+    tx, rx, far = grid.index[(H - 1, 0)], grid.index[(H, 0)], grid.index[(-H, 0)]
+    assert grid.squared_step_distance(grid.cell(rx), grid.cell(far)) == 4 * H * H
+    radio = RadioParams(alpha=alpha)
+    case = (tx, rx, (far, 0, tx), radio, grid)
+    assert link_sinr(*case) == _ref_link_sinr(*case)
+
+
+def test_sinr_raises_where_the_formula_overflows():
+    # d_r = 1, so the noise term is the noise; with alpha = 1000,
+    # sqrt(d2)**alpha overflows a float from d2 = 5 on
+    grid = SubcellGrid(GridParams(H=4, R=8.0 / math.sqrt(3.0)))
+    radio = RadioParams(alpha=1000.0)
+    assert math.isfinite(radio.noise_term(grid.params.relay_distance))
+    cases = [(c,) for c in range(1, len(grid.cells))] + [(8, 2, 1), (8, 30, 2)]
+    outcomes = set()
+    for interferers in cases:
+        try:
+            expected = _ref_link_sinr(1, 0, interferers, radio, grid)
+        except OverflowError:
+            outcomes.add("overflow")
+            with pytest.raises(OverflowError):
+                link_sinr(1, 0, interferers, radio, grid)
+        else:
+            outcomes.add("finite")
+            assert link_sinr(1, 0, interferers, radio, grid) == expected
+    assert outcomes == {"overflow", "finite"}

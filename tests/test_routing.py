@@ -5,11 +5,11 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from m3sim.chains import NO_ROUTE, absorption_statistics
-from m3sim.grid import Destinations, GridParams, SubcellGrid, make_destinations
+from m3sim.grid import NUM_COLORS, Destinations, GridParams, SubcellGrid, make_destinations
 from m3sim.routing import (
     COORD,
     FALLBACK,
@@ -20,6 +20,7 @@ from m3sim.routing import (
     MMDR,
     ProtocolConfig,
     Route,
+    RouteSet,
     RoutingError,
     ScenarioOverlay,
     build_lir_chain,
@@ -389,6 +390,68 @@ def test_coordinated_slots_share_no_subcell(case):
         cells = [cell for link in rs.slots[slot] for cell in link]
         assert len(cells) == len(set(cells))
 
+
+
+def _ref_lir_slots(grid, routes):
+    """LIR/mLIR slots by testing each coordinated link against every member of each group."""
+    links = list(dict.fromkeys(link for route in routes for link in route.links))
+    coord_links = {
+        link for route in routes for link, mode in zip(route.links, route.link_modes) if mode == COORD
+    }
+    groups = []
+    for link in sorted(coord_links):
+        for group in groups:
+            if all(not set(link) & set(other) for other in group):
+                group.append(link)
+                break
+        else:
+            groups.append([link])
+    slots = {s: list(group) for s, group in enumerate(groups)}
+    fallback_links = [link for link in links if link not in coord_links]
+    for link in fallback_links:
+        slots.setdefault(len(groups) + grid.colors[link[0]], []).append(link)
+    return slots, len(groups) + (NUM_COLORS if fallback_links else 0)
+
+
+@st.composite
+def hop_routes(draw):
+    """Random walks over adjacent cells of an H = 1..4 grid, each hop coordinated or not.
+
+    Walks cross and turn back, so coordinated links share receivers and
+    cells both send and receive.
+    """
+    grid = GRIDS[draw(st.integers(1, 4))]
+    routes = []
+    for _ in range(draw(st.integers(1, 12))):
+        cells = [draw(st.integers(0, len(grid.cells) - 1))]
+        for _ in range(draw(st.integers(1, 5))):
+            cells.append(draw(st.sampled_from(grid.adjacent[cells[-1]])))
+        modes = tuple(draw(st.sampled_from((COORD, FALLBACK))) for _ in cells[1:])
+        routes.append(Route(source=cells[0], cells=tuple(cells), reached=cells[-1], link_modes=modes))
+    return grid, routes, draw(st.sampled_from((LIR, MLIR)))
+
+
+def _coord_route(*cells):
+    return Route(source=cells[0], cells=cells, reached=cells[-1], link_modes=(COORD,) * (len(cells) - 1))
+
+
+# cell 1 receives from 2 and sends to 0, and receives again from 6
+@example((GRIDS[2], [_coord_route(2, 1, 0), _coord_route(6, 1)], MLIR))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hop_routes())
+def test_coordinated_slots_match_pairwise_grouping(case):
+    grid, routes, kind = case
+    rs = schedule(RouteSet(routes=routes, kind=kind), ProtocolConfig(kind=kind), grid)
+    expected = _ref_lir_slots(grid, routes)
+    assert (rs.slots, rs.cycle_length) == expected
+    assert list(rs.slots) == list(expected[0])
+
+
+def test_coordinated_links_on_a_shared_cell_spill_into_new_slots():
+    routes = [_coord_route(2, 1, 0), _coord_route(6, 1)]
+    rs = schedule(RouteSet(routes=routes, kind=MLIR), ProtocolConfig(kind=MLIR), GRIDS[2])
+    assert rs.slots == {0: [(1, 0)], 1: [(2, 1)], 2: [(6, 1)]}
+    assert rs.cycle_length == 3
 
 
 # -- route extraction against the per-protocol loops it replaced --------------

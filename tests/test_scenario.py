@@ -318,8 +318,11 @@ MALFORMED = [
     ("grid: {R: 1.0e+200}", "relay_distance**alpha is inf at H=2"),
     # a positive noise term so small that P over it overflows
     ("radio: {noise: 1.0e-320}", "change radio.P, experiment.powers, grid.R or radio.noise"),
-    ("radio: {P: .inf}", "transmit power inf over the noise term"),
     ("experiment: {powers: [0.1, .inf]}", "a link's SINR overflows at H=2"),
+    # radio fields must be finite, and fail by name before any derived term
+    ("radio: {P: .inf}", "radio: transmit power must be finite, got inf"),
+    ("radio: {alpha: .inf}", "radio: path-loss exponent must be finite, got inf"),
+    ("radio: {sensitivity: .inf}", "radio: sensitivity must be finite, got inf"),
     # an infinite step makes every probe after the first NaN
     ("econ: {step: .inf}", "econ: price step must be finite and positive"),
     # infinite revenues, tolerances and bounds write non-finite offsets
@@ -638,6 +641,21 @@ def test_verify_is_seed_deterministic(tmp_path):
     assert a.rows == b.rows
     c = run_experiment(scn, "verify", seed=6, walks=2000)
     assert a.rows != c.rows
+
+
+def test_verify_checks_each_chain_once(monkeypatch, default_scenario):
+    checked = []
+    real = m3sim.chains.canonical_form
+
+    def counted(chain):
+        checked.append(chain)
+        return real(chain)
+
+    monkeypatch.setattr(m3sim.chains, "canonical_form", counted)
+    run_experiment(default_scenario, "verify", seed=1, walks=200)
+    availabilities = default_scenario.experiment.availabilities
+    assert len(availabilities) == 4
+    assert len(checked) == len({id(chain) for chain in checked}) == len(availabilities)
 
 
 def parent_verify_rows(scn, seed, walks):
