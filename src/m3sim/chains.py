@@ -9,11 +9,18 @@ in canonical form
          [R, Q]]
 
 the fundamental matrix (I - Q)^-1 yields mean absorption times, their
-variances and the absorption probabilities.  All linear algebra goes
-through one dense LU factorization; the matrix is never inverted
-explicitly.  Whether absorption is reachable from every transient state is
-decided exactly, by a reverse breadth-first search over the positive
-transitions, before any solve.
+variances and the absorption probabilities.  A chain stores only its
+transient rows, in compressed sparse row (CSR) form; the absorbing rows
+are the implicit identity.  Build, check, solve and walk all read those
+rows, so no step allocates an array of (transient + absorbing)^2 entries.
+
+The solve orders the transient states by reverse Cuthill–McKee (Cuthill &
+McKee, 1969) over the symmetric pattern of Q, which gathers the nonzeros of
+I - Q into a narrow band, and factorizes that band once with LAPACK's
+banded LU (``dgbtrf``); the matrix is never inverted explicitly.  Whether
+absorption is reachable from every transient state is decided exactly, by
+a reverse breadth-first search over the positive transitions, before any
+solve.
 
 A seeded Monte Carlo walk simulator doubles as an independent oracle for
 the analytic results.  It samples each step by inverse transform over the
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 NO_ROUTE = "nr"
 
@@ -46,37 +53,67 @@ class ChainError(ValueError):
 class AbsorbingChain:
     """Row-stochastic chain over transient states followed by absorbing states.
 
-    ``matrix`` is ordered with the transient states first (in ``transient``
-    order) and the absorbing states last; ``dwell`` holds the per-visit slot
-    cost of each transient state.  The first solve or walk checks the matrix
-    with ``canonical_form`` and keeps its (Q, R) blocks for the later ones,
-    so the matrix must not change after that.
+    States are numbered with the transient states first (in ``transient``
+    order) and the absorbing states after them.  Transient row ``i`` holds
+    the columns ``indices[indptr[i]:indptr[i + 1]]``, strictly increasing,
+    with the probabilities ``probs`` at the same positions; every absorbing
+    row is the implicit identity.  ``dwell`` holds the per-visit slot cost of
+    each transient state.  The first solve or walk checks the rows with
+    ``canonical_form``, so they must not change after that.
     """
 
     transient: tuple[Hashable, ...]
     absorbing: tuple[Hashable, ...]
-    matrix: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    probs: np.ndarray
     dwell: np.ndarray
-    _blocks: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n, a = len(self.transient), len(self.absorbing)
-        if self.matrix.shape != (n + a, n + a):
-            raise ChainError(
-                f"matrix shape {self.matrix.shape} does not match {n} transient + {a} absorbing states"
-            )
+        n, size = len(self.transient), len(self.transient) + len(self.absorbing)
+        nnz = self.indices.shape[0]
+        if self.indptr.shape != (n + 1,) or self.indptr[0] != 0 or self.indptr[-1] != nnz:
+            raise ChainError(f"indptr must run from 0 to {nnz} over {n} transient rows")
+        if self.indices.shape != (nnz,) or self.probs.shape != (nnz,):
+            raise ChainError("indices and probs must be vectors of equal length")
+        counts = np.diff(self.indptr)
+        if counts.min(initial=0) < 0:
+            raise ChainError("indptr must not decrease")
+        if nnz and (self.indices.min() < 0 or self.indices.max() >= size):
+            raise ChainError(f"column indices must lie in [0, {size})")
+        # (row, column) keys rise strictly exactly when each row's columns do
+        if np.any(np.diff(np.repeat(np.arange(n), counts) * size + self.indices) <= 0):
+            raise ChainError("column indices must strictly increase within each row")
         if self.dwell.shape != (n,):
             raise ChainError("dwell vector must have one entry per transient state")
         if np.any(self.dwell <= 0):
             raise ChainError("dwell times must be positive")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense read-only (n+a)^2 transition matrix, built anew on each access.
+
+        For inspection, tests and the benchmark's traced nonzero count:
+        nothing that builds, checks, solves or walks a chain reads it.
+        """
+        n, size = len(self.transient), len(self.transient) + len(self.absorbing)
+        out = np.zeros((size, size))
+        out[_row_ids(self), self.indices] = self.probs
+        out[np.arange(n, size), np.arange(n, size)] = 1.0
+        out.flags.writeable = False
+        return out
 
     def transient_index(self, label: Hashable) -> int:
         try:
             return self.transient.index(label)
         except ValueError:
             raise ChainError(f"unknown transient state {label!r}") from None
+
+
+def _row_ids(chain: AbsorbingChain) -> np.ndarray:
+    """Transient row of every stored entry."""
+    return np.repeat(np.arange(len(chain.transient)), np.diff(chain.indptr))
 
 
 def build_chain(
@@ -89,6 +126,11 @@ def build_chain(
     ``rows`` maps each transient state to its outgoing (target, probability)
     pairs; targets may be transient or absorbing.  ``dwell`` is a uniform
     slot cost or a per-state mapping.
+
+    Duplicate targets of a row add up in the order they are listed.  Each
+    row's total is then the sum of its entries taken one after another in
+    column order, and every entry is divided by it.  Entries that end up
+    exactly zero are not stored.
     """
     transient = tuple(rows)
     absorbing = tuple(absorbing)
@@ -97,10 +139,10 @@ def build_chain(
     index = {s: k for k, s in enumerate(transient)}
     for k, s in enumerate(absorbing):
         index[s] = len(transient) + k
-    n = len(transient) + len(absorbing)
-    # (row, column, probability) triplets in row order; an entry fault stops
-    # the collection, but a bad sum in an earlier row is reported first
-    r, c, v = [], [], []
+    n, size = len(transient), len(transient) + len(absorbing)
+    # (row * size + column, probability) pairs in row order; an entry fault
+    # stops the collection, but a bad sum in an earlier row is reported first
+    keys, v = [], []
     fault = None
     for k, (state, targets) in enumerate(rows.items()):
         for target, prob in targets:
@@ -110,75 +152,135 @@ def build_chain(
             if prob < -_ROW_SUM_TOL:
                 fault = k, f"negative probability {prob!r} in row for {state!r}"
                 break
-            r.append(k)
-            c.append(index[target])
+            keys.append(k * size + index[target])
             v.append(prob)
         if fault is not None:
             break
-    matrix = np.zeros((n, n))
-    # unbuffered, in triplet order: duplicate targets accumulate as they are listed
-    np.add.at(matrix, (np.array(r, dtype=np.intp), np.array(c, dtype=np.intp)), np.array(v, float))
-    totals = matrix[: len(transient)].sum(axis=1)
-    checked = len(transient) if fault is None else fault[0]
+    # one stable sort by (row, column) keeps duplicate targets in listed order
+    key = np.array(keys, dtype=np.intp)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = np.ones(key.size, dtype=bool)
+    head[1:] = key[1:] != key[:-1]
+    # np.add.at is unbuffered and runs in index order: each duplicate, and
+    # then each entry of a row, adds in turn
+    data = np.zeros(int(head.sum()))
+    np.add.at(data, np.cumsum(head) - 1, np.array(v, float)[order])
+    row, col = np.divmod(key[head], size)
+    totals = np.zeros(n)
+    np.add.at(totals, row, data)
+    checked = n if fault is None else fault[0]
     bad = np.flatnonzero(np.abs(totals[:checked] - 1.0) > _ROW_SUM_TOL)
     if bad.size:
         k = bad[0]
         raise ChainError(f"row for {transient[k]!r} sums to {totals[k]!r}, expected 1")
     if fault is not None:
         raise ChainError(fault[1])
-    matrix[: len(transient)] /= totals[:, None]
-    for k in range(len(transient), n):
-        matrix[k, k] = 1.0
+    probs = data / totals[row]
+    kept = probs != 0.0
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row[kept], minlength=n), out=indptr[1:])
     if isinstance(dwell, Mapping):
         dwell_vec = np.array([dwell[s] for s in transient], dtype=float)
     else:
-        dwell_vec = np.full(len(transient), float(dwell))
-    return AbsorbingChain(transient=transient, absorbing=absorbing, matrix=matrix, dwell=dwell_vec)
+        dwell_vec = np.full(n, float(dwell))
+    return AbsorbingChain(
+        transient=transient,
+        absorbing=absorbing,
+        indptr=indptr,
+        indices=col[kept],
+        probs=probs[kept],
+        dwell=dwell_vec,
+    )
 
 
-def canonical_form(chain: AbsorbingChain) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (Q, R): transient-to-transient and transient-to-absorbing blocks.
+def canonical_form(chain: AbsorbingChain) -> None:
+    """Check that the chain is in canonical form with reachable absorption.
 
-    Validates row stochasticity and that absorption is reachable from every
-    transient state along transitions of positive probability.  The check
-    is exact: a reverse breadth-first search from the absorbing states over
-    the nonzero entries, with no tolerance.
+    Validates row stochasticity, that no probability is negative beyond
+    roundoff, and that absorption is reachable from every transient state
+    along transitions of positive probability.  The reachability check is
+    exact: a reverse breadth-first search from the absorbing states over
+    the stored positive entries, with no tolerance.
     """
     n = len(chain.transient)
-    sums = chain.matrix.sum(axis=1)
-    bad = np.where(np.abs(sums - 1.0) > _ROW_SUM_TOL)[0]
+    row = _row_ids(chain)
+    sums = np.zeros(n)
+    np.add.at(sums, row, chain.probs)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > _ROW_SUM_TOL)
     if bad.size:
         raise ChainError(f"row {bad[0]} sums to {sums[bad[0]]!r}, expected 1")
-    if np.any(chain.matrix < -_ROW_SUM_TOL):
+    if np.any(chain.probs < -_ROW_SUM_TOL):
         raise ChainError("transition probabilities cannot be negative")
-    trapped = _first_trapped(chain.matrix, n)
+    positive = chain.probs > 0
+    trapped = _first_trapped(row[positive], chain.indices[positive], n, n + len(chain.absorbing))
     if trapped is not None:
         raise ChainError(f"absorption unreachable from state {chain.transient[trapped]!r}")
-    return chain.matrix[:n, :n], chain.matrix[:n, n:]
 
 
-def _checked_blocks(chain: AbsorbingChain) -> tuple[np.ndarray, np.ndarray]:
-    """canonical_form of the chain, run once per chain; later calls reuse its (Q, R)."""
-    if chain._blocks is None:
-        object.__setattr__(chain, "_blocks", canonical_form(chain))
-    return chain._blocks
+def _check_once(chain: AbsorbingChain) -> None:
+    """canonical_form of the chain, run until it passes once; later calls skip it."""
+    if not chain._checked:
+        canonical_form(chain)
+        object.__setattr__(chain, "_checked", True)
 
 
-def _first_trapped(matrix: np.ndarray, n: int) -> int | None:
-    """First transient index with no positive path to an absorbing state."""
-    rows, cols = np.nonzero(matrix[:n] > 0)
+def _first_trapped(rows: np.ndarray, cols: np.ndarray, n: int, size: int) -> int | None:
+    """First transient index with no path along (row -> col) edges to an absorbing state."""
     order = np.argsort(cols, kind="stable")
-    sources = rows[order].tolist()
-    start = np.searchsorted(cols[order], np.arange(matrix.shape[0] + 1)).tolist()
-    reached = [False] * n + [True] * (matrix.shape[0] - n)
-    frontier = list(range(n, matrix.shape[0]))
-    while frontier:
-        j = frontier.pop()
-        for i in sources[start[j] : start[j + 1]]:
-            if not reached[i]:
-                reached[i] = True
-                frontier.append(i)
-    return next((i for i in range(n) if not reached[i]), None)
+    sources = rows[order]
+    start = np.searchsorted(cols[order], np.arange(size + 1))
+    reached = np.zeros(size, dtype=bool)
+    reached[n:] = True
+    frontier = np.arange(n, size)
+    while frontier.size:
+        # the sources of every edge into the frontier, then the unreached ones
+        lo = start[frontier]
+        count = start[frontier + 1] - lo
+        at = np.arange(int(count.sum())) + np.repeat(lo - np.cumsum(count) + count, count)
+        fresh = np.zeros(size, dtype=bool)
+        fresh[sources[at]] = True
+        fresh &= ~reached
+        reached |= fresh
+        frontier = np.flatnonzero(fresh)
+    trapped = np.flatnonzero(~reached[:n])
+    return int(trapped[0]) if trapped.size else None
+
+
+def _reverse_cuthill_mckee(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Reverse Cuthill–McKee order of n nodes over the symmetric pattern of the edges.
+
+    Components are numbered one after another, each from its unnumbered
+    node of least degree (lowest index on ties), so nodes without a
+    neighbour come first.  A breadth-first search numbers the unnumbered
+    neighbours of each node, in the order the nodes were numbered, by
+    increasing degree and then index.  The whole order is then reversed.
+    """
+    off = rows != cols
+    pairs = np.sort(np.concatenate([rows[off] * n + cols[off], cols[off] * n + rows[off]]))
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    head, tail = np.divmod(pairs, n)
+    degree = np.bincount(head, minlength=n)
+    tail = tail[np.lexsort((tail, degree[tail], head))]
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(degree, out=start[1:])
+    start, neighbours = start.tolist(), tail.tolist()
+    numbered = [False] * n
+    order = []
+    for seed in np.argsort(degree, kind="stable").tolist():
+        if numbered[seed]:
+            continue
+        numbered[seed] = True
+        k = len(order)
+        order.append(seed)
+        while k < len(order):
+            v = order[k]
+            k += 1
+            for w in neighbours[start[v] : start[v + 1]]:
+                if not numbered[w]:
+                    numbered[w] = True
+                    order.append(w)
+    return np.array(order[::-1], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -212,19 +314,44 @@ def _initial_distribution(chain: AbsorbingChain, start: np.ndarray | None) -> np
 def absorption_statistics(chain: AbsorbingChain, start: np.ndarray | None = None) -> ChainStatistics:
     """Mean/variance of time to absorption and absorption probabilities.
 
-    Solves (I - Q) x = b by LU factorization for the dwell vector, its
-    square and the R block; the variance follows the second-moment identity
-    for per-state dwell costs.  Variances within roundoff below zero read
-    0; a more negative one raises ChainError naming its state.
+    Solves (I - Q) x = b for the dwell vector, its square and the R block
+    in one banded solve, and for the variance term e∘(Qτ) in a second; both
+    reuse one banded LU factorization of I - Q in reverse Cuthill–McKee
+    order.  The variance follows the second-moment identity for per-state
+    dwell costs.  Variances within roundoff below zero read 0; a more
+    negative one raises ChainError naming its state.
     """
-    Q, R = _checked_blocks(chain)
-    n = len(chain.transient)
-    eye = np.eye(n)
-    lu = lu_factor(eye - Q)
+    _check_once(chain)
+    n, a = len(chain.transient), len(chain.absorbing)
+    row, col, prob = _row_ids(chain), chain.indices, chain.probs
+    inner = col < n
+    qr, qc, qv = row[inner], col[inner], prob[inner]
+    order = _reverse_cuthill_mckee(qr, qc, n)
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    # I - Q in LAPACK band storage: entry (i, j) at [kl + ku + i - j, j], with
+    # kl more rows on top for the fill of partial pivoting
+    i, j = pos[qr], pos[qc]
+    kl = int(np.max(i - j, initial=0))
+    ku = int(np.max(j - i, initial=0))
+    band = np.zeros((2 * kl + ku + 1, n), order="F")
+    band[kl + ku] = 1.0
+    band[kl + ku + i - j, j] -= qv
+    lu, piv, info = dgbtrf(band, kl, ku, overwrite_ab=1)
+    if info > 0:
+        # absorption is reachable, but only through probabilities that cancel
+        raise ChainError(f"I - Q is singular at state {chain.transient[order[info - 1]]!r}")
     e = chain.dwell
-    tau = lu_solve(lu, e)
+    rhs = np.zeros((n, 2 + a), order="F")
+    rhs[:, 0] = e[order]
+    rhs[:, 1] = (e * e)[order]
+    rhs[pos[row[~inner]], 2 + col[~inner] - n] = prob[~inner]
+    x = dgbtrs(lu, kl, ku, rhs, piv)[0][pos]
+    tau, second, absorb = x[:, 0], x[:, 1], x[:, 2:]
     # var = 2 (I-Q)^-1 T Q tau + (I-Q)^-1 e^2 - tau^2, with T = diag(dwell)
-    var = 2.0 * lu_solve(lu, e * (Q @ tau)) + lu_solve(lu, e * e) - tau * tau
+    q_tau = np.bincount(qr, weights=qv * tau[qc], minlength=n)
+    cross = dgbtrs(lu, kl, ku, (e * q_tau)[order, None], piv)[0][pos, 0]
+    var = 2.0 * cross + second - tau * tau
     # roundoff may leave a zero variance slightly negative; more is an error
     negative = np.flatnonzero(var < -_ROW_SUM_TOL * np.maximum(1.0, tau * tau))
     if negative.size:
@@ -233,7 +360,6 @@ def absorption_statistics(chain: AbsorbingChain, start: np.ndarray | None = None
             f"variance {var[k]!r} of state {chain.transient[k]!r} is negative beyond roundoff"
         )
     var = np.maximum(var, 0.0)
-    absorb = lu_solve(lu, R)
     f = _initial_distribution(chain, start)
     return ChainStatistics(
         tau=tau,
@@ -248,21 +374,24 @@ _CHUNK = 200_000
 _BUCKETS = 64
 
 
-def _sampling_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Padded per-row (target column, cumulative probability) arrays.
+def _sampling_rows(
+    indptr: np.ndarray, indices: np.ndarray, probs: np.ndarray, last: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Padded per-row (target column, cumulative probability) arrays of CSR rows.
 
-    Entries are the nonzeros before the last column, in column order, then
-    the last column at cumulative 1.0; padding repeats that closing entry.
+    Entries are the nonzeros before column ``last``, in column order, then
+    ``last`` at cumulative 1.0; padding repeats that closing entry.
     """
-    last = rows.shape[1] - 1
-    r, c = np.nonzero(rows[:, :last])
-    degree = np.bincount(r, minlength=rows.shape[0])
+    n = indptr.size - 1
+    kept = (indices != last) & (probs != 0.0)
+    r = np.repeat(np.arange(n), np.diff(indptr))[kept]
+    degree = np.bincount(r, minlength=n)
     slot = np.arange(r.size) - np.repeat(np.cumsum(degree) - degree, degree)
     width = int(degree.max(initial=0)) + 1
-    target = np.full((rows.shape[0], width), last)
-    target[r, slot] = c
-    values = np.zeros((rows.shape[0], width))
-    values[r, slot] = rows[r, c]
+    target = np.full((n, width), last)
+    target[r, slot] = indices[kept]
+    values = np.zeros((n, width))
+    values[r, slot] = probs[kept]
     cum = np.cumsum(values, axis=1)
     cum[np.arange(width) >= degree[:, None]] = 1.0
     return target, cum
@@ -316,10 +445,10 @@ def simulate_walks(
     """
     if n_walks < 1:
         raise ChainError(f"need at least one walk, got {n_walks}")
-    _checked_blocks(chain)
+    _check_once(chain)
     n, a = len(chain.transient), len(chain.absorbing)
     f = _initial_distribution(chain, start)
-    target, cum = _sampling_rows(chain.matrix[:n])
+    target, cum = _sampling_rows(chain.indptr, chain.indices, chain.probs, n + a - 1)
     guide = _guide_table(target, cum)
     dwell = chain.dwell
 

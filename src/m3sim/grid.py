@@ -178,12 +178,6 @@ class SubcellGrid:
         dq, dr = a.q - b.q, a.r - b.r
         return dq * dq + dr * dr + dq * dr
 
-    def interference_distance(self, a: SubcellId, b: SubcellId) -> float:
-        """Center distance between two distinct subcells in relay-distance units."""
-        if a.i == b.i:
-            raise GridError(f"subcell {a.i} cannot interfere with itself")
-        return math.sqrt(self.squared_step_distance(a, b))
-
     def hop_distance(self, a: SubcellId, b: SubcellId) -> int:
         """Minimum number of lattice hops between two subcells."""
         return _axial_ring(a.q - b.q, a.r - b.r)

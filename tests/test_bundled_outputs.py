@@ -62,10 +62,11 @@ def output_digests(out: Path) -> dict[str, str]:
 def pinned_digests(out: Path) -> dict[str, str]:
     """``output_digests`` in a fresh interpreter limited to one BLAS thread.
 
-    A multithreaded BLAS rounds the dense chain solves of ``tessellate``
-    differently in the last digit, so the digests are taken with one
-    thread, as the benchmark runs; the thread count is fixed when the
-    library loads, hence the subprocess.
+    The digests are taken with one thread, as the benchmark runs.  Since
+    the chain solve became a banded LU, the outputs read the same with the
+    default thread count on a two-core host; hosts with more cores were not
+    checked, so the pin stays.  The thread count is fixed when the library
+    loads, hence the subprocess.
     """
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))

@@ -3,8 +3,8 @@
 import dataclasses
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 import pytest
@@ -38,8 +38,9 @@ def uniform_dwell_variance(chain):
     t = chain.dwell[0]
     if not np.allclose(chain.dwell, t):
         raise ChainError("uniform-dwell variance requires equal dwell times")
-    Q, _ = canonical_form(chain)
+    canonical_form(chain)
     n = len(chain.transient)
+    Q = chain.matrix[:n, :n]
     fundamental = np.linalg.inv(np.eye(n) - Q)
     steps = fundamental @ np.ones(n)
     return ((2.0 * fundamental - np.eye(n)) @ steps - steps * steps) * t * t
@@ -232,8 +233,8 @@ def test_reachability_is_exact_where_the_spectral_radius_is_not():
     # absorption is reachable, but the leak is below the old eigenvalue tolerance
     leak = 1e-14
     chain = build_chain({"s": [("s", 1.0 - leak), ("done", leak)]}, ["done"])
-    Q, R = canonical_form(chain)
-    assert Q[0, 0] < 1.0 and R[0, 0] > 0.0
+    canonical_form(chain)
+    assert chain.matrix[0, 0] < 1.0 and chain.matrix[0, 1] > 0.0
     assert spectral_radius(chain) >= 1.0 - 1e-12
 
 
@@ -308,29 +309,39 @@ def test_simulation_matches_analysis():
 
 
 def _negative_variance_solve(offset):
-    """lu_solve whose third solve, (I - Q)^-1 e^2, is shifted by ``offset``."""
+    """dgbtrs whose first call shifts its second column, (I - Q)^-1 e^2, by ``offset``."""
     calls = []
-    solve = m3sim.chains.lu_solve
+    solve = m3sim.chains.dgbtrs
 
-    def shifted(lu, b):
+    def shifted(*args, **kwargs):
         calls.append(None)
-        out = solve(lu, b)
-        return out + offset if len(calls) == 3 else out
+        x, info = solve(*args, **kwargs)
+        if len(calls) == 1:
+            x[:, 1] += offset
+        return x, info
 
     return shifted
 
 
 def test_negative_variance_beyond_roundoff_is_reported(monkeypatch):
-    monkeypatch.setattr(m3sim.chains, "lu_solve", _negative_variance_solve(-1e-6))
+    monkeypatch.setattr(m3sim.chains, "dgbtrs", _negative_variance_solve(-1e-6))
     # geometric(1.0) has tau = 1 and variance exactly 0
     with pytest.raises(ChainError, match="variance .* of state 's' is negative"):
         absorption_statistics(geometric(1.0))
 
 
 def test_negative_variance_within_roundoff_reads_zero(monkeypatch):
-    monkeypatch.setattr(m3sim.chains, "lu_solve", _negative_variance_solve(-1e-12))
+    monkeypatch.setattr(m3sim.chains, "dgbtrs", _negative_variance_solve(-1e-12))
     stats = absorption_statistics(geometric(1.0))
     assert stats.var_tau[0] == 0.0 and stats.tau[0] == 1.0
+
+
+def test_singular_i_minus_q_is_reported():
+    # absorption is reachable, but a tiny negative entry cancels the leak
+    chain = build_chain({"s": [("s", 1.0), ("done", 5e-10), ("lost", -5e-10)]}, ["done", "lost"])
+    assert chain.matrix[0, 0] == 1.0
+    with pytest.raises(ChainError, match="I - Q is singular at state 's'"):
+        absorption_statistics(chain)
 
 
 def test_simulation_start_distribution_and_guards():
@@ -347,21 +358,36 @@ def test_simulation_start_distribution_and_guards():
 
 @st.composite
 def random_chains(draw):
-    """Small chains with zero gaps, zero last columns, tiny negatives and traps."""
-    n = draw(st.integers(1, 5))
+    """Small chains with zero gaps, zero last columns, tiny negatives and traps.
+
+    Transient states on either side of a cut never reach each other, so Q
+    may fall apart into blocks; some rows only absorb, and some list a
+    target twice.
+    """
+    n = draw(st.integers(1, 6))
     a = draw(st.integers(1, 3))
     labels = [f"t{k}" for k in range(n)] + [f"a{k}" for k in range(a)]
+    cut = draw(st.integers(0, n))
     rows = {}
     for k in range(n):
-        # a closed row leaks nothing to the absorbing states directly
-        closed = draw(st.booleans())
         weights = draw(st.lists(st.integers(0, 4), min_size=n + a, max_size=n + a))
-        if closed:
+        side = range(cut) if k >= cut else range(cut, n)
+        weights[side.start : side.stop] = [0] * len(side)
+        # a closed row leaks nothing to the absorbing states directly
+        mode = draw(st.sampled_from(("open", "closed", "absorb")))
+        if mode == "closed":
             weights[n:] = [0] * a
+        elif mode == "absorb":
+            weights[:n] = [0] * n
         if not any(weights):
-            weights[k] = 1
+            weights[k if mode == "closed" else n] = 1
         total = sum(weights)
         row = [(labels[j], w / total) for j, w in enumerate(weights) if w]
+        if draw(st.booleans()):
+            # the same target listed twice, as two halves
+            j = draw(st.integers(0, len(row) - 1))
+            row[j] = (row[j][0], row[j][1] / 2)
+            row.append(row[j])
         zeros = [j for j, w in enumerate(weights) if not w]
         if zeros and draw(st.booleans()):
             # a tiny negative entry in a zero column, within the row-sum tolerance
@@ -387,6 +413,43 @@ def test_sparse_walker_and_reachability_match_dense_references(chain, seed):
         return
     assert radius < 1.0 - 1e-12
     assert_same_walks(chain, 400, seed)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(random_chains())
+def test_banded_solve_matches_a_dense_solve(chain):
+    try:
+        canonical_form(chain)
+    except ChainError:
+        return
+    n = len(chain.transient)
+    matrix = chain.matrix
+    Q, R = matrix[:n, :n], matrix[:n, n:]
+    A, e = np.eye(n) - Q, chain.dwell
+    tau = np.linalg.solve(A, e)
+    var = 2.0 * np.linalg.solve(A, e * (Q @ tau)) + np.linalg.solve(A, e * e) - tau * tau
+    scale = np.maximum(1.0, tau * tau)
+    if np.any(var < -_ROW_SUM_TOL * scale):
+        # a tiny negative entry can push a zero variance below roundoff
+        with pytest.raises(ChainError, match="negative beyond roundoff"):
+            absorption_statistics(chain)
+        return
+    stats = absorption_statistics(chain)
+    assert_allclose(stats.tau, tau, rtol=1e-12, atol=0)
+    assert_allclose(stats.absorb_probs, np.linalg.solve(A, R), rtol=0, atol=1e-12)
+    assert np.all(np.abs(stats.var_tau - np.maximum(var, 0.0)) <= 1e-12 * scale)
+
+
+def test_reverse_cuthill_mckee_order():
+    rcm = m3sim.chains._reverse_cuthill_mckee
+    # edges 0-1, 0-2, 0-3, 1-4, 1-5, 3-4, each listed in one direction only:
+    # from leaf 2 the levels are [2], [0], [3, 1] (3 has the lower degree),
+    # then [4, 5] (4 is reached from 3, numbered first)
+    rows, cols = np.array([0, 2, 0, 4, 1, 3]), np.array([1, 0, 3, 1, 5, 4])
+    assert rcm(rows, cols, 6).tolist() == [5, 4, 1, 3, 0, 2]
+    # a path 0-2-4, a pair 1-3, an isolated 5 and a self-loop at 2
+    rows, cols = np.array([0, 2, 4, 1, 2]), np.array([2, 4, 2, 3, 2])
+    assert rcm(rows, cols, 6).tolist() == [3, 1, 4, 2, 0, 5]
 
 
 @pytest.mark.parametrize("name", ["default", "offload"])
@@ -471,14 +534,16 @@ def discovery_chains(draw):
 @settings(max_examples=30, deadline=None)
 @given(discovery_chains())
 def test_route_discovery_chains_are_absorbing_and_row_stochastic(chain):
-    n = len(chain.transient)
-    assert np.all(chain.matrix >= 0.0)
-    assert_allclose(chain.matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    Q, R = canonical_form(chain)
-    assert Q.shape == (n, n) and R.shape == (n, len(chain.absorbing))
+    n, a = len(chain.transient), len(chain.absorbing)
+    matrix = chain.matrix
+    assert matrix.shape == (n + a, n + a)
+    assert np.all(matrix >= 0.0)
+    assert_allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.array_equal(matrix[n:], np.eye(n + a)[n:])
+    canonical_form(chain)
 
 
-# -- guide-table walker and one-scatter build against the previous code ------
+# -- guide-table walker against the previous code, build against rows --------
 
 
 def parent_sampling_rows(rows):
@@ -495,6 +560,13 @@ def parent_sampling_rows(rows):
     cum = np.cumsum(values, axis=1)
     cum[np.arange(width) >= degree[:, None]] = 1.0
     return target, cum
+
+
+def csr_sampling_rows(values):
+    """m3sim.chains._sampling_rows of the nonzeros of dense rows closed by their last column."""
+    r, c = np.nonzero(values)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=len(values)))])
+    return m3sim.chains._sampling_rows(indptr, c, values[r, c], values.shape[1] - 1)
 
 
 def parent_walks(chain, n_walks, seed, start=None):
@@ -633,7 +705,7 @@ def test_guide_table_picks_the_counted_column_at_every_bucket_edge(entries):
     for k, row in enumerate(entries):
         values[k, : len(row)] = row
         values[k, len(row)] = 1.0 - sum(row)
-    target, cum = m3sim.chains._sampling_rows(values)
+    target, cum = csr_sampling_rows(values)
     guide = m3sim.chains._guide_table(target, cum)
     buckets = m3sim.chains._BUCKETS
     edges = np.arange(buckets) / buckets
@@ -649,66 +721,69 @@ def test_guide_table_falls_back_only_in_buckets_a_cumulative_sum_splits():
     # 0.3 lies inside bucket 19; 0.25 is the lower edge of bucket 16, whose
     # draw u = 0.25 still picks column 0 (cum < u fails) and all others column 2
     values = np.array([[0.3, 0.0, 0.7], [0.25, 0.0, 0.75], [0.0, 0.0, 1.0]])
-    target, cum = m3sim.chains._sampling_rows(values)
+    target, cum = csr_sampling_rows(values)
     guide = m3sim.chains._guide_table(target, cum).reshape(3, m3sim.chains._BUCKETS)
     assert guide[0].tolist() == [0] * 19 + [-1] + [2] * 44
     assert guide[1].tolist() == [0] * 16 + [-1] + [2] * 47
     assert guide[2].tolist() == [2] * 64
 
 
-def parent_build_chain(rows, absorbing, dwell=1.0):
-    """build_chain as it was before the one-scatter assembly."""
+def row_by_row_build(rows, absorbing):
+    """build_chain's documented result, one row and one entry at a time.
+
+    Duplicate targets add in listed order, the row total adds the entries
+    one after another in column order, each entry is divided by it, and
+    exact zeros are dropped.  Returns the chain's (indptr, indices, probs).
+    """
     transient = tuple(rows)
-    absorbing = tuple(absorbing)
     if set(transient) & set(absorbing):
         raise ChainError("a state cannot be both transient and absorbing")
-    index = {s: k for k, s in enumerate(transient)}
-    for k, s in enumerate(absorbing):
-        index[s] = len(transient) + k
-    n = len(transient) + len(absorbing)
-    matrix = np.zeros((n, n))
+    index = {s: k for k, s in enumerate(transient + tuple(absorbing))}
+    indptr, indices, probs = [0], [], []
     for state, targets in rows.items():
-        row = matrix[index[state]]
+        entries = {}
         for target, prob in targets:
             if target not in index:
                 raise ChainError(f"row for {state!r} targets unknown state {target!r}")
             if prob < -_ROW_SUM_TOL:
                 raise ChainError(f"negative probability {prob!r} in row for {state!r}")
-            row[index[target]] += prob
-        total = row.sum()
+            entries[index[target]] = entries.get(index[target], 0.0) + prob
+        total = np.float64(0.0)
+        for col in sorted(entries):
+            total += entries[col]
         if abs(total - 1.0) > _ROW_SUM_TOL:
             raise ChainError(f"row for {state!r} sums to {total!r}, expected 1")
-        row /= total
-    for k in range(len(transient), n):
-        matrix[k, k] = 1.0
-    if isinstance(dwell, Mapping):
-        dwell_vec = np.array([dwell[s] for s in transient], dtype=float)
-    else:
-        dwell_vec = np.full(len(transient), float(dwell))
-    return m3sim.chains.AbsorbingChain(transient=transient, absorbing=absorbing, matrix=matrix, dwell=dwell_vec)
+        for col in sorted(entries):
+            if entries[col] / total != 0.0:
+                indices.append(col)
+                probs.append(entries[col] / total)
+        indptr.append(len(indices))
+    return np.array(indptr), np.array(indices, dtype=np.intp), np.array(probs, dtype=float)
 
 
 def assert_same_build(rows, absorbing):
     try:
-        ref = parent_build_chain(rows, absorbing)
+        ref = row_by_row_build(rows, absorbing)
     except ChainError as err:
         with pytest.raises(ChainError) as got:
             build_chain(rows, absorbing)
         assert str(got.value) == str(err)
         return
     chain = build_chain(rows, absorbing)
-    assert chain.transient == ref.transient and chain.absorbing == ref.absorbing
-    assert np.array_equal(chain.matrix, ref.matrix) and np.array_equal(chain.dwell, ref.dwell)
+    assert chain.transient == tuple(rows) and chain.absorbing == tuple(absorbing)
+    for got, want in zip((chain.indptr, chain.indices, chain.probs), ref):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(chain.dwell, np.ones(len(rows)))
 
 
 @st.composite
 def chain_rows(draw):
-    """Rows with duplicate and unknown targets, negatives and sums off by a little or a lot."""
+    """Rows with duplicate, zero and unknown targets, negatives and sums off by a little or a lot."""
     n = draw(st.integers(1, 5))
     a = draw(st.integers(1, 3))
     labels = [f"t{k}" for k in range(n)] + [f"a{k}" for k in range(a)]
     targets = st.sampled_from(labels + ["gone"] if draw(st.integers(0, 3)) == 0 else labels)
-    probs = st.sampled_from((0.1, 0.2, 0.25, 1 / 3, 0.5, 0.7, 1.0, -0.5 * _ROW_SUM_TOL, -0.2, 3e-10))
+    probs = st.sampled_from((0.0, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.7, 1.0, -0.5 * _ROW_SUM_TOL, -0.2, 3e-10))
     rows = {}
     for k in range(n):
         entries = draw(st.lists(st.tuples(targets, probs), max_size=2 * (n + a)))
@@ -740,3 +815,67 @@ def test_one_scatter_build_equals_the_row_by_row_build(case):
 )
 def test_one_scatter_build_reports_the_same_first_fault(rows):
     assert_same_build(rows, ["done"])
+
+
+def test_solve_factorizes_the_narrow_band_of_the_reordered_chain(monkeypatch):
+    # the discovery benchmark's H=10 LIR chain: half-band 203 in state order
+    grid = SubcellGrid(GridParams(H=10))
+    dest = make_destinations(grid, [(5, 30.0), (5, 210.0)])
+    chain = build_lir_chain(grid, dest, 0.7, ProtocolConfig(kind=LIR, p=0.7))
+    n = len(chain.transient)
+    rows = m3sim.chains._row_ids(chain)
+    inner = chain.indices < n
+    assert np.max(np.abs(rows[inner] - chain.indices[inner])) == 203
+    bands = []
+    factor = m3sim.chains.dgbtrf
+
+    def recorded(ab, kl, ku, **kwargs):
+        bands.append((ab.shape, kl, ku))
+        return factor(ab, kl, ku, **kwargs)
+
+    monkeypatch.setattr(m3sim.chains, "dgbtrf", recorded)
+    absorption_statistics(chain)
+    assert bands == [((3 * 43 + 1, n), 43, 43)]
+
+
+def test_h32_lir_chain_builds_and_solves_without_a_dense_matrix():
+    # one dense (n+a)^2 array of this chain alone would take 321 MB
+    grid = SubcellGrid(GridParams(H=32))
+    dest = make_destinations(grid, [])
+    tracemalloc.start()
+    try:
+        chain = build_lir_chain(grid, dest, 0.7, ProtocolConfig(kind=LIR, p=0.7))
+        stats = absorption_statistics(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chain.transient) == 6336
+    assert np.all(stats.tau > 0.0) and np.all(np.isfinite(stats.var_tau))
+    assert_allclose(stats.absorb_probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert peak < 100e6
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"indptr": np.array([0, 2])}, "indptr must run from 0 to 3"),
+        ({"indptr": np.array([0, 4, 3])}, "indptr must not decrease"),
+        ({"indices": np.array([1, 3, 2])}, r"column indices must lie in \[0, 3\)"),
+        ({"indices": np.array([2, 1, 2])}, "strictly increase"),
+        ({"indices": np.array([1, 1, 2])}, "strictly increase"),
+        ({"probs": np.ones(2)}, "equal length"),
+        ({"dwell": np.ones(3)}, "one entry per transient state"),
+    ],
+)
+def test_chain_rejects_malformed_rows(change, message):
+    fields = {
+        "transient": ("s", "t"),
+        "absorbing": ("done",),
+        "indptr": np.array([0, 2, 3]),
+        "indices": np.array([1, 2, 0]),
+        "probs": np.array([0.5, 0.5, 1.0]),
+        "dwell": np.ones(2),
+    }
+    m3sim.chains.AbsorbingChain(**fields)  # a row may start below the previous row's end
+    with pytest.raises(ChainError, match=message):
+        m3sim.chains.AbsorbingChain(**fields | change)

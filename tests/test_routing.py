@@ -247,8 +247,8 @@ def test_mmdr_schedule_is_conflict_free_and_compact():
                 if a >= b:
                     continue
                 assert not set(a) & set(b)
-                assert GRID4.interference_distance(GRID4.cell(a[0]), GRID4.cell(b[1])) > 1.0
-                assert GRID4.interference_distance(GRID4.cell(b[0]), GRID4.cell(a[1])) > 1.0
+                assert math.sqrt(GRID4.squared_step_distance(GRID4.cell(a[0]), GRID4.cell(b[1]))) > 1.0
+                assert math.sqrt(GRID4.squared_step_distance(GRID4.cell(b[0]), GRID4.cell(a[1]))) > 1.0
 
 
 def test_mlir_schedule_coordinated_slots_then_round_robin():
@@ -315,8 +315,8 @@ def _conflicts(grid, a, b, threshold):
     (t1, r1), (t2, r2) = a, b
     if len({t1, r1, t2, r2}) < 4:
         return True
-    z1 = grid.interference_distance(grid.cell(t1), grid.cell(r2))
-    z2 = grid.interference_distance(grid.cell(t2), grid.cell(r1))
+    z1 = math.sqrt(grid.squared_step_distance(grid.cell(t1), grid.cell(r2)))
+    z2 = math.sqrt(grid.squared_step_distance(grid.cell(t2), grid.cell(r1)))
     return z1 <= threshold or z2 <= threshold
 
 
