@@ -34,11 +34,11 @@ picks the same column as a count over the row for every draw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 NO_ROUTE = "nr"
 
@@ -69,6 +69,7 @@ class AbsorbingChain:
     probs: np.ndarray
     dwell: np.ndarray
     _checked: bool = field(default=False, init=False, repr=False, compare=False)
+    _index: dict[Hashable, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, size = len(self.transient), len(self.transient) + len(self.absorbing)
@@ -89,6 +90,10 @@ class AbsorbingChain:
             raise ChainError("dwell vector must have one entry per transient state")
         if np.any(self.dwell <= 0):
             raise ChainError("dwell times must be positive")
+        index = {s: k for k, s in enumerate(self.transient)}
+        if len(index) != n:
+            raise ChainError("transient state labels must be distinct")
+        object.__setattr__(self, "_index", index)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -105,9 +110,10 @@ class AbsorbingChain:
         return out
 
     def transient_index(self, label: Hashable) -> int:
+        """Position of a transient state, looked up in a table built with the chain."""
         try:
-            return self.transient.index(label)
-        except ValueError:
+            return self._index[label]
+        except (KeyError, TypeError):
             raise ChainError(f"unknown transient state {label!r}") from None
 
 
@@ -149,8 +155,9 @@ def build_chain(
             if target not in index:
                 fault = k, f"row for {state!r} targets unknown state {target!r}"
                 break
-            if prob < -_ROW_SUM_TOL:
-                fault = k, f"negative probability {prob!r} in row for {state!r}"
+            if not -_ROW_SUM_TOL <= prob < math.inf:
+                kind = "negative" if math.isfinite(prob) else "non-finite"
+                fault = k, f"{kind} probability {prob!r} in row for {state!r}"
                 break
             keys.append(k * size + index[target])
             v.append(prob)
@@ -311,6 +318,17 @@ def _initial_distribution(chain: AbsorbingChain, start: np.ndarray | None) -> np
     return f
 
 
+def _banded_lu():
+    """LAPACK's banded LU factorization and solve, ``(dgbtrf, dgbtrs)``.
+
+    Imported at the first solve rather than with the module: loading
+    ``scipy.linalg`` costs more than a study that builds no chain takes.
+    """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+    return dgbtrf, dgbtrs
+
+
 def absorption_statistics(chain: AbsorbingChain, start: np.ndarray | None = None) -> ChainStatistics:
     """Mean/variance of time to absorption and absorption probabilities.
 
@@ -337,6 +355,7 @@ def absorption_statistics(chain: AbsorbingChain, start: np.ndarray | None = None
     band = np.zeros((2 * kl + ku + 1, n), order="F")
     band[kl + ku] = 1.0
     band[kl + ku + i - j, j] -= qv
+    dgbtrf, dgbtrs = _banded_lu()
     lu, piv, info = dgbtrf(band, kl, ku, overwrite_ab=1)
     if info > 0:
         # absorption is reachable, but only through probabilities that cancel

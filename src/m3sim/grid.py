@@ -15,6 +15,7 @@ within a ring, indices increase with theta.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -133,6 +134,7 @@ class SubcellGrid:
             tuple(self.cells[a] for a in range(*_ring_slice(h))) if h else (self.cells[0],)
             for h in range(H + 1)
         )
+        self._ring_thetas = tuple(tuple(c.theta for c in ring) for ring in self._rings)
 
     # -- addressing ---------------------------------------------------------
 
@@ -152,13 +154,19 @@ class SubcellGrid:
     def nearest_in_ring(self, h: int, theta: float) -> tuple[SubcellId, float]:
         """Subcell of ring h nearest to angle theta, with the angular snap in degrees.
 
-        Ties resolve to the lower linear index.
+        Ties resolve to the lower linear index: a cell later in the ring wins
+        only when nearer by more than 1e-12 degrees.  A ring's angles rise
+        with the index, so the nearest cell is one of the two that bracket
+        theta, cyclically; every other cell lies a whole spacing further.
         """
         if not 0 <= h <= self.params.H:
             raise GridError(f"ring {h} outside 0..{self.params.H}")
         theta = theta % 360.0
+        ring = self._rings[h]
+        j = bisect.bisect_right(self._ring_thetas[h], theta)
+        pair = (ring[j - 1], ring[j]) if 0 < j < len(ring) else (ring[0], ring[-1])
         best, best_gap = None, None
-        for c in self._rings[h]:
+        for c in pair:
             gap = abs(c.theta - theta)
             gap = min(gap, 360.0 - gap)
             if best is None or gap < best_gap - 1e-12:
@@ -199,13 +207,6 @@ class SubcellGrid:
             table = tuple(tuple(sorted(ns, key=lambda n: (near[n], n))) for ns in self.adjacent)
             self._rank_tables[key] = table
         return table
-
-    def neighbors_ranked(self, cell: SubcellId, dest: "Destinations") -> list[SubcellId]:
-        """Neighbours sorted by center distance to the nearest destination.
-
-        Ties resolve to the lower linear index so rankings are reproducible.
-        """
-        return [self.cells[n] for n in self.rank_table(dest)[cell.i]]
 
     # -- clustering ---------------------------------------------------------
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Hashable
 
 from .chains import NO_ROUTE, AbsorbingChain, build_chain
@@ -255,7 +255,8 @@ class Route:
     ``link_modes`` tags each hop with its scheduling mode (COORD hops ride
     the single coordinated slot, FALLBACK hops the round-robin cycle).
     ``links`` pairs consecutive cells; it is built once, at construction,
-    and takes no part in equality, hashing or the repr.
+    and takes no part in equality, hashing or the repr.  An extraction whose
+    routes share tails hands in those pairs as ``shared_links``.
     """
 
     source: int
@@ -263,9 +264,12 @@ class Route:
     reached: int | None
     link_modes: tuple[str, ...] = ()
     links: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    shared_links: InitVar[tuple[tuple[int, int], ...] | None] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "links", tuple(zip(self.cells, self.cells[1:])))
+    def __post_init__(self, shared_links):
+        if shared_links is None:
+            shared_links = tuple(zip(self.cells, self.cells[1:]))
+        object.__setattr__(self, "links", shared_links)
 
     @property
     def complete(self) -> bool:
@@ -287,35 +291,161 @@ class RouteSet:
         return [r for r in self.routes if r.complete]
 
 
-def _walk(grid, dest, overlay, source, choose):
-    """One deterministic route from ``source``; ``choose`` picks each relay hop.
+def _hopper(grid, dest, overlay, choose):
+    """The hop rule of one overlay: ``hop(current, excluded)`` -> (next cell, mode) or None.
 
-    A hop considers the available, unvisited neighbours of the current cell.
-    A destination among them ends the route there (the lowest index wins);
-    no candidate, or ``choose(current, candidates)`` returning None, strands
-    the route.  Otherwise ``choose`` returns the next cell and the hop mode.
-    Cells are linear indices.  Every hop visits a new cell, so the walk
-    always ends.
+    A destination neighbour ends the route there; ``rank_table`` lists the
+    destinations first, lowest index leading, and none is ever unavailable
+    or visited, so it is the head of the ranked row.  Otherwise the
+    candidates are the available neighbours not in ``excluded``, in rank
+    order: none, or ``choose(current, candidates)`` returning None, strands
+    the route, and otherwise ``choose`` names the relay and the hop mode.
     """
-    dest_idx = dest.indices()
-    adjacent, unavailable = grid.adjacent, overlay.unavailable
-    cells = [source]
-    modes = []
-    visited = {source}
+    ranks, dest_idx, unavailable = grid.rank_table(dest), dest.indices(), overlay.unavailable
+
+    def hop(current, excluded):
+        ranked = ranks[current]
+        if ranked[0] in dest_idx:
+            return ranked[0], FALLBACK
+        candidates = [n for n in ranked if n not in unavailable and n not in excluded]
+        return choose(current, candidates) if candidates else None
+
+    return hop
+
+
+def _walk(hop, dest_idx, source):
+    """(cells, modes, reached) of the route from ``source``, hop by hop, never revisiting a cell.
+
+    ``reached`` is None for a route that strands.  Every hop visits a new
+    cell, so the walk ends.
+    """
+    cells, modes, visited = [source], [], {source}
     current = source
     while True:
-        candidates = [n for n in adjacent[current] if n not in unavailable and n not in visited]
-        hits = [n for n in candidates if n in dest_idx]
-        if hits:
-            reached = min(hits)
-            return Route(source, (*cells, reached), reached, (*modes, FALLBACK))
-        hop = choose(current, candidates) if candidates else None
-        if hop is None:
-            return Route(source, tuple(cells), None, tuple(modes))
-        current, mode = hop
+        step = hop(current, visited)
+        if step is None:
+            return tuple(cells), tuple(modes), None
+        current, mode = step
         cells.append(current)
         modes.append(mode)
+        if current in dest_idx:
+            return tuple(cells), tuple(modes), current
         visited.add(current)
+
+
+def _successors(hop):
+    """The successor table of one hop rule: ``successor(cell, previous)`` -> (state key, hop).
+
+    A state is a cell and the cell before it.  Its successor is the hop a
+    walk would take with only the previous cell visited: the cell's own
+    first hop, ``hop(cell, ())``, unless that goes back to the previous
+    cell.  So the table holds one first hop per cell, and a state is keyed
+    by its cell alone unless it turns back that way; such a turned state is
+    keyed by (cell, previous) and has a hop of its own.  Each hop is
+    computed once.
+    """
+    table: dict[Hashable, tuple[int, str] | None] = {}
+
+    def successor(current, prev):
+        step = table.get(current, table)
+        if step is table:
+            step = table[current] = hop(current, ())
+        if step is None or step[0] != prev:
+            return current, step
+        key = (current, prev)
+        step = table.get(key, table)
+        if step is table:
+            step = table[key] = hop(current, (prev,))
+        return key, step
+
+    return successor
+
+
+def _follow(hop, dest_idx, sources):
+    """The route of every source, read off the successor table of ``hop``.
+
+    Each finished route records, for every state whose successor path it
+    follows, itself and the state's position, so a later route that
+    reaches the state copies the rest and shares its link pairs.  Where the
+    table would lead a route back onto one of its own cells, the route
+    takes the next hop with everything it visited excluded, as ``_walk``
+    does, and the states before that hop are not recorded.
+    """
+    successor = _successors(hop)
+    known: dict[Hashable, tuple[Route, int]] = {}
+    out = []
+    for src in sources:
+        cells, modes, keys, visited = [src], [], [], {src}
+        start = 0  # position of keys[0] on the route
+        prev, current = None, src
+        while True:
+            key, step = successor(current, prev)
+            entry = known.get(key)
+            if entry is None:
+                off_table = step is not None and step[0] in visited
+            else:
+                shared, k = entry
+                tail = shared.cells[k + 1 :]
+                # A route holds no cell twice, so a recorded tail holds neither
+                # its state's cell nor, for a turned state, the previous one.
+                # Nor does it hold a source whose first hop led here: leaving
+                # the source, it would come back by that same first hop.
+                if len(cells) <= 2 or visited.isdisjoint(tail):
+                    route = Route(
+                        src,
+                        tuple(cells) + tail,
+                        shared.reached,
+                        tuple(modes) + shared.link_modes[k:],
+                        tuple(zip(cells, cells[1:])) + shared.links[k:],
+                    )
+                    break
+                off_table = True
+            if off_table:
+                step = hop(current, visited)
+                keys, start = [], len(cells)
+            else:
+                keys.append(key)
+            if step is None:
+                route = Route(src, tuple(cells), None, tuple(modes))
+                break
+            nxt, mode = step
+            cells.append(nxt)
+            modes.append(mode)
+            if nxt in dest_idx:
+                route = Route(src, tuple(cells), nxt, tuple(modes))
+                break
+            visited.add(nxt)
+            prev, current = current, nxt
+        for k, key in enumerate(keys, start):
+            known[key] = route, k
+        out.append(route)
+    return out
+
+
+def _reached(hop, dest_idx, sources):
+    """The destination each source's route reaches, None where it strands.
+
+    ``_follow`` without building the routes, for choosing the relay color:
+    a fallback-free color route ends within three cells, because the ranked
+    hop out of a k0 cell lands on a cell whose only k0 neighbour is the cell
+    just left.  A source whose successor path comes back to one of its own
+    cells is walked by ``_walk``.
+    """
+    successor = _successors(hop)
+    out = []
+    for src in sources:
+        cells, prev, current = [src], None, src
+        while True:
+            step = successor(current, prev)[1]
+            if step is None or step[0] in dest_idx:
+                out.append(None if step is None else step[0])
+                break
+            if step[0] in cells:
+                out.append(_walk(hop, dest_idx, src)[2])
+                break
+            prev, current = current, step[0]
+            cells.append(current)
+    return out
 
 
 def _lar_route(grid, dest, overlay):
@@ -323,46 +453,56 @@ def _lar_route(grid, dest, overlay):
 
     The hop cost is (1 + load(target)) * distance rank, so later sources
     divert around relays already carrying traffic.  A single source sees
-    zero loads and reproduces the plain minimum-distance route.
+    zero loads and reproduces the plain minimum-distance route.  A cost is
+    never below its rank, so the scan over the ranked candidates stops at
+    the first rank above the best cost so far.
     """
-    ranks = grid.rank_table(dest)
     load: dict[int, int] = {}
 
     def least_loaded(current, candidates):
-        ranked = enumerate((n for n in ranks[current] if n in candidates), 1)
-        _, nxt = min(ranked, key=lambda rn: ((1 + load.get(rn[1], 0)) * rn[0], rn[1]))
-        return nxt, FALLBACK
+        best = (1 + load.get(candidates[0], 0), candidates[0])
+        for rank, n in enumerate(candidates[1:], 2):
+            if rank > best[0]:
+                break
+            best = min(best, ((1 + load.get(n, 0)) * rank, n))
+        return best[1], FALLBACK
 
+    hop = _hopper(grid, dest, overlay, least_loaded)
+    dest_idx = dest.indices()
     routes = []
     for src in overlay.sources:
-        route = _walk(grid, dest, overlay, src, least_loaded)
-        routes.append(route)
-        if route.complete:
-            for idx in route.cells[1:-1]:
+        cells, modes, reached = _walk(hop, dest_idx, src)
+        routes.append(Route(src, cells, reached, modes))
+        if reached is not None:
+            for idx in cells[1:-1]:
                 load[idx] = load.get(idx, 0) + 1
     return RouteSet(routes=routes, kind=LAR)
 
 
-def _color_routes(grid, dest, overlay, k0, allow_fallback):
-    """Alternating color-relay routes: hop to the unique k0 neighbour, then re-aim.
+def _nearest(current, candidates):
+    """Minimum-distance relay choice: the first ranked candidate."""
+    return candidates[0], FALLBACK
+
+
+def _color_hop(colors, k0, allow_fallback):
+    """Alternating color-relay choice: hop to the unique k0 neighbour, then re-aim.
 
     Every cell has exactly one neighbour of each other reuse color, so a
     coordinated hop is unambiguous; from a k0 cell (or when the k0 relay is
     unavailable and fallback is on) the hop follows the minimum-distance
     rule.  Without fallback such a hop strands the route.
     """
-    ranks, colors = grid.rank_table(dest), grid.colors
 
     def color_hop(current, candidates):
-        at_k0 = colors[current] == k0
-        typed = [n for n in candidates if colors[n] == k0]
-        if not at_k0 and typed:
-            return typed[0], COORD
-        if at_k0 or allow_fallback:
-            return next(n for n in ranks[current] if n in candidates), FALLBACK
-        return None
+        if colors[current] != k0:
+            for n in candidates:
+                if colors[n] == k0:
+                    return n, COORD
+            if not allow_fallback:
+                return None
+        return candidates[0], FALLBACK
 
-    return [_walk(grid, dest, overlay, s, color_hop) for s in overlay.sources]
+    return color_hop
 
 
 def _check_overlay(grid, dest, overlay):
@@ -391,35 +531,41 @@ def extract_routes(
     routes wins (ties to the smallest color, evaluated without fallback
     first).  Routes never revisit a subcell; dead ends are returned as
     incomplete routes.
+
+    Every rule but LAR's is read off a successor table over the states
+    (cell, previous cell): a state's successor is the hop a walk would take
+    with only the previous cell visited, and routes that meet in a state
+    share the rest.  The table is exact: a walk's candidates are a subset
+    of the state's, destinations are never unavailable or visited, and
+    the state's choice is the first ranked candidate or the unique k0
+    neighbour, so whenever that cell is not already on the route the walk
+    chooses it too, and whenever the state strands the walk does.  A
+    successor path that never repeats a cell is therefore the walked
+    route; one that would repeat a cell is walked hop by hop from the last
+    cell before the repeat.  LAR's loads change between sources, so it is
+    walked hop by hop throughout.
     """
     _check_overlay(grid, dest, overlay)
-    if config.kind in (MDR, MMDR):
-        ranks = grid.rank_table(dest)
-
-        def nearest(current, candidates):
-            return next(n for n in ranks[current] if n in candidates), FALLBACK
-
-        return RouteSet([_walk(grid, dest, overlay, s, nearest) for s in overlay.sources], config.kind)
     if config.kind == LAR:
         return _lar_route(grid, dest, overlay)
+    dest_idx, sources = dest.indices(), overlay.sources
+    if config.kind in (MDR, MMDR):
+        return RouteSet(_follow(_hopper(grid, dest, overlay, _nearest), dest_idx, sources), config.kind)
     if config.kind not in (LIR, MLIR):
         raise RoutingError(f"no deterministic extraction for protocol {config.kind!r}")
 
     k0 = overlay.k0 if overlay.k0 is not None else config.relay_color
     if k0 is None:
         # pick the color whose strict (fallback-free) routes complete most sources
-        best_color, best_complete = 0, -1
-        for color in range(7):
-            complete = sum(r.complete for r in _color_routes(grid, dest, overlay, color, False))
-            if complete > best_complete:
-                best_color, best_complete = color, complete
-        if best_complete < len(overlay.sources) and not config.allow_fallback:
+        strict = (_hopper(grid, dest, overlay, _color_hop(grid.colors, c, False)) for c in range(7))
+        complete = [sum(r is not None for r in _reached(hop, dest_idx, sources)) for hop in strict]
+        k0 = complete.index(max(complete))
+        if complete[k0] < len(sources) and not config.allow_fallback:
             raise RoutingError(
                 "every relay color strands at least one source and fallback is disabled"
             )
-        k0 = best_color
-    routes = _color_routes(grid, dest, overlay, k0, config.allow_fallback)
-    return RouteSet(routes=routes, kind=config.kind, k0=k0)
+    hop = _hopper(grid, dest, overlay, _color_hop(grid.colors, k0, config.allow_fallback))
+    return RouteSet(routes=_follow(hop, dest_idx, sources), kind=config.kind, k0=k0)
 
 
 # --------------------------------------------------------------------------
@@ -480,10 +626,14 @@ def schedule(route_set: RouteSet, config: ProtocolConfig, grid: SubcellGrid) -> 
         offsets = _conflict_offsets(grid, config.interference_threshold)
         sent: defaultdict[int, set[int]] = defaultdict(set)
         heard: defaultdict[int, set[int]] = defaultdict(set)
+        around: dict[int, list[int]] = {}
 
         def near(i):
-            c = grid.cells[i]
-            return [grid.index[a] for a in ((c.q + dq, c.r + dr) for dq, dr in offsets) if a in grid.index]
+            if i not in around:
+                c = grid.cells[i]
+                axial = ((c.q + dq, c.r + dr) for dq, dr in offsets)
+                around[i] = [grid.index[a] for a in axial if a in grid.index]
+            return around[i]
 
         for tx, rx in links:
             used = sent[tx].union(

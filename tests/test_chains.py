@@ -241,8 +241,16 @@ def test_reachability_is_exact_where_the_spectral_radius_is_not():
 def test_transient_index():
     chain = ladder()
     assert chain.transient_index("s2") == 1
-    with pytest.raises(ChainError):
-        chain.transient_index("s9")
+    assert [chain.transient_index(s) for s in chain.transient] == list(range(len(chain.transient)))
+    for label in ("s9", ("s2", "coord"), ["s2"]):
+        with pytest.raises(ChainError, match="unknown transient state"):
+            chain.transient_index(label)
+
+
+@pytest.mark.parametrize("prob", [math.nan, math.inf, -math.inf])
+def test_non_finite_probability_is_rejected_by_name(prob):
+    with pytest.raises(ChainError, match=f"non-finite probability {prob!r} in row for 's'"):
+        build_chain({"s": [("s", prob), ("done", 1.0)]}, ["done"])
 
 
 def test_start_distribution_validation():
@@ -309,9 +317,9 @@ def test_simulation_matches_analysis():
 
 
 def _negative_variance_solve(offset):
-    """dgbtrs whose first call shifts its second column, (I - Q)^-1 e^2, by ``offset``."""
+    """LAPACK pair whose dgbtrs shifts, on its first call, the second column (I - Q)^-1 e^2 by ``offset``."""
     calls = []
-    solve = m3sim.chains.dgbtrs
+    factor, solve = m3sim.chains._banded_lu()
 
     def shifted(*args, **kwargs):
         calls.append(None)
@@ -320,18 +328,18 @@ def _negative_variance_solve(offset):
             x[:, 1] += offset
         return x, info
 
-    return shifted
+    return lambda: (factor, shifted)
 
 
 def test_negative_variance_beyond_roundoff_is_reported(monkeypatch):
-    monkeypatch.setattr(m3sim.chains, "dgbtrs", _negative_variance_solve(-1e-6))
+    monkeypatch.setattr(m3sim.chains, "_banded_lu", _negative_variance_solve(-1e-6))
     # geometric(1.0) has tau = 1 and variance exactly 0
     with pytest.raises(ChainError, match="variance .* of state 's' is negative"):
         absorption_statistics(geometric(1.0))
 
 
 def test_negative_variance_within_roundoff_reads_zero(monkeypatch):
-    monkeypatch.setattr(m3sim.chains, "dgbtrs", _negative_variance_solve(-1e-12))
+    monkeypatch.setattr(m3sim.chains, "_banded_lu", _negative_variance_solve(-1e-12))
     stats = absorption_statistics(geometric(1.0))
     assert stats.var_tau[0] == 0.0 and stats.tau[0] == 1.0
 
@@ -745,6 +753,8 @@ def row_by_row_build(rows, absorbing):
         for target, prob in targets:
             if target not in index:
                 raise ChainError(f"row for {state!r} targets unknown state {target!r}")
+            if not math.isfinite(prob):
+                raise ChainError(f"non-finite probability {prob!r} in row for {state!r}")
             if prob < -_ROW_SUM_TOL:
                 raise ChainError(f"negative probability {prob!r} in row for {state!r}")
             entries[index[target]] = entries.get(index[target], 0.0) + prob
@@ -783,7 +793,9 @@ def chain_rows(draw):
     a = draw(st.integers(1, 3))
     labels = [f"t{k}" for k in range(n)] + [f"a{k}" for k in range(a)]
     targets = st.sampled_from(labels + ["gone"] if draw(st.integers(0, 3)) == 0 else labels)
-    probs = st.sampled_from((0.0, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.7, 1.0, -0.5 * _ROW_SUM_TOL, -0.2, 3e-10))
+    probs = st.sampled_from(
+        (0.0, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.7, 1.0, -0.5 * _ROW_SUM_TOL, -0.2, 3e-10, math.nan, math.inf)
+    )
     rows = {}
     for k in range(n):
         entries = draw(st.lists(st.tuples(targets, probs), max_size=2 * (n + a)))
@@ -827,13 +839,13 @@ def test_solve_factorizes_the_narrow_band_of_the_reordered_chain(monkeypatch):
     inner = chain.indices < n
     assert np.max(np.abs(rows[inner] - chain.indices[inner])) == 203
     bands = []
-    factor = m3sim.chains.dgbtrf
+    factor, solve = m3sim.chains._banded_lu()
 
     def recorded(ab, kl, ku, **kwargs):
         bands.append((ab.shape, kl, ku))
         return factor(ab, kl, ku, **kwargs)
 
-    monkeypatch.setattr(m3sim.chains, "dgbtrf", recorded)
+    monkeypatch.setattr(m3sim.chains, "_banded_lu", lambda: (recorded, solve))
     absorption_statistics(chain)
     assert bands == [((3 * 43 + 1, n), 43, 43)]
 
@@ -865,6 +877,7 @@ def test_h32_lir_chain_builds_and_solves_without_a_dense_matrix():
         ({"indices": np.array([1, 1, 2])}, "strictly increase"),
         ({"probs": np.ones(2)}, "equal length"),
         ({"dwell": np.ones(3)}, "one entry per transient state"),
+        ({"transient": ("s", "s")}, "labels must be distinct"),
     ],
 )
 def test_chain_rejects_malformed_rows(change, message):

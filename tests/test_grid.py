@@ -1,5 +1,7 @@
 """Hexagonal tessellation: indexing, geometry, coloring, destinations."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -58,6 +60,32 @@ def test_cell_addressing_roundtrip():
         assert grid.nearest_in_ring(cell.h, cell.theta) == (cell, 0.0)
     with pytest.raises(GridError):
         grid.cell(61)
+
+
+def _scanned_nearest_in_ring(grid, h, theta):
+    """nearest_in_ring as one scan over the whole ring."""
+    theta = theta % 360.0
+    best, best_gap = None, None
+    for c in grid.ring(h):
+        gap = abs(c.theta - theta)
+        gap = min(gap, 360.0 - gap)
+        if best is None or gap < best_gap - 1e-12:
+            best, best_gap = c, gap
+    return best, best_gap
+
+
+@pytest.mark.parametrize("H", [1, 2, 5, 10, 33])
+def test_nearest_in_ring_matches_the_scan_over_the_ring(H):
+    grid = SubcellGrid(GridParams(H=H))
+    rng = random.Random(H)
+    for h in range(H + 1):
+        thetas = [c.theta for c in grid.ring(h)]
+        angles = thetas + [(a + b) / 2 for a, b in zip(thetas, thetas[1:] + [thetas[0] + 360.0])]
+        angles += [rng.uniform(-720.0, 720.0) for _ in range(50)] + [0.0, 360.0, 359.9999999999999, -1e-300]
+        for theta in angles:
+            got = grid.nearest_in_ring(h, theta)
+            want = _scanned_nearest_in_ring(grid, h, theta)
+            assert got == want and repr(got[1]) == repr(want[1]), (h, theta)
 
 
 def test_ring_angles_sorted():
@@ -152,14 +180,18 @@ def test_destinations_without_base_station():
     assert [c.i for c in ap_only.absorbing_cells()] == [31]
 
 
-def test_neighbors_ranked_is_deterministic():
+def _ranked(grid, cell, dest):
+    return [grid.cell(n) for n in grid.rank_table(dest)[cell.i]]
+
+
+def test_rank_table_is_deterministic():
     grid = SubcellGrid(GridParams(H=2))
     dest = make_destinations(grid)
     cell = grid.cell(7)
-    ranked = grid.neighbors_ranked(cell, dest)
+    ranked = _ranked(grid, cell, dest)
     dists = [min(grid.squared_step_distance(n, t) for t in dest.absorbing_cells()) for n in ranked]
     assert dists == sorted(dists)
-    assert ranked == grid.neighbors_ranked(cell, dest)
+    assert ranked == _ranked(grid, cell, dest)
 
 
 @st.composite
@@ -173,7 +205,7 @@ def destination_case(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(destination_case())
-def test_neighbors_ranked_matches_sort_by_minimum_distance(case):
+def test_rank_table_matches_sort_by_minimum_distance(case):
     grid, dest = case
     targets = dest.absorbing_cells()
     for cell in grid.cells:
@@ -181,7 +213,7 @@ def test_neighbors_ranked_matches_sort_by_minimum_distance(case):
             grid.neighbors(cell),
             key=lambda n: (min(grid.squared_step_distance(n, t) for t in targets), n.i),
         )
-        assert grid.neighbors_ranked(cell, dest) == expected
+        assert _ranked(grid, cell, dest) == expected
 
 
 @settings(max_examples=12, deadline=None)

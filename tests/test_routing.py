@@ -1,6 +1,7 @@
 """Route discovery: transition laws, chain builders, extraction, scheduling."""
 
 import math
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from m3sim import routing
 from m3sim.chains import NO_ROUTE, absorption_statistics
 from m3sim.grid import NUM_COLORS, Destinations, GridParams, SubcellGrid, make_destinations
 from m3sim.routing import (
@@ -461,6 +463,10 @@ def _ref_admissible(grid, overlay, visited, cell):
     return [n for n in grid.neighbors(cell) if n.i not in overlay.unavailable and n.i not in visited]
 
 
+def _ref_ranked(grid, dest, cell):
+    return [grid.cell(n) for n in grid.rank_table(dest)[cell.i]]
+
+
 def _ref_greedy_route(grid, dest, overlay, source_idx, load=None):
     dest_idx = dest.indices()
     cells, modes, visited = [source_idx], [], {source_idx}
@@ -473,7 +479,7 @@ def _ref_greedy_route(grid, dest, overlay, source_idx, load=None):
         elif not candidates:
             return Route(source_idx, tuple(cells), None, tuple(modes))
         else:
-            ranked = [n for n in grid.neighbors_ranked(current, dest) if n in candidates]
+            ranked = [n for n in _ref_ranked(grid, dest, current) if n in candidates]
             if load is None:
                 nxt = ranked[0]
             else:
@@ -503,7 +509,7 @@ def _ref_color_route(grid, dest, overlay, source_idx, k0, allow_fallback):
             if grid.cluster_color(current) != k0 and typed:
                 nxt, mode = typed[0], COORD
             elif grid.cluster_color(current) == k0 or allow_fallback:
-                ranked = [n for n in grid.neighbors_ranked(current, dest) if n in candidates]
+                ranked = [n for n in _ref_ranked(grid, dest, current) if n in candidates]
                 nxt, mode = ranked[0], FALLBACK
             else:
                 return Route(source_idx, tuple(cells), None, tuple(modes))
@@ -580,3 +586,118 @@ def test_extract_routes_matches_per_protocol_loops(case):
         return
     rs = extract_routes(grid, dest, overlay, config)
     assert (rs.routes, rs.k0, rs.kind) == (*expected, config.kind)
+
+
+# -- successor-table extraction against one walk per source -------------------
+
+
+def _walked(grid, dest, overlay, config):
+    """extract_routes by one ``_walk`` per source; an unpinned color by seven walks of every source."""
+    dest_idx = dest.indices()
+
+    def walk_all(choose):
+        hop = routing._hopper(grid, dest, overlay, choose)
+        walks = (routing._walk(hop, dest_idx, s) for s in overlay.sources)
+        return [Route(s, cells, reached, modes) for s, (cells, modes, reached) in zip(overlay.sources, walks)]
+
+    if config.kind in (MDR, MMDR):
+        return walk_all(routing._nearest), None
+    k0 = overlay.k0 if overlay.k0 is not None else config.relay_color
+    if k0 is None:
+        complete = [sum(r.complete for r in walk_all(routing._color_hop(grid.colors, c, False))) for c in range(7)]
+        k0 = complete.index(max(complete))
+        if complete[k0] < len(overlay.sources) and not config.allow_fallback:
+            raise RoutingError("fallback is disabled")
+    return walk_all(routing._color_hop(grid.colors, k0, config.allow_fallback)), k0
+
+
+GRID16 = SubcellGrid(GridParams(H=16))
+H16_CONFIGS = [ProtocolConfig(kind=MDR), ProtocolConfig(kind=MMDR)] + [
+    ProtocolConfig(kind=kind, relay_color=color, allow_fallback=fallback)
+    for kind in (LIR, MLIR)
+    for color in (None, 3)
+    for fallback in (True, False)
+]
+
+
+def _h16_overlay(share, dest, near_only=False):
+    """All sources of GRID16 around a seeded share of unavailable relays.
+
+    ``near_only`` keeps the sources next to a destination, so that
+    fallback-free routes complete under every relay color.
+    """
+    rng = random.Random(f"h16:{share}:{len(dest.aps)}")
+    free = [c for c in range(len(GRID16.cells)) if c not in dest.indices()]
+    down = frozenset(rng.sample(free, round(share * len(free))))
+    sources = [c for c in free if c not in down]
+    if near_only:
+        targets = dest.absorbing_cells()
+        sources = [c for c in sources if min(GRID16.hop_distance(GRID16.cell(c), t) for t in targets) == 1]
+    return ScenarioOverlay(sources=tuple(sources), unavailable=down)
+
+
+@pytest.mark.parametrize(
+    "share, aps, near_only",
+    [(0.1, [], False), (0.3, [], False), (0.3, [(8, 30.0), (8, 210.0)], False), (0.1, [(8, 30.0), (8, 210.0)], True)],
+)
+def test_successor_table_routes_equal_one_walk_per_source_at_h16(share, aps, near_only):
+    dest = make_destinations(GRID16, aps)
+    overlay = _h16_overlay(share, dest, near_only)
+    for config in H16_CONFIGS:
+        try:
+            expected = _walked(GRID16, dest, overlay, config)
+        except RoutingError:
+            with pytest.raises(RoutingError, match="fallback is disabled"):
+                extract_routes(GRID16, dest, overlay, config)
+            continue
+        rs = extract_routes(GRID16, dest, overlay, config)
+        assert (rs.routes, rs.k0) == expected, config
+        assert all(r.links == tuple(zip(r.cells, r.cells[1:])) for r in rs.routes)
+    lar = ProtocolConfig(kind=LAR)
+    assert extract_routes(GRID16, dest, overlay, lar).routes == _ref_extract_routes(GRID16, dest, overlay, lar)[0]
+
+
+def _table_path(successor, dest_idx, source):
+    """Cells of the successor path from ``source``, up to a destination, a dead end or a repeat."""
+    cells, prev = [source], None
+    while cells[-1] not in dest_idx and cells.count(cells[-1]) == 1:
+        step = successor(cells[-1], prev)[1]
+        if step is None:
+            break
+        prev = cells[-1]
+        cells.append(step[0])
+    return cells
+
+
+def test_a_successor_path_that_repeats_a_cell_is_walked_at_the_repeat():
+    grid = GRIDS[3]
+    dest = make_destinations(grid)
+    overlay = ScenarioOverlay(sources=(10,), unavailable=frozenset({1, 2, 8}))
+    successor = routing._successors(routing._hopper(grid, dest, overlay, routing._nearest))
+    # with only the previous cell excluded, 22 would hop back to 9
+    assert _table_path(successor, dest.indices(), 10) == [10, 9, 21, 22, 9]
+    rs = extract_routes(grid, dest, overlay, ProtocolConfig(kind=MMDR))
+    assert rs.routes == [Route(10, (10, 9, 21, 22, 23, 24, 11, 3, 0), 0, (FALLBACK,) * 8)]
+    assert rs.routes == _walked(grid, dest, overlay, ProtocolConfig(kind=MMDR))[0]
+
+
+def test_reached_walks_a_source_whose_successor_path_repeats_a_cell():
+    dest = make_destinations(GRID16, [(8, 30.0), (8, 210.0)])
+    overlay = _h16_overlay(0.3, dest)
+    hop = routing._hopper(GRID16, dest, overlay, routing._nearest)
+    successor = routing._successors(hop)
+    paths = [_table_path(successor, dest.indices(), s) for s in overlay.sources]
+    assert any(len(set(path)) < len(path) for path in paths)
+    reached = routing._reached(hop, dest.indices(), overlay.sources)
+    assert reached == [r.reached for r in _walked(GRID16, dest, overlay, ProtocolConfig(kind=MMDR))[0]]
+
+
+def test_a_shared_tail_that_comes_back_to_the_route_is_not_copied():
+    # 26 -> 25 -> 11 meets the recorded route of 11, whose tail 24, 25, 26, ... holds 25 and 26
+    grid = GRIDS[3]
+    dest = make_destinations(grid)
+    down = frozenset({2, 3, 5, 7, 8, 9, 10, 12, 18, 19, 20, 23, 28, 32})
+    overlay = ScenarioOverlay(sources=(11, 26), unavailable=down, k0=5)
+    rs = extract_routes(grid, dest, overlay, ProtocolConfig(kind=MLIR))
+    assert [r.cells for r in rs.routes] == [(11, 24, 25, 26, 27, 13, 14, 4, 0), (26, 25, 11, 24)]
+    assert rs.routes == _walked(grid, dest, overlay, ProtocolConfig(kind=MLIR))[0]
