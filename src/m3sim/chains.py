@@ -163,8 +163,32 @@ def build_chain(
             v.append(prob)
         if fault is not None:
             break
+    indptr, indices, probs = _pack(
+        transient, size, np.array(keys, dtype=np.intp), np.array(v, dtype=float), fault
+    )
+    if isinstance(dwell, Mapping):
+        dwell_vec = np.array([dwell[s] for s in transient], dtype=float)
+    else:
+        dwell_vec = np.full(n, float(dwell))
+    return AbsorbingChain(transient, absorbing, indptr, indices, probs, dwell_vec)
+
+
+def _pack(
+    transient: tuple[Hashable, ...],
+    size: int,
+    key: np.ndarray,
+    value: np.ndarray,
+    fault: tuple[int, str] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR (indptr, indices, probs) of listed entries, normalised as ``build_chain`` documents.
+
+    ``key`` holds row * size + column and ``value`` the probability of each
+    entry, in row order and within a row in listed order.  ``fault`` is the
+    (row, message) of an entry fault that stopped the listing: a bad sum in
+    an earlier row is reported first, then the fault.
+    """
+    n = len(transient)
     # one stable sort by (row, column) keeps duplicate targets in listed order
-    key = np.array(keys, dtype=np.intp)
     order = np.argsort(key, kind="stable")
     key = key[order]
     head = np.ones(key.size, dtype=bool)
@@ -172,7 +196,7 @@ def build_chain(
     # np.add.at is unbuffered and runs in index order: each duplicate, and
     # then each entry of a row, adds in turn
     data = np.zeros(int(head.sum()))
-    np.add.at(data, np.cumsum(head) - 1, np.array(v, float)[order])
+    np.add.at(data, np.cumsum(head) - 1, value[order])
     row, col = np.divmod(key[head], size)
     totals = np.zeros(n)
     np.add.at(totals, row, data)
@@ -187,18 +211,7 @@ def build_chain(
     kept = probs != 0.0
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(row[kept], minlength=n), out=indptr[1:])
-    if isinstance(dwell, Mapping):
-        dwell_vec = np.array([dwell[s] for s in transient], dtype=float)
-    else:
-        dwell_vec = np.full(n, float(dwell))
-    return AbsorbingChain(
-        transient=transient,
-        absorbing=absorbing,
-        indptr=indptr,
-        indices=col[kept],
-        probs=probs[kept],
-        dwell=dwell_vec,
-    )
+    return indptr, col[kept], probs[kept]
 
 
 def canonical_form(chain: AbsorbingChain) -> None:

@@ -25,7 +25,7 @@ from .compression import (
     aggregate_availability,
     climb_topology,
 )
-from .grid import NUM_COLORS, SQRT3, Destinations, GridParams, SubcellGrid
+from .grid import NUM_COLORS, SQRT3, Destinations, GridParams, SubcellGrid, check_finite_positive
 from .radio import RadioParams, link_capacity, link_sinr
 from .routing import (
     MDR,
@@ -75,10 +75,8 @@ class EconParams:
                 "revenues must satisfy mno_revenue >= sso_revenue > 0, got "
                 f"{self.mno_revenue!r} / {self.sso_revenue!r}"
             )
-        if not 0 < self.price_step < math.inf:
-            raise EconError(f"price step must be finite and positive, got {self.price_step!r}")
-        if not 0 < self.tol < math.inf:
-            raise EconError(f"tolerance must be finite and positive, got {self.tol!r}")
+        check_finite_positive(EconError, "price step", self.price_step, joint=True)
+        check_finite_positive(EconError, "tolerance", self.tol, joint=True)
         if self.max_iter < 1:
             raise EconError("negotiation needs at least one iteration")
         lo, hi = self.bounds

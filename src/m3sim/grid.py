@@ -32,6 +32,18 @@ class GridError(ValueError):
     """Invalid grid parameters or subcell reference."""
 
 
+def check_finite_positive(error: type[ValueError], label: str, value: float, joint: bool = False) -> None:
+    """Raise ``error`` naming ``label`` unless ``value`` is a finite number above zero.
+
+    The message reads "must be positive" for a value not above zero (NaN
+    included) and "must be finite" for +inf; with ``joint`` both read
+    "must be finite and positive".
+    """
+    if not 0 < value < math.inf:
+        fault = "finite and positive" if joint else "finite" if value > 0 else "positive"
+        raise error(f"{label} must be {fault}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridParams:
     """Macrocell tessellation parameters.
@@ -48,8 +60,7 @@ class GridParams:
     def __post_init__(self):
         if not isinstance(self.H, int) or self.H < 1:
             raise GridError(f"ring count H must be an integer >= 1, got {self.H!r}")
-        if not self.R > 0:
-            raise GridError(f"macrocell radius R must be positive, got {self.R!r}")
+        check_finite_positive(GridError, "macrocell radius R", self.R)
         if self.K != NUM_COLORS:
             raise GridError(f"only the {NUM_COLORS}-cell rhombic clustering is supported, got K={self.K!r}")
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .grid import GridParams, SubcellGrid
+from .grid import GridParams, SubcellGrid, check_finite_positive
 
 
 class RadioError(ValueError):
@@ -38,22 +38,14 @@ class RadioParams:
     sensitivity: float = 1e-6
 
     def __post_init__(self):
-        _check_finite_positive("transmit power", self.power)
-        _check_finite_positive("path-loss exponent", self.alpha)
-        if not 0 < self.noise < math.inf:
-            raise RadioError(f"noise power must be finite and positive, got {self.noise!r}")
-        _check_finite_positive("sensitivity", self.sensitivity)
+        check_finite_positive(RadioError, "transmit power", self.power)
+        check_finite_positive(RadioError, "path-loss exponent", self.alpha)
+        check_finite_positive(RadioError, "noise power", self.noise, joint=True)
+        check_finite_positive(RadioError, "sensitivity", self.sensitivity)
 
     def noise_term(self, relay_distance: float) -> float:
         """Noise power over the direct-path gain of one hop: noise * d_r**alpha."""
         return self.noise * relay_distance**self.alpha
-
-
-def _check_finite_positive(label: str, value: float) -> None:
-    if not value > 0:
-        raise RadioError(f"{label} must be positive, got {value!r}")
-    if value == math.inf:
-        raise RadioError(f"{label} must be finite, got {value!r}")
 
 
 @lru_cache(maxsize=32)

@@ -25,10 +25,16 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
+from itertools import chain
 from typing import Hashable
 
-from .chains import NO_ROUTE, AbsorbingChain, build_chain
-from .grid import NUM_COLORS, Destinations, SubcellGrid, SubcellId
+import numpy as np
+
+from .chains import NO_ROUTE, AbsorbingChain, _pack
+# perfbench/spans.py TARGETS times ``build_chain`` at this module attribute,
+# though nothing here calls it any more
+from .chains import build_chain  # noqa: F401
+from .grid import NUM_COLORS, Destinations, SubcellGrid
 
 MDR = "MDR"
 LIR = "LIR"
@@ -113,22 +119,6 @@ def rank_probabilities(p: float, count: int) -> tuple[list[float], float]:
     return probs, (1.0 - p) ** count
 
 
-def mdr_transition_row(
-    grid: SubcellGrid,
-    dest: Destinations,
-    cell: SubcellId,
-    p: float,
-) -> list[tuple[Hashable, float]]:
-    """Outgoing MDR transitions of one subcell: ranked neighbours plus no-route."""
-    if cell.i in dest.indices():
-        raise RoutingError(f"subcell {cell.i} is a destination, not a relay source")
-    ranked = grid.rank_table(dest)[cell.i]
-    probs, residual = rank_probabilities(p, len(ranked))
-    row: list[tuple[Hashable, float]] = list(zip(ranked, probs))
-    row.append((NO_ROUTE, residual))
-    return row
-
-
 def coordination_probability(p: float, n_color: int) -> float:
     """Probability that a whole color class of n_color relays is available at once."""
     if n_color < 0:
@@ -150,46 +140,6 @@ def coordinated_color_population(
     return max(pops)
 
 
-def lir_transition_rows(
-    grid: SubcellGrid,
-    dest: Destinations,
-    cell: SubcellId,
-    p: float,
-    n_color: int,
-) -> dict[str, list[tuple[Hashable, float]]]:
-    """Outgoing LIR transitions for both copies of one subcell state.
-
-    From the coordinated copy, the n-th ranked neighbour receives
-    q(1-q)**(n-1), split between staying coordinated (weight 1 - q0) and
-    dropping to fallback (weight q0), where q = p**n_color and q0 is the
-    residual of the coordinated law; the residual itself is lost to
-    no-route.  The fallback copy relays by the plain availability law and
-    returns to the coordinated copy with weight 1 - q0.  Destination
-    neighbours absorb regardless of mode.
-    """
-    dest_idx = dest.indices()
-    if cell.i in dest_idx:
-        raise RoutingError(f"subcell {cell.i} is a destination, not a relay source")
-    ranked = grid.rank_table(dest)[cell.i]
-    q = coordination_probability(p, n_color)
-    coord_probs, coord_residual = rank_probabilities(q, len(ranked))
-    fall_probs, fall_residual = rank_probabilities(p, len(ranked))
-
-    def target(neighbor: int, mode: str) -> Hashable:
-        return neighbor if neighbor in dest_idx else (neighbor, mode)
-
-    coord_row: list[tuple[Hashable, float]] = []
-    fall_row: list[tuple[Hashable, float]] = []
-    for n, cp, fp in zip(ranked, coord_probs, fall_probs):
-        coord_row.append((target(n, COORD), cp * (1.0 - coord_residual)))
-        coord_row.append((target(n, FALLBACK), cp * coord_residual))
-        fall_row.append((target(n, FALLBACK), fp * coord_residual))
-        fall_row.append((target(n, COORD), fp * (1.0 - coord_residual)))
-    coord_row.append((NO_ROUTE, coord_residual))
-    fall_row.append((NO_ROUTE, fall_residual))
-    return {COORD: coord_row, FALLBACK: fall_row}
-
-
 def build_mdr_chain(
     grid: SubcellGrid,
     dest: Destinations,
@@ -199,16 +149,16 @@ def build_mdr_chain(
     """MDR absorbing chain over all non-destination subcells.
 
     Absorbing states are the access points (in placement order), the base
-    station, then no-route; state labels are linear subcell indices.
+    station, then no-route; state labels are linear subcell indices.  A
+    subcell's row lists its ranked neighbours, the n-th with p(1-p)**(n-1),
+    then no-route with the residual.
     """
-    dest_idx = dest.indices()
-    rows = {}
-    for cell in grid.cells:
-        if cell.i in dest_idx:
-            continue
-        rows[cell.i] = mdr_transition_row(grid, dest, cell, p)
-    absorbing = [c.i for c in dest.absorbing_cells()] + [NO_ROUTE]
-    return build_chain(rows, absorbing, dwell)
+    relays, counts, (near,), no_route = _ranked_columns(grid, dest, 1)
+    probs, residual = _rank_law(p, counts)
+    cols = _then(near, no_route)
+    vals = _then(probs, residual)
+    live = _then(_RANKS < counts[:, None], True)
+    return _grid_chain(tuple(relays.tolist()), dest, cols, vals, live, np.full(relays.size, float(dwell)))
 
 
 def build_lir_chain(
@@ -220,22 +170,115 @@ def build_lir_chain(
     """LIR absorbing chain with doubled (coordinated, fallback) subcell states.
 
     Walks start in the coordinated copy; a coordinated state dwells one slot
-    and a fallback state the round-robin cycle.
+    and a fallback state the round-robin cycle.  From the coordinated copy,
+    the n-th ranked neighbour receives q(1-q)**(n-1), split between staying
+    coordinated (weight 1 - q0) and dropping to fallback (weight q0), where
+    q = p**n_color and q0 is the residual of the coordinated law; the
+    residual itself is lost to no-route.  The fallback copy relays by the
+    plain availability law and returns to the coordinated copy with weight
+    1 - q0.  Destination neighbours absorb regardless of mode, so their two
+    entries add up in the order listed: coordinated row (n, coord) then
+    (n, fallback), fallback row (n, fallback) then (n, coord).
     """
-    dest_idx = dest.indices()
     n_color = coordinated_color_population(grid, dest, config.relay_color)
-    rows = {}
-    dwell = {}
-    for cell in grid.cells:
-        if cell.i in dest_idx:
-            continue
-        pair = lir_transition_rows(grid, dest, cell, p, n_color)
-        rows[(cell.i, COORD)] = pair[COORD]
-        dwell[(cell.i, COORD)] = 1.0
-        rows[(cell.i, FALLBACK)] = pair[FALLBACK]
-        dwell[(cell.i, FALLBACK)] = float(NUM_COLORS)
-    absorbing = [c.i for c in dest.absorbing_cells()] + [NO_ROUTE]
-    return build_chain(rows, absorbing, dwell)
+    relays, counts, (coord, fall), no_route = _ranked_columns(grid, dest, 2)
+    coord_probs, coord_residual = _rank_law(coordination_probability(p, n_color), counts)
+    fall_probs, fall_residual = _rank_law(p, counts)
+    stay, drop = (1.0 - coord_residual)[:, None], coord_residual[:, None]
+    m = relays.size
+
+    def pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        # each rank's two entries, one after the other
+        return np.stack((first, second), axis=2).reshape(m, 2 * _RANKS.size)
+
+    # (relay, copy, entry) arrays: the coordinated row, then the fallback row
+    cols = np.stack((_then(pairs(coord, fall), no_route), _then(pairs(fall, coord), no_route)), axis=1)
+    vals = np.stack(
+        (
+            _then(pairs(coord_probs * stay, coord_probs * drop), coord_residual),
+            _then(pairs(fall_probs * drop, fall_probs * stay), fall_residual),
+        ),
+        axis=1,
+    )
+    live = _then(np.repeat(_RANKS < counts[:, None], 2, axis=1), True)
+    labels = tuple(state for i in relays.tolist() for state in ((i, COORD), (i, FALLBACK)))
+    return _grid_chain(
+        labels,
+        dest,
+        cols.reshape(2 * m, -1),
+        vals.reshape(2 * m, -1),
+        np.repeat(live, 2, axis=0),
+        np.tile([1.0, float(NUM_COLORS)], m),
+    )
+
+
+# rank positions of a padded rank-table row: a cell has at most six neighbours
+_RANKS = np.arange(6)
+
+
+def _ranked_columns(
+    grid: SubcellGrid, dest: Destinations, copies: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The relays, their neighbour counts and ranked neighbour columns, and the no-route column.
+
+    Relays are the non-destination cells in grid order.  Relay r owns the
+    transient columns copies * r + mode for mode < copies; the k-th cell of
+    ``dest.absorbing_cells()`` has the k-th column after the transient ones,
+    and no-route the last column.  The ranked columns have shape (copies,
+    relays, 6): entry [mode, r, n] is the column of relay r's n-th ranked
+    neighbour in copy ``mode``, and padding past the count.
+    """
+    table = grid.rank_table(dest)
+    counts = np.fromiter(map(len, table), dtype=np.intp, count=len(table))
+    ranked = np.zeros((len(table), _RANKS.size), dtype=np.intp)
+    ranked[_RANKS < counts[:, None]] = np.fromiter(chain.from_iterable(table), dtype=np.intp)
+    targets = [c.i for c in dest.absorbing_cells()]
+    relay = np.ones(len(table), dtype=bool)
+    relay[targets] = False
+    relays = np.flatnonzero(relay)
+    column = np.empty((copies, len(table)), dtype=np.intp)
+    column[:, relays] = copies * np.arange(relays.size) + np.arange(copies)[:, None]
+    column[:, targets] = copies * relays.size + np.arange(len(targets))
+    return relays, counts[relays], column[:, ranked[relays]], copies * relays.size + len(targets)
+
+
+def _rank_law(p: float, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rank_probabilities(p, count)`` of each count, padded to six ranks, and its residuals.
+
+    Only the counts that occur are evaluated, so a chain without relays
+    checks no availability, as it lists no row.
+    """
+    probs, residual = np.zeros((_RANKS.size + 1, _RANKS.size)), np.zeros(_RANKS.size + 1)
+    for count in np.unique(counts).tolist():
+        row, residual[count] = rank_probabilities(p, count)
+        probs[count, :count] = row
+    return probs[counts], residual[counts]
+
+
+def _then(entries: np.ndarray, last) -> np.ndarray:
+    """``entries`` with one more column, holding ``last`` (a scalar or one value per row)."""
+    tail = np.empty((entries.shape[0], 1), dtype=entries.dtype)
+    tail[:, 0] = last
+    return np.concatenate((entries, tail), axis=1)
+
+
+def _grid_chain(
+    transient: tuple[Hashable, ...],
+    dest: Destinations,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    live: np.ndarray,
+    dwell: np.ndarray,
+) -> AbsorbingChain:
+    """The chain whose row k lists the live (column, probability) entries of ``cols[k]`` and ``vals[k]``.
+
+    Its absorbing states are ``dest.absorbing_cells()`` then no-route, and
+    the entries are normalised by ``build_chain``'s rules.
+    """
+    absorbing = (*(c.i for c in dest.absorbing_cells()), NO_ROUTE)
+    size = len(transient) + len(absorbing)
+    key = (np.arange(len(transient))[:, None] * size + cols)[live]
+    return AbsorbingChain(transient, absorbing, *_pack(transient, size, key, vals[live]), dwell)
 
 
 def start_state(config: ProtocolConfig, cell_index: int) -> Hashable:

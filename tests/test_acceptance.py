@@ -215,8 +215,9 @@ def test_criterion_6_capacity_ordering(offload_scenario):
 
 
 # equilibrium price estimates for the seven bundled traffic steps (steps 4
-# and 7 end pinned at the price ceiling with the crossing extrapolated
-# beyond it, hence the no-offload verdicts)
+# and 7 end pinned at the price ceiling; their crossing, the exact meeting
+# point of the final offload set's offsets, lies beyond it, hence the
+# no-offload verdicts)
 STEP_CROSSINGS = {
     1: 1.440740749606591,
     2: 1.4111111244098864,

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 import m3sim.chains
 from m3sim.chains import (
     _ROW_SUM_TOL,
+    NO_ROUTE,
     ChainError,
     ChainStatistics,
     absorption_statistics,
@@ -23,8 +24,19 @@ from m3sim.chains import (
     simulate_walks,
 )
 from m3sim.cli import bundled_scenario
-from m3sim.grid import GridParams, SubcellGrid, make_destinations
-from m3sim.routing import LIR, ProtocolConfig, build_lir_chain, build_mdr_chain
+from m3sim.grid import NUM_COLORS, Destinations, GridParams, SubcellGrid, make_destinations
+from m3sim.routing import (
+    COORD,
+    FALLBACK,
+    LIR,
+    ProtocolConfig,
+    RoutingError,
+    build_lir_chain,
+    build_mdr_chain,
+    coordinated_color_population,
+    coordination_probability,
+    rank_probabilities,
+)
 from m3sim.scenario import load_scenario
 
 # -- dense oracles -----------------------------------------------------------
@@ -827,6 +839,107 @@ def test_one_scatter_build_equals_the_row_by_row_build(case):
 )
 def test_one_scatter_build_reports_the_same_first_fault(rows):
     assert_same_build(rows, ["done"])
+
+
+# -- grid builders against dict rows -------------------------------------------
+
+
+def mdr_transition_row(grid, dest, cell, p):
+    """Outgoing MDR transitions of one subcell: ranked neighbours plus no-route."""
+    if cell.i in dest.indices():
+        raise RoutingError(f"subcell {cell.i} is a destination, not a relay source")
+    ranked = grid.rank_table(dest)[cell.i]
+    probs, residual = rank_probabilities(p, len(ranked))
+    row = list(zip(ranked, probs))
+    row.append((NO_ROUTE, residual))
+    return row
+
+
+def lir_transition_rows(grid, dest, cell, p, n_color):
+    """Outgoing LIR transitions of both copies of one subcell state (see build_lir_chain)."""
+    dest_idx = dest.indices()
+    if cell.i in dest_idx:
+        raise RoutingError(f"subcell {cell.i} is a destination, not a relay source")
+    ranked = grid.rank_table(dest)[cell.i]
+    q = coordination_probability(p, n_color)
+    coord_probs, coord_residual = rank_probabilities(q, len(ranked))
+    fall_probs, fall_residual = rank_probabilities(p, len(ranked))
+
+    def target(neighbor, mode):
+        return neighbor if neighbor in dest_idx else (neighbor, mode)
+
+    coord_row, fall_row = [], []
+    for n, cp, fp in zip(ranked, coord_probs, fall_probs):
+        coord_row.append((target(n, COORD), cp * (1.0 - coord_residual)))
+        coord_row.append((target(n, FALLBACK), cp * coord_residual))
+        fall_row.append((target(n, FALLBACK), fp * coord_residual))
+        fall_row.append((target(n, COORD), fp * (1.0 - coord_residual)))
+    coord_row.append((NO_ROUTE, coord_residual))
+    fall_row.append((NO_ROUTE, fall_residual))
+    return {COORD: coord_row, FALLBACK: fall_row}
+
+
+def dict_row_chain(grid, dest, p, relay_color, dwell):
+    """The MDR (relay_color False) or LIR chain's (rows, absorbing, dwell), one dict row per state."""
+    rows, dwells = {}, {}
+    n_color = None if relay_color is False else coordinated_color_population(grid, dest, relay_color)
+    for cell in grid.cells:
+        if cell.i in dest.indices():
+            continue
+        if n_color is None:
+            rows[cell.i], dwells[cell.i] = mdr_transition_row(grid, dest, cell, p), dwell
+            continue
+        pair = lir_transition_rows(grid, dest, cell, p, n_color)
+        for mode, slots in ((COORD, 1.0), (FALLBACK, float(NUM_COLORS))):
+            rows[(cell.i, mode)], dwells[(cell.i, mode)] = pair[mode], slots
+    return rows, [c.i for c in dest.absorbing_cells()] + [NO_ROUTE], dwells
+
+
+GRIDS16 = {}
+
+
+@st.composite
+def grid_chain_cases(draw):
+    """(grid, dest, p, relay_color or False for MDR, MDR dwell) over H 1-16."""
+    h = draw(st.integers(1, 16))
+    grid = GRIDS16.setdefault(h, SubcellGrid(GridParams(H=h)))
+    rings = st.integers(2, max(h, 2))
+    placements = draw(st.lists(st.tuples(rings, st.floats(0.0, 359.0)), max_size=2 * (h > 1)))
+    cells = [grid.nearest_in_ring(ring, theta)[0].i for ring, theta in placements]
+    dest = make_destinations(grid, placements[: 1 if len(set(cells)) < len(cells) else 2])
+    if dest.aps and draw(st.booleans()):
+        dest = Destinations(bs=None, aps=dest.aps, coverage=dest.coverage)
+    p = draw(st.one_of(st.sampled_from((0.0, 1.0, 0.5, 0.9, math.nan, 1.5, -0.1)), st.floats(0.0, 1.0)))
+    relay_color = draw(st.one_of(st.just(False), st.none(), st.integers(0, 6)))
+    return grid, dest, p, relay_color, draw(st.sampled_from((1.0, 7.0, 2.5)))
+
+
+def grid_chain(grid, dest, p, relay_color, dwell):
+    if relay_color is False:
+        return build_mdr_chain(grid, dest, p, dwell)
+    return build_lir_chain(grid, dest, p, ProtocolConfig(kind=LIR, relay_color=relay_color))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(grid_chain_cases())
+def test_grid_builders_equal_the_dict_row_build_bit_for_bit(case):
+    grid, dest, p, relay_color, dwell = case
+    try:
+        rows, absorbing, dwells = dict_row_chain(grid, dest, p, relay_color, dwell)
+    except RoutingError as err:
+        with pytest.raises(RoutingError) as got:
+            grid_chain(*case)
+        assert str(got.value) == str(err)
+        return
+    want = build_chain(rows, absorbing, dwells)
+    got = grid_chain(*case)
+    assert got.transient == want.transient and got.absorbing == want.absorbing
+    for field in ("indptr", "indices", "probs", "dwell"):
+        x, y = getattr(got, field), getattr(want, field)
+        assert x.dtype == y.dtype and np.array_equal(x, y), field
+    # and against the one-entry-at-a-time statement of the normalisation
+    for x, y in zip((got.indptr, got.indices, got.probs), row_by_row_build(rows, absorbing)):
+        assert np.array_equal(x, y)
 
 
 def test_solve_factorizes_the_narrow_band_of_the_reordered_chain(monkeypatch):

@@ -1,6 +1,8 @@
 """Hexagonal tessellation: indexing, geometry, coloring, destinations."""
 
+import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -48,6 +50,20 @@ def test_params_validation():
         GridParams(H=3, R=-5.0)
     with pytest.raises(GridError):
         GridParams(H=3, K=6)
+
+
+@pytest.mark.parametrize(
+    "radius, message",
+    [
+        (math.inf, "macrocell radius R must be finite, got inf"),
+        (math.nan, "macrocell radius R must be positive, got nan"),
+        (0.0, "macrocell radius R must be positive, got 0.0"),
+    ],
+)
+def test_radius_must_be_finite_and_positive(radius, message):
+    # an infinite radius once constructed, with an infinite subcell radius
+    with pytest.raises(GridError, match=f"^{re.escape(message)}$"):
+        GridParams(H=3, R=radius)
 
 
 def test_cell_addressing_roundtrip():

@@ -323,6 +323,7 @@ MALFORMED = [
     ("radio: {P: .inf}", "radio: transmit power must be finite, got inf"),
     ("radio: {alpha: .inf}", "radio: path-loss exponent must be finite, got inf"),
     ("radio: {sensitivity: .inf}", "radio: sensitivity must be finite, got inf"),
+    ("grid: {R: .inf}", "grid: macrocell radius R must be finite, got inf"),
     # an infinite step makes every probe after the first NaN
     ("econ: {step: .inf}", "econ: price step must be finite and positive"),
     # infinite revenues, tolerances and bounds write non-finite offsets
@@ -826,6 +827,29 @@ def test_cli_reads_and_writes_utf8_in_a_c_locale(tmp_path):
     assert [row.split(",")[0] for row in rows] == ["panne-été"] * 4
     plot = (tmp_path / "capacity_plot.dat").read_text(encoding="utf-8")
     assert "# protocol = ideal\npanne-été " in plot
+
+
+def test_capacity_and_negotiate_run_without_loading_scipy(tmp_path):
+    # scipy serves only the chain solve and takes about a third of a second
+    # to import, so the studies that build no chain must not load it
+    src = str(Path(m3sim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = textwrap.dedent(
+        """
+        import sys
+        import m3sim.cli
+        scenario = str(m3sim.cli.bundled_scenario("offload"))
+        for command in ("capacity", "negotiate"):
+            assert m3sim.cli.main([command, "--scenario", scenario, "--out", sys.argv[1]]) == 0
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "capacity.csv").exists() and (tmp_path / "negotiate.csv").exists()
 
 
 def test_cli_rejects_unknown_command():
