@@ -95,20 +95,6 @@ class AbsorbingChain:
             raise ChainError("transient state labels must be distinct")
         object.__setattr__(self, "_index", index)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense read-only (n+a)^2 transition matrix, built anew on each access.
-
-        For inspection, tests and the benchmark's traced nonzero count:
-        nothing that builds, checks, solves or walks a chain reads it.
-        """
-        n, size = len(self.transient), len(self.transient) + len(self.absorbing)
-        out = np.zeros((size, size))
-        out[_row_ids(self), self.indices] = self.probs
-        out[np.arange(n, size), np.arange(n, size)] = 1.0
-        out.flags.writeable = False
-        return out
-
     def transient_index(self, label: Hashable) -> int:
         """Position of a transient state, looked up in a table built with the chain."""
         try:

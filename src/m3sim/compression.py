@@ -74,7 +74,7 @@ def aggregate_availability(p_a: float, p_phi: float, p_o: Sequence[float]) -> fl
 
 def reconstruct_gain(H: int, R: float, alpha: float) -> float:
     """Adjacent-hop channel gain implied by the tessellation, (2H/(sqrt(3)R))**alpha."""
-    if H < 1 or R <= 0 or alpha <= 0:
+    if H < 1 or not 0 < R < math.inf or not 0 < alpha < math.inf:
         raise CompressionError(f"invalid gain parameters H={H!r}, R={R!r}, alpha={alpha!r}")
     return (2.0 * H / (SQRT3 * R)) ** alpha
 

@@ -398,30 +398,23 @@ def optimize_tessellation(
     hs = sorted(set(h_values))
     radios = {p: RadioParams(power=p, alpha=alpha, noise=noise) for p in powers}
     layers: dict[int, _TessellationLayers] = {}
+    utilities: dict[tuple[int, float], float] = {}
 
     def utility_at(h: int, power: float) -> float:
-        if h not in layers:
-            layers[h] = _TessellationLayers.build(h, sites, availability, macro_radius)
-        return layers[h].utility(radios[power], revenue)
+        if (h, power) not in utilities:
+            if h not in layers:
+                layers[h] = _TessellationLayers.build(h, sites, availability, macro_radius)
+            utilities[(h, power)] = layers[h].utility(radios[power], revenue)
+        return utilities[(h, power)]
 
-    surface: dict[tuple[int, float], float] = {}
-    for h in hs:
-        for p in powers:
-            surface[(h, p)] = utility_at(h, p)
-
+    surface = {(h, p): utility_at(h, p) for h in hs for p in powers}
     argmax_h = {}
     climb_h = {}
     for p in powers:
         argmax_h[p] = max(hs, key=lambda h: (surface[(h, p)], -h))
-        cache = {h: surface[(h, p)] for h in hs}
-
-        def utility(h: int, _power=p, _cache=cache) -> float:
-            if h not in _cache:
-                _cache[h] = utility_at(h, _power)
-            return _cache[h]
-
-        start = hs[len(hs) // 2]
-        climb_h[p] = climb_topology(start, utility, h_min=min(hs), h_max=max(hs))
+        climb_h[p] = climb_topology(
+            hs[len(hs) // 2], lambda h: utility_at(h, p), h_min=min(hs), h_max=max(hs)
+        )
 
     best = max(surface, key=lambda hp: (surface[hp], -hp[0], -hp[1]))
     return TessellationResult(
@@ -503,7 +496,7 @@ class OffloadContext:
     The context memoizes the work that repeats across the offload sets of a
     negotiation, in three tables:
 
-    * ``_routes``: each placed cell's MDR route, keyed by direction (toward
+    * ``_routes``: every placed cell's MDR route, keyed by direction (toward
       the access points or not) and then by cell (see ``_cell_routes``);
     * ``_instants``: each traffic instant's metrics, keyed by its
       base-station and WLAN users in name order, each with its cell (see
@@ -540,25 +533,23 @@ class OffloadContext:
         return frozenset(cells)
 
 
-def _cell_routes(ctx: OffloadContext, cells: Iterable[int], to_ap: bool) -> dict[int, Route]:
-    """MDR route of each cell toward the access points or the base station.
+def _cell_routes(ctx: OffloadContext, to_ap: bool) -> dict[int, Route]:
+    """MDR route of every placed cell toward the access points or the base station, by cell.
 
     At p=1 with every relay up a route depends only on its cell and its
-    direction, so the memo is keyed by cell and a miss extracts every placed
-    cell at once: one extraction per direction and context.
+    direction, so the first use extracts every placed cell at once: one
+    extraction per direction and context.
     """
-    memo = ctx._routes.setdefault(to_ap, {})
-    missing = set(cells) - memo.keys()
-    if missing:
-        missing |= set(ctx.placements.values()) - memo.keys()
+    if to_ap not in ctx._routes:
         if to_ap:
             dest = Destinations(bs=None, aps=ctx.dest.aps, coverage=ctx.dest.coverage)
         else:
             dest = Destinations(bs=ctx.dest.bs)
         config = ProtocolConfig(kind=MDR, p=1.0)
-        overlay = ScenarioOverlay(sources=tuple(sorted(missing)))
-        memo.update((r.source, r) for r in extract_routes(ctx.grid, dest, overlay, config).routes)
-    return memo
+        overlay = ScenarioOverlay(sources=tuple(sorted(set(ctx.placements.values()))))
+        routes = extract_routes(ctx.grid, dest, overlay, config).routes
+        ctx._routes[to_ap] = {r.source: r for r in routes}
+    return ctx._routes[to_ap]
 
 
 def _instant(
@@ -575,8 +566,9 @@ def _instant(
     if key not in ctx._instants:
         routes: dict[str, Route] = {}
         for users, to_ap in groups:
-            by_cell = _cell_routes(ctx, (ctx.placements[u] for u in users), to_ap)
-            routes.update((u, by_cell[ctx.placements[u]]) for u in users)
+            if users:
+                by_cell = _cell_routes(ctx, to_ap)
+                routes.update((u, by_cell[ctx.placements[u]]) for u in users)
         ctx._instants[key] = MappingProxyType(_instant_metrics(ctx, routes))
     return ctx._instants[key]
 

@@ -123,10 +123,13 @@ class SubcellGrid:
                     theta = math.degrees(math.atan2(y, x)) % 360.0
                 rings[h].append((theta, q, r))
         cells: list[SubcellId] = []
+        ring_cells: list[tuple[SubcellId, ...]] = []
         for h, members in enumerate(rings):
             members.sort()
-            for theta, q, r in members:
-                cells.append(SubcellId(h=h, theta=theta, i=len(cells), q=q, r=r))
+            first = len(cells)
+            ring = tuple(SubcellId(h=h, theta=t, i=first + k, q=q, r=r) for k, (t, q, r) in enumerate(members))
+            ring_cells.append(ring)
+            cells.extend(ring)
         self.cells: tuple[SubcellId, ...] = tuple(cells)
         # Integer tables: axial (q, r) -> linear index, each cell's axial
         # coordinates, its neighbour indices in DIRECTIONS order, and its
@@ -141,10 +144,7 @@ class SubcellGrid:
         )
         self.colors: tuple[int, ...] = tuple((c.q + 5 * c.r) % NUM_COLORS for c in cells)
         self._rank_tables: dict[frozenset[int], tuple[tuple[int, ...], ...]] = {}
-        self._rings: tuple[tuple[SubcellId, ...], ...] = tuple(
-            tuple(self.cells[a] for a in range(*_ring_slice(h))) if h else (self.cells[0],)
-            for h in range(H + 1)
-        )
+        self._rings: tuple[tuple[SubcellId, ...], ...] = tuple(ring_cells)
         self._ring_thetas = tuple(tuple(c.theta for c in ring) for ring in self._rings)
 
     # -- addressing ---------------------------------------------------------
@@ -232,11 +232,6 @@ class SubcellGrid:
             if i not in exclude:
                 pops[self.colors[i]] += 1
         return pops
-
-
-def _ring_slice(h: int) -> tuple[int, int]:
-    first, last = ring_index_range(h)
-    return first, last + 1
 
 
 @dataclass(frozen=True)

@@ -52,14 +52,15 @@ class RadioParams:
 def _interference_terms(power: float, alpha: float, size: int) -> tuple[float, ...]:
     """P / sqrt(d2)**alpha for each squared axial distance d2 < size (d2 = 0 unused).
 
-    The table stops at the first d2 whose sqrt(d2)**alpha overflows a float.
+    Where sqrt(d2)**alpha overflows a float, the term is P * sqrt(d2)**-alpha,
+    which underflows instead.
     """
     terms = [math.inf]
-    try:
-        for d2 in range(1, size):
+    for d2 in range(1, size):
+        try:
             terms.append(power / math.sqrt(d2) ** alpha)
-    except OverflowError:
-        pass
+        except OverflowError:
+            terms.append(power * math.sqrt(d2) ** -alpha)
     return tuple(terms)
 
 
@@ -82,10 +83,7 @@ def link_sinr(
             raise RadioError(f"interferer co-located with receiver {rx}")
         dq, dr = q[cell] - rq, r[cell] - rr
         d2 = dq * dq + dr * dr + dq * dr
-        try:
-            interference += terms[d2]
-        except IndexError:  # past the table the formula overflows, and raises
-            interference += radio.power / math.sqrt(d2) ** radio.alpha
+        interference += terms[d2]
     return radio.power / (interference + radio.noise_term(grid.params.relay_distance))
 
 
@@ -102,8 +100,6 @@ def min_power(params: GridParams, sensitivity: float, alpha: float) -> float:
     With received power P/d_r**alpha and a receiver sensitivity floor, the
     minimum is sensitivity * d_r**alpha.
     """
-    if not sensitivity > 0:
-        raise RadioError(f"sensitivity must be positive, got {sensitivity!r}")
-    if not alpha > 0:
-        raise RadioError(f"path-loss exponent must be positive, got {alpha!r}")
+    check_finite_positive(RadioError, "sensitivity", sensitivity)
+    check_finite_positive(RadioError, "path-loss exponent", alpha)
     return sensitivity * params.relay_distance**alpha

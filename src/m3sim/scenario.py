@@ -38,6 +38,7 @@ import csv
 import math
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -75,8 +76,6 @@ from .routing import (
     schedule,
     start_state,
 )
-
-COMMANDS = ("tessellate", "routes", "capacity", "negotiate", "verify")
 
 _KIND_ALIASES = {k.lower(): k for k in (MDR, LIR, MMDR, MLIR, LAR)}
 
@@ -148,6 +147,15 @@ class ScenarioWarning(UserWarning):
 
 # --------------------------------------------------------------------------
 # schema plumbing
+
+
+@contextmanager
+def _named(where: str):
+    """Re-raise a ``ValueError`` from the block as a ``ScenarioError`` led by ``where``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def _mapping(where: str, value: Any) -> dict:
@@ -309,11 +317,9 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         return _check_keys(name, raw.get(name), _SCHEMA[name])
 
     # -- grid (four rings unless the file says otherwise)
-    try:
+    with _named("grid"):
         params = GridParams(**{"H": 4, **_fields("grid", section("grid"))})
         grid = SubcellGrid(params)
-    except ValueError as exc:
-        raise ScenarioError(f"grid: {exc}") from exc
 
     # -- radio
     r = section("radio")
@@ -324,12 +330,10 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         power = p_range[0]
     if power is not None and power != "min":
         radio_fields["power"] = _number("radio.P", power)
-    try:
+    with _named("radio"):
         radio = RadioParams(**radio_fields)
         if power == "min":
             radio = replace(radio, power=min_power(params, radio.sensitivity, radio.alpha))
-    except ValueError as exc:
-        raise ScenarioError(f"radio: {exc}") from exc
 
     # -- compression (optional availability source)
     c = section("compression")
@@ -340,7 +344,7 @@ def load_scenario(path: str | Path) -> ScenarioFile:
             raise ScenarioError(f"compression: direct p excludes {', '.join(extra)}")
         compressed_p = _number("compression.p", c["p"])
     elif c:
-        try:
+        with _named("compression"):
             vec = full_vector(
                 params.H,
                 _numbers("compression.n_o", c.get("n_o"), int),
@@ -348,8 +352,6 @@ def load_scenario(path: str | Path) -> ScenarioFile:
                 _number("compression.phi", c.get("phi", 360.0)),
                 alpha=radio.alpha,
             )
-        except ValueError as exc:
-            raise ScenarioError(f"compression: {exc}") from exc
         compressed_p = absorb(vec).p
 
     # -- protocol
@@ -363,10 +365,8 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         protocol_fields.setdefault("p", compressed_p)
     if "k0" in pr:
         protocol_fields["relay_color"] = _number("protocol.k0", pr["k0"], int) - 1
-    try:
+    with _named("protocol"):
         protocol = ProtocolConfig(kind=kind, **protocol_fields)
-    except ValueError as exc:
-        raise ScenarioError(f"protocol: {exc}") from exc
 
     # -- destinations
     d = section("destinations")
@@ -380,20 +380,16 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         for i, cluster in enumerate(_list("destinations.coverage", d["coverage"])):
             where = f"destinations.coverage[{i}]"
             coverage.append([_parse_user_spec(s, where)[1:] for s in _list(where, cluster)])
-    try:
+    with _named("destinations"):
         dest = make_destinations(grid, ap_polars or None, coverage)
-    except ValueError as exc:
-        raise ScenarioError(f"destinations: {exc}") from exc
     if not _number("destinations.bs", d.get("bs", True), bool):
         dest = Destinations(bs=None, aps=dest.aps, coverage=dest.coverage)
 
     def resolve(spec: Any, where: str) -> int:
         """Snap one placement to its subcell index, warning on a color mismatch."""
         k, h, theta = _parse_user_spec(spec, where)
-        try:
+        with _named(where):
             cell, gap = grid.nearest_in_ring(h, theta)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
         if k is not None:
             actual = grid.cluster_color(cell)
             if actual != k - 1:
@@ -405,13 +401,13 @@ def load_scenario(path: str | Path) -> ScenarioFile:
 
     # -- overlay scenarios
     o = section("overlay")
-    sources: list[int] = []
+    sources: dict[int, None] = {}  # in file order
     for i, spec in enumerate(_list("overlay.sources", o.get("sources"))):
         idx = resolve(spec, f"overlay.sources[{i}]")
         if idx in sources:
             warn(f"overlay.sources[{i}]: duplicate source subcell {idx} dropped")
             continue
-        sources.append(idx)
+        sources[idx] = None
     overlays = []
     for i, entry in enumerate(_list("overlay.scenarios", o.get("scenarios"))):
         where = f"overlay.scenarios[{i}]"
@@ -422,21 +418,21 @@ def load_scenario(path: str | Path) -> ScenarioFile:
             raise ScenarioError(
                 f"{where}.name: a carriage return cannot be written to a CSV cell, got {name!r}"
             )
-        unavailable: list[int] = []
+        unavailable: set[int] = set()
         for j, spec in enumerate(_list(f"{where}.unavailable", entry.get("unavailable"))):
             idx = resolve(spec, f"{where}.unavailable[{j}]")
             if idx in unavailable:
                 warn(f"{where}.unavailable[{j}]: duplicate subcell {idx} dropped ({spec!r})")
                 continue
-            unavailable.append(idx)
+            unavailable.add(idx)
         for k in _numbers(f"{where}.unavailable_types", entry.get("unavailable_types"), int):
             if not 1 <= k <= 7:
                 raise ScenarioError(f"{where}.unavailable_types: type {k} outside 1..7")
-            unavailable.extend(
+            unavailable.update(
                 c.i for c in grid.cells[1:] if grid.cluster_color(c) == k - 1
             )
         k0 = entry.get("k0")
-        try:
+        with _named(where):
             overlays.append(
                 ScenarioOverlay(
                     sources=tuple(sources),
@@ -445,8 +441,6 @@ def load_scenario(path: str | Path) -> ScenarioFile:
                     name=name,
                 )
             )
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
 
     # -- traffic
     t = section("traffic")
@@ -471,7 +465,7 @@ def load_scenario(path: str | Path) -> ScenarioFile:
             bs_now = user_set(i, entry, "bs")
         if "wlan" in entry:
             wlan_now = user_set(i, entry, "wlan")
-        try:
+        with _named(f"traffic.steps[{i}]"):
             state = TrafficState(
                 bs_users=bs_now,
                 wlan_users=wlan_now,
@@ -481,8 +475,6 @@ def load_scenario(path: str | Path) -> ScenarioFile:
                 wlan_departures=user_set(i, entry, "wlan_departures"),
                 offload=user_set(i, entry, "offload"),
             )
-        except ValueError as exc:
-            raise ScenarioError(f"traffic.steps[{i}]: {exc}") from exc
         steps.append(state)
         bs_now, wlan_now = apply_traffic_step(state)
 
@@ -494,10 +486,8 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         if len(bounds) != 2:
             raise ScenarioError(f"econ.bounds: expected [low, high], got {e['bounds']!r}")
         econ_fields["price_bounds"] = bounds
-    try:
+    with _named("econ"):
         econ = EconParams(**econ_fields)
-    except ValueError as exc:
-        raise ScenarioError(f"econ: {exc}") from exc
     mode = str(e.get("mode", "price"))
     if mode not in ("price", "price-and-set"):
         raise ScenarioError(f"econ.mode: expected 'price' or 'price-and-set', got {mode!r}")
@@ -605,8 +595,6 @@ def _column_text(values: Sequence) -> list[str]:
 
 def _fmt(value: Any) -> str:
     kind = type(value)
-    if kind is float:  # most cells; the same text as the subclass branch below
-        return repr(value)
     if kind is int or kind is str:
         return str(value)
     if value is None:
@@ -856,6 +844,8 @@ _RUNNERS = {
     "negotiate": _cmd_negotiate,
     "verify": _cmd_verify,
 }
+
+COMMANDS = tuple(_RUNNERS)
 
 
 def run_experiment(

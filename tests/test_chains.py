@@ -42,6 +42,15 @@ from m3sim.scenario import load_scenario
 # -- dense oracles -----------------------------------------------------------
 
 
+def dense(chain):
+    """The (n+a)^2 transition matrix of a chain, built from its CSR rows."""
+    n, size = len(chain.transient), len(chain.transient) + len(chain.absorbing)
+    out = np.eye(size)
+    out[:n] = 0.0
+    out[np.repeat(np.arange(n), np.diff(chain.indptr)), chain.indices] = chain.probs
+    return out
+
+
 def uniform_dwell_variance(chain):
     """Variance of absorption time via the fundamental-matrix identity.
 
@@ -52,7 +61,7 @@ def uniform_dwell_variance(chain):
         raise ChainError("uniform-dwell variance requires equal dwell times")
     canonical_form(chain)
     n = len(chain.transient)
-    Q = chain.matrix[:n, :n]
+    Q = dense(chain)[:n, :n]
     fundamental = np.linalg.inv(np.eye(n) - Q)
     steps = fundamental @ np.ones(n)
     return ((2.0 * fundamental - np.eye(n)) @ steps - steps * steps) * t * t
@@ -61,13 +70,13 @@ def uniform_dwell_variance(chain):
 def spectral_radius(chain):
     """Spectral radius of Q; absorption is unreachable somewhere iff it is ~1."""
     n = len(chain.transient)
-    return float(np.max(np.abs(np.linalg.eigvals(chain.matrix[:n, :n])))) if n else 0.0
+    return float(np.max(np.abs(np.linalg.eigvals(dense(chain)[:n, :n])))) if n else 0.0
 
 
 def dense_walks(chain, n_walks, seed):
     """Uniform-start walker sampling from dense cumulative rows over all states."""
     n, a = len(chain.transient), len(chain.absorbing)
-    cum = np.cumsum(chain.matrix[:n], axis=1)
+    cum = np.cumsum(dense(chain)[:n], axis=1)
     cum[:, -1] = 1.0
     counts = np.zeros(n, dtype=np.int64)
     time_sum = np.zeros(n)
@@ -196,7 +205,7 @@ def test_uniform_dwell_identity_rejects_mixed_dwell():
 
 def test_build_chain_normalizes_within_tolerance():
     chain = build_chain({"s": [("s", 0.5 + 2e-10), ("done", 0.5)]}, ["done"])
-    assert chain.matrix[0].sum() == pytest.approx(1.0, abs=1e-15)
+    assert dense(chain)[0].sum() == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -246,7 +255,7 @@ def test_reachability_is_exact_where_the_spectral_radius_is_not():
     leak = 1e-14
     chain = build_chain({"s": [("s", 1.0 - leak), ("done", leak)]}, ["done"])
     canonical_form(chain)
-    assert chain.matrix[0, 0] < 1.0 and chain.matrix[0, 1] > 0.0
+    assert dense(chain)[0, 0] < 1.0 and dense(chain)[0, 1] > 0.0
     assert spectral_radius(chain) >= 1.0 - 1e-12
 
 
@@ -359,7 +368,7 @@ def test_negative_variance_within_roundoff_reads_zero(monkeypatch):
 def test_singular_i_minus_q_is_reported():
     # absorption is reachable, but a tiny negative entry cancels the leak
     chain = build_chain({"s": [("s", 1.0), ("done", 5e-10), ("lost", -5e-10)]}, ["done", "lost"])
-    assert chain.matrix[0, 0] == 1.0
+    assert dense(chain)[0, 0] == 1.0
     with pytest.raises(ChainError, match="I - Q is singular at state 's'"):
         absorption_statistics(chain)
 
@@ -443,7 +452,7 @@ def test_banded_solve_matches_a_dense_solve(chain):
     except ChainError:
         return
     n = len(chain.transient)
-    matrix = chain.matrix
+    matrix = dense(chain)
     Q, R = matrix[:n, :n], matrix[:n, n:]
     A, e = np.eye(n) - Q, chain.dwell
     tau = np.linalg.solve(A, e)
@@ -555,7 +564,7 @@ def discovery_chains(draw):
 @given(discovery_chains())
 def test_route_discovery_chains_are_absorbing_and_row_stochastic(chain):
     n, a = len(chain.transient), len(chain.absorbing)
-    matrix = chain.matrix
+    matrix = dense(chain)
     assert matrix.shape == (n + a, n + a)
     assert np.all(matrix >= 0.0)
     assert_allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -596,7 +605,7 @@ def parent_walks(chain, n_walks, seed, start=None):
     canonical_form(chain)
     n, a = len(chain.transient), len(chain.absorbing)
     f = m3sim.chains._initial_distribution(chain, start)
-    target, cum = parent_sampling_rows(chain.matrix[:n])
+    target, cum = parent_sampling_rows(dense(chain)[:n])
     dwell = chain.dwell
     counts = np.zeros(n, dtype=np.int64)
     time_sum = np.zeros(n)

@@ -61,6 +61,12 @@ def test_reconstruction_rules():
         reconstruct_gain(0, 1000.0, 2.0)
 
 
+@pytest.mark.parametrize("R, alpha", [(math.inf, 2.0), (math.nan, 2.0), (1000.0, math.inf), (1000.0, math.nan)])
+def test_reconstruct_gain_rejects_non_finite_inputs(R, alpha):
+    with pytest.raises(CompressionError, match="invalid gain parameters"):
+        reconstruct_gain(4, R, alpha)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

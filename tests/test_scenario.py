@@ -339,6 +339,18 @@ MALFORMED = [
     ("radio: {P_range: [-0.1, 0.2]}", "radio.P_range[0] must be a positive transmit power"),
     # csv.writer leaves a lone CR unquoted, so the capacity row would not read back
     ('overlay: {scenarios: [{name: ok}, {name: "a\\rb"}]}', "overlay.scenarios[1].name"),
+    # constructor and placement errors, led by the section or entry they come from
+    ("compression: {n_o: [-1]}", "compression: terminal counts cannot be negative"),
+    ("destinations: {aps: [[2, 0], [2, 0]]}", "destinations: duplicate access-point placements"),
+    ("overlay: {sources: [[9, 0]]}", "overlay.sources[0]: ring 9 outside 0..4"),
+    (
+        "overlay: {sources: [[1, 0]], scenarios: [{unavailable: [[1, 0]]}]}",
+        "overlay.scenarios[0]: a source subcell cannot be unavailable",
+    ),
+    (
+        "traffic: {users: {u1: [2, 0]}, steps: [{bs: [u1], wlan: [u1]}]}",
+        "traffic.steps[0]: a user cannot sit in both networks at once",
+    ),
 ]
 
 
@@ -761,6 +773,35 @@ def test_cli_reports_an_exhausted_negotiation(tmp_path, capsys):
         "m3sim: error: negotiate on scenario 'offload': "
         "traffic.steps[0] (step 1): no equilibrium after 2 iterations"
     ) in err
+
+
+def test_a_load_error_keeps_the_error_it_names_as_its_cause(tmp_path):
+    with pytest.raises(ScenarioError) as caught:
+        load_scenario(write(tmp_path, "overlay: {sources: [[9, 0]]}\n"))
+    assert str(caught.value) == f"overlay.sources[0]: {caught.value.__cause__}"
+    assert type(caught.value.__cause__) is m3sim.GridError
+
+
+def test_cli_writes_finite_numbers_where_an_interference_term_overflows(tmp_path, capsys):
+    # d_r = 1 at H=4; with alpha = 1000 an interferer more than two relay
+    # steps away contributes a term that underflows to 0
+    path = write(
+        tmp_path,
+        """\
+        grid: {H: 4, R: 4.618802153517006}
+        radio: {alpha: 1000}
+        overlay:
+          sources: [[3, 0], [3, 60], [3, 120], [4, 180], [4, 240], [4, 300]]
+          scenarios: [{name: far, k0: 2}]
+        """,
+    )
+    for command in ("capacity", "tessellate"):
+        out = tmp_path / command
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 0
+        rows = (out / f"{command}.csv").read_text().splitlines()[1:]
+        values = [float(v) for row in rows for v in row.split(",")[2:]]
+        assert rows and all(math.isfinite(v) for v in values)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_noise_term_is_checked_at_every_swept_depth(tmp_path):
