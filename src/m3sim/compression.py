@@ -76,7 +76,10 @@ def reconstruct_gain(H: int, R: float, alpha: float) -> float:
     """Adjacent-hop channel gain implied by the tessellation, (2H/(sqrt(3)R))**alpha."""
     if H < 1 or not 0 < R < math.inf or not 0 < alpha < math.inf:
         raise CompressionError(f"invalid gain parameters H={H!r}, R={R!r}, alpha={alpha!r}")
-    return (2.0 * H / (SQRT3 * R)) ** alpha
+    try:
+        return (2.0 * H / (SQRT3 * R)) ** alpha
+    except OverflowError:
+        raise CompressionError(f"gain overflows a float at H={H!r}, R={R!r}, alpha={alpha!r}") from None
 
 
 def full_vector(

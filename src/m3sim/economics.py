@@ -333,10 +333,7 @@ class _TessellationLayers:
         caps = link_capacities(self.route_set.slots, radio, self.grid)
         total = 0.0
         for route, tau in zip(self.route_set.routes, self.taus):
-            cap = route_capacity(route, caps)
-            if cap <= 0.0:
-                continue
-            total += user_utility(cap, NUM_COLORS * tau, radio.power * tau, revenue)
+            total += user_utility(route_capacity(route, caps), NUM_COLORS * tau, radio.power * tau, revenue)
         return total
 
 
@@ -493,14 +490,14 @@ def cooperation_capacity_ratio(
 class OffloadContext:
     """Static side of an offload study: geometry, radio and user placement.
 
-    The context memoizes the work that repeats across the offload sets of a
+    ``placements`` is copied, read-only, when the context is built.  The
+    context memoizes the work that repeats across the offload sets of a
     negotiation, in three tables:
 
     * ``_routes``: every placed cell's MDR route, keyed by direction (toward
       the access points or not) and then by cell (see ``_cell_routes``);
     * ``_instants``: each traffic instant's metrics, keyed by its
-      base-station and WLAN users in name order, each with its cell (see
-      ``_instant``);
+      base-station and WLAN users in name order (see ``_instant``);
     * ``_link_caps``: each link's capacity, keyed by (tx, rx, sorted co-slot
       transmitters), the link's own endpoints excluded (see
       ``link_capacities``).
@@ -517,6 +514,7 @@ class OffloadContext:
     def __post_init__(self):
         if not self.dest.aps:
             raise EconError("offloading needs at least one access point")
+        object.__setattr__(self, "placements", MappingProxyType(dict(self.placements)))
         blocked = self.dest.indices()
         for user, cell in self.placements.items():
             if not 0 < cell < len(self.grid.cells):
@@ -558,11 +556,10 @@ def _instant(
     """``_instant_metrics`` of one traffic instant, computed once per context.
 
     Routes list the base-station users first, each group in name order; that
-    order fixes every capacity sum, so the key lists the users the same way,
-    each with its cell.
+    order fixes every capacity sum, so the key lists the users the same way.
     """
     groups = ((sorted(bs_users), False), (sorted(wlan_users), True))
-    key = tuple(tuple((u, ctx.placements[u]) for u in users) for users, _ in groups)
+    key = tuple(tuple(users) for users, _ in groups)
     if key not in ctx._instants:
         routes: dict[str, Route] = {}
         for users, to_ap in groups:
@@ -610,7 +607,7 @@ def _instant_metrics(
         metrics[user] = RouteMetrics(
             user=user,
             capacity=route_capacity(route, caps),
-            delay=float(on * wlan_wait + (hops - on) * grid.params.K),
+            delay=float(on * wlan_wait + (hops - on) * NUM_COLORS),
             cost=radio.power * hops,
         )
     return metrics
@@ -752,8 +749,8 @@ def negotiate_price(
             n = min(run, econ.max_iter - len(trace))
             chis = np.minimum(np.maximum(chi0 + (k + heading * np.arange(n + 1)) * step, lo), hi)
             probes = chis[:-1]
-            d_mno = _elementwise(delta_mno(probes, current), probes.shape)
-            d_sso = _elementwise(delta_sso(probes, current), probes.shape)
+            d_mno = np.broadcast_to(delta_mno(probes, current), probes.shape)
+            d_sso = np.broadcast_to(delta_sso(probes, current), probes.shape)
             gap = d_mno - d_sso
             # a probe steps on when its gap is finite and out of tolerance, it
             # points the run's way, its price is new and the next one differs
@@ -827,13 +824,6 @@ def negotiate_price(
     raise NegotiationError(
         f"no equilibrium after {econ.max_iter} iterations", trace
     )
-
-
-def _elementwise(values: Any, shape: tuple[int, ...]) -> np.ndarray:
-    """An offset's values at an array of prices; one that ignores the price may return a constant."""
-    if getattr(values, "shape", None) == shape:
-        return values
-    return np.broadcast_to(values, shape)
 
 
 def _adjust_offload(

@@ -149,9 +149,6 @@ class SubcellGrid:
 
     # -- addressing ---------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.cells)
-
     def cell(self, i: int) -> SubcellId:
         if not 0 <= i < len(self.cells):
             raise GridError(f"subcell index {i} outside 0..{len(self.cells) - 1}")
@@ -170,10 +167,8 @@ class SubcellGrid:
         with the index, so the nearest cell is one of the two that bracket
         theta, cyclically; every other cell lies a whole spacing further.
         """
-        if not 0 <= h <= self.params.H:
-            raise GridError(f"ring {h} outside 0..{self.params.H}")
+        ring = self.ring(h)
         theta = theta % 360.0
-        ring = self._rings[h]
         j = bisect.bisect_right(self._ring_thetas[h], theta)
         pair = (ring[j - 1], ring[j]) if 0 < j < len(ring) else (ring[0], ring[-1])
         best, best_gap = None, None
@@ -250,6 +245,10 @@ class Destinations:
     def __post_init__(self):
         if self.bs is None and not self.aps:
             raise GridError("a destination set needs a base station or an access point")
+        if any(a.h == 0 for a in self.aps):
+            raise GridError("an access point cannot share the center subcell")
+        if len({a.i for a in self.aps}) != len(self.aps):
+            raise GridError("duplicate access-point placements")
         if len(self.coverage) not in (0, len(self.aps)):
             raise GridError("coverage must list one cluster per access point")
         for cluster in self.coverage:
@@ -280,21 +279,12 @@ def make_destinations(
     Placements snap to the nearest subcell of the requested ring.  Coverage
     defaults to each access point's lattice neighbours.
     """
-    aps = []
-    for h, theta in ap_polars or []:
-        if h == 0:
-            raise GridError("an access point cannot share the center subcell")
-        cell, _ = grid.nearest_in_ring(h, theta)
-        aps.append(cell)
-    if len(set(a.i for a in aps)) != len(aps):
-        raise GridError("duplicate access-point placements")
+    aps = tuple(grid.nearest_in_ring(h, theta)[0] for h, theta in ap_polars or [])
     if coverage is None:
         clusters = tuple(tuple(grid.neighbors(a)) for a in aps)
     else:
-        if len(coverage) != len(aps):
-            raise GridError("coverage must list one cluster per access point")
         clusters = tuple(
             tuple(grid.nearest_in_ring(h, theta)[0] for h, theta in cluster)
             for cluster in coverage
         )
-    return Destinations(bs=grid.cell(0), aps=tuple(aps), coverage=clusters)
+    return Destinations(bs=grid.cell(0), aps=aps, coverage=clusters)

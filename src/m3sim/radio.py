@@ -102,4 +102,7 @@ def min_power(params: GridParams, sensitivity: float, alpha: float) -> float:
     """
     check_finite_positive(RadioError, "sensitivity", sensitivity)
     check_finite_positive(RadioError, "path-loss exponent", alpha)
-    return sensitivity * params.relay_distance**alpha
+    try:
+        return sensitivity * params.relay_distance**alpha
+    except OverflowError:
+        raise RadioError(f"minimum power sensitivity * d_r**alpha overflows at alpha={alpha!r}") from None

@@ -76,8 +76,8 @@ class ProtocolConfig:
             raise RoutingError(f"unknown protocol kind {self.kind!r}, expected one of {KINDS}")
         if not 0.0 <= self.p <= 1.0:
             raise RoutingError(f"availability p must lie in [0, 1], got {self.p!r}")
-        if self.relay_color is not None and not 0 <= self.relay_color < 7:
-            raise RoutingError(f"relay color must lie in 0..6, got {self.relay_color!r}")
+        if self.relay_color is not None and not 0 <= self.relay_color < NUM_COLORS:
+            raise RoutingError(f"relay color must lie in 0..{NUM_COLORS - 1}, got {self.relay_color!r}")
         if not self.interference_threshold >= 0:
             raise RoutingError(f"interference threshold must be >= 0, got {self.interference_threshold!r}")
 
@@ -99,8 +99,8 @@ class ScenarioOverlay:
             raise RoutingError("a source subcell cannot be unavailable")
         if len(set(self.sources)) != len(self.sources):
             raise RoutingError("duplicate source subcells")
-        if self.k0 is not None and not 0 <= self.k0 < 7:
-            raise RoutingError(f"k0 must lie in 0..6, got {self.k0!r}")
+        if self.k0 is not None and not 0 <= self.k0 < NUM_COLORS:
+            raise RoutingError(f"k0 must lie in 0..{NUM_COLORS - 1}, got {self.k0!r}")
 
 
 # --------------------------------------------------------------------------
@@ -594,13 +594,11 @@ def extract_routes(
     dest_idx, sources = dest.indices(), overlay.sources
     if config.kind in (MDR, MMDR):
         return RouteSet(_follow(_hopper(grid, dest, overlay, _nearest), dest_idx, sources), config.kind)
-    if config.kind not in (LIR, MLIR):
-        raise RoutingError(f"no deterministic extraction for protocol {config.kind!r}")
 
     k0 = overlay.k0 if overlay.k0 is not None else config.relay_color
     if k0 is None:
         # pick the color whose strict (fallback-free) routes complete most sources
-        strict = (_hopper(grid, dest, overlay, _color_hop(grid.colors, c, False)) for c in range(7))
+        strict = (_hopper(grid, dest, overlay, _color_hop(grid.colors, c, False)) for c in range(NUM_COLORS))
         complete = [sum(r is not None for r in _reached(hop, dest_idx, sources)) for hop in strict]
         k0 = complete.index(max(complete))
         if complete[k0] < len(sources) and not config.allow_fallback:
@@ -687,7 +685,7 @@ def schedule(route_set: RouteSet, config: ProtocolConfig, grid: SubcellGrid) -> 
             heard[rx].add(slot)
             put(slot, (tx, rx))
         cycle = max(slots) + 1 if slots else 0
-    elif config.kind in (LIR, MLIR):
+    else:  # LIR, MLIR
         fallback_links = [l for l in links if l not in coord_links]
         # Coordinated handovers share one slot, except that links touching a
         # common subcell (same relay receiving twice, or a cell asked to
@@ -708,8 +706,6 @@ def schedule(route_set: RouteSet, config: ProtocolConfig, grid: SubcellGrid) -> 
         for link in fallback_links:
             put(offset + grid.colors[link[0]], link)
         cycle = offset + (NUM_COLORS if fallback_links else 0)
-    else:
-        raise RoutingError(f"no schedule rule for protocol {config.kind!r}")
 
     route_set.slots = slots
     route_set.cycle_length = cycle

@@ -60,7 +60,7 @@ from .economics import (
     network_capacity_throughput,
     optimize_tessellation,
 )
-from .grid import NUM_COLORS, Destinations, GridParams, SubcellGrid, make_destinations
+from .grid import NUM_COLORS, Destinations, GridParams, SubcellGrid, SubcellId, make_destinations
 from .radio import RadioParams, min_power
 from .routing import (
     LAR,
@@ -228,16 +228,21 @@ def _fields(section: str, mapping: Mapping) -> dict[str, Any]:
     return out
 
 
+def _reuse_color(where: str, value: Any) -> int:
+    """The 0-based reuse color of the 1-based type ``value`` that the file writes at ``where``."""
+    k = _number(where, value, int)
+    if not 1 <= k <= NUM_COLORS:
+        raise ScenarioError(f"{where}: reuse type {k} outside 1..{NUM_COLORS}")
+    return k - 1
+
+
 def _parse_user_spec(value: Any, where: str) -> tuple[int | None, int, float]:
-    """One placement: 'u^k(h,theta)' or a plain [h, theta] pair."""
+    """One placement: 'u^k(h,theta)' as (color k-1, h, theta), or a plain [h, theta] pair."""
     if isinstance(value, str):
         m = _USER_SPEC.match(value)
         if not m:
             raise ScenarioError(f"{where}: cannot parse user spec {value!r} (expected u^k(h,theta))")
-        k, h, theta = int(m.group(1)), int(m.group(2)), float(m.group(3))
-        if not 1 <= k <= 7:
-            raise ScenarioError(f"{where}: user type k must lie in 1..7, got {k}")
-        return k, h, theta
+        return _reuse_color(where, m.group(1)), int(m.group(2)), float(m.group(3))
     if isinstance(value, Sequence) and len(value) == 2:
         return None, _number(f"{where}.h", value[0], int), _number(f"{where}.theta", value[1])
     raise ScenarioError(f"{where}: expected u^k(h,theta) or [h, theta], got {value!r}")
@@ -364,46 +369,48 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     if compressed_p is not None:
         protocol_fields.setdefault("p", compressed_p)
     if "k0" in pr:
-        protocol_fields["relay_color"] = _number("protocol.k0", pr["k0"], int) - 1
+        protocol_fields["relay_color"] = _reuse_color("protocol.k0", pr["k0"])
     with _named("protocol"):
         protocol = ProtocolConfig(kind=kind, **protocol_fields)
 
-    # -- destinations
-    d = section("destinations")
-    ap_polars = [
-        _parse_user_spec(spec, f"destinations.aps[{i}]")[1:]
-        for i, spec in enumerate(_list("destinations.aps", d.get("aps")))
-    ]
-    coverage = None
-    if d.get("coverage"):
-        coverage = []
-        for i, cluster in enumerate(_list("destinations.coverage", d["coverage"])):
-            where = f"destinations.coverage[{i}]"
-            coverage.append([_parse_user_spec(s, where)[1:] for s in _list(where, cluster)])
-    with _named("destinations"):
-        dest = make_destinations(grid, ap_polars or None, coverage)
-    if not _number("destinations.bs", d.get("bs", True), bool):
-        dest = Destinations(bs=None, aps=dest.aps, coverage=dest.coverage)
-
-    def resolve(spec: Any, where: str) -> int:
-        """Snap one placement to its subcell index, warning on a color mismatch."""
-        k, h, theta = _parse_user_spec(spec, where)
+    def resolve(spec: Any, where: str) -> SubcellId:
+        """Snap one placement to its subcell, warning on a color mismatch."""
+        color, h, theta = _parse_user_spec(spec, where)
         with _named(where):
             cell, gap = grid.nearest_in_ring(h, theta)
-        if k is not None:
+        if color is not None:
             actual = grid.cluster_color(cell)
-            if actual != k - 1:
+            if actual != color:
                 warn(
-                    f"{where}: u^{k}({h},{theta:g}) declares color {k - 1} but "
+                    f"{where}: u^{color + 1}({h},{theta:g}) declares color {color} but "
                     f"subcell {cell.i} has color {actual}"
                 )
-        return cell.i
+        return cell
+
+    def polars(where: str, specs: Any) -> list[tuple[int, float]]:
+        """Each placement of a list as its snapped subcell's exact (h, theta)."""
+        cells = (resolve(spec, f"{where}[{i}]") for i, spec in enumerate(_list(where, specs)))
+        return [(cell.h, cell.theta) for cell in cells]
+
+    # -- destinations
+    d = section("destinations")
+    ap_polars = polars("destinations.aps", d.get("aps"))
+    coverage = None
+    if d.get("coverage"):
+        coverage = [
+            polars(f"destinations.coverage[{i}]", cluster)
+            for i, cluster in enumerate(_list("destinations.coverage", d["coverage"]))
+        ]
+    with _named("destinations"):
+        dest = make_destinations(grid, ap_polars, coverage)
+    if not _number("destinations.bs", d.get("bs", True), bool):
+        dest = Destinations(bs=None, aps=dest.aps, coverage=dest.coverage)
 
     # -- overlay scenarios
     o = section("overlay")
     sources: dict[int, None] = {}  # in file order
     for i, spec in enumerate(_list("overlay.sources", o.get("sources"))):
-        idx = resolve(spec, f"overlay.sources[{i}]")
+        idx = resolve(spec, f"overlay.sources[{i}]").i
         if idx in sources:
             warn(f"overlay.sources[{i}]: duplicate source subcell {idx} dropped")
             continue
@@ -420,24 +427,23 @@ def load_scenario(path: str | Path) -> ScenarioFile:
             )
         unavailable: set[int] = set()
         for j, spec in enumerate(_list(f"{where}.unavailable", entry.get("unavailable"))):
-            idx = resolve(spec, f"{where}.unavailable[{j}]")
+            idx = resolve(spec, f"{where}.unavailable[{j}]").i
             if idx in unavailable:
                 warn(f"{where}.unavailable[{j}]: duplicate subcell {idx} dropped ({spec!r})")
                 continue
             unavailable.add(idx)
-        for k in _numbers(f"{where}.unavailable_types", entry.get("unavailable_types"), int):
-            if not 1 <= k <= 7:
-                raise ScenarioError(f"{where}.unavailable_types: type {k} outside 1..7")
+        for j, k in enumerate(_list(f"{where}.unavailable_types", entry.get("unavailable_types"))):
+            color = _reuse_color(f"{where}.unavailable_types[{j}]", k)
             unavailable.update(
-                c.i for c in grid.cells[1:] if grid.cluster_color(c) == k - 1
+                c.i for c in grid.cells[1:] if grid.cluster_color(c) == color
             )
-        k0 = entry.get("k0")
+        k0 = None if entry.get("k0") is None else _reuse_color(f"{where}.k0", entry["k0"])
         with _named(where):
             overlays.append(
                 ScenarioOverlay(
                     sources=tuple(sources),
                     unavailable=frozenset(unavailable),
-                    k0=None if k0 is None else _number(f"{where}.k0", k0, int) - 1,
+                    k0=k0,
                     name=name,
                 )
             )
@@ -446,7 +452,7 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     t = section("traffic")
     users: dict[str, int] = {}
     for uname, spec in _mapping("traffic.users", t.get("users")).items():
-        users[str(uname)] = resolve(spec, f"traffic.users.{uname}")
+        users[str(uname)] = resolve(spec, f"traffic.users.{uname}").i
 
     def user_set(step: int, entry: Mapping, key: str) -> frozenset[str]:
         where = f"traffic.steps[{step}].{key}"

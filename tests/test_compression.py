@@ -67,6 +67,12 @@ def test_reconstruct_gain_rejects_non_finite_inputs(R, alpha):
         reconstruct_gain(4, R, alpha)
 
 
+def test_reconstruct_gain_names_its_overflow():
+    # 2H/(sqrt(3)R) is about 4619 here, and 4619**300 is past the largest float
+    with pytest.raises(CompressionError, match=r"gain overflows a float at H=4, R=0\.001, alpha=300\.0"):
+        reconstruct_gain(4, 1e-3, 300.0)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -612,6 +612,27 @@ def test_offload_breakdown_requires_placements(offload_ctx):
         offload_breakdown(offload_ctx, state)
 
 
+def test_placements_added_after_the_context_is_built_are_not_seen():
+    placements = {"u1": 10, "u2": 27, "u4": 15, "u5": 16}
+    dest = make_destinations(GRID4, [(3, 250)])
+    radio = RadioParams(power=0.15, alpha=2.0, noise=1e-6)
+    ctx = OffloadContext(grid=GRID4, dest=dest, radio=radio, placements=placements)
+    econ = EconParams(price_step=0.002, price_bounds=(0.05, 2.0))
+    first = TrafficState(
+        bs_users=frozenset({"u1", "u2", "u4"}), wlan_users=frozenset({"u5"}), offload=frozenset({"u4"})
+    )
+    negotiate(ctx, first, econ)  # the route memo now holds the placed cells
+    placements["u12"] = 40
+    later = TrafficState(bs_users=frozenset({"u1", "u12"}), offload=frozenset({"u12"}))
+    with pytest.raises(EconError, match=r"users without placements: \['u12'\]"):
+        negotiate(ctx, later, econ)
+    with pytest.raises(TypeError):
+        ctx.placements["u13"] = 41
+    # a context built from the grown placements prices the same step
+    fresh = OffloadContext(grid=GRID4, dest=dest, radio=radio, placements=placements)
+    assert negotiate(fresh, later, econ).trace
+
+
 def test_evaluate_offload_ledger(offload_ctx, offload_state):
     econ = EconParams(price_step=0.002, price_bounds=(0.05, 2.0))
     b = offload_breakdown(offload_ctx, offload_state)

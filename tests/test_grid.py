@@ -25,7 +25,7 @@ def test_subcell_counts():
     assert GridParams(H=4).subcell_count == 60
     assert GridParams(H=7).subcell_count == 168
     # the center subcell exists but is not counted
-    assert len(SubcellGrid(GridParams(H=4))) == 61
+    assert len(SubcellGrid(GridParams(H=4)).cells) == 61
 
 
 def test_ring_index_ranges():
@@ -189,6 +189,23 @@ def test_destination_indices_are_built_once_and_left_out_of_equality():
     assert Destinations(bs=dest.bs) != dest
 
 
+def test_destinations_refuse_a_repeated_or_center_access_point():
+    grid = SubcellGrid(GridParams(H=3))
+    # built by hand, not through make_destinations: the type owns these rules
+    with pytest.raises(GridError, match="duplicate access-point placements"):
+        Destinations(bs=grid.cell(0), aps=(grid.cell(3), grid.cell(3)))
+    for bs in (grid.cell(0), None):
+        with pytest.raises(GridError, match="an access point cannot share the center subcell"):
+            Destinations(bs=bs, aps=(grid.cell(0),))
+    with pytest.raises(GridError, match="coverage must list one cluster per access point"):
+        Destinations(bs=grid.cell(0), aps=(grid.cell(3),), coverage=((), ()))
+    # make_destinations snaps and leaves the checks to the type
+    with pytest.raises(GridError, match="duplicate access-point placements"):
+        make_destinations(grid, [(2, 0.0), (2, 1.0)])
+    with pytest.raises(GridError, match="an access point cannot share the center subcell"):
+        make_destinations(grid, [(0, 0.0)])
+
+
 def test_destinations_without_base_station():
     grid = SubcellGrid(GridParams(H=4))
     full = make_destinations(grid, [(3, 250)])
@@ -237,7 +254,7 @@ def test_rank_table_matches_sort_by_minimum_distance(case):
 @example(30)
 def test_rings_coloring_and_neighbors_hold_at_every_depth(H):
     grid = SubcellGrid(GridParams(H=H))
-    assert len(grid) == 1 + GridParams(H=H).subcell_count
+    assert len(grid.cells) == 1 + GridParams(H=H).subcell_count
     for h in range(1, H + 1):
         assert len(grid.ring(h)) == 6 * h
     for cell in grid.cells:

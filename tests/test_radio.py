@@ -1,6 +1,7 @@
 """Link physics: SINR with explicit interferer sets, capacity, power floor."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,13 @@ def test_min_power_exact():
 def test_min_power_rejects_non_finite_inputs_by_name(sensitivity, alpha, message):
     with pytest.raises(RadioError, match=message):
         min_power(GridParams(H=4), sensitivity, alpha)
+
+
+def test_min_power_names_the_overflow_of_its_power_law():
+    # d_r = 216.5 m at R=1000, H=4: d_r**200 is past the largest float
+    message = "minimum power sensitivity * d_r**alpha overflows at alpha=200.0"
+    with pytest.raises(RadioError, match=re.escape(message)):
+        min_power(GridParams(H=4), 1e-6, 200.0)
 
 
 @pytest.mark.parametrize(

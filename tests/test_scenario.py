@@ -343,6 +343,16 @@ MALFORMED = [
     ("compression: {n_o: [-1]}", "compression: terminal counts cannot be negative"),
     ("destinations: {aps: [[2, 0], [2, 0]]}", "destinations: duplicate access-point placements"),
     ("overlay: {sources: [[9, 0]]}", "overlay.sources[0]: ring 9 outside 0..4"),
+    ("destinations: {aps: [[9, 0]]}", "destinations.aps[0]: ring 9 outside 0..4"),
+    (
+        "destinations: {aps: [[3, 250]], coverage: [[[2, 0], [9, 0]]]}",
+        "destinations.coverage[0][1]: ring 9 outside 0..4",
+    ),
+    ('destinations: {aps: ["u^8(3,250)"]}', "destinations.aps[0]: reuse type 8 outside 1..7"),
+    (
+        "destinations: {aps: [[3, 250]], coverage: [[], []]}",
+        "destinations: coverage must list one cluster per access point",
+    ),
     (
         "overlay: {sources: [[1, 0]], scenarios: [{unavailable: [[1, 0]]}]}",
         "overlay.scenarios[0]: a source subcell cannot be unavailable",
@@ -775,11 +785,58 @@ def test_cli_reports_an_exhausted_negotiation(tmp_path, capsys):
     ) in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("protocol: {k0: 9}", "protocol.k0: reuse type 9 outside 1..7"),
+        ("protocol: {k0: 0}", "protocol.k0: reuse type 0 outside 1..7"),
+        ("overlay: {scenarios: [{k0: 8}]}", "overlay.scenarios[0].k0: reuse type 8 outside 1..7"),
+        (
+            "overlay: {scenarios: [{unavailable_types: [1, 8]}]}",
+            "overlay.scenarios[0].unavailable_types[1]: reuse type 8 outside 1..7",
+        ),
+        ('overlay: {sources: ["u^0(2,0)"]}', "overlay.sources[0]: reuse type 0 outside 1..7"),
+    ],
+)
+def test_reuse_types_are_checked_as_the_file_writes_them(tmp_path, text, message):
+    # one prefix, the key, and the 1-based type the file wrote
+    with pytest.raises(ScenarioError) as caught:
+        load_scenario(write(tmp_path, text + "\n"))
+    assert str(caught.value) == message
+
+
+def test_access_point_specs_check_their_reuse_type(tmp_path):
+    text = """\
+        destinations:
+          aps: ["u^1(3,250)"]
+          coverage: [["u^2(2,0)", [3, 0]]]
+        """
+    with pytest.warns(ScenarioWarning) as caught:
+        scn = load_scenario(write(tmp_path, text))
+    expected = [
+        "destinations.aps[0]: u^1(3,250) declares color 0 but subcell 31 has color 3",
+        "destinations.coverage[0][0]: u^2(2,0) declares color 1 but subcell 7 has color 4",
+    ]
+    assert scn.notes == expected
+    assert [str(w.message) for w in caught] == expected
+    # the access point snaps as a source on the same spec does
+    assert [a.i for a in scn.dest.aps] == [31]
+    assert [c.i for c in scn.dest.coverage[0]] == [7, 19]
+
+
 def test_a_load_error_keeps_the_error_it_names_as_its_cause(tmp_path):
     with pytest.raises(ScenarioError) as caught:
         load_scenario(write(tmp_path, "overlay: {sources: [[9, 0]]}\n"))
     assert str(caught.value) == f"overlay.sources[0]: {caught.value.__cause__}"
     assert type(caught.value.__cause__) is m3sim.GridError
+
+
+def test_cli_names_the_minimum_power_overflow(tmp_path, capsys):
+    # d_r = 216.5 m at R=1000, H=4, and d_r**200 overflows a float
+    path = write(tmp_path, "radio: {P: min, alpha: 200}\n")
+    assert main(["routes", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "m3sim: error: radio: minimum power sensitivity * d_r**alpha overflows at alpha=200.0\n"
 
 
 def test_cli_writes_finite_numbers_where_an_interference_term_overflows(tmp_path, capsys):
