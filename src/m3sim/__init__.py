@@ -20,6 +20,7 @@ from .compression import (
     absorb,
     aggregate_availability,
     climb_topology,
+    compressed_vector,
     full_vector,
 )
 from .economics import (

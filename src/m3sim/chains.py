@@ -23,13 +23,14 @@ a reverse breadth-first search over the positive transitions, before any
 solve.
 
 A seeded Monte Carlo walk simulator doubles as an independent oracle for
-the analytic results.  It samples each step by inverse transform over the
-nonzeros of the current row, through a guide table (Chen & Asau, 1974):
-each row's unit interval is cut into equal buckets, and a bucket whose
-draws all land on one target stores it, so most steps cost one lookup and
-the rest O(row degree).  Since the column a draw picks never decreases as
-the draw grows, and the bucket edges are exact binary fractions, the table
-picks the same column as a count over the row for every draw.
+the analytic results.  It samples each start and each step by inverse
+transform, through a guide table (Chen & Asau, 1974): the unit interval of
+the start distribution, and of each row's nonzeros, is cut into equal
+buckets, and a bucket whose draws all land on one state stores it, so most
+draws cost one lookup and the rest a search of the cumulative sums.  Since
+the state a draw picks never decreases as the draw grows, and the bucket
+edges are exact binary fractions, the table picks the same state as that
+search for every draw; the starts are the ones ``Generator.choice`` draws.
 """
 
 from __future__ import annotations
@@ -312,7 +313,7 @@ def _initial_distribution(chain: AbsorbingChain, start: np.ndarray | None) -> np
     if start is None:
         return np.full(n, 1.0 / n)
     f = np.asarray(start, dtype=float)
-    if f.shape != (n,) or np.any(f < 0) or not np.isclose(f.sum(), 1.0, atol=_ROW_SUM_TOL):
+    if f.shape != (n,) or np.any(f < 0) or not np.isclose(f.sum(), 1.0, rtol=0.0, atol=_ROW_SUM_TOL):
         raise ChainError("initial distribution must be a probability vector over transient states")
     return f
 
@@ -420,16 +421,47 @@ def _guide_table(target: np.ndarray, cum: np.ndarray) -> np.ndarray:
 
     Bucket ``b`` holds the draws u in [b/B, (b+1)/B).  Where count(cum < u)
     is the same at both edges it is the same for every draw between them;
-    elsewhere the table holds -1.
+    elsewhere the table holds -1.  An entry c lies below the edges b/B with
+    b > floor(c * B), exact for B a power of two, so one histogram of
+    floor(c * B) + 1 per row, summed along the edges, gives every count.
     """
-    edges = np.arange(_BUCKETS + 1) / _BUCKETS
-    below = np.zeros((cum.shape[0], _BUCKETS + 1), dtype=np.intp)
-    for column in cum.T:
-        below += column[:, None] < edges
-    lo, hi = below[:, :-1], below[:, 1:]
-    guide = np.take_along_axis(target, lo, axis=1)
+    rows, width = cum.shape
+    bins = _BUCKETS + 2
+    first = np.clip(np.floor(cum * _BUCKETS).astype(np.intp) + 1, 0, bins - 1)
+    hist = np.bincount((first + bins * np.arange(rows)[:, None]).ravel(), minlength=rows * bins)
+    # each row adds its width to the running sum, so entry (r, b) is
+    # r * width + count(cum[r] < b/B): the flat position of the target picked
+    at = np.cumsum(hist).reshape(rows, bins)
+    lo, hi = at[:, :_BUCKETS], at[:, 1 : _BUCKETS + 1]
+    guide = target.ravel()[lo]
     guide[lo != hi] = -1
     return guide.ravel()
+
+
+def _start_draws(rng: np.random.Generator, f: np.ndarray, size: int) -> np.ndarray:
+    """``rng.choice(f.size, size=size, p=f)``: the same draws and the same states.
+
+    Like ``choice``, each of ``size`` uniforms u picks count(cdf <= u) of
+    the cumulative sums normalised to end at 1.0, but through a guide table
+    over B buckets, the power of two at or above the smaller of four per
+    state and one per draw.  Every draw in [b/B, (b+1)/B) counts at least
+    count(cdf <= b/B), the sums with ceil(cdf * B) <= b, and at most
+    count(cdf < (b+1)/B), those with floor(cdf * B) <= b; ``cdf * B`` is
+    exact, so two histograms give both.  A bucket where the two agree
+    stores the count, and only draws in the others search the sums.
+    """
+    cdf = f.cumsum()
+    cdf /= cdf[-1]
+    buckets = 1 << (min(4 * f.size, size) - 1).bit_length()
+    scaled = cdf * buckets
+    lo = np.cumsum(np.bincount(np.ceil(scaled).astype(np.intp), minlength=buckets + 1)[:buckets])
+    hi = np.cumsum(np.bincount(scaled.astype(np.intp), minlength=buckets + 1)[:buckets])
+    guide = np.where(lo == hi, lo, -1)
+    u = rng.random(size)
+    state = guide[(u * buckets).astype(np.intp)]
+    miss = np.flatnonzero(state < 0)
+    state[miss] = np.searchsorted(cdf, u[miss], side="right")
+    return state
 
 
 def simulate_walks(
@@ -457,9 +489,11 @@ def simulate_walks(
     the same count; a step reads it at ``floor(u * B)``, and only draws in
     the other buckets count the row.  With B a power of two, ``u * B`` and
     the edges ``b / B`` are exact, so the table picks what the count picks
-    for every draw.  Only live walks are carried from step to step, each
-    chunk draws one uniform per live walk and step in walk order, and each
-    walk adds its dwell times in visiting order.
+    for every draw.  The starts read a guide table over the start
+    distribution the same way, and are the states ``Generator.choice``
+    would draw.  Each chunk draws one uniform per walk for the starts, then
+    one per live walk and step in walk order; only live walks are carried
+    from step to step, and each walk adds its dwell times in visiting order.
     """
     if n_walks < 1:
         raise ChainError(f"need at least one walk, got {n_walks}")
@@ -481,7 +515,7 @@ def simulate_walks(
     seeds = np.random.SeedSequence(seed).spawn(len(chunks))
     for size, chunk_seed in zip(chunks, seeds):
         rng = np.random.Generator(np.random.PCG64(chunk_seed))
-        origin = rng.choice(n, size=size, p=f)
+        origin = _start_draws(rng, f, size)
         landed = np.empty(size, dtype=np.int64)
         total = np.empty(size)
         walk = np.arange(size)
@@ -504,10 +538,13 @@ def simulate_walks(
                 walk, step, elapsed = walk[live], step[live], elapsed[live]
             state = step
             elapsed += dwell[state]
-        np.add.at(counts, origin, 1)
-        np.add.at(time_sum, origin, total)
-        np.add.at(time_sqsum, origin, total * total)
-        np.add.at(absorb_counts, (origin, landed), 1)
+        # bincount adds in input order, so listing each running sum ahead of
+        # the chunk's walks adds them one after another, as np.add.at did
+        ahead = np.concatenate((np.arange(n), origin))
+        time_sum = np.bincount(ahead, np.concatenate((time_sum, total)), n)
+        time_sqsum = np.bincount(ahead, np.concatenate((time_sqsum, total * total)), n)
+        counts += np.bincount(origin, minlength=n)
+        absorb_counts += np.bincount(origin * a + landed, minlength=n * a).reshape(n, a)
 
     visited = counts > 0
     tau = np.full(n, np.nan)

@@ -122,18 +122,25 @@ def _check_vector(H, n_o, zeta, phi):
         raise CompressionError(f"beamwidth must lie in [0, 360] degrees, got {phi!r}")
 
 
-def absorb(full: FullStateVector) -> CompressedStateVector:
-    """Compress a full vector, dropping everything recomputable.
+def compressed_vector(H: int, n_o: Sequence[int], zeta: float, phi: float) -> CompressedStateVector:
+    """The compressed vector of the independent parameters, with no gain computed.
 
     The kept availability p aggregates p_a = 1 - zeta, p_phi = phi/360 and
-    p_o,i = n_o,i / (3H(H+1)); the gain is dropped.
+    p_o,i = n_o,i / (3H(H+1)).
     """
-    _check_vector(full.H, full.n_o, full.zeta, full.phi)
+    _check_vector(H, n_o, zeta, phi)
+    N = 3 * H * (H + 1)
+    n_o = tuple(n_o)
+    p = aggregate_availability(1.0 - zeta, phi / 360.0, [n / N for n in n_o])
+    return CompressedStateVector(H=H, n_o=n_o, p=p, zeta=zeta, phi=phi)
+
+
+def absorb(full: FullStateVector) -> CompressedStateVector:
+    """Compress a full vector, dropping everything recomputable (the gain among it)."""
     N = 3 * full.H * (full.H + 1)
     if full.N != N:
         raise CompressionError(f"subcell count {full.N} inconsistent with H={full.H} (expected {N})")
-    p = aggregate_availability(1.0 - full.zeta, full.phi / 360.0, [n / N for n in full.n_o])
-    return CompressedStateVector(H=full.H, n_o=full.n_o, p=p, zeta=full.zeta, phi=full.phi)
+    return compressed_vector(full.H, full.n_o, full.zeta, full.phi)
 
 
 def topology_step(current_h: int, utility: Callable[[int], float], h_min: int = 1, h_max: int | None = None) -> int:

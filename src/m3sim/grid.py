@@ -18,6 +18,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 SQRT3 = math.sqrt(3.0)
 
@@ -203,14 +206,25 @@ class SubcellGrid:
     def rank_table(self, dest: "Destinations") -> tuple[tuple[int, ...], ...]:
         """Each cell's neighbour indices sorted by (squared distance to the nearest destination, index).
 
-        Built once per grid and set of absorbing cells.
+        Built once per grid and set of absorbing cells, from one (cells x
+        destinations) array of squared distances; each padded neighbour row
+        sorts on the exact integer key near * cells + index.
         """
         key = dest.indices()
         table = self._rank_tables.get(key)
         if table is None:
-            targets = dest.absorbing_cells()
-            near = [min(self.squared_step_distance(c, t) for t in targets) for c in self.cells]
-            table = tuple(tuple(sorted(ns, key=lambda n: (near[n], n))) for ns in self.adjacent)
+            size = len(self.cells)
+            q, r = np.array(self.axial_q), np.array(self.axial_r)
+            targets = [c.i for c in dest.absorbing_cells()]
+            dq, dr = q[:, None] - q[targets], r[:, None] - r[targets]
+            near = (dq * dq + dr * dr + dq * dr).min(axis=1)
+            degree = np.fromiter(map(len, self.adjacent), dtype=np.intp, count=size)
+            padded = np.arange(len(DIRECTIONS)) < degree[:, None]
+            keys = np.full(padded.shape, np.iinfo(np.intp).max)
+            adjacent = np.fromiter(chain.from_iterable(self.adjacent), dtype=np.intp)
+            keys[padded] = near[adjacent] * size + adjacent
+            ranked = (np.sort(keys, axis=1) % size).tolist()
+            table = tuple(tuple(row[:d]) for row, d in zip(ranked, degree.tolist()))
             self._rank_tables[key] = table
         return table
 

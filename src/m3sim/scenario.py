@@ -48,7 +48,7 @@ import numpy as np
 import yaml
 
 from .chains import absorption_statistics, simulate_walks
-from .compression import absorb, full_vector
+from .compression import compressed_vector
 from .economics import (
     DEFAULT_USER_SITES,
     EconParams,
@@ -350,14 +350,12 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         compressed_p = _number("compression.p", c["p"])
     elif c:
         with _named("compression"):
-            vec = full_vector(
+            compressed_p = compressed_vector(
                 params.H,
                 _numbers("compression.n_o", c.get("n_o"), int),
                 _number("compression.zeta", c.get("zeta", 0.0)),
                 _number("compression.phi", c.get("phi", 360.0)),
-                alpha=radio.alpha,
-            )
-        compressed_p = absorb(vec).p
+            ).p
 
     # -- protocol
     pr = section("protocol")

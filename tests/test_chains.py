@@ -282,6 +282,19 @@ def test_start_distribution_validation():
         absorption_statistics(chain, start=np.array([1.0]))
 
 
+@pytest.mark.parametrize("start", [[0.5, 0.500001], [0.5, 0.5 + 2 * _ROW_SUM_TOL], [0.5 - 2 * _ROW_SUM_TOL, 0.5]])
+def test_start_sum_tolerance_is_absolute(start):
+    # a relative tolerance of 1e-5 would pass the first vector
+    message = "initial distribution must be a probability vector"
+    with pytest.raises(ChainError, match=message):
+        absorption_statistics(ladder(), start=np.array(start))
+    with pytest.raises(ChainError, match=message):
+        simulate_walks(ladder(), 100, seed=1, start=np.array(start))
+    within = np.array([0.5, 0.5 + 0.5 * _ROW_SUM_TOL])
+    assert absorption_statistics(ladder(), start=within).tau_mean > 0
+    assert simulate_walks(ladder(), 100, seed=1, start=within).counts.sum() == 100
+
+
 def _count_checks(monkeypatch):
     calls = []
     real = m3sim.chains.canonical_form
@@ -719,6 +732,91 @@ def test_guide_table_walker_equals_the_previous_walker_on_discovery_chains(kind,
     walks_match_parent(chain, 3000, seed=5, start=start, chunk=1024)
 
 
+def chain_of_size(n):
+    """n transient states, each absorbed with probability 1/2 or stepping to its successor."""
+    rows = {k: [((k + 1) % n, 0.5), ("done", 0.5)] for k in range(n)}
+    return build_chain(rows, ["done"], dwell={k: 1.0 + k % 3 for k in range(n)})
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        [1.0],
+        [0.125] * 8,
+        np.full(64, 1 / 64),
+        [0.25, 0.25, 0.5],
+        [0.0, 0.25, 0.25, 0.5, 0.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.5, 0.0, 0.0, 0.5],
+        [1 / 3, 1 / 3, 1 / 3],
+    ],
+)
+def test_starts_are_the_draws_of_choice(start):
+    # one state, powers of two, sums on bucket edges and zeros at both ends,
+    # with a table of four buckets per state and with one of fewer buckets
+    f = np.array(start, dtype=float)
+    for seed, size in [(0, 5000), (1, 5000), (2, 7), (3, 1)]:
+        got = m3sim.chains._start_draws(np.random.default_rng(seed), f, size)
+        ref = np.random.default_rng(seed).choice(f.size, size=size, p=f)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    start = None if np.all(f == f[0]) else f
+    walks_match_parent(chain_of_size(f.size), 3000, seed=9, start=start, chunk=1024)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 700),
+    st.integers(1, 3000),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("uniform", "random", "sparse")),
+)
+def test_start_guide_table_equals_choice(n, size, seed, kind):
+    # fewer draws than four per state caps the table at one bucket per draw
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        f = np.full(n, 1.0 / n)
+    elif kind == "random":
+        f = rng.random(n)
+    else:
+        f = np.where(rng.random(n) < 0.2, rng.integers(1, 4, n), 0).astype(float)
+        f[rng.integers(n)] = 1.0
+    f /= f.sum()
+    got = m3sim.chains._start_draws(np.random.default_rng(seed), f, size)
+    ref = np.random.default_rng(seed).choice(n, size=size, p=f)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def column_loop_guide_table(target, cum):
+    """The step guide table as first built: a count of cum < b/B, one column at a time."""
+    buckets = m3sim.chains._BUCKETS
+    edges = np.arange(buckets + 1) / buckets
+    below = np.zeros((cum.shape[0], buckets + 1), dtype=np.intp)
+    for column in cum.T:
+        below += column[:, None] < edges
+    lo, hi = below[:, :-1], below[:, 1:]
+    guide = np.take_along_axis(target, lo, axis=1)
+    guide[lo != hi] = -1
+    return guide.ravel()
+
+
+def assert_same_guide_table(target, cum):
+    got, ref = m3sim.chains._guide_table(target, cum), column_loop_guide_table(target, cum)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("kind", ["MDR", "LIR"])
+@pytest.mark.parametrize("p", [0.5, 0.9])
+def test_histogram_guide_table_equals_the_column_loop_on_discovery_chains(kind, p):
+    grid = SubcellGrid(GridParams(H=10))
+    dest = make_destinations(grid, [(5, 30.0), (5, 210.0)])
+    if kind == "MDR":
+        chain = build_mdr_chain(grid, dest, p)
+    else:
+        chain = build_lir_chain(grid, dest, p, ProtocolConfig(kind=LIR, p=p))
+    last = len(chain.transient) + len(chain.absorbing) - 1
+    assert_same_guide_table(*m3sim.chains._sampling_rows(chain.indptr, chain.indices, chain.probs, last))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     st.lists(
@@ -735,6 +833,7 @@ def test_guide_table_picks_the_counted_column_at_every_bucket_edge(entries):
         values[k, : len(row)] = row
         values[k, len(row)] = 1.0 - sum(row)
     target, cum = csr_sampling_rows(values)
+    assert_same_guide_table(target, cum)
     guide = m3sim.chains._guide_table(target, cum)
     buckets = m3sim.chains._BUCKETS
     edges = np.arange(buckets) / buckets

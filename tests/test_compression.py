@@ -10,6 +10,7 @@ from m3sim.compression import (
     absorb,
     aggregate_availability,
     climb_topology,
+    compressed_vector,
     full_vector,
     reconstruct_gain,
     topology_step,
@@ -30,6 +31,7 @@ def test_absorb_drops_redundancy():
     # 1 - (1 - 0.75 * 0.75)^2 with exact dyadic fractions
     assert comp.p == 0.80859375
     assert comp == CompressedStateVector(H=4, n_o=(45, 45), p=0.80859375, zeta=0.25, phi=360.0)
+    assert compressed_vector(4, (45, 45), 0.25, 360.0) == comp
 
 
 def test_absorb_rejects_inconsistent_subcell_count():

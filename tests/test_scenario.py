@@ -202,6 +202,20 @@ def test_availability_sources(tmp_path):
         load_scenario(write(tmp_path, "compression: {p: 0.5, zeta: 0.1}\n"))
 
 
+def test_compression_section_computes_no_gain(tmp_path, monkeypatch):
+    calls = []
+    real = m3sim.compression.reconstruct_gain
+    monkeypatch.setattr(m3sim.compression, "reconstruct_gain", lambda *args: calls.append(args) or real(*args))
+    # the availability drops the gain, so loading never computes it
+    loaded = load_scenario(
+        write(tmp_path, "grid: {H: 4, R: 500.0}\nradio: {alpha: 3}\ncompression: {n_o: [45, 45], zeta: 0.25}\n")
+    )
+    assert loaded.availability == 0.80859375
+    assert calls == []
+    with pytest.raises(ScenarioError, match=r"compression: p_o\[0\] must lie in \[0, 1\]"):
+        load_scenario(write(tmp_path, "grid: {H: 4}\ncompression: {n_o: [61]}\n"))
+
+
 def test_protocol_section(tmp_path):
     scn = load_scenario(write(tmp_path, "protocol: {kind: mlir, k0: 3}\n"))
     assert scn.protocol.kind == "mLIR"
