@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -150,6 +151,13 @@ class SubcellGrid:
         self._rings: tuple[tuple[SubcellId, ...], ...] = tuple(ring_cells)
         self._ring_thetas = tuple(tuple(c.theta for c in ring) for ring in self._rings)
 
+    @cached_property
+    def axial_coords(self) -> np.ndarray:
+        """Read-only (2, cells) array: row 0 each cell's axial q, row 1 its r."""
+        coords = np.array([self.axial_q, self.axial_r], dtype=np.intp)
+        coords.flags.writeable = False
+        return coords
+
     # -- addressing ---------------------------------------------------------
 
     def cell(self, i: int) -> SubcellId:
@@ -214,7 +222,7 @@ class SubcellGrid:
         table = self._rank_tables.get(key)
         if table is None:
             size = len(self.cells)
-            q, r = np.array(self.axial_q), np.array(self.axial_r)
+            q, r = self.axial_coords
             targets = [c.i for c in dest.absorbing_cells()]
             dq, dr = q[:, None] - q[targets], r[:, None] - r[targets]
             near = (dq * dq + dr * dr + dq * dr).min(axis=1)

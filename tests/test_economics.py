@@ -2,8 +2,10 @@
 
 import inspect
 import math
+import random
 import re
 from dataclasses import fields, replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,7 @@ from m3sim.economics import (
 )
 from m3sim.chains import absorption_statistics
 from m3sim.grid import NUM_COLORS, Destinations, GridParams, SubcellGrid, make_destinations
-from m3sim.radio import RadioParams, link_capacity, link_sinr
+from m3sim.radio import RadioError, RadioParams, link_capacity, link_sinr
 from m3sim.routing import (
     LAR,
     MDR,
@@ -511,24 +513,125 @@ def test_link_capacities_key_each_link_by_its_co_slot_transmitters(slots):
     assert caps == {(tx, rx): cap for (tx, rx, _), cap in expected.items()}
 
 
-@pytest.mark.parametrize("kind", [MDR, MMDR, MLIR])
-def test_capacity_evaluates_each_scheduled_link_once(monkeypatch, kind):
+def _loop_capacities(slots, radio, grid):
+    """Reference: every link through link_sinr, hearing its slot's other
+    transmitters in ascending order; keyed by (tx, rx, those transmitters)."""
+    keyed = {}
+    for links in slots.values():
+        transmitters = {tx for tx, _ in links}
+        for tx, rx in links:
+            others = tuple(sorted(transmitters - {tx, rx}))
+            keyed[(tx, rx, others)] = _capacity(grid, radio, tx, rx, others)
+    return keyed
+
+
+def _bundled_schedule(kind):
     scn = load_scenario(bundled_scenario("default"))
     config = replace(scn.protocol, kind=kind)
-    overlay = scn.overlays[0]
-    rs = schedule(extract_routes(scn.grid, scn.dest, overlay, config), config, scn.grid)
+    rs = schedule(extract_routes(scn.grid, scn.dest, scn.overlays[0], config), config, scn.grid)
+    return rs, scn.radio, scn.grid
+
+
+def _mdr_overlay_schedule():
+    """MDR routes from 30 % of the subcells of an H=10 grid: seven colour
+    slots of 31 to 38 transmitters each."""
+    grid = SubcellGrid(GridParams(H=10))
+    cells = range(1, len(grid.cells))
+    overlay = ScenarioOverlay(sources=tuple(sorted(random.Random(10).sample(cells, len(cells) * 3 // 10))))
+    config = ProtocolConfig(kind=MDR)
+    rs = schedule(extract_routes(grid, make_destinations(grid), overlay, config), config, grid)
+    return rs, RadioParams(noise=1e-6), grid
+
+
+@pytest.mark.parametrize(
+    "case, paths",
+    [
+        # the bundled schedule's slots stay below the cut
+        *[pytest.param(partial(_bundled_schedule, kind), {"loop"}, id=kind) for kind in (MDR, MMDR, MLIR)],
+        pytest.param(_mdr_overlay_schedule, {"slot"}, id="wide-MDR-H10"),
+    ],
+)
+def test_capacity_evaluates_each_scheduled_link_once(monkeypatch, case, paths):
+    rs, radio, grid = case()
     calls = []
-    real_sinr = economics.link_sinr
+    real_sinr, real_slot = economics.link_sinr, economics.slot_sinrs
 
     def counted(tx, rx, interferers, radio, grid):
-        calls.append((tx, rx))
+        calls.append(("loop", (tx, rx)))
         return real_sinr(tx, rx, interferers, radio, grid)
 
+    def counted_slot(links, transmitters, radio, grid):
+        calls.extend(("slot", tuple(link)) for link in links)
+        return real_slot(links, transmitters, radio, grid)
+
     monkeypatch.setattr(economics, "link_sinr", counted)
-    economics.network_capacity_throughput(rs, scn.radio, scn.grid)
+    monkeypatch.setattr(economics, "slot_sinrs", counted_slot)
+    economics.network_capacity_throughput(rs, radio, grid)
     scheduled = [link for links in rs.slots.values() for link in links]
     assert len(scheduled) > 1
-    assert sorted(calls) == sorted(scheduled)
+    assert sorted(link for _, link in calls) == sorted(scheduled)
+    assert {path for path, _ in calls} == paths
+
+
+@pytest.mark.parametrize("kind", [MMDR, MLIR])
+def test_link_capacities_equal_the_loop_with_every_subcell_routed(kind):
+    # every subcell routed to the base station, mLIR relays pinned to colour 3
+    grid = SubcellGrid(GridParams(H=24))
+    overlay = ScenarioOverlay(sources=tuple(range(1, len(grid.cells))), k0=3)
+    config = ProtocolConfig(kind=kind)
+    rs = schedule(extract_routes(grid, make_destinations(grid), overlay, config), config, grid)
+    radio = RadioParams()
+    assert max(len({tx for tx, _ in links}) for links in rs.slots.values()) >= economics.WIDE_SLOT
+    expected = {key[:2]: cap for key, cap in _loop_capacities(rs.slots, radio, grid).items()}
+    assert link_capacities(rs.slots, radio, grid) == expected
+
+
+def test_wide_slot_memo_misses_go_to_the_kernel(monkeypatch):
+    rs, radio, grid = _mdr_overlay_schedule()
+    expected = _loop_capacities(rs.slots, radio, grid)
+    keys = sorted(expected)
+    memo = {key: expected[key] for key in keys[::2]}
+    handed = []
+    real_slot = economics.slot_sinrs
+
+    def recorded(links, transmitters, radio, grid):
+        handed.extend(links)
+        return real_slot(links, transmitters, radio, grid)
+
+    monkeypatch.setattr(economics, "slot_sinrs", recorded)
+    caps = link_capacities(rs.slots, radio, grid, memo)
+    assert memo == expected
+    assert caps == {(tx, rx): cap for (tx, rx, _), cap in expected.items()}
+    assert sorted(handed) == sorted(key[:2] for key in keys[1::2])
+
+
+def test_link_capacities_refuse_a_link_scheduled_twice():
+    radio = RadioParams()
+    for slots in ({0: [(1, 0)], 1: [(2, 0), (1, 0)]}, {0: [(2, 0), (1, 0), (1, 0)]}):
+        with pytest.raises(EconError, match="^link 1->0 is scheduled more than once$"):
+            link_capacities(slots, radio, GRID4)
+
+
+def _silent_slots():
+    """One link alone on an H=2 grid whose noise term underflows to 0.0."""
+    return {0: [(1, 0)]}, RadioParams(noise=1e-320), SubcellGrid(GridParams(H=2, R=1e-3))
+
+
+def _silent_wide_slots():
+    """Link 1->0 beside 12 ring-4 transmitters: at alpha = 1000 their terms
+    at the centre underflow to 0.0, and so does d_r**alpha with d_r < 1."""
+    grid = SubcellGrid(GridParams(H=4, R=1.0))
+    ring = [c.i for c in grid.ring(4)][::2]
+    return {0: [(1, 0)] + [(tx, grid.adjacent[tx][0]) for tx in ring]}, RadioParams(alpha=1000.0), grid
+
+
+@pytest.mark.parametrize("case, wide", [(_silent_slots, False), (_silent_wide_slots, True)], ids=["loop", "slot"])
+def test_link_capacities_name_a_link_without_interference_or_noise(case, wide):
+    slots, radio, grid = case()
+    assert radio.noise_term(grid.params.relay_distance) == 0.0
+    assert (len({tx for tx, _ in slots[0]}) >= economics.WIDE_SLOT) == wide
+    with pytest.raises(RadioError, match="^SINR of link 1->0 is not finite"):
+        link_capacities(slots, radio, grid)
 
 
 def _reference_user_capacities(ctx, bs_users, wlan_users):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from m3sim.grid import GridParams, SubcellGrid
-from m3sim.radio import RadioError, RadioParams, link_capacity, link_sinr, min_power
+from m3sim.radio import RadioError, RadioParams, link_capacity, link_sinr, min_power, slot_sinrs
 
 GRID = SubcellGrid(GridParams(H=4))
 
@@ -185,3 +185,89 @@ def test_sinr_underflows_where_the_formula_overflows():
         assert sinr == _ref_link_sinr(1, 0, interferers, radio, grid)
         assert 0.0 <= sinr < math.inf
     assert outcomes == {"overflow", "finite"}
+
+
+# -- one slot in one numpy pass against the per-link loop --------------------
+
+# d_r = 1, so the noise term stays finite at alpha = 1000
+UNIT_GRID = SubcellGrid(GridParams(H=4, R=8.0 / math.sqrt(3.0)))
+
+
+@st.composite
+def slot_cases(draw):
+    """One slot of relay hops on an H=4 or H=10 grid.
+
+    Its link count falls below 12 transmitters, around and above them, or
+    past the kernel's 256-link blocks; at alpha = 1000 (on a grid with
+    d_r = 1) far terms underflow to 0.0.  The first link's receiver always
+    transmits in the slot too.
+    """
+    alpha = draw(st.sampled_from(ALPHAS + (1000.0,)))
+    grid = UNIT_GRID if alpha == 1000.0 else SINR_GRIDS[draw(st.sampled_from(sorted(SINR_GRIDS)))]
+    radio = RadioParams(
+        power=draw(st.floats(1e-3, 10.0)),
+        alpha=alpha,
+        noise=draw(st.sampled_from((1e-4, 1e-8, 1e-12))),
+    )
+    hops = [(tx, rx) for tx in range(len(grid.cells)) for rx in grid.adjacent[tx]]
+    count = draw(st.sampled_from(((1, 11), (12, 60), (257, 600))).flatmap(lambda span: st.integers(*span)))
+    links = draw(st.randoms(use_true_random=False)).sample(hops, min(count, len(hops)))
+    rx = links[0][1]
+    relay = (rx, draw(st.sampled_from(grid.adjacent[rx])))
+    if relay not in links:
+        links.append(relay)
+    return links, radio, grid
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(slot_cases())
+def test_slot_sinrs_equal_the_per_link_loop(case):
+    links, radio, grid = case
+    order = tuple(sorted({tx for tx, _ in links}))
+    expected = [
+        link_sinr(tx, rx, tuple(t for t in order if t not in (tx, rx)), radio, grid) for tx, rx in links
+    ]
+    assert slot_sinrs(links, order, radio, grid) == expected
+    # a subset of the links, as the memo misses of a slot are
+    assert slot_sinrs(links[1::2], order, radio, grid) == expected[1::2]
+
+
+def test_slot_sinrs_cross_blocks_and_read_the_underflowing_table():
+    # the alpha = 1000 table of test_sinr_underflows_where_the_formula_overflows,
+    # in one slot of every hop of the grid: 312 links, two blocks
+    radio = RadioParams(alpha=1000.0)
+    links = [(tx, rx) for tx in range(len(UNIT_GRID.cells)) for rx in UNIT_GRID.adjacent[tx]]
+    order = tuple(range(len(UNIT_GRID.cells)))
+    got = slot_sinrs(links, order, radio, UNIT_GRID)
+    assert len(links) > 256
+    assert got == [
+        link_sinr(tx, rx, tuple(t for t in order if t not in (tx, rx)), radio, UNIT_GRID) for tx, rx in links
+    ]
+    assert all(0.0 <= sinr < math.inf for sinr in got)
+
+
+def test_slot_sinrs_reject_a_non_adjacent_link_as_link_sinr_does():
+    grid = SINR_GRIDS[4]
+    radio = RadioParams()
+    message = "^link 1->10 does not span adjacent subcells$"
+    with pytest.raises(RadioError, match=message):
+        link_sinr(1, 10, (), radio, grid)
+    with pytest.raises(RadioError, match=message):
+        slot_sinrs([(1, 0), (1, 10)], (1,), radio, grid)
+
+
+def _silent_grid():
+    """H=2 grid whose noise term underflows to 0.0 at noise = 1e-320."""
+    grid = SubcellGrid(GridParams(H=2, R=1e-3))
+    radio = RadioParams(noise=1e-320)
+    assert radio.noise_term(grid.params.relay_distance) == 0.0
+    return grid, radio
+
+
+def test_sinr_without_interference_or_noise_fails_by_name():
+    grid, radio = _silent_grid()
+    message = r"^SINR of link 1->0 is not finite: power 0\.15 over interference plus noise 0\.0$"
+    with pytest.raises(RadioError, match=message):
+        link_sinr(1, 0, (), radio, grid)
+    with pytest.raises(RadioError, match=message):
+        slot_sinrs([(1, 0)], (1,), radio, grid)
