@@ -138,24 +138,6 @@ def apply_traffic_step(state: TrafficState) -> tuple[frozenset[str], frozenset[s
 # per-route performance
 
 
-@dataclass(frozen=True)
-class RouteMetrics:
-    """Bottleneck capacity, total slot delay and energy cost of one user's route."""
-
-    user: str
-    capacity: float
-    delay: float
-    cost: float
-    routed: bool = True
-
-    @property
-    def rate(self) -> float:
-        """Capacity per slot of delay and watt of cost; zero when unrouted."""
-        if not self.routed or not math.isfinite(self.delay):
-            return 0.0
-        return self.capacity / (self.delay * self.cost)
-
-
 def user_utility(capacity: float, delay: float, cost: float, revenue: float) -> float:
     """Revenue-weighted rate of one user: revenue * C / (D * cost)."""
     if capacity == 0.0 or math.isinf(delay):
@@ -527,10 +509,11 @@ class OffloadContext:
     context memoizes the work that repeats across the offload sets of a
     negotiation, in three tables:
 
-    * ``_routes``: every placed cell's MDR route, keyed by direction (toward
-      the access points or not) and then by cell (see ``_cell_routes``);
-    * ``_instants``: each traffic instant's metrics, keyed by its
-      base-station and WLAN users in name order (see ``_instant``);
+    * ``_legs``: the leg table of each direction (toward the access points
+      or not), every placed cell's ``_Leg`` by cell (see ``_leg_table``);
+    * ``_instants``: each traffic instant's ``_Instant``, its users'
+      capacities, delays, costs and rates as floats, keyed by its
+      base-station and WLAN user sets (see ``_instant``);
     * ``_link_caps``: each link's capacity, keyed by (tx, rx, sorted co-slot
       transmitters), the link's own endpoints excluded (see
       ``link_capacities``).
@@ -540,7 +523,7 @@ class OffloadContext:
     dest: Destinations
     radio: RadioParams
     placements: Mapping[str, int]
-    _routes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _legs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _instants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _link_caps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -550,7 +533,7 @@ class OffloadContext:
         object.__setattr__(self, "placements", MappingProxyType(dict(self.placements)))
         blocked = self.dest.indices()
         for user, cell in self.placements.items():
-            if not 0 < cell < len(self.grid.cells):
+            if not 0 <= cell < len(self.grid.cells):
                 raise EconError(f"user {user!r} placed on unknown subcell {cell!r}")
             if cell in blocked:
                 raise EconError(f"user {user!r} sits on a destination subcell")
@@ -564,86 +547,118 @@ class OffloadContext:
         return frozenset(cells)
 
 
-def _cell_routes(ctx: OffloadContext, to_ap: bool) -> dict[int, Route]:
-    """MDR route of every placed cell toward the access points or the base station, by cell.
+@dataclass(frozen=True)
+class _Leg:
+    """One placed cell's route in one direction, with what every instant reads of it.
+
+    ``slot_classes`` pairs each link with its slot class: the color of its
+    transmitter, or None for a WLAN hop (both endpoints in the WLAN
+    domain), of which there are ``wlan_hops``.  ``macro_wait`` is the
+    round robin's NUM_COLORS slots per other hop; ``cost`` is the power
+    per hop times the hops, or one power when the route is not ``routed``.
+    """
+
+    route: Route
+    slot_classes: tuple[tuple[tuple[int, int], int | None], ...]
+    wlan_hops: int
+    macro_wait: int
+    cost: float
+    routed: bool
+
+
+def _leg_table(ctx: OffloadContext, to_ap: bool) -> dict[int, _Leg]:
+    """``_Leg`` of every placed cell toward the access points or the base station, by cell.
 
     At p=1 with every relay up a route depends only on its cell and its
     direction, so the first use extracts every placed cell at once: one
-    extraction per direction and context.
+    extraction and one table per direction and context.
     """
-    if to_ap not in ctx._routes:
+    table = ctx._legs.get(to_ap)
+    if table is None:
         if to_ap:
             dest = Destinations(bs=None, aps=ctx.dest.aps, coverage=ctx.dest.coverage)
         else:
             dest = Destinations(bs=ctx.dest.bs)
         config = ProtocolConfig(kind=MDR, p=1.0)
         overlay = ScenarioOverlay(sources=tuple(sorted(set(ctx.placements.values()))))
-        routes = extract_routes(ctx.grid, dest, overlay, config).routes
-        ctx._routes[to_ap] = {r.source: r for r in routes}
-    return ctx._routes[to_ap]
+        domain, colors, power = ctx.wlan_domain, ctx.grid.colors, ctx.radio.power
+        table = ctx._legs[to_ap] = {}
+        for route in extract_routes(ctx.grid, dest, overlay, config).routes:
+            classes = tuple(
+                (link, None if link[0] in domain and link[1] in domain else colors[link[0]])
+                for link in route.links
+            )
+            hops = len(classes)
+            wlan = sum(color is None for _, color in classes)
+            routed = route.complete and hops > 0
+            cost = power * hops if routed else power
+            table[route.source] = _Leg(route, classes, wlan, (hops - wlan) * NUM_COLORS, cost, routed)
+    return table
 
 
-def _instant(
-    ctx: OffloadContext, bs_users: Iterable[str], wlan_users: Iterable[str]
-) -> Mapping[str, RouteMetrics]:
+@dataclass(frozen=True)
+class _Instant:
+    """Capacity, delay, cost and rate of every user of one traffic instant, by user."""
+
+    capacity: dict[str, float]
+    delay: dict[str, float]
+    cost: dict[str, float]
+    rate: dict[str, float]
+
+
+def _instant(ctx: OffloadContext, bs_users: frozenset[str], wlan_users: frozenset[str]) -> _Instant:
     """``_instant_metrics`` of one traffic instant, computed once per context.
 
-    Routes list the base-station users first, each group in name order; that
-    order fixes every capacity sum, so the key lists the users the same way.
+    The legs list the base-station users first, each group in name order,
+    which numbers the WLAN slots.  No capacity depends on that order, and
+    ``offload_breakdown`` adds every rate sum in name order, so the memo is
+    keyed by the two user sets alone.
     """
-    groups = ((sorted(bs_users), False), (sorted(wlan_users), True))
-    key = tuple(tuple(users) for users, _ in groups)
-    if key not in ctx._instants:
-        routes: dict[str, Route] = {}
-        for users, to_ap in groups:
+    key = (bs_users, wlan_users)
+    instant = ctx._instants.get(key)
+    if instant is None:
+        legs: dict[str, _Leg] = {}
+        for users, to_ap in ((bs_users, False), (wlan_users, True)):
             if users:
-                by_cell = _cell_routes(ctx, to_ap)
-                routes.update((u, by_cell[ctx.placements[u]]) for u in users)
-        ctx._instants[key] = MappingProxyType(_instant_metrics(ctx, routes))
-    return ctx._instants[key]
+                table = _leg_table(ctx, to_ap)
+                legs.update((u, table[ctx.placements[u]]) for u in sorted(users))
+        instant = ctx._instants[key] = _instant_metrics(ctx, legs)
+    return instant
 
 
-def _instant_metrics(
-    ctx: OffloadContext, routes: Mapping[str, Route]
-) -> dict[str, RouteMetrics]:
-    """Metrics for every user of one traffic instant.
+def _instant_metrics(ctx: OffloadContext, legs: Mapping[str, _Leg]) -> _Instant:
+    """Capacity, delay, cost and rate of every user of one traffic instant.
 
     Links whose endpoints both sit in the WLAN domain run on the access
     point's sequential schedule: every user's hop gets its own slot (a
     shared relay transmits once per user), so the cycle counts link
     instances and there is no co-slot interference.  All other links share
-    the macrocell's color round robin.
+    the macrocell's color round robin.  The slot table holds one slot per
+    color and one per distinct WLAN hop, numbered past the colors by the
+    hop's place among the instant's distinct links.  A user's rate is
+    capacity / (delay * cost), and 0.0 when its route is incomplete.
     """
-    grid, radio = ctx.grid, ctx.radio
-    domain = ctx.wlan_domain
-
-    def on_wlan(link: tuple[int, int]) -> bool:
-        return link[0] in domain and link[1] in domain
-
-    wlan_hops = {user: sum(map(on_wlan, route.links)) for user, route in routes.items()}
-    wlan_wait = max(sum(wlan_hops.values()), 1)
+    # each distinct link once, in first-use order, with its slot class
+    classes: dict[tuple[int, int], int | None] = {}
+    for leg in legs.values():
+        classes.update(leg.slot_classes)
     slots: dict[int, list[tuple[int, int]]] = {}
-    instances = (link for route in routes.values() for link in route.links)
-    for n, link in enumerate(dict.fromkeys(instances)):
-        # Each WLAN hop gets a slot of its own past the color round robin.
-        slot = NUM_COLORS + n if on_wlan(link) else grid.colors[link[0]]
-        slots.setdefault(slot, []).append(link)
-    caps = link_capacities(slots, radio, grid, ctx._link_caps)
+    for n, (link, color) in enumerate(classes.items()):
+        slots.setdefault(NUM_COLORS + n if color is None else color, []).append(link)
+    caps = link_capacities(slots, ctx.radio, ctx.grid, ctx._link_caps)
 
-    metrics: dict[str, RouteMetrics] = {}
-    for user, route in routes.items():
-        hops = len(route.links)
-        if not route.complete or not hops:
-            metrics[user] = RouteMetrics(user, 0.0, math.inf, radio.power, routed=False)
-            continue
-        on = wlan_hops[user]
-        metrics[user] = RouteMetrics(
-            user=user,
-            capacity=route_capacity(route, caps),
-            delay=float(on * wlan_wait + (hops - on) * NUM_COLORS),
-            cost=radio.power * hops,
-        )
-    return metrics
+    wlan_wait = max(sum(leg.wlan_hops for leg in legs.values()), 1)
+    instant = _Instant({}, {}, {}, {})
+    capacities, delays, costs, rates = instant.capacity, instant.delay, instant.cost, instant.rate
+    for user, leg in legs.items():
+        if leg.routed:
+            capacity = capacities[user] = route_capacity(leg.route, caps)
+            delay = delays[user] = float(leg.wlan_hops * wlan_wait + leg.macro_wait)
+            rates[user] = capacity / (delay * leg.cost)
+        else:
+            capacities[user], delays[user], rates[user] = 0.0, math.inf, 0.0
+        costs[user] = leg.cost
+    return instant
 
 
 @dataclass(frozen=True)
@@ -655,15 +670,14 @@ class OffloadBreakdown:
     bs_after: float
     wlan_after: float
     offload_after: float
-    metrics_before: Mapping[str, RouteMetrics]
-    metrics_after: Mapping[str, RouteMetrics]
 
 
 def offload_breakdown(ctx: OffloadContext, state: TrafficState) -> OffloadBreakdown:
     """Evaluate both traffic instants of one offload step.
 
     The price and revenues enter the offsets linearly, so everything
-    price-dependent reduces to these per-group rate sums.
+    price-dependent reduces to these per-group rate sums, each added in
+    user-name order.
     """
     missing = (
         state.bs_users | state.wlan_users | state.bs_arrivals | state.wlan_arrivals
@@ -671,8 +685,8 @@ def offload_breakdown(ctx: OffloadContext, state: TrafficState) -> OffloadBreakd
     if missing:
         raise EconError(f"users without placements: {sorted(missing)}")
 
-    def rates(users: Iterable[str], metrics: Mapping[str, RouteMetrics]) -> float:
-        return sum(metrics[u].rate for u in sorted(users))
+    def rates(users: Iterable[str], instant: _Instant) -> float:
+        return sum(map(instant.rate.__getitem__, sorted(users)))
 
     before = _instant(ctx, state.bs_users, state.wlan_users)
     bs_next, wlan_next = apply_traffic_step(state)
@@ -684,8 +698,6 @@ def offload_breakdown(ctx: OffloadContext, state: TrafficState) -> OffloadBreakd
         bs_after=rates(bs_next, after),
         wlan_after=rates(wlan_next - state.offload, after),
         offload_after=rates(state.offload, after),
-        metrics_before=before,
-        metrics_after=after,
     )
 
 

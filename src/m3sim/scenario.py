@@ -768,7 +768,12 @@ def _cmd_capacity(scn: ScenarioFile, seed: int, walks: int) -> ResultTable:
 def _cmd_negotiate(scn: ScenarioFile, seed: int, walks: int) -> ResultTable:
     if not scn.steps:
         raise ScenarioError("negotiation needs a traffic section with steps")
-    ctx = OffloadContext(grid=scn.grid, dest=scn.dest, radio=scn.radio, placements=scn.users)
+    # the context owns both rules; checking the access points before any
+    # user is placed tells which key to name
+    with _named("destinations.aps"):
+        ctx = OffloadContext(grid=scn.grid, dest=scn.dest, radio=scn.radio, placements={})
+    with _named("traffic.users"):
+        ctx = replace(ctx, placements=scn.users)
     rows = []
     for s, state in enumerate(scn.steps, start=1):
         if not state.offload:

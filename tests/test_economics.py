@@ -4,7 +4,7 @@ import inspect
 import math
 import random
 import re
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import pytest
@@ -21,7 +21,6 @@ from m3sim.economics import (
     NegotiationError,
     NegotiationResult,
     OffloadContext,
-    RouteMetrics,
     TrafficState,
     apply_traffic_step,
     cooperation_capacity_ratio,
@@ -82,6 +81,24 @@ def offload_state():
 
 # Per-route delay, cost and summed-utility oracles: the route algebra that
 # macrocell_utility and offload_breakdown fold into their own loops.
+
+
+@dataclass(frozen=True)
+class RouteMetrics:
+    """Bottleneck capacity, total slot delay and energy cost of one user's route."""
+
+    user: str
+    capacity: float
+    delay: float
+    cost: float
+    routed: bool = True
+
+    @property
+    def rate(self) -> float:
+        """Capacity per slot of delay and watt of cost; zero when unrouted."""
+        if not self.routed or not math.isfinite(self.delay):
+            return 0.0
+        return self.capacity / (self.delay * self.cost)
 
 
 def network_utility(metrics, revenue):
@@ -668,14 +685,11 @@ def test_offload_user_capacities_match_reference():
     scn = load_scenario(bundled_scenario("offload"))
     ctx = OffloadContext(grid=scn.grid, dest=scn.dest, radio=scn.radio, placements=scn.users)
     for state in scn.steps:
-        b = offload_breakdown(ctx, state)
-        instants = (
-            ((state.bs_users, state.wlan_users), b.metrics_before),
-            (apply_traffic_step(state), b.metrics_after),
-        )
-        for (bs_users, wlan_users), metrics in instants:
+        offload_breakdown(ctx, state)
+        for bs_users, wlan_users in ((state.bs_users, state.wlan_users), apply_traffic_step(state)):
             expected = _reference_user_capacities(ctx, bs_users, wlan_users)
-            assert {u: m.capacity for u, m in metrics.items()} == expected
+            # the breakdown memoized both instants, so this reads its records
+            assert economics._instant(ctx, bs_users, wlan_users).capacity == expected
 
 
 # -- offloading --------------------------------------------------------------
@@ -690,6 +704,9 @@ def test_offload_context_validation():
         OffloadContext(grid=GRID4, dest=dest, radio=radio, placements={"u": 31})
     with pytest.raises(EconError):
         OffloadContext(grid=GRID4, dest=dest, radio=radio, placements={"u": 99})
+    # subcell 0 exists: it is the base station, so the destination rule names it
+    with pytest.raises(EconError, match="^user 'u' sits on a destination subcell$"):
+        OffloadContext(grid=GRID4, dest=dest, radio=radio, placements={"u": 0})
 
 
 def test_wlan_domain(offload_ctx):
@@ -698,15 +715,16 @@ def test_wlan_domain(offload_ctx):
 
 def test_offload_breakdown_wlan_schedule(offload_ctx, offload_state):
     b = offload_breakdown(offload_ctx, offload_state)
+    after = economics._instant(offload_ctx, *apply_traffic_step(offload_state))
     # after the step u4 joins u5 on the access point: two WLAN link instances
-    assert b.metrics_after["u4"].delay == 2.0
-    assert b.metrics_after["u5"].delay == 2.0
+    assert after.delay["u4"] == 2.0
+    assert after.delay["u5"] == 2.0
     # same one-hop geometry, no co-slot interference: identical capacity
-    assert b.metrics_after["u4"].capacity == pytest.approx(b.metrics_after["u5"].capacity)
+    assert after.capacity["u4"] == pytest.approx(after.capacity["u5"])
     # macro users keep paying the full round robin per hop
-    assert b.metrics_after["u1"].delay == 14.0
-    assert b.metrics_after["u2"].delay == 21.0
-    assert b.offload_after == pytest.approx(b.metrics_after["u4"].rate)
+    assert after.delay["u1"] == 14.0
+    assert after.delay["u2"] == 21.0
+    assert b.offload_after == pytest.approx(after.rate["u4"])
 
 
 def test_offload_breakdown_requires_placements(offload_ctx):
@@ -1251,6 +1269,115 @@ def test_memoized_link_capacities_match_memo_free_calls(study):
         for state in steps:
             negotiate(ctx, state, econ, mode="price-and-set")
     assert len(checked) == len(ctx._instants)
+
+
+def _oracle_instant(ctx, bs_users, wlan_users):
+    """Reference: one traffic instant's ``RouteMetrics`` by user, from fresh
+    routes, an ``on_wlan`` test per link and memo-free link capacities.
+
+    Routes list the base-station users first, each group in name order.  A
+    link whose endpoints both sit in the WLAN domain gets a slot of its own
+    past the color round robin, numbered by its place among the instant's
+    distinct links; every other link sits in its transmitter's color slot.
+    """
+    domain = ctx.wlan_domain
+    to_bs = Destinations(bs=ctx.dest.bs)
+    to_ap = Destinations(bs=None, aps=ctx.dest.aps, coverage=ctx.dest.coverage)
+    routes = {}
+    for users, dest in ((sorted(bs_users), to_bs), (sorted(wlan_users), to_ap)):
+        if users:
+            overlay = ScenarioOverlay(sources=tuple(sorted({ctx.placements[u] for u in users})))
+            extracted = extract_routes(ctx.grid, dest, overlay, ProtocolConfig(kind=MDR)).routes
+            by_cell = {r.source: r for r in extracted}
+            routes.update((u, by_cell[ctx.placements[u]]) for u in users)
+
+    def on_wlan(link):
+        return link[0] in domain and link[1] in domain
+
+    wlan_hops = {user: sum(map(on_wlan, route.links)) for user, route in routes.items()}
+    wlan_wait = max(sum(wlan_hops.values()), 1)
+    slots = {}
+    instances = (link for route in routes.values() for link in route.links)
+    for n, link in enumerate(dict.fromkeys(instances)):
+        slot = NUM_COLORS + n if on_wlan(link) else ctx.grid.colors[link[0]]
+        slots.setdefault(slot, []).append(link)
+    caps = link_capacities(slots, ctx.radio, ctx.grid)
+
+    metrics = {}
+    for user, route in routes.items():
+        hops = len(route.links)
+        if not route.complete or not hops:
+            metrics[user] = RouteMetrics(user, 0.0, math.inf, ctx.radio.power, routed=False)
+            continue
+        on = wlan_hops[user]
+        metrics[user] = RouteMetrics(
+            user=user,
+            capacity=route_capacity(route, caps),
+            delay=float(on * wlan_wait + (hops - on) * NUM_COLORS),
+            cost=ctx.radio.power * hops,
+        )
+    return metrics
+
+
+def _oracle_breakdown(ctx, state):
+    """Reference: the five rate sums of one offload step, each in name order."""
+
+    def rates(users, metrics):
+        return sum(metrics[u].rate for u in sorted(users))
+
+    before = _oracle_instant(ctx, state.bs_users, state.wlan_users)
+    bs_next, wlan_next = apply_traffic_step(state)
+    after = _oracle_instant(ctx, bs_next, wlan_next)
+    return (
+        rates(state.bs_users, before),
+        rates(state.wlan_users, before),
+        rates(bs_next, after),
+        rates(wlan_next - state.offload, after),
+        rates(state.offload, after),
+    )
+
+
+def _assert_instants_match_the_oracle(ctx, steps, econ):
+    """Negotiate every step in both modes, each on a new context, and compare
+    every memoized instant and every probed breakdown with the oracle."""
+    for mode in ("price", "price-and-set"):
+        fresh = replace(ctx)
+        states = []
+        real = economics.offload_breakdown
+
+        def recorded(ctx, state):
+            states.append(state)
+            return real(ctx, state)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(economics, "offload_breakdown", recorded)
+            for state in steps:
+                negotiate(fresh, state, econ, mode=mode)
+        assert states
+        for state in states:
+            b = offload_breakdown(fresh, state)
+            sums = (b.bs_before, b.wlan_before, b.bs_after, b.wlan_after, b.offload_after)
+            assert sums == _oracle_breakdown(fresh, state)
+        for (bs_users, wlan_users), instant in fresh._instants.items():
+            expected = _oracle_instant(fresh, bs_users, wlan_users)
+            assert instant.rate.keys() == expected.keys()
+            for user, m in expected.items():
+                got = (instant.capacity[user], instant.delay[user], instant.cost[user], instant.rate[user])
+                assert got == (m.capacity, m.delay, m.cost, m.rate), user
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(offload_studies())
+def test_memoized_instants_equal_the_oracle_on_random_placements(study):
+    ctx, steps = study
+    econ = EconParams(mno_revenue=2.0, sso_revenue=1.0, price_step=0.02, price_bounds=(0.05, 2.0))
+    _assert_instants_match_the_oracle(ctx, steps, econ)
+
+
+def test_memoized_instants_equal_the_oracle_on_the_bundled_scenario():
+    scn = load_scenario(bundled_scenario("offload"))
+    ctx = OffloadContext(grid=scn.grid, dest=scn.dest, radio=scn.radio, placements=scn.users)
+    _assert_instants_match_the_oracle(ctx, scn.steps, scn.econ)
 
 
 def test_negotiate_extracts_each_direction_and_each_instant_once(monkeypatch):

@@ -799,6 +799,35 @@ def test_cli_reports_an_exhausted_negotiation(tmp_path, capsys):
     ) in err
 
 
+_EDGE_STEPS = "  steps: [{bs: [u1, u2], offload: [u1]}]\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "destinations: {aps: [[3, 250]]}\ntraffic:\n  users: {u1: [2, 0], u2: [3, 250]}\n" + _EDGE_STEPS,
+            "traffic.users: user 'u2' sits on a destination subcell",
+        ),
+        (
+            # subcell 0 is the base station, not an unknown subcell
+            "destinations: {aps: [[3, 250]]}\ntraffic:\n  users: {u1: [2, 0], u2: [0, 0]}\n" + _EDGE_STEPS,
+            "traffic.users: user 'u2' sits on a destination subcell",
+        ),
+        (
+            "traffic:\n  users: {u1: [2, 0], u2: [3, 250]}\n" + _EDGE_STEPS,
+            "destinations.aps: offloading needs at least one access point",
+        ),
+    ],
+    ids=["user-on-an-access-point", "user-on-the-base-station", "no-access-point"],
+)
+def test_negotiate_names_the_key_an_offload_context_refuses(tmp_path, text, message):
+    path = write(tmp_path, "name: edge\ngrid: {H: 4}\n" + text)
+    with pytest.raises(ScenarioError) as caught:
+        run_experiment(load_scenario(path), "negotiate")
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
