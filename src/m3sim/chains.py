@@ -35,7 +35,11 @@ search for every draw; the starts are the ones ``Generator.choice`` draws.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
 
@@ -321,12 +325,27 @@ def _initial_distribution(chain: AbsorbingChain, start: np.ndarray | None) -> np
 def _banded_lu():
     """LAPACK's banded LU factorization and solve, ``(dgbtrf, dgbtrs)``.
 
-    Imported at the first solve rather than with the module: loading
-    ``scipy.linalg`` costs more than a study that builds no chain takes.
+    Taken at the first solve from scipy's compiled extension
+    ``scipy.linalg._flapack``, loaded on its own: importing it through
+    ``scipy.linalg`` would first run that package's ``__init__``, which
+    loads numpy.testing, numpy.f2py and numpy.ma among others and takes
+    about 0.2 s, against a few milliseconds for the extension.  It is
+    registered under its full name, so a later ``import scipy.linalg``
+    reuses it and ``scipy.linalg.lapack`` exports these same functions.
     """
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
-
-    return dgbtrf, dgbtrs
+    name = "scipy.linalg._flapack"
+    flapack = sys.modules.get(name)
+    if flapack is None:
+        # finding the top-level package does not import it
+        scipy = importlib.util.find_spec("scipy")
+        dirs = [os.path.join(d, "linalg") for d in (scipy and scipy.submodule_search_locations or ())]
+        spec = importlib.machinery.PathFinder.find_spec(name, dirs) if dirs else None
+        if spec is None:
+            raise ImportError(f"cannot find {name}, which holds LAPACK's dgbtrf and dgbtrs", name=name)
+        flapack = importlib.util.module_from_spec(spec)
+        sys.modules[name] = flapack
+        spec.loader.exec_module(flapack)
+    return flapack.dgbtrf, flapack.dgbtrs
 
 
 def absorption_statistics(chain: AbsorbingChain, start: np.ndarray | None = None) -> ChainStatistics:

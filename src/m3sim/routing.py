@@ -249,7 +249,8 @@ def _rank_law(p: float, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     checks no availability, as it lists no row.
     """
     probs, residual = np.zeros((_RANKS.size + 1, _RANKS.size)), np.zeros(_RANKS.size + 1)
-    for count in np.unique(counts).tolist():
+    # the distinct counts, in order; np.unique would load numpy.ma for them
+    for count in np.flatnonzero(np.bincount(counts)).tolist():
         row, residual[count] = rank_probabilities(p, count)
         probs[count, :count] = row
     return probs[counts], residual[counts]

@@ -479,6 +479,14 @@ def load_scenario(path: str | Path) -> ScenarioFile:
                 wlan_departures=user_set(i, entry, "wlan_departures"),
                 offload=user_set(i, entry, "offload"),
             )
+        # a user inherited from an earlier step was refused there
+        if dest.bs is None:
+            for key, named in (("bs", state.bs_users), ("bs_arrivals", state.bs_arrivals)):
+                if named:
+                    raise ScenarioError(
+                        f"traffic.steps[{i}].{key}: base-station users {', '.join(sorted(named))} "
+                        "need the base station, but destinations.bs is false"
+                    )
         steps.append(state)
         bs_now, wlan_now = apply_traffic_step(state)
 

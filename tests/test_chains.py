@@ -1,8 +1,12 @@
 """Absorbing-chain analytics against closed-form cases and Monte Carlo runs."""
 
 import dataclasses
+import importlib.machinery
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -376,6 +380,52 @@ def test_negative_variance_within_roundoff_reads_zero(monkeypatch):
     monkeypatch.setattr(m3sim.chains, "_banded_lu", _negative_variance_solve(-1e-12))
     stats = absorption_statistics(geometric(1.0))
     assert stats.var_tau[0] == 0.0 and stats.tau[0] == 1.0
+
+
+_BANDED_LU = (
+    "import sys\nfrom m3sim.chains import _banded_lu\n"
+    "pair = _banded_lu()\nflapack = sys.modules['scipy.linalg._flapack']\n"
+)
+_IMPORT_ORDERS = {
+    "banded-lu-first": _BANDED_LU + "import scipy.linalg.lapack as lapack\n",
+    "scipy-first": "import scipy.linalg.lapack as lapack\n" + _BANDED_LU,
+}
+
+
+@pytest.mark.parametrize("imports", _IMPORT_ORDERS.values(), ids=_IMPORT_ORDERS)
+def test_banded_lu_returns_scipys_own_lapack_functions_in_either_import_order(imports):
+    # the extension loaded on its own is the module scipy.linalg goes on to
+    # use, so the solve calls the very functions scipy.linalg.lapack exports
+    src = str(Path(m3sim.chains.__file__).resolve().parents[1])
+    script = imports + (
+        "assert flapack is lapack._flapack\n"
+        "assert pair[0] is lapack.dgbtrf and pair[1] is lapack.dgbtrs\nprint('same')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "same\n"
+
+
+@pytest.mark.parametrize("scipy_found", [False, True], ids=["no-scipy", "no-extension"])
+def test_banded_lu_names_the_extension_it_cannot_find(monkeypatch, tmp_path, scipy_found):
+    # a scipy package directory without linalg/_flapack, or no scipy at all
+    empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    empty.submodule_search_locations = [str(tmp_path)]
+    real = importlib.util.find_spec
+    monkeypatch.setattr(
+        importlib.util,
+        "find_spec",
+        lambda name, package=None: (empty if scipy_found else None) if name == "scipy" else real(name, package),
+    )
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack"):
+        m3sim.chains._banded_lu()
 
 
 def test_singular_i_minus_q_is_reported():

@@ -375,6 +375,17 @@ MALFORMED = [
         "traffic: {users: {u1: [2, 0]}, steps: [{bs: [u1], wlan: [u1]}]}",
         "traffic.steps[0]: a user cannot sit in both networks at once",
     ),
+    # with no base station a base-station user has nowhere to route
+    (
+        "destinations: {bs: false, aps: [[3, 250]]}\n"
+        "traffic: {users: {u1: [2, 0]}, steps: [{bs: [u1], offload: [u1]}]}",
+        "traffic.steps[0].bs: base-station users u1 need the base station, but destinations.bs is false",
+    ),
+    (
+        "destinations: {bs: false, aps: [[3, 250]]}\n"
+        "traffic: {users: {u1: [2, 0], u2: [2, 60]}, steps: [{wlan: [u1]}, {bs_arrivals: [u2]}]}",
+        "traffic.steps[1].bs_arrivals: base-station users u2 need the base station",
+    ),
 ]
 
 
@@ -991,6 +1002,31 @@ def test_capacity_and_negotiate_run_without_loading_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "capacity.csv").exists() and (tmp_path / "negotiate.csv").exists()
+
+
+def test_chain_studies_load_only_scipys_lapack_extension(tmp_path):
+    # the chain solve needs dgbtrf and dgbtrs alone; scipy.linalg's package
+    # init would also load numpy.testing, numpy.f2py and numpy.ma, about 0.2 s
+    src = str(Path(m3sim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = textwrap.dedent(
+        """
+        import sys
+        import m3sim.cli
+        scenario = str(m3sim.cli.bundled_scenario("default"))
+        for command in ("tessellate", "routes", "verify"):
+            assert m3sim.cli.main([command, "--scenario", scenario, "--out", sys.argv[1]]) == 0
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+        print(sorted(name for name in ("numpy.ma", "numpy.testing", "numpy.f2py") if name in sys.modules))
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["['scipy.linalg._flapack']", "[]"]
+    for command in ("tessellate", "routes", "verify"):
+        assert (tmp_path / f"{command}.csv").exists()
 
 
 def test_cli_rejects_unknown_command():
