@@ -59,10 +59,10 @@ class ProtocolConfig:
 
     ``interference_threshold`` is the center-distance ratio below which two
     links may not share a slot; ``relay_color`` pins the coordinated relay
-    color (otherwise the most populated color class is assumed when sizing
-    availability, and route extraction searches all colors);
-    ``allow_fallback`` lets deterministic mLIR routes fall back to
-    minimum-distance hops when no relay of the chosen color is reachable.
+    color (otherwise ``coordinated_color`` picks it, for the LIR chain and
+    for route extraction alike); ``allow_fallback`` lets deterministic mLIR
+    routes fall back to minimum-distance hops when no relay of the chosen
+    color is reachable.
     """
 
     kind: str = MDR
@@ -126,18 +126,28 @@ def coordination_probability(p: float, n_color: int) -> float:
     return p**n_color
 
 
+def coordinated_color(grid: SubcellGrid, dest: Destinations, relay_color: int | None = None) -> int:
+    """The coordinated relay color: ``relay_color`` when pinned, otherwise the largest class.
+
+    Classes count the ring subcells that are not destinations, and ties
+    resolve to the smaller color.  The LIR chain sizes its coordination
+    probability with this color's class, and mLIR/LIR routes relay through
+    it when neither the overlay nor the protocol pins one.
+    """
+    if relay_color is not None:
+        return relay_color
+    pops = grid.color_populations(exclude=dest.indices())
+    return pops.index(max(pops))
+
+
 def coordinated_color_population(
     grid: SubcellGrid, dest: Destinations, relay_color: int | None = None
 ) -> int:
-    """Size of the color class that must be simultaneously available.
+    """Size of the ``coordinated_color`` class, which must be simultaneously available.
 
-    Counted over ring subcells that are not destinations.  When no color is
-    pinned the largest class is used, ties resolving to the smaller color.
+    Counted over ring subcells that are not destinations.
     """
-    pops = grid.color_populations(exclude=dest.indices())
-    if relay_color is not None:
-        return pops[relay_color]
-    return max(pops)
+    return grid.color_populations(exclude=dest.indices())[coordinated_color(grid, dest, relay_color)]
 
 
 def build_mdr_chain(
@@ -466,32 +476,6 @@ def _follow(hop, dest_idx, sources):
     return out
 
 
-def _reached(hop, dest_idx, sources):
-    """The destination each source's route reaches, None where it strands.
-
-    ``_follow`` without building the routes, for choosing the relay color:
-    a fallback-free color route ends within three cells, because the ranked
-    hop out of a k0 cell lands on a cell whose only k0 neighbour is the cell
-    just left.  A source whose successor path comes back to one of its own
-    cells is walked by ``_walk``.
-    """
-    successor = _successors(hop)
-    out = []
-    for src in sources:
-        cells, prev, current = [src], None, src
-        while True:
-            step = successor(current, prev)[1]
-            if step is None or step[0] in dest_idx:
-                out.append(None if step is None else step[0])
-                break
-            if step[0] in cells:
-                out.append(_walk(hop, dest_idx, src)[2])
-                break
-            prev, current = current, step[0]
-            cells.append(current)
-    return out
-
-
 def _lar_route(grid, dest, overlay):
     """Load-aware routes: sources routed in order, relay loads updated between.
 
@@ -571,9 +555,10 @@ def extract_routes(
 
     MDR/mMDR take the minimum-distance hop among available neighbours; LAR
     additionally weighs relay load; LIR/mLIR alternate hops through relays
-    of color k0.  When k0 is not pinned, the color completing the most
-    routes wins (ties to the smallest color, evaluated without fallback
-    first).  Routes never revisit a subcell; dead ends are returned as
+    of color k0.  When neither the overlay nor the protocol pins k0, it is
+    ``coordinated_color``, the class the LIR chain sizes, and without
+    fallback a route of that color that strands raises ``RoutingError``.
+    Routes never revisit a subcell; otherwise dead ends are returned as
     incomplete routes.
 
     Every rule but LAR's is read off a successor table over the states
@@ -596,18 +581,15 @@ def extract_routes(
     if config.kind in (MDR, MMDR):
         return RouteSet(_follow(_hopper(grid, dest, overlay, _nearest), dest_idx, sources), config.kind)
 
-    k0 = overlay.k0 if overlay.k0 is not None else config.relay_color
-    if k0 is None:
-        # pick the color whose strict (fallback-free) routes complete most sources
-        strict = (_hopper(grid, dest, overlay, _color_hop(grid.colors, c, False)) for c in range(NUM_COLORS))
-        complete = [sum(r is not None for r in _reached(hop, dest_idx, sources)) for hop in strict]
-        k0 = complete.index(max(complete))
-        if complete[k0] < len(sources) and not config.allow_fallback:
-            raise RoutingError(
-                "every relay color strands at least one source and fallback is disabled"
-            )
+    pinned = overlay.k0 if overlay.k0 is not None else config.relay_color
+    k0 = coordinated_color(grid, dest, pinned)
     hop = _hopper(grid, dest, overlay, _color_hop(grid.colors, k0, config.allow_fallback))
-    return RouteSet(routes=_follow(hop, dest_idx, sources), kind=config.kind, k0=k0)
+    routes = _follow(hop, dest_idx, sources)
+    if pinned is None and not config.allow_fallback and not all(r.complete for r in routes):
+        raise RoutingError(
+            f"relay color {k0} (reuse type {k0 + 1}) strands at least one source and fallback is disabled"
+        )
+    return RouteSet(routes=routes, kind=config.kind, k0=k0)
 
 
 # --------------------------------------------------------------------------

@@ -124,6 +124,9 @@ _SCHEMA: dict[str, dict[str, tuple[str, type] | None]] = {
     },
 }
 
+# least seed and walk count: the walker draws from a non-negative seed, and a study needs a walk
+_LEAST = {"seed": 0, "n_walks": 1}
+
 _OVERLAY_KEYS = ("name", "k0", "unavailable", "unavailable_types")
 
 _TRAFFIC_KEYS = (
@@ -195,6 +198,14 @@ def _number(where: str, value: Any, cast=float):
     except (TypeError, ValueError, OverflowError):
         kind = "a whole number" if cast is int else "a number"
         raise ScenarioError(f"{where} must be {kind}, got {value!r}") from None
+
+
+def _at_least(where: str, value: Any, least: int) -> int:
+    """``value`` as a whole number, refused by name below ``least``."""
+    number = _number(where, value, int)
+    if number < least:
+        raise ScenarioError(f"{where} must be a whole number >= {least}, got {number!r}")
+    return number
 
 
 def _real(value: Any) -> float:
@@ -450,6 +461,9 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     t = section("traffic")
     users: dict[str, int] = {}
     for uname, spec in _mapping("traffic.users", t.get("users")).items():
+        # YAML keys 1 and "1" differ, but both would name user '1'
+        if str(uname) in users:
+            raise ScenarioError(f"traffic.users: two users are named {str(uname)!r}")
         users[str(uname)] = resolve(spec, f"traffic.users.{uname}").i
 
     def user_set(step: int, entry: Mapping, key: str) -> frozenset[str]:
@@ -508,6 +522,9 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     # -- experiment (an empty or omitted sweep keeps the default axis)
     x = section("experiment")
     experiment_fields = _fields("experiment", x)
+    for key, least in _LEAST.items():
+        if key in x:
+            experiment_fields[key] = _at_least(f"experiment.{key}", x[key], least)
     h_values = _numbers("experiment.h_values", x.get("h_values"), int)
     for i, h in enumerate(h_values):
         if h < 1:
@@ -875,12 +892,10 @@ def run_experiment(
     if command not in _RUNNERS:
         raise ScenarioError(f"unknown command {command!r} (expected one of {', '.join(COMMANDS)})")
     runner = _RUNNERS[command]
+    seed = scenario.experiment.seed if seed is None else _at_least("seed override", seed, _LEAST["seed"])
+    walks = scenario.experiment.n_walks if walks is None else _at_least("walks override", walks, _LEAST["n_walks"])
     try:
-        return runner(
-            scenario,
-            scenario.experiment.seed if seed is None else int(seed),
-            scenario.experiment.n_walks if walks is None else int(walks),
-        )
+        return runner(scenario, seed, walks)
     except ScenarioError:
         raise
     except ValueError as exc:

@@ -184,6 +184,29 @@ def test_color_route_auto_k0_completes_sources():
     assert all(r.complete for r in rs.routes)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 16), st.data())
+def test_unpinned_routes_take_the_color_whose_class_the_lir_chain_sizes(h, data):
+    grid = SubcellGrid(GridParams(H=h))
+    aps = data.draw(st.lists(st.integers(1, len(grid.cells) - 1), max_size=2, unique=True))
+    bs = grid.cell(0) if not aps or data.draw(st.booleans()) else None
+    dest = Destinations(bs=bs, aps=tuple(grid.cell(a) for a in aps))
+    pops = grid.color_populations(exclude=dest.indices())
+    overlay = ScenarioOverlay(sources=tuple(c for c in range(len(grid.cells)) if c not in dest.indices()))
+    for kind in (LIR, MLIR):
+        k0 = extract_routes(grid, dest, overlay, ProtocolConfig(kind=kind)).k0
+        assert pops[k0] == coordinated_color_population(grid, dest)
+        assert pops.index(pops[k0]) == k0
+    # without fallback, the unpinned color's routes are the pinned ones, or a stranding error naming it
+    strict = ProtocolConfig(kind=MLIR, allow_fallback=False)
+    routes = extract_routes(grid, dest, replace(overlay, k0=k0), strict).routes
+    if all(r.complete for r in routes):
+        assert extract_routes(grid, dest, overlay, strict).routes == routes
+    else:
+        with pytest.raises(RoutingError, match=rf"relay color {k0} \(reuse type {k0 + 1}\) .*fallback is disabled"):
+            extract_routes(grid, dest, overlay, strict)
+
+
 def test_fallback_disabled_strands_boxed_source():
     grid = SubcellGrid(GridParams(H=2))
     dest = make_destinations(grid)
@@ -522,6 +545,12 @@ def _ref_color_route(grid, dest, overlay, source_idx, k0, allow_fallback):
     return Route(source_idx, tuple(cells), None, tuple(modes))
 
 
+def _ref_unpinned_color(grid, dest):
+    """The largest color class of non-destination ring cells, ties to the smaller color."""
+    counts = Counter(grid.cluster_color(c) for c in grid.cells[1:] if c.i not in dest.indices())
+    return max(range(NUM_COLORS), key=lambda k: (counts[k], -k))
+
+
 def _ref_extract_routes(grid, dest, overlay, config):
     """Route extraction as three separate loops: greedy, load-aware, color."""
     if config.kind in (MDR, MMDR):
@@ -535,18 +564,11 @@ def _ref_extract_routes(grid, dest, overlay, config):
                 for idx in route.cells[1:-1]:
                     load[idx] = load.get(idx, 0) + 1
         return routes, None
-    k0 = overlay.k0 if overlay.k0 is not None else config.relay_color
-    if k0 is None:
-        best_color, best_complete = 0, -1
-        for color in range(7):
-            strict = [_ref_color_route(grid, dest, overlay, s, color, False) for s in overlay.sources]
-            complete = sum(r.complete for r in strict)
-            if complete > best_complete:
-                best_color, best_complete = color, complete
-        if best_complete < len(overlay.sources) and not config.allow_fallback:
-            raise RoutingError("stranded")
-        k0 = best_color
+    pinned = overlay.k0 if overlay.k0 is not None else config.relay_color
+    k0 = _ref_unpinned_color(grid, dest) if pinned is None else pinned
     routes = [_ref_color_route(grid, dest, overlay, s, k0, config.allow_fallback) for s in overlay.sources]
+    if pinned is None and not config.allow_fallback and not all(r.complete for r in routes):
+        raise RoutingError("stranded")
     return routes, k0
 
 
@@ -592,7 +614,7 @@ def test_extract_routes_matches_per_protocol_loops(case):
 
 
 def _walked(grid, dest, overlay, config):
-    """extract_routes by one ``_walk`` per source; an unpinned color by seven walks of every source."""
+    """extract_routes by one ``_walk`` per source; an unpinned color is the largest class."""
     dest_idx = dest.indices()
 
     def walk_all(choose):
@@ -602,13 +624,12 @@ def _walked(grid, dest, overlay, config):
 
     if config.kind in (MDR, MMDR):
         return walk_all(routing._nearest), None
-    k0 = overlay.k0 if overlay.k0 is not None else config.relay_color
-    if k0 is None:
-        complete = [sum(r.complete for r in walk_all(routing._color_hop(grid.colors, c, False))) for c in range(7)]
-        k0 = complete.index(max(complete))
-        if complete[k0] < len(overlay.sources) and not config.allow_fallback:
-            raise RoutingError("fallback is disabled")
-    return walk_all(routing._color_hop(grid.colors, k0, config.allow_fallback)), k0
+    pinned = overlay.k0 if overlay.k0 is not None else config.relay_color
+    k0 = _ref_unpinned_color(grid, dest) if pinned is None else pinned
+    routes = walk_all(routing._color_hop(grid.colors, k0, config.allow_fallback))
+    if pinned is None and not config.allow_fallback and not all(r.complete for r in routes):
+        raise RoutingError("fallback is disabled")
+    return routes, k0
 
 
 GRID16 = SubcellGrid(GridParams(H=16))
@@ -679,17 +700,6 @@ def test_a_successor_path_that_repeats_a_cell_is_walked_at_the_repeat():
     rs = extract_routes(grid, dest, overlay, ProtocolConfig(kind=MMDR))
     assert rs.routes == [Route(10, (10, 9, 21, 22, 23, 24, 11, 3, 0), 0, (FALLBACK,) * 8)]
     assert rs.routes == _walked(grid, dest, overlay, ProtocolConfig(kind=MMDR))[0]
-
-
-def test_reached_walks_a_source_whose_successor_path_repeats_a_cell():
-    dest = make_destinations(GRID16, [(8, 30.0), (8, 210.0)])
-    overlay = _h16_overlay(0.3, dest)
-    hop = routing._hopper(GRID16, dest, overlay, routing._nearest)
-    successor = routing._successors(hop)
-    paths = [_table_path(successor, dest.indices(), s) for s in overlay.sources]
-    assert any(len(set(path)) < len(path) for path in paths)
-    reached = routing._reached(hop, dest.indices(), overlay.sources)
-    assert reached == [r.reached for r in _walked(GRID16, dest, overlay, ProtocolConfig(kind=MMDR))[0]]
 
 
 def test_a_shared_tail_that_comes_back_to_the_route_is_not_copied():

@@ -296,11 +296,16 @@ MALFORMED = [
     ("overlay: {scenarios: [{unavailable_types: 3}]}", "overlay.scenarios[0].unavailable_types"),
     ("destinations: {aps: 3}", "destinations.aps"),
     ("traffic: {users: [u1]}", "traffic.users"),
+    # YAML keys 1 and "1" are two keys, but both name user '1'
+    ('traffic: {users: {1: [2, 90], "1": [3, 170]}}', "traffic.users: two users are named '1'"),
     ("radio: {P: min, sensitivity: 0}", "radio: sensitivity"),
     ("grid: {H: 2.5}", "grid.H"),
     # integer keys take whole numbers only; int() would truncate these
     ("experiment: {seed: 1.5}", "experiment.seed"),
     ("experiment: {n_walks: 100.5}", "experiment.n_walks"),
+    # the walker needs a non-negative seed and at least one walk
+    ("experiment: {seed: -1}", "experiment.seed must be a whole number >= 0, got -1"),
+    ("experiment: {n_walks: 0}", "experiment.n_walks must be a whole number >= 1, got 0"),
     ("experiment: {h_values: [2, 3.5]}", "experiment.h_values[1]"),
     ("protocol: {k0: 2.5}", "protocol.k0"),
     ("econ: {max_iter: 10.5}", "econ.max_iter"),
@@ -746,6 +751,19 @@ def test_verify_rows_match_the_per_state_computation(tmp_path, walks):
 def test_run_experiment_rejects_unknown_command(default_scenario):
     with pytest.raises(ScenarioError, match="unknown command"):
         run_experiment(default_scenario, "simulate")
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"seed": -1}, "seed override must be a whole number >= 0, got -1"),
+        ({"walks": 0}, "walks override must be a whole number >= 1, got 0"),
+        ({"walks": 2.5}, "walks override must be a whole number, got 2.5"),
+    ],
+)
+def test_run_experiment_checks_its_overrides_by_name(default_scenario, override, message):
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        run_experiment(default_scenario, "verify", **override)
 
 
 # -- command line ------------------------------------------------------------
