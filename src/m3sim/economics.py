@@ -10,7 +10,6 @@ increments until their utility offsets balance.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
@@ -160,7 +159,7 @@ def link_capacities(
     slots: Mapping[int, Sequence[tuple[int, int]]],
     radio: RadioParams,
     grid: SubcellGrid,
-    memo: dict[tuple[int, int, tuple[int, ...]], float] | None = None,
+    memo: dict[tuple[int, ...], dict[tuple[int, int], float]] | None = None,
 ) -> dict[tuple[int, int], float]:
     """Capacity of every scheduled link, keyed by link.
 
@@ -168,46 +167,32 @@ def link_capacities(
     link's own endpoints excluded).  Each link must sit in exactly one slot,
     else ``EconError`` names it; it is evaluated once, however many routes
     use it.  A ``memo`` carries capacities across calls on the same radio
-    and grid, keyed by (tx, rx, sorted co-slot transmitters): a link is then
+    and grid as ``memo[sorted slot transmitters][(tx, rx)]``: a link is then
     evaluated once per set of transmitters it shares a slot with.
 
-    A slot of at least ``WIDE_SLOT`` transmitters goes to ``slot_sinrs``,
-    which evaluates all its links (or its memo misses) in one numpy pass and
-    builds no per-link key when there is no memo; narrower slots, where the
-    array set-up costs more than it saves, run ``link_sinr`` per link.  The
-    two give equal floats, so the cut moves no capacity.
+    Each slot evaluates only the links missing from its memo entry.  A slot
+    of at least ``WIDE_SLOT`` transmitters sends them to ``slot_sinrs`` in
+    one numpy pass; a narrower one, where the array set-up costs more than
+    it saves, runs ``link_sinr`` per link.  The two give equal floats, so
+    the cut moves no capacity.
     """
     caps = {}
-    keyed = {} if memo is None else memo
+    memo = {} if memo is None else memo
     for links in slots.values():
-        # the slot's transmitters, sorted once; a slot of one link (every
-        # WLAN hop) has no other
-        order = tuple(sorted({tx for tx, _ in links})) if len(links) > 1 else ()
-        wide = len(order) >= WIDE_SLOT
-        if wide and memo is None:
-            caps.update(zip(links, map(link_capacity, slot_sinrs(links, order, radio, grid))))
-            continue
-        missed = []
-        for tx, rx in links:
-            others = order
-            if order:  # drop the link's own endpoints: tx is always there
-                i = bisect_left(order, tx)
-                others = order[:i] + order[i + 1 :]
-                j = bisect_left(others, rx)
-                if j < len(others) and others[j] == rx:
-                    others = others[:j] + others[j + 1 :]
-            key = (tx, rx, others)
-            cap = keyed.get(key)
-            if cap is None:
-                if wide:
-                    missed.append(key)
-                    continue
-                cap = keyed[key] = link_capacity(link_sinr(tx, rx, others, radio, grid))
-            caps[(tx, rx)] = cap
-        if missed:
-            sinrs = slot_sinrs([key[:2] for key in missed], order, radio, grid)
-            for key, sinr in zip(missed, sinrs):
-                caps[key[:2]] = keyed[key] = link_capacity(sinr)
+        order = tuple(sorted({tx for tx, _ in links}))
+        known = memo.setdefault(order, {})
+        if len(order) < WIDE_SLOT:
+            for link in links:
+                if link not in known:
+                    tx, rx = link
+                    others = tuple(cell for cell in order if cell != tx and cell != rx)
+                    known[link] = link_capacity(link_sinr(tx, rx, others, radio, grid))
+        else:
+            missing = [link for link in links if link not in known]
+            if missing:
+                known.update(zip(missing, map(link_capacity, slot_sinrs(missing, order, radio, grid))))
+        for link in links:
+            caps[link] = known[link]
     if len(caps) != sum(map(len, slots.values())):
         seen = set()
         for link in (link for links in slots.values() for link in links):
@@ -514,8 +499,8 @@ class OffloadContext:
     * ``_instants``: each traffic instant's ``_Instant``, its users'
       capacities, delays, costs and rates as floats, keyed by its
       base-station and WLAN user sets (see ``_instant``);
-    * ``_link_caps``: each link's capacity, keyed by (tx, rx, sorted co-slot
-      transmitters), the link's own endpoints excluded (see
+    * ``_link_caps``: link capacities by slot, one dict of capacities by
+      link (tx, rx) per sorted tuple of slot transmitters (see
       ``link_capacities``).
     """
 

@@ -186,10 +186,12 @@ def _list(where: str, value: Any) -> list:
 
 
 def _number(where: str, value: Any, cast=float):
-    """``cast(value)``; an int key takes only whole numbers, a bool key only true/false."""
+    """``cast(value)``; an int key takes only whole numbers, a bool key only
+    true/false, and no other key a bool."""
+    if (cast is bool) != isinstance(value, bool):
+        kind = "true or false" if cast is bool else "a number, not a boolean"
+        raise ScenarioError(f"{where} must be {kind}, got {value!r}")
     if cast is bool:
-        if not isinstance(value, bool):
-            raise ScenarioError(f"{where} must be true or false, got {value!r}")
         return value
     try:
         if cast is int and isinstance(value, float) and not value.is_integer():
@@ -538,8 +540,14 @@ def load_scenario(path: str | Path) -> ScenarioFile:
             for i, site in enumerate(_list("experiment.sites", x.get("sites")))
         ),
     }
-    if any(len(site) != 2 for site in sweeps["sites"]):
-        raise ScenarioError("experiment.sites: expected [radius fraction, bearing] pairs")
+    for i, a in enumerate(sweeps["availabilities"]):
+        if not 0 <= a <= 1:
+            raise ScenarioError(f"experiment.availabilities[{i}] must lie in [0, 1], got {a!r}")
+    for i, site in enumerate(sweeps["sites"]):
+        if len(site) != 2:
+            raise ScenarioError("experiment.sites: expected [radius fraction, bearing] pairs")
+        if not all(map(math.isfinite, site)):
+            raise ScenarioError(f"experiment.sites[{i}] must be finite, got {list(site)!r}")
     experiment = ExperimentSpec(
         **experiment_fields, **{key: value for key, value in sweeps.items() if value}
     )

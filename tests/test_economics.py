@@ -514,32 +514,34 @@ def slot_tables(draw):
     return slots
 
 
+def _by_link(memo):
+    return {link: cap for by_link in memo.values() for link, cap in by_link.items()}
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(slot_tables())
 def test_link_capacities_key_each_link_by_its_co_slot_transmitters(slots):
     radio = RadioParams(power=0.15, alpha=2.0, noise=1e-6)
-    expected = {}
-    for links in slots.values():
-        transmitters = {tx for tx, _ in links}
-        for tx, rx in links:
-            others = tuple(sorted(transmitters - {tx, rx}))
-            expected[(tx, rx, others)] = _capacity(GRID4, radio, tx, rx, others)
+    expected = _loop_capacities(slots, radio, GRID4)
     memo = {}
     caps = link_capacities(slots, radio, GRID4, memo)
     assert memo == expected
-    assert caps == {(tx, rx): cap for (tx, rx, _), cap in expected.items()}
+    assert caps == _by_link(expected)
+    # a second call finds every link in its slot's entry
+    assert link_capacities(slots, radio, GRID4, memo) == caps
+    assert memo == expected
 
 
 def _loop_capacities(slots, radio, grid):
     """Reference: every link through link_sinr, hearing its slot's other
-    transmitters in ascending order; keyed by (tx, rx, those transmitters)."""
-    keyed = {}
+    transmitters in ascending order; by sorted slot transmitters, then link."""
+    memo = {}
     for links in slots.values():
-        transmitters = {tx for tx, _ in links}
+        transmitters = tuple(sorted({tx for tx, _ in links}))
+        by_link = memo.setdefault(transmitters, {})
         for tx, rx in links:
-            others = tuple(sorted(transmitters - {tx, rx}))
-            keyed[(tx, rx, others)] = _capacity(grid, radio, tx, rx, others)
-    return keyed
+            by_link[(tx, rx)] = _capacity(grid, radio, tx, rx, [c for c in transmitters if c not in (tx, rx)])
+    return memo
 
 
 def _bundled_schedule(kind):
@@ -599,15 +601,16 @@ def test_link_capacities_equal_the_loop_with_every_subcell_routed(kind):
     rs = schedule(extract_routes(grid, make_destinations(grid), overlay, config), config, grid)
     radio = RadioParams()
     assert max(len({tx for tx, _ in links}) for links in rs.slots.values()) >= economics.WIDE_SLOT
-    expected = {key[:2]: cap for key, cap in _loop_capacities(rs.slots, radio, grid).items()}
+    expected = _by_link(_loop_capacities(rs.slots, radio, grid))
     assert link_capacities(rs.slots, radio, grid) == expected
 
 
 def test_wide_slot_memo_misses_go_to_the_kernel(monkeypatch):
     rs, radio, grid = _mdr_overlay_schedule()
     expected = _loop_capacities(rs.slots, radio, grid)
-    keys = sorted(expected)
-    memo = {key: expected[key] for key in keys[::2]}
+    assert min(map(len, expected)) >= economics.WIDE_SLOT
+    memo = {order: dict(sorted(by_link.items())[::2]) for order, by_link in expected.items()}
+    misses = sorted(link for by_link in expected.values() for link in sorted(by_link)[1::2])
     handed = []
     real_slot = economics.slot_sinrs
 
@@ -615,11 +618,15 @@ def test_wide_slot_memo_misses_go_to_the_kernel(monkeypatch):
         handed.extend(links)
         return real_slot(links, transmitters, radio, grid)
 
+    def refused(*args):
+        raise AssertionError("a wide slot ran link_sinr")
+
     monkeypatch.setattr(economics, "slot_sinrs", recorded)
+    monkeypatch.setattr(economics, "link_sinr", refused)
     caps = link_capacities(rs.slots, radio, grid, memo)
     assert memo == expected
-    assert caps == {(tx, rx): cap for (tx, rx, _), cap in expected.items()}
-    assert sorted(handed) == sorted(key[:2] for key in keys[1::2])
+    assert caps == _by_link(expected)
+    assert sorted(handed) == misses
 
 
 def test_link_capacities_refuse_a_link_scheduled_twice():
@@ -1269,6 +1276,43 @@ def test_memoized_link_capacities_match_memo_free_calls(study):
         for state in steps:
             negotiate(ctx, state, econ, mode="price-and-set")
     assert len(checked) == len(ctx._instants)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(offload_studies())
+def test_memoized_negotiation_evaluates_each_link_once_per_slot_transmitter_set(study):
+    ctx, steps = study
+    econ = EconParams(mno_revenue=2.0, sso_revenue=1.0, price_step=0.02, price_bounds=(0.05, 2.0))
+    evaluated = []
+    scheduled = set()
+    real_sinr, real_slot, real_caps = economics.link_sinr, economics.slot_sinrs, economics.link_capacities
+
+    def counted_sinr(tx, rx, interferers, radio, grid):
+        evaluated.append((tx, rx))
+        return real_sinr(tx, rx, interferers, radio, grid)
+
+    def counted_slot(links, transmitters, radio, grid):
+        evaluated.extend(links)
+        return real_slot(links, transmitters, radio, grid)
+
+    def recorded(slots, radio, grid, memo=None):
+        assert memo is ctx._link_caps
+        for links in slots.values():
+            transmitters = tuple(sorted({tx for tx, _ in links}))
+            scheduled.update((tx, rx, transmitters) for tx, rx in links)
+        return real_caps(slots, radio, grid, memo)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(economics, "link_sinr", counted_sinr)
+        mp.setattr(economics, "slot_sinrs", counted_slot)
+        mp.setattr(economics, "link_capacities", recorded)
+        for state in steps:
+            negotiate(ctx, state, econ, mode="price-and-set")
+    assert len(evaluated) == len(scheduled)
+    assert sum(map(len, ctx._link_caps.values())) == len(scheduled)
+    # no receiver transmits in its own slot, so a link's interferers name
+    # its slot's transmitter set: the per-slot memo misses no more often
+    assert not any(rx in transmitters for _, rx, transmitters in scheduled)
 
 
 def _oracle_instant(ctx, bs_users, wlan_users):

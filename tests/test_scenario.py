@@ -323,6 +323,12 @@ MALFORMED = [
     # bool keys take true or false only; bool() reads any non-empty string as true
     ('protocol: {fallback: "no"}', "protocol.fallback"),
     ('destinations: {bs: "false"}', "destinations.bs"),
+    # and number keys take no booleans; int(True) would read as 1
+    ("grid: {H: true}", "grid.H must be a number, not a boolean, got True"),
+    ("experiment: {n_walks: true}", "experiment.n_walks must be a number, not a boolean"),
+    ("experiment: {seed: false}", "experiment.seed must be a number, not a boolean"),
+    ("protocol: {kind: mLIR, k0: true}", "protocol.k0 must be a number, not a boolean"),
+    ("radio: {alpha: true}", "radio.alpha must be a number, not a boolean"),
     # keys no constructor checks refuse NaN at load, not when a command runs
     ("econ: {chi0: .nan}", "econ.chi0"),
     ("experiment: {sites: [[.nan, 10]]}", "experiment.sites[0][0]"),
@@ -354,6 +360,11 @@ MALFORMED = [
     ("experiment: {h_values: [0, 3]}", "experiment.h_values[0] must be a ring count >= 1, got 0"),
     ("experiment: {powers: [-0.1, 0.2]}", "experiment.powers[0] must be a positive transmit power"),
     ("experiment: {powers: [0.2, 0.0]}", "experiment.powers[1] must be a positive transmit power"),
+    ("experiment: {availabilities: [0.5, 1.5]}", "experiment.availabilities[1] must lie in [0, 1], got 1.5"),
+    ("experiment: {availabilities: [-0.1]}", "experiment.availabilities[0] must lie in [0, 1]"),
+    # an infinite radius puts a user on subcell 1; an infinite bearing has no sine
+    ("experiment: {sites: [[.inf, 0.0]]}", "experiment.sites[0] must be finite, got [inf, 0.0]"),
+    ("experiment: {sites: [[0.5, 10], [0.5, .inf]]}", "experiment.sites[1] must be finite"),
     ("radio: {P: 0.1, P_range: [0.1, -0.2]}", "radio.P_range[1] must be a positive transmit power"),
     ("radio: {P_range: [-0.1, 0.2]}", "radio.P_range[0] must be a positive transmit power"),
     # csv.writer leaves a lone CR unquoted, so the capacity row would not read back
