@@ -13,14 +13,15 @@ variances and the absorption probabilities.  A chain stores only its
 transient rows, in compressed sparse row (CSR) form; the absorbing rows
 are the implicit identity.  Build, check, solve and walk all read those
 rows, so no step allocates an array of (transient + absorbing)^2 entries.
+A chain is checked once, when it is built: one that exists is row
+stochastic, and absorption is reachable from each of its transient states.
 
 The solve orders the transient states by reverse Cuthill–McKee (Cuthill &
 McKee, 1969) over the symmetric pattern of Q, which gathers the nonzeros of
 I - Q into a narrow band, and factorizes that band once with LAPACK's
 banded LU (``dgbtrf``); the matrix is never inverted explicitly.  Whether
 absorption is reachable from every transient state is decided exactly, by
-a reverse breadth-first search over the positive transitions, before any
-solve.
+a reverse breadth-first search over the positive transitions.
 
 A seeded Monte Carlo walk simulator doubles as an independent oracle for
 the analytic results.  It samples each start and each step by inverse
@@ -63,8 +64,8 @@ class AbsorbingChain:
     the columns ``indices[indptr[i]:indptr[i + 1]]``, strictly increasing,
     with the probabilities ``probs`` at the same positions; every absorbing
     row is the implicit identity.  ``dwell`` holds the per-visit slot cost of
-    each transient state.  The first solve or walk checks the rows with
-    ``canonical_form``, so they must not change after that.
+    each transient state.  The chain is checked when it is built: its
+    structure here, then its rows by ``canonical_form``.
     """
 
     transient: tuple[Hashable, ...]
@@ -73,7 +74,6 @@ class AbsorbingChain:
     indices: np.ndarray
     probs: np.ndarray
     dwell: np.ndarray
-    _checked: bool = field(default=False, init=False, repr=False, compare=False)
     _index: dict[Hashable, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -99,6 +99,7 @@ class AbsorbingChain:
         if len(index) != n:
             raise ChainError("transient state labels must be distinct")
         object.__setattr__(self, "_index", index)
+        canonical_form(self)
 
     def transient_index(self, label: Hashable) -> int:
         """Position of a transient state, looked up in a table built with the chain."""
@@ -229,13 +230,6 @@ def canonical_form(chain: AbsorbingChain) -> None:
         raise ChainError(f"absorption unreachable from state {chain.transient[trapped]!r}")
 
 
-def _check_once(chain: AbsorbingChain) -> None:
-    """canonical_form of the chain, run until it passes once; later calls skip it."""
-    if not chain._checked:
-        canonical_form(chain)
-        object.__setattr__(chain, "_checked", True)
-
-
 def _first_trapped(rows: np.ndarray, cols: np.ndarray, n: int, size: int) -> int | None:
     """First transient index with no path along (row -> col) edges to an absorbing state."""
     order = np.argsort(cols, kind="stable")
@@ -358,7 +352,6 @@ def absorption_statistics(chain: AbsorbingChain, start: np.ndarray | None = None
     dwell costs.  Variances within roundoff below zero read 0; a more
     negative one raises ChainError naming its state.
     """
-    _check_once(chain)
     n, a = len(chain.transient), len(chain.absorbing)
     row, col, prob = _row_ids(chain), chain.indices, chain.probs
     inner = col < n
@@ -516,7 +509,6 @@ def simulate_walks(
     """
     if n_walks < 1:
         raise ChainError(f"need at least one walk, got {n_walks}")
-    _check_once(chain)
     n, a = len(chain.transient), len(chain.absorbing)
     f = _initial_distribution(chain, start)
     target, cum = _sampling_rows(chain.indptr, chain.indices, chain.probs, n + a - 1)

@@ -9,17 +9,19 @@ d_r, which turns the SINR into
 after normalizing by the direct-path gain 1/d_r**alpha.  No fading model is
 applied; the geometry is the channel.
 
-Links are linear subcell indices.  Z_k**2 is an integer, the squared axial
-distance, and no two subcells of an H-ring grid lie more than 2H relay
-steps apart, so every interference term P / Z**alpha is read from one
-table over Z**2 = 0 .. 4H**2, built once per (power, alpha, grid size).
+Links are linear subcell indices.  No two subcells of an H-ring grid lie
+more than 2H relay steps apart, so a transmitter's axial offset (dq, dr)
+from the receiver has both parts in [-2H, 2H], and Z**2 = dq**2 + dr**2 +
+dq*dr, the squared axial distance, is an integer.  Every interference term
+P / Z**alpha is read from one table laid out by that offset, built once per
+(power, alpha, H).
 
 ``link_sinr`` sums one link's terms in a Python loop.  ``slot_sinrs``
-evaluates every link of one slot in numpy: it gathers the same terms, laid
-out by axial offset, over a (links x slot transmitters) array and adds each
-row in transmitter order with ``np.cumsum``, so its floats equal
-``link_sinr``'s with ``==``.  Either raises ``RadioError`` naming the link
-when P / (I + N) is not finite.
+evaluates every link of one slot in numpy: it gathers the same terms over
+a (links x slot transmitters) array and adds each row in transmitter order
+with ``np.cumsum``, so its floats equal ``link_sinr``'s with ``==``.
+Either raises ``RadioError`` naming the link when P / (I + N) is not
+finite.
 """
 
 from __future__ import annotations
@@ -59,19 +61,31 @@ class RadioParams:
 
 
 @lru_cache(maxsize=32)
-def _interference_terms(power: float, alpha: float, size: int) -> tuple[float, ...]:
-    """P / sqrt(d2)**alpha for each squared axial distance d2 < size (d2 = 0 unused).
+def _offset_terms(power: float, alpha: float, H: int) -> np.ndarray:
+    """The interference terms laid out by axial offset, read-only.
 
-    Where sqrt(d2)**alpha overflows a float, the term is P * sqrt(d2)**-alpha,
-    which underflows instead.
+    Entry (dq + 2H) * (4H + 1) + dr + 2H holds P / sqrt(d2)**alpha for a
+    transmitter at offset (dq, dr) from the receiver, d2 = dq**2 + dr**2 +
+    dq*dr: 0.0 at (0, 0), the receiver itself, and NaN past d2 = 4H**2,
+    which no two cells of the grid reach.  Where sqrt(d2)**alpha overflows
+    a float, the term is P * sqrt(d2)**-alpha, which underflows instead.
+
+    With a cell's key q * (4H + 1) + r, the entry of a transmitter heard at
+    a receiver is the table's centre 2H * (4H + 2) plus the transmitter's
+    key minus the receiver's.
     """
-    terms = [math.inf]
+    size = 4 * H * H + 1
+    terms = [0.0]
     for d2 in range(1, size):
         try:
             terms.append(power / math.sqrt(d2) ** alpha)
         except OverflowError:
             terms.append(power * math.sqrt(d2) ** -alpha)
-    return tuple(terms)
+    d = np.arange(-2 * H, 2 * H + 1)
+    d2 = d[:, None] ** 2 + d[None, :] ** 2 + d[:, None] * d[None, :]
+    table = np.where(d2 < size, np.array(terms)[np.minimum(d2, size - 1)], np.nan).ravel()
+    table.flags.writeable = False
+    return table
 
 
 def link_sinr(
@@ -86,16 +100,17 @@ def link_sinr(
     """
     if rx not in grid.adjacent[tx]:
         raise RadioError(f"link {tx}->{rx} does not span adjacent subcells")
-    terms = _interference_terms(radio.power, radio.alpha, 4 * grid.params.H**2 + 1)
+    H = grid.params.H
+    table = _offset_terms(radio.power, radio.alpha, H)
+    width = 4 * H + 1
     q, r = grid.axial_q, grid.axial_r
-    rq, rr = q[rx], r[rx]
+    # a transmitter's entry is this origin plus its key
+    origin = 2 * H * (width + 1) - q[rx] * width - r[rx]
     interference = 0.0
     for cell in interferers:
         if cell == rx:
             raise RadioError(f"interferer co-located with receiver {rx}")
-        dq, dr = q[cell] - rq, r[cell] - rr
-        d2 = dq * dq + dr * dr + dq * dr
-        interference += terms[d2]
+        interference += table.item(origin + q[cell] * width + r[cell])
     denominator = interference + radio.noise_term(grid.params.relay_distance)
     try:
         sinr = radio.power / denominator
@@ -104,25 +119,6 @@ def link_sinr(
     if not math.isfinite(sinr):
         raise _non_finite_sinr(tx, rx, radio, denominator)
     return sinr
-
-
-@lru_cache(maxsize=32)
-def _offset_terms(power: float, alpha: float, H: int) -> np.ndarray:
-    """The term table laid out by axial offset, read-only.
-
-    Entry (dq + 2H) * (4H + 1) + dr + 2H holds the term of a transmitter at
-    offset (dq, dr) from the receiver: 0.0 at (0, 0), the receiver itself,
-    and NaN past the squared distance 4H**2, which no two cells of the grid
-    reach.
-    """
-    size = 4 * H * H + 1
-    terms = np.array(_interference_terms(power, alpha, size))
-    terms[0] = 0.0
-    d = np.arange(-2 * H, 2 * H + 1)
-    d2 = d[:, None] ** 2 + d[None, :] ** 2 + d[:, None] * d[None, :]
-    table = np.where(d2 < size, terms[np.minimum(d2, size - 1)], np.nan).ravel()
-    table.flags.writeable = False
-    return table
 
 
 # links per block of slot_sinrs; a block holds two (links x transmitters)
@@ -152,9 +148,6 @@ def slot_sinrs(
     order = np.array(transmitters, dtype=np.intp)
     H = grid.params.H
     table = _offset_terms(radio.power, radio.alpha, H)
-    # with a cell's key q * (4H + 1) + r, a transmitter's offset index at a
-    # receiver is its key minus the receiver's plus the table's centre
-    # 2H * (4H + 2)
     width = 4 * H + 1
     sent = q[order] * width + r[order] + 2 * H * (width + 1)
     heard_at = q[rx] * width + r[rx]

@@ -361,6 +361,8 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         if extra:
             raise ScenarioError(f"compression: direct p excludes {', '.join(extra)}")
         compressed_p = _number("compression.p", c["p"])
+        if not 0 <= compressed_p <= 1:
+            raise ScenarioError(f"compression.p must lie in [0, 1], got {compressed_p!r}")
     elif c:
         with _named("compression"):
             compressed_p = compressed_vector(
@@ -436,6 +438,8 @@ def load_scenario(path: str | Path) -> ScenarioFile:
             raise ScenarioError(
                 f"{where}.name: a carriage return cannot be written to a CSV cell, got {name!r}"
             )
+        if any(overlay.name == name for overlay in overlays):
+            raise ScenarioError(f"{where}.name: two overlays are named {name!r}")
         unavailable: set[int] = set()
         for j, spec in enumerate(_list(f"{where}.unavailable", entry.get("unavailable"))):
             idx = resolve(spec, f"{where}.unavailable[{j}]").i

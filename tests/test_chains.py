@@ -71,10 +71,29 @@ def uniform_dwell_variance(chain):
     return ((2.0 * fundamental - np.eye(n)) @ steps - steps * steps) * t * t
 
 
-def spectral_radius(chain):
-    """Spectral radius of Q; absorption is unreachable somewhere iff it is ~1."""
-    n = len(chain.transient)
-    return float(np.max(np.abs(np.linalg.eigvals(dense(chain)[:n, :n])))) if n else 0.0
+def listed_dense(rows, absorbing):
+    """The dense matrix of listed rows: duplicate targets added, each row divided by its sum.
+
+    The dense oracle of ``build_chain``, also for rows it refuses.
+    """
+    labels = [*rows, *absorbing]
+    index = {label: k for k, label in enumerate(labels)}
+    n = len(rows)
+    out = np.eye(len(labels))
+    out[:n] = 0.0
+    for k, targets in enumerate(rows.values()):
+        for target, prob in targets:
+            out[k, index[target]] += prob
+    out[:n] /= out[:n].sum(axis=1, keepdims=True)
+    return out
+
+
+def spectral_radius(matrix, n):
+    """Spectral radius of the Q block of a dense matrix with n transient states.
+
+    Absorption is unreachable somewhere iff it is ~1.
+    """
+    return float(np.max(np.abs(np.linalg.eigvals(matrix[:n, :n])))) if n else 0.0
 
 
 def dense_walks(chain, n_walks, seed):
@@ -232,26 +251,21 @@ def test_build_chain_rejects_nonpositive_dwell():
 
 
 def test_canonical_form_requires_reachable_absorption():
-    chain = build_chain(
-        {"trap": [("trap", 1.0)], "s": [("trap", 0.5), ("done", 0.5)]}, ["done"]
-    )
+    # the check runs when the chain is built, so no such chain exists
     with pytest.raises(ChainError, match="unreachable from state 'trap'"):
-        canonical_form(chain)
+        build_chain({"trap": [("trap", 1.0)], "s": [("trap", 0.5), ("done", 0.5)]}, ["done"])
 
 
 def test_canonical_form_names_a_trapped_cycle():
     # two states feeding each other, one reachable from a leaking state
-    chain = build_chain(
-        {
-            "s": [("a", 0.5), ("done", 0.5)],
-            "a": [("b", 1.0)],
-            "b": [("a", 0.7), ("b", 0.3)],
-        },
-        ["done"],
-    )
+    rows = {
+        "s": [("a", 0.5), ("done", 0.5)],
+        "a": [("b", 1.0)],
+        "b": [("a", 0.7), ("b", 0.3)],
+    }
     with pytest.raises(ChainError, match="unreachable from state 'a'"):
-        canonical_form(chain)
-    assert spectral_radius(chain) >= 1.0 - 1e-12
+        build_chain(rows, ["done"])
+    assert spectral_radius(listed_dense(rows, ["done"]), len(rows)) >= 1.0 - 1e-12
 
 
 def test_reachability_is_exact_where_the_spectral_radius_is_not():
@@ -260,7 +274,7 @@ def test_reachability_is_exact_where_the_spectral_radius_is_not():
     chain = build_chain({"s": [("s", 1.0 - leak), ("done", leak)]}, ["done"])
     canonical_form(chain)
     assert dense(chain)[0, 0] < 1.0 and dense(chain)[0, 1] > 0.0
-    assert spectral_radius(chain) >= 1.0 - 1e-12
+    assert spectral_radius(dense(chain), 1) >= 1.0 - 1e-12
 
 
 def test_transient_index():
@@ -323,13 +337,15 @@ def test_each_chain_is_checked_once(monkeypatch):
 
 
 def test_a_chain_that_fails_its_check_fails_every_call(monkeypatch):
+    # every build of the same rows is checked anew and refused alike
     calls = _count_checks(monkeypatch)
-    chain = build_chain({"trap": [("trap", 1.0)], "s": [("trap", 0.5), ("done", 0.5)]}, ["done"])
-    for _ in range(2):
-        with pytest.raises(ChainError, match="unreachable from state 'trap'"):
-            simulate_walks(chain, 100, seed=1)
-    with pytest.raises(ChainError, match="unreachable from state 'trap'"):
-        absorption_statistics(chain)
+    rows = {"trap": [("trap", 1.0)], "s": [("trap", 0.5), ("done", 0.5)]}
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(ChainError, match="unreachable from state 'trap'") as err:
+            build_chain(rows, ["done"])
+        messages.add(str(err.value))
+    assert len(messages) == 1
     assert len(calls) == 3
 
 
@@ -450,7 +466,7 @@ def test_simulation_start_distribution_and_guards():
 
 @st.composite
 def random_chains(draw):
-    """Small chains with zero gaps, zero last columns, tiny negatives and traps.
+    """``build_chain`` arguments of small chains with zero gaps, zero last columns, tiny negatives and traps.
 
     Transient states on either side of a cut never reach each other, so Q
     may fall apart into blocks; some rows only absorb, and some list a
@@ -486,33 +502,42 @@ def random_chains(draw):
             row.append((labels[draw(st.sampled_from(zeros))], -0.5 * _ROW_SUM_TOL))
         rows[labels[k]] = row
     dwell = draw(st.sampled_from((1.0, 7.0, {label: 1.0 + (k % 3) for k, label in enumerate(labels[:n])})))
-    return build_chain(rows, labels[n:], dwell)
+    return rows, labels[n:], dwell
+
+
+def built(case):
+    """The chain of ``random_chains`` arguments, or None where absorption is unreachable."""
+    try:
+        return build_chain(*case)
+    except ChainError as err:
+        assert "unreachable" in str(err)
+        return None
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(random_chains(), st.integers(0, 2**32 - 1))
-def test_sparse_walker_and_reachability_match_dense_references(chain, seed):
-    # The two walkers pick the same target for every draw except u == 0.0, or
-    # a draw within a tiny negative entry of a non-monotone cumulative row.
-    radius = spectral_radius(chain)
-    try:
-        canonical_form(chain)
-    except ChainError as err:
-        assert "unreachable" in str(err)
+def test_sparse_walker_and_reachability_match_dense_references(case, seed):
+    # A chain builds exactly where the dense oracle finds absorption
+    # reachable.  The two walkers pick the same target for every draw except
+    # u == 0.0, or a draw within a tiny negative entry of a non-monotone
+    # cumulative row.
+    rows, absorbing, _ = case
+    matrix = listed_dense(rows, absorbing)
+    radius = spectral_radius(matrix, len(rows))
+    chain = built(case)
+    if chain is None:
         assert radius >= 1.0 - 1e-12
-        with pytest.raises(ChainError, match="unreachable"):
-            simulate_walks(chain, 10, seed)
         return
+    assert_allclose(dense(chain), matrix, rtol=0, atol=1e-15)
     assert radius < 1.0 - 1e-12
     assert_same_walks(chain, 400, seed)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(random_chains())
-def test_banded_solve_matches_a_dense_solve(chain):
-    try:
-        canonical_form(chain)
-    except ChainError:
+def test_banded_solve_matches_a_dense_solve(case):
+    chain = built(case)
+    if chain is None:
         return
     n = len(chain.transient)
     matrix = dense(chain)
@@ -548,7 +573,7 @@ def test_reverse_cuthill_mckee_order():
 def test_sparse_walker_matches_dense_reference_on_bundled_mdr_chain(name):
     scn = load_scenario(bundled_scenario(name))
     chain = build_mdr_chain(scn.grid, scn.dest, scn.experiment.availabilities[0])
-    assert spectral_radius(chain) < 1.0 - 1e-12
+    assert spectral_radius(dense(chain), len(chain.transient)) < 1.0 - 1e-12
     assert_same_walks(chain, 3000, seed=5)
 
 
@@ -605,6 +630,7 @@ def test_analytic_statistics_agree_with_monte_carlo_on_random_chains(chain, seed
 # -- generated route-discovery chains -----------------------------------------
 
 GRIDS = {h: SubcellGrid(GridParams(H=h)) for h in range(1, 7)}
+GRIDS16 = {}
 
 
 @st.composite
@@ -633,6 +659,106 @@ def test_route_discovery_chains_are_absorbing_and_row_stochastic(chain):
     assert_allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.array_equal(matrix[n:], np.eye(n + a)[n:])
     canonical_form(chain)
+
+
+def lir_protocol_walks(grid, dest, p, relay_color, n_walks, seed):
+    """LIR route discovery played from the protocol's rules, not from a chain's rows.
+
+    Each walk starts coordinated at a relay drawn uniformly.  A hop tries
+    the ranked neighbours of its cell in turn, each available with
+    q = p**n_color when coordinated and with p in fallback; the first
+    available one is the next cell, and a hop that finds none is lost to
+    no-route.  A hop to a destination absorbs there.  Otherwise the walk
+    goes on in fallback with the probability q0 = (1 - q)**count that
+    coordination fails at the cell it left, and coordinated if not.  A
+    coordinated visit costs one slot and a fallback visit NUM_COLORS.
+
+    Returns each walk's start relay, its slots and its absorbing label.
+    """
+    table = grid.rank_table(dest)
+    count = np.array([len(row) for row in table])
+    ranked = np.zeros((len(table), 6), dtype=np.intp)
+    for i, row in enumerate(table):
+        ranked[i, : len(row)] = row
+    targets = [c.i for c in dest.absorbing_cells()]
+    relays = np.setdiff1d(np.arange(len(table)), targets)
+    q = coordination_probability(p, coordinated_color_population(grid, dest, relay_color))
+    q0 = (1.0 - q) ** count
+    rng = np.random.default_rng(seed)
+    start = relays[rng.integers(relays.size, size=n_walks)]
+    cell, coordinated = start.copy(), np.ones(n_walks, dtype=bool)
+    slots = np.ones(n_walks)
+    landed = np.empty(n_walks, dtype=object)
+    live = np.arange(n_walks)
+    while live.size:
+        here = cell[live]
+        rank = rng.geometric(np.where(coordinated[live], q, p))
+        lost = rank > count[here]
+        there = ranked[here, np.minimum(rank, count[here]) - 1]
+        home = ~lost & np.isin(there, targets)
+        landed[live[lost]] = NO_ROUTE
+        landed[live[home]] = there[home]
+        go = ~lost & ~home
+        walks = live[go]
+        cell[walks] = there[go]
+        coordinated[walks] = rng.random(walks.size) >= q0[here[go]]
+        slots[walks] += np.where(coordinated[walks], 1.0, float(NUM_COLORS))
+        live = walks
+    return start, slots, landed
+
+
+@st.composite
+def lir_cases(draw, h):
+    """(grid, dest, p, relay_color) at depth h, with zero to two access points."""
+    grid = GRIDS16.setdefault(h, SubcellGrid(GridParams(H=h)))
+    placements = draw(st.lists(st.tuples(st.integers(2, h), st.floats(0.0, 359.0)), max_size=2))
+    cells = [grid.nearest_in_ring(ring, theta)[0].i for ring, theta in placements]
+    dest = make_destinations(grid, placements[: 1 if len(set(cells)) < len(cells) else 2])
+    return grid, dest, draw(st.sampled_from((0.5, 0.9))), draw(st.one_of(st.none(), st.integers(0, 6)))
+
+
+@pytest.mark.parametrize("h", range(4, 9))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_lir_chain_agrees_with_a_walk_of_the_protocol(h, data):
+    # The oracle walks the grid by the protocol's rules, so it also checks
+    # how build_lir_chain lays out the coordinated and fallback rows.
+    #
+    # Times are skewed: a near-deterministic chain (p = 0.5 at H >= 6) loses
+    # almost every walk at once and a rare one takes a long excursion, so a
+    # z-score of the mean, per state or over all walks, is heavy-tailed; one
+    # excursion can push it past 20.  So the mean time over the start
+    # distribution, tau_mean, is scored by a median of means: by Chebyshev
+    # each of 100 blocks of 200 walks has its mean within 2 sigma / sqrt(200)
+    # of tau_mean with probability at least 3/4, so the median misses that
+    # band with probability below exp(-12.5) (Hoeffding), however skewed
+    # the times.  The absorption split, over all walks and per start state
+    # with at least 100 walks, is held to GAP_SIGMAS * 0.5 / sqrt(walks),
+    # which Hoeffding's bound also keeps for any split.
+    grid, dest, p, relay_color = data.draw(lir_cases(h))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    chain = build_lir_chain(grid, dest, p, ProtocolConfig(kind=LIR, p=p, relay_color=relay_color))
+    # walks start in the coordinated copies, uniformly
+    f = np.array([mode == COORD for _, mode in chain.transient], dtype=float)
+    f /= f.sum()
+    analytic = absorption_statistics(chain, f)
+    n_walks, blocks = 20_000, 100
+    start, slots, landed = lir_protocol_walks(grid, dest, p, relay_color, n_walks, seed)
+
+    spread = max(float(f @ (analytic.var_tau + analytic.tau**2)) - analytic.tau_mean**2, 0.0)
+    band = 2.0 * math.sqrt(spread * blocks / n_walks)
+    median = float(np.median(slots.reshape(blocks, -1).mean(axis=1)))
+    assert abs(median - analytic.tau_mean) <= band + 1e-9 * analytic.tau_mean
+
+    split = np.array([[label == b for b in chain.absorbing] for label in landed])
+    gap = float(max(abs(split.mean(axis=0) - analytic.absorb_dist)))
+    assert gap <= CHECKS.GAP_SIGMAS * 0.5 / math.sqrt(n_walks)
+    for cell in np.unique(start):
+        walks = start == cell
+        if walks.sum() >= 100:
+            k = chain.transient_index((int(cell), COORD))
+            gap = float(max(abs(split[walks].mean(axis=0) - analytic.absorb_probs[k])))
+            assert gap <= CHECKS.GAP_SIGMAS * 0.5 / math.sqrt(walks.sum())
 
 
 # -- guide-table walker against the previous code, build against rows --------
@@ -755,10 +881,9 @@ def start_distributions(draw, n):
     st.sampled_from((None, 1, 7, 64)),
     st.data(),
 )
-def test_guide_table_walker_equals_the_previous_walker(chain, seed, n_walks, chunk, data):
-    try:
-        canonical_form(chain)
-    except ChainError:
+def test_guide_table_walker_equals_the_previous_walker(case, seed, n_walks, chunk, data):
+    chain = built(case)
+    if chain is None:
         return
     start = data.draw(start_distributions(len(chain.transient)))
     walks_match_parent(chain, n_walks, seed, start, chunk)
@@ -1053,8 +1178,6 @@ def dict_row_chain(grid, dest, p, relay_color, dwell):
     return rows, [c.i for c in dest.absorbing_cells()] + [NO_ROUTE], dwells
 
 
-GRIDS16 = {}
-
 
 @st.composite
 def grid_chain_cases(draw):
@@ -1149,6 +1272,9 @@ def test_h32_lir_chain_builds_and_solves_without_a_dense_matrix():
         ({"probs": np.ones(2)}, "equal length"),
         ({"dwell": np.ones(3)}, "one entry per transient state"),
         ({"transient": ("s", "s")}, "labels must be distinct"),
+        ({"probs": np.array([0.5, 0.4, 1.0])}, r"row 0 sums to .*0\.9.*, expected 1"),
+        ({"probs": np.array([1.5, -0.5, 1.0])}, "transition probabilities cannot be negative"),
+        ({"indices": np.array([1, 2, 1])}, "absorption unreachable from state 't'"),
     ],
 )
 def test_chain_rejects_malformed_rows(change, message):

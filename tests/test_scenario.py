@@ -369,8 +369,19 @@ MALFORMED = [
     ("radio: {P_range: [-0.1, 0.2]}", "radio.P_range[0] must be a positive transmit power"),
     # csv.writer leaves a lone CR unquoted, so the capacity row would not read back
     ('overlay: {scenarios: [{name: ok}, {name: "a\\rb"}]}', "overlay.scenarios[1].name"),
+    # two row groups with one label could not be told apart, defaulted names included
+    (
+        "overlay: {scenarios: [{name: a, unavailable: [[1, 30]]}, {name: a}]}",
+        "overlay.scenarios[1].name: two overlays are named 'a'",
+    ),
+    ("overlay: {scenarios: [{}, {name: scenario-1}]}", "overlay.scenarios[1].name: two overlays are named 'scenario-1'"),
+    ("overlay: {scenarios: [{name: scenario-2}, {}]}", "overlay.scenarios[1].name: two overlays are named 'scenario-2'"),
     # constructor and placement errors, led by the section or entry they come from
     ("compression: {n_o: [-1]}", "compression: terminal counts cannot be negative"),
+    # a direct p is refused by its own key, not by the protocol it feeds
+    ("compression: {p: 1.5}", "compression.p must lie in [0, 1], got 1.5"),
+    ("compression: {p: -0.5}", "compression.p must lie in [0, 1], got -0.5"),
+    ("compression: {p: .nan}", "compression.p must lie in [0, 1], got nan"),
     ("destinations: {aps: [[2, 0], [2, 0]]}", "destinations: duplicate access-point placements"),
     ("overlay: {sources: [[9, 0]]}", "overlay.sources[0]: ring 9 outside 0..4"),
     ("destinations: {aps: [[9, 0]]}", "destinations.aps[0]: ring 9 outside 0..4"),
