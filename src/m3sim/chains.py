@@ -196,7 +196,7 @@ def _pack(
     bad = np.flatnonzero(np.abs(totals[:checked] - 1.0) > _ROW_SUM_TOL)
     if bad.size:
         k = bad[0]
-        raise ChainError(f"row for {transient[k]!r} sums to {totals[k]!r}, expected 1")
+        raise ChainError(f"row for {transient[k]!r} sums to {float(totals[k])!r}, expected 1")
     if fault is not None:
         raise ChainError(fault[1])
     probs = data / totals[row]
@@ -221,7 +221,7 @@ def canonical_form(chain: AbsorbingChain) -> None:
     np.add.at(sums, row, chain.probs)
     bad = np.flatnonzero(np.abs(sums - 1.0) > _ROW_SUM_TOL)
     if bad.size:
-        raise ChainError(f"row {bad[0]} sums to {sums[bad[0]]!r}, expected 1")
+        raise ChainError(f"row {bad[0]} sums to {float(sums[bad[0]])!r}, expected 1")
     if np.any(chain.probs < -_ROW_SUM_TOL):
         raise ChainError("transition probabilities cannot be negative")
     positive = chain.probs > 0

@@ -147,11 +147,14 @@ def user_utility(capacity: float, delay: float, cost: float, revenue: float) -> 
 
 
 # A slot with at least this many transmitters has its SINRs evaluated by
-# slot_sinrs in one numpy pass; a narrower slot runs link_sinr per link,
-# which costs less there.  One slot at H=10 on a 2-core x86-64 host, loop
-# against numpy: 4 transmitters 11 against 40 us, 8 31 against 49 us, 12
-# 52 against 56 us, 16 99 against 56 us, 48 501 against 148 us.  Both give
-# the same floats.
+# slot_sinrs, in one numpy pass per slot table; a narrower slot runs
+# link_sinr per link, which costs less there.  One slot at H=10 on a
+# 2-core x86-64 host, loop against a slot_sinrs call of its own: 4
+# transmitters 9 against 57 us, 8 26 against 60 us, 12 50 against 61 us,
+# 16 80 against 59 us, 48 527 against 71 us.  As one more slot of an
+# 8-slot table it adds 20 to 40 us at any of these widths, too noisy a
+# margin to move the cut by, and a table of narrow slots alone, as the
+# negotiation makes, would pay the whole call.  Both give the same floats.
 WIDE_SLOT = 12
 
 
@@ -171,13 +174,16 @@ def link_capacities(
     evaluated once per set of transmitters it shares a slot with.
 
     Each slot evaluates only the links missing from its memo entry.  A slot
-    of at least ``WIDE_SLOT`` transmitters sends them to ``slot_sinrs`` in
-    one numpy pass; a narrower one, where the array set-up costs more than
-    it saves, runs ``link_sinr`` per link.  The two give equal floats, so
-    the cut moves no capacity.
+    of fewer than ``WIDE_SLOT`` transmitters, where the array set-up costs
+    more than it saves, runs ``link_sinr`` per link as it comes.  The
+    misses of every wider slot go to ``slot_sinrs`` together, in one numpy
+    pass after the narrow ones, so a bad link of a narrow slot is named
+    before one of a wide slot.  The two give equal floats, so the cut moves
+    no capacity.
     """
     caps = {}
     memo = {} if memo is None else memo
+    wide = []  # (memo entry, its misses, transmitters) of each wide slot with misses
     for links in slots.values():
         order = tuple(sorted({tx for tx, _ in links}))
         known = memo.setdefault(order, {})
@@ -187,12 +193,20 @@ def link_capacities(
                     tx, rx = link
                     others = tuple(cell for cell in order if cell != tx and cell != rx)
                     known[link] = link_capacity(link_sinr(tx, rx, others, radio, grid))
+                caps[link] = known[link]
         else:
             missing = [link for link in links if link not in known]
             if missing:
-                known.update(zip(missing, map(link_capacity, slot_sinrs(missing, order, radio, grid))))
-        for link in links:
-            caps[link] = known[link]
+                wide.append((known, missing, order))
+            # a miss holds its place in ``caps`` until the kernel fills it
+            for link in links:
+                caps[link] = known.get(link)
+    if wide:
+        sinrs = iter(slot_sinrs([(missing, order) for _, missing, order in wide], radio, grid))
+        for known, missing, _ in wide:
+            found = dict(zip(missing, map(link_capacity, sinrs)))
+            known.update(found)
+            caps.update(found)
     if len(caps) != sum(map(len, slots.values())):
         seen = set()
         for link in (link for links in slots.values() for link in links):

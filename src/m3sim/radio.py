@@ -17,9 +17,10 @@ P / Z**alpha is read from one table laid out by that offset, built once per
 (power, alpha, H).
 
 ``link_sinr`` sums one link's terms in a Python loop.  ``slot_sinrs``
-evaluates every link of one slot in numpy: it gathers the same terms over
-a (links x slot transmitters) array and adds each row in transmitter order
-with ``np.cumsum``, so its floats equal ``link_sinr``'s with ``==``.
+evaluates every link of a sequence of slots in numpy: it gathers the same
+terms over (links x slot transmitters) arrays and adds each row in
+transmitter order with ``np.cumsum``, so its floats equal ``link_sinr``'s
+with ``==``.
 Either raises ``RadioError`` naming the link when P / (I + N) is not
 finite.
 """
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -127,48 +129,84 @@ _BLOCK = 256
 
 
 def slot_sinrs(
-    links: Sequence[tuple[int, int]], transmitters: Sequence[int], radio: RadioParams, grid: SubcellGrid
+    slots: Sequence[tuple[Sequence[tuple[int, int]], Sequence[int]]], radio: RadioParams, grid: SubcellGrid
 ) -> list[float]:
-    """SINR of each link (tx, rx) hearing every one of the ascending, distinct
-    (and at least one) ``transmitters`` except its own tx and rx.
+    """SINRs of the links of every slot, in slot order and then link order.
 
-    Each value equals ``link_sinr(tx, rx, others, radio, grid)`` with
-    ``others`` the transmitters in the same order without tx and rx: a
-    link's terms are added one transmitter after the other (``np.cumsum``
-    along its row), and its own tx and rx add an exact 0.0.
+    A slot is (links, transmitters): each link (tx, rx) hears every one of
+    the slot's ascending, distinct (and at least one) ``transmitters``
+    except its own tx and rx.  Each value equals ``link_sinr(tx, rx,
+    others, radio, grid)`` with ``others`` the transmitters in the same
+    order without tx and rx: a link's terms are added one transmitter after
+    the other (``np.cumsum`` along its row), and its own tx and rx, and the
+    padding past its slot's last transmitter, add an exact 0.0.
+
+    The slots are taken in order of width and their links evaluated in
+    blocks of ``_BLOCK``, each padded to its own widest slot.  The first
+    non-adjacent link, in slot and then link order, fails before any SINR
+    is evaluated; then the first SINR that is not finite fails.
     """
-    pairs = np.array(links, dtype=np.intp).reshape(-1, 2)
-    tx, rx = pairs[:, 0], pairs[:, 1]
+    ranked = sorted(range(len(slots)), key=lambda k: len(slots[k][1]))
+    counts = [len(slots[k][0]) for k in ranked]
+    widths = [len(slots[k][1]) for k in ranked]
+    # in width order, slot k owns links link_start[k]:link_start[k + 1]
+    # and transmitters sent_start[k]:sent_start[k + 1]
+    link_start, sent_start = [0, *accumulate(counts)], [0, *accumulate(widths)]
+    links = chain.from_iterable(chain.from_iterable(slots[k][0] for k in ranked))
+    tx, rx = np.fromiter(links, dtype=np.intp, count=2 * link_start[-1]).reshape(-1, 2).T
+    order = np.fromiter(chain.from_iterable(slots[k][1] for k in ranked), dtype=np.intp, count=sent_start[-1])
+    link_slot = np.repeat(np.arange(len(ranked)), counts)
+
+    def first_bad(bad):
+        """The position of the first of the ``bad`` links in slot and then link order."""
+        k = link_slot[bad]
+        return bad[np.argmin(np.array(ranked)[k] * link_start[-1] + bad - np.array(link_start)[k])]
+
     q, r = grid.axial_coords
     dq, dr = q[tx] - q[rx], r[tx] - r[rx]
     far = np.flatnonzero(dq * dq + dr * dr + dq * dr != 1)
     if far.size:
-        i = far[0]
+        i = first_bad(far)
         raise RadioError(f"link {tx[i]}->{rx[i]} does not span adjacent subcells")
-    order = np.array(transmitters, dtype=np.intp)
     H = grid.params.H
     table = _offset_terms(radio.power, radio.alpha, H)
     width = 4 * H + 1
-    sent = q[order] * width + r[order] + 2 * H * (width + 1)
+    # the table's entry for offset (0, 0), which holds 0.0
+    centre = 2 * H * (width + 1)
+    sent = q[order] * width + r[order] + centre
     heard_at = q[rx] * width + r[rx]
-    # the column of each link's own tx, where it is one of the transmitters
-    own = np.minimum(np.searchsorted(order, tx), order.size - 1)
-    hit = order[own] == tx
-    interference = np.empty(len(pairs))
-    for start in range(0, len(pairs), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        heard = table.take(sent[None, :] - heard_at[block, None])
-        rows = np.flatnonzero(hit[block])
-        heard[rows, own[block][rows]] = 0.0
-        interference[block] = np.cumsum(heard, axis=1, out=heard)[:, -1]
+    # the column of each link's own tx in its slot, where it is one of the transmitters
+    keys = np.repeat(np.arange(len(ranked)), widths) * len(grid.cells) + order
+    own_key = link_slot * len(grid.cells) + tx
+    own = np.searchsorted(keys, own_key)
+    hit = keys.take(own, mode="clip") == own_key
+    own -= np.array(sent_start)[link_slot]
+    interference = np.empty(tx.size)
+    for start in range(0, tx.size, _BLOCK):
+        stop = min(start + _BLOCK, tx.size)
+        low, high = link_slot[start], link_slot[stop - 1]
+        index = np.empty((stop - start, widths[high]), dtype=np.intp)
+        for k in range(low, high + 1):
+            a, b = max(link_start[k], start), min(link_start[k + 1], stop)
+            part = index[a - start : b - start]
+            np.subtract(sent[sent_start[k] : sent_start[k + 1]], heard_at[a:b, None], out=part[:, : widths[k]])
+            part[:, widths[k] :] = centre
+        owned = np.flatnonzero(hit[start:stop])
+        index[owned, own[start:stop][owned]] = centre
+        heard = table.take(index)
+        interference[start:stop] = np.cumsum(heard, axis=1, out=heard)[:, -1]
     denominators = interference + radio.noise_term(grid.params.relay_distance)
     with np.errstate(divide="ignore", over="ignore"):
         sinrs = radio.power / denominators
     bad = np.flatnonzero(~np.isfinite(sinrs))
     if bad.size:
-        i = bad[0]
+        i = first_bad(bad)
         raise _non_finite_sinr(tx[i], rx[i], radio, denominators[i])
-    return sinrs.tolist()
+    values = sinrs.tolist()
+    by_slot = [[]] * len(slots)
+    for k, a, b in zip(ranked, link_start, link_start[1:]):
+        by_slot[k] = values[a:b]
+    return list(chain.from_iterable(by_slot))
 
 
 def _non_finite_sinr(tx: int, rx: int, radio: RadioParams, denominator: float) -> RadioError:

@@ -23,7 +23,6 @@ spreads routes by penalizing already-loaded relays.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
 from itertools import chain
 from typing import Hashable
@@ -367,26 +366,6 @@ def _hopper(grid, dest, overlay, choose):
     return hop
 
 
-def _walk(hop, dest_idx, source):
-    """(cells, modes, reached) of the route from ``source``, hop by hop, never revisiting a cell.
-
-    ``reached`` is None for a route that strands.  Every hop visits a new
-    cell, so the walk ends.
-    """
-    cells, modes, visited = [source], [], {source}
-    current = source
-    while True:
-        step = hop(current, visited)
-        if step is None:
-            return tuple(cells), tuple(modes), None
-        current, mode = step
-        cells.append(current)
-        modes.append(mode)
-        if current in dest_idx:
-            return tuple(cells), tuple(modes), current
-        visited.add(current)
-
-
 def _successors(hop):
     """The successor table of one hop rule: ``successor(cell, previous)`` -> (state key, hop).
 
@@ -422,8 +401,8 @@ def _follow(hop, dest_idx, sources):
     follows, itself and the state's position, so a later route that
     reaches the state copies the rest and shares its link pairs.  Where the
     table would lead a route back onto one of its own cells, the route
-    takes the next hop with everything it visited excluded, as ``_walk``
-    does, and the states before that hop are not recorded.
+    takes the next hop with everything it visited excluded, as a walk hop
+    by hop would, and the states before that hop are not recorded.
     """
     successor = _successors(hop)
     known: dict[Hashable, tuple[Route, int]] = {}
@@ -479,31 +458,47 @@ def _follow(hop, dest_idx, sources):
 def _lar_route(grid, dest, overlay):
     """Load-aware routes: sources routed in order, relay loads updated between.
 
-    The hop cost is (1 + load(target)) * distance rank, so later sources
-    divert around relays already carrying traffic.  A single source sees
-    zero loads and reproduces the plain minimum-distance route.  A cost is
-    never below its rank, so the scan over the ranked candidates stops at
-    the first rank above the best cost so far.
+    The hop cost is (1 + load(target)) * rank, where a neighbour's rank
+    counts only the available, unvisited neighbours in distance order, so
+    later sources divert around relays already carrying traffic; equal
+    costs go to the lower cell index.  A single source sees zero loads and
+    reproduces the plain minimum-distance route.
+
+    Each hop is one pass over the cell's ``rank_table`` row.  A destination
+    at its head ends the route: the row lists destinations first, and none
+    is ever unavailable or visited, so no later neighbour is one.  Otherwise
+    the pass skips unavailable and visited cells, and, as a cost is never
+    below its rank, stops at the first rank above the best cost so far.  A
+    hop with no candidate strands the route.
     """
+    ranks, dest_idx, unavailable = grid.rank_table(dest), dest.indices(), overlay.unavailable
     load: dict[int, int] = {}
-
-    def least_loaded(current, candidates):
-        best = (1 + load.get(candidates[0], 0), candidates[0])
-        for rank, n in enumerate(candidates[1:], 2):
-            if rank > best[0]:
-                break
-            best = min(best, ((1 + load.get(n, 0)) * rank, n))
-        return best[1], FALLBACK
-
-    hop = _hopper(grid, dest, overlay, least_loaded)
-    dest_idx = dest.indices()
     routes = []
     for src in overlay.sources:
-        cells, modes, reached = _walk(hop, dest_idx, src)
-        routes.append(Route(src, cells, reached, modes))
-        if reached is not None:
+        cells, visited, reached = [src], {src}, None
+        ranked = ranks[src]
+        while ranked[0] not in dest_idx:
+            best, best_cost, rank = None, math.inf, 0
+            for n in ranked:
+                if n in unavailable or n in visited:
+                    continue
+                rank += 1
+                if rank > best_cost:
+                    break
+                cost = (1 + load.get(n, 0)) * rank
+                if cost < best_cost or cost == best_cost and n < best:
+                    best, best_cost = n, cost
+            if best is None:
+                break
+            cells.append(best)
+            visited.add(best)
+            ranked = ranks[best]
+        else:
+            reached = ranked[0]
+            cells.append(reached)
             for idx in cells[1:-1]:
                 load[idx] = load.get(idx, 0) + 1
+        routes.append(Route(src, tuple(cells), reached, (FALLBACK,) * (len(cells) - 1)))
     return RouteSet(routes=routes, kind=LAR)
 
 
@@ -619,19 +614,13 @@ def schedule(route_set: RouteSet, config: ProtocolConfig, grid: SubcellGrid) -> 
     MDR/LAR use the fixed K-slot round robin keyed by transmitter color.
     mMDR greedily colors the link conflict graph (two links conflict when
     they share a subcell or a transmitter sits within the interference
-    threshold of the other receiver), giving a cycle of T_min <= K slots.
+    threshold of the other receiver), giving a cycle of T_min <= K slots:
+    each link, in route order, takes the lowest slot none of its conflicts
+    holds, read as the lowest clear bit of the OR of per-cell slot bit sets.
     LIR/mLIR put all coordinated hops in one slot and round-robin the rest.
     """
-    links: list[tuple[int, int]] = []
-    coord_links: set[tuple[int, int]] = set()
-    seen = set()
-    for route in route_set.routes:
-        for link, mode in zip(route.links, route.link_modes):
-            if link not in seen:
-                seen.add(link)
-                links.append(link)
-            if mode == COORD:
-                coord_links.add(link)
+    # every distinct link, in the order the routes first use it
+    links = list(dict.fromkeys(chain.from_iterable(route.links for route in route_set.routes)))
 
     slots: dict[int, list[tuple[int, int]]] = {}
 
@@ -643,32 +632,43 @@ def schedule(route_set: RouteSet, config: ProtocolConfig, grid: SubcellGrid) -> 
             put(grid.colors[link[0]], link)
         cycle = NUM_COLORS
     elif config.kind == MMDR:
-        # First fit over the slots each cell already sends and hears in.  A
-        # link conflicts with every assigned link that touches its endpoints,
-        # whose receiver lies near its transmitter, or whose transmitter lies
-        # near its receiver.
+        # First fit over the slots each cell already sends and hears in,
+        # kept as bit sets: bit s of sent[c] is set when c transmits in slot
+        # s.  A link conflicts with every assigned link that touches its
+        # endpoints, whose receiver lies near its transmitter, or whose
+        # transmitter lies near its receiver; its slot is the lowest bit
+        # clear in all of theirs.
         offsets = _conflict_offsets(grid, config.interference_threshold)
-        sent: defaultdict[int, set[int]] = defaultdict(set)
-        heard: defaultdict[int, set[int]] = defaultdict(set)
+        sent = [0] * len(grid.cells)
+        heard = [0] * len(grid.cells)
         around: dict[int, list[int]] = {}
+        q, r, index = grid.axial_q, grid.axial_r, grid.index
 
         def near(i):
-            if i not in around:
-                c = grid.cells[i]
-                axial = ((c.q + dq, c.r + dr) for dq, dr in offsets)
-                around[i] = [grid.index[a] for a in axial if a in grid.index]
-            return around[i]
+            cells = around.get(i)
+            if cells is None:
+                axial = ((q[i] + dq, r[i] + dr) for dq, dr in offsets)
+                cells = around[i] = [index[a] for a in axial if a in index]
+            return cells
 
         for tx, rx in links:
-            used = sent[tx].union(
-                heard[tx], sent[rx], heard[rx], *(heard[c] for c in near(tx)), *(sent[c] for c in near(rx))
-            )
-            slot = next(s for s in range(len(links) + 1) if s not in used)
-            sent[tx].add(slot)
-            heard[rx].add(slot)
-            put(slot, (tx, rx))
+            used = sent[tx] | heard[tx] | sent[rx] | heard[rx]
+            for c in near(tx):
+                used |= heard[c]
+            for c in near(rx):
+                used |= sent[c]
+            bit = ~used & (used + 1)
+            sent[tx] |= bit
+            heard[rx] |= bit
+            put(bit.bit_length() - 1, (tx, rx))
         cycle = max(slots) + 1 if slots else 0
     else:  # LIR, MLIR
+        coord_links = {
+            link
+            for route in route_set.routes
+            for link, mode in zip(route.links, route.link_modes)
+            if mode == COORD
+        }
         fallback_links = [l for l in links if l not in coord_links]
         # Coordinated handovers share one slot, except that links touching a
         # common subcell (same relay receiving twice, or a cell asked to

@@ -292,6 +292,22 @@ def test_non_finite_probability_is_rejected_by_name(prob):
         build_chain({"s": [("s", prob), ("done", 1.0)]}, ["done"])
 
 
+def test_row_sums_are_named_as_plain_floats():
+    with pytest.raises(ChainError) as built:
+        build_chain({"s": [("done", 0.5)]}, ["done"])
+    assert str(built.value) == "row for 's' sums to 0.5, expected 1"
+    with pytest.raises(ChainError) as checked:
+        m3sim.chains.AbsorbingChain(
+            transient=("s", "t"),
+            absorbing=("done",),
+            indptr=np.array([0, 2, 3]),
+            indices=np.array([1, 2, 0]),
+            probs=np.array([0.5, 0.4, 1.0]),
+            dwell=np.ones(2),
+        )
+    assert str(checked.value) == "row 0 sums to 0.9, expected 1"
+
+
 def test_start_distribution_validation():
     chain = ladder()
     with pytest.raises(ChainError):
@@ -1057,7 +1073,7 @@ def row_by_row_build(rows, absorbing):
         for col in sorted(entries):
             total += entries[col]
         if abs(total - 1.0) > _ROW_SUM_TOL:
-            raise ChainError(f"row for {state!r} sums to {total!r}, expected 1")
+            raise ChainError(f"row for {state!r} sums to {float(total)!r}, expected 1")
         for col in sorted(entries):
             if entries[col] / total != 0.0:
                 indices.append(col)

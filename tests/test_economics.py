@@ -579,9 +579,9 @@ def test_capacity_evaluates_each_scheduled_link_once(monkeypatch, case, paths):
         calls.append(("loop", (tx, rx)))
         return real_sinr(tx, rx, interferers, radio, grid)
 
-    def counted_slot(links, transmitters, radio, grid):
-        calls.extend(("slot", tuple(link)) for link in links)
-        return real_slot(links, transmitters, radio, grid)
+    def counted_slot(table, radio, grid):
+        calls.extend(("slot", tuple(link)) for links, _ in table for link in links)
+        return real_slot(table, radio, grid)
 
     monkeypatch.setattr(economics, "link_sinr", counted)
     monkeypatch.setattr(economics, "slot_sinrs", counted_slot)
@@ -611,12 +611,13 @@ def test_wide_slot_memo_misses_go_to_the_kernel(monkeypatch):
     assert min(map(len, expected)) >= economics.WIDE_SLOT
     memo = {order: dict(sorted(by_link.items())[::2]) for order, by_link in expected.items()}
     misses = sorted(link for by_link in expected.values() for link in sorted(by_link)[1::2])
-    handed = []
+    handed, kernel_calls = [], []
     real_slot = economics.slot_sinrs
 
-    def recorded(links, transmitters, radio, grid):
-        handed.extend(links)
-        return real_slot(links, transmitters, radio, grid)
+    def recorded(table, radio, grid):
+        kernel_calls.append(len(table))
+        handed.extend(link for links, _ in table for link in links)
+        return real_slot(table, radio, grid)
 
     def refused(*args):
         raise AssertionError("a wide slot ran link_sinr")
@@ -627,6 +628,8 @@ def test_wide_slot_memo_misses_go_to_the_kernel(monkeypatch):
     assert memo == expected
     assert caps == _by_link(expected)
     assert sorted(handed) == misses
+    # one kernel call for the whole slot table, one entry per slot with misses
+    assert kernel_calls == [len(expected)]
 
 
 def test_link_capacities_refuse_a_link_scheduled_twice():
@@ -654,6 +657,19 @@ def test_link_capacities_name_a_link_without_interference_or_noise(case, wide):
     slots, radio, grid = case()
     assert radio.noise_term(grid.params.relay_distance) == 0.0
     assert (len({tx for tx, _ in slots[0]}) >= economics.WIDE_SLOT) == wide
+    with pytest.raises(RadioError, match="^SINR of link 1->0 is not finite"):
+        link_capacities(slots, radio, grid)
+
+
+def test_link_capacities_name_a_narrow_slot_before_a_wide_one():
+    # narrow slots run link by link as they come, and the misses of every
+    # wide slot go to the kernel afterwards, so the narrow slot's link is
+    # named although the wide slot comes first
+    slots, radio, grid = _silent_wide_slots()
+    slots[1] = [(2, 0)]
+    with pytest.raises(RadioError, match="^SINR of link 2->0 is not finite"):
+        link_capacities(slots, radio, grid)
+    del slots[1]
     with pytest.raises(RadioError, match="^SINR of link 1->0 is not finite"):
         link_capacities(slots, radio, grid)
 
@@ -1291,9 +1307,9 @@ def test_memoized_negotiation_evaluates_each_link_once_per_slot_transmitter_set(
         evaluated.append((tx, rx))
         return real_sinr(tx, rx, interferers, radio, grid)
 
-    def counted_slot(links, transmitters, radio, grid):
-        evaluated.extend(links)
-        return real_slot(links, transmitters, radio, grid)
+    def counted_slot(table, radio, grid):
+        evaluated.extend(link for links, _ in table for link in links)
+        return real_slot(table, radio, grid)
 
     def recorded(slots, radio, grid, memo=None):
         assert memo is ctx._link_caps

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from m3sim.economics import WIDE_SLOT
 from m3sim.grid import GridParams, SubcellGrid
-from m3sim.radio import RadioError, RadioParams, link_capacity, link_sinr, min_power, slot_sinrs
+from m3sim.radio import _BLOCK, RadioError, RadioParams, link_capacity, link_sinr, min_power, slot_sinrs
 
 GRID = SubcellGrid(GridParams(H=4))
 
@@ -187,10 +188,23 @@ def test_sinr_underflows_where_the_formula_overflows():
     assert outcomes == {"overflow", "finite"}
 
 
-# -- one slot in one numpy pass against the per-link loop --------------------
+# -- slot tables in one numpy pass against the per-link loop -----------------
 
 # d_r = 1, so the noise term stays finite at alpha = 1000
 UNIT_GRID = SubcellGrid(GridParams(H=4, R=8.0 / math.sqrt(3.0)))
+
+
+def _radio_case(draw):
+    """A radio and a grid for it: d_r = 1 at alpha = 1000, so that far terms
+    underflow to 0.0 while the noise term stays finite."""
+    alpha = draw(st.sampled_from(ALPHAS + (1000.0,)))
+    grid = UNIT_GRID if alpha == 1000.0 else SINR_GRIDS[draw(st.sampled_from(sorted(SINR_GRIDS)))]
+    radio = RadioParams(
+        power=draw(st.floats(1e-3, 10.0)),
+        alpha=alpha,
+        noise=draw(st.sampled_from((1e-4, 1e-8, 1e-12))),
+    )
+    return radio, grid
 
 
 @st.composite
@@ -202,13 +216,7 @@ def slot_cases(draw):
     d_r = 1) far terms underflow to 0.0.  The first link's receiver always
     transmits in the slot too.
     """
-    alpha = draw(st.sampled_from(ALPHAS + (1000.0,)))
-    grid = UNIT_GRID if alpha == 1000.0 else SINR_GRIDS[draw(st.sampled_from(sorted(SINR_GRIDS)))]
-    radio = RadioParams(
-        power=draw(st.floats(1e-3, 10.0)),
-        alpha=alpha,
-        noise=draw(st.sampled_from((1e-4, 1e-8, 1e-12))),
-    )
+    radio, grid = _radio_case(draw)
     hops = [(tx, rx) for tx in range(len(grid.cells)) for rx in grid.adjacent[tx]]
     count = draw(st.sampled_from(((1, 11), (12, 60), (257, 600))).flatmap(lambda span: st.integers(*span)))
     links = draw(st.randoms(use_true_random=False)).sample(hops, min(count, len(hops)))
@@ -227,9 +235,52 @@ def test_slot_sinrs_equal_the_per_link_loop(case):
     expected = [
         link_sinr(tx, rx, tuple(t for t in order if t not in (tx, rx)), radio, grid) for tx, rx in links
     ]
-    assert slot_sinrs(links, order, radio, grid) == expected
+    assert slot_sinrs([(links, order)], radio, grid) == expected
     # a subset of the links, as the memo misses of a slot are
-    assert slot_sinrs(links[1::2], order, radio, grid) == expected[1::2]
+    assert slot_sinrs([(links[1::2], order)], radio, grid) == expected[1::2]
+
+
+@st.composite
+def slot_tables(draw):
+    """A table of slots of relay hops on an H=4 or H=10 grid, more than one
+    256-link block in all, in no order of width.
+
+    Each slot has 1 to 11 transmitters or 12 to 60, and the table holds both
+    kinds.  A slot's links leave each of its senders for one to three
+    neighbours; its transmitters are the senders with up to two of them
+    swapped for other cells, so a link's tx need not transmit and another
+    link's receiver may.
+    """
+    radio, grid = _radio_case(draw)
+    rng = draw(st.randoms(use_true_random=False))
+    cells = range(len(grid.cells))
+    widths = [rng.randint(1, 11), rng.randint(12, 60)]
+    slots = []
+    while widths or sum(len(links) for links, _ in slots) <= _BLOCK:
+        w = widths.pop() if widths else rng.choice((rng.randint(1, 11), rng.randint(12, 60)))
+        senders = rng.sample(cells, w)
+        links = [(tx, rx) for tx in senders for rx in rng.sample(grid.adjacent[tx], rng.randint(1, 3))]
+        rng.shuffle(links)
+        swapped = rng.randint(0, min(2, len(grid.cells) - w))
+        others = rng.sample([c for c in cells if c not in senders], swapped)
+        transmitters = tuple(sorted(senders[swapped:] + others))
+        slots.insert(rng.randint(0, len(slots)), (links, transmitters))
+    return slots, radio, grid
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(slot_tables())
+def test_slot_tables_equal_the_per_link_loop(case):
+    slots, radio, grid = case
+    widths = [len(transmitters) for _, transmitters in slots]
+    assert min(widths) < WIDE_SLOT <= max(widths)
+    assert sum(len(links) for links, _ in slots) > _BLOCK
+    expected = [
+        link_sinr(tx, rx, tuple(t for t in order if t not in (tx, rx)), radio, grid)
+        for links, order in slots
+        for tx, rx in links
+    ]
+    assert slot_sinrs(slots, radio, grid) == expected
 
 
 def test_slot_sinrs_cross_blocks_and_read_the_underflowing_table():
@@ -238,7 +289,7 @@ def test_slot_sinrs_cross_blocks_and_read_the_underflowing_table():
     radio = RadioParams(alpha=1000.0)
     links = [(tx, rx) for tx in range(len(UNIT_GRID.cells)) for rx in UNIT_GRID.adjacent[tx]]
     order = tuple(range(len(UNIT_GRID.cells)))
-    got = slot_sinrs(links, order, radio, UNIT_GRID)
+    got = slot_sinrs([(links, order)], radio, UNIT_GRID)
     assert len(links) > 256
     assert got == [
         link_sinr(tx, rx, tuple(t for t in order if t not in (tx, rx)), radio, UNIT_GRID) for tx, rx in links
@@ -253,7 +304,7 @@ def test_slot_sinrs_reject_a_non_adjacent_link_as_link_sinr_does():
     with pytest.raises(RadioError, match=message):
         link_sinr(1, 10, (), radio, grid)
     with pytest.raises(RadioError, match=message):
-        slot_sinrs([(1, 0), (1, 10)], (1,), radio, grid)
+        slot_sinrs([([(1, 0), (1, 10)], (1,))], radio, grid)
 
 
 def _silent_grid():
@@ -270,4 +321,22 @@ def test_sinr_without_interference_or_noise_fails_by_name():
     with pytest.raises(RadioError, match=message):
         link_sinr(1, 0, (), radio, grid)
     with pytest.raises(RadioError, match=message):
-        slot_sinrs([(1, 0)], (1,), radio, grid)
+        slot_sinrs([([(1, 0)], (1,))], radio, grid)
+
+
+def test_slot_sinrs_name_the_first_bad_link_in_slot_order():
+    # slots are evaluated in order of width, but a fault is named in slot
+    # and then link order, and a non-adjacent link before a non-finite SINR
+    grid, radio = _silent_grid()
+    wide, narrow = ([(2, 0), (2, 18)], (0, 2)), ([(1, 10), (1, 0)], (1,))
+    with pytest.raises(RadioError, match="^link 2->18 does not span adjacent subcells$"):
+        slot_sinrs([wide, narrow], radio, grid)
+    with pytest.raises(RadioError, match="^link 1->10 does not span adjacent subcells$"):
+        slot_sinrs([narrow, wide], radio, grid)
+    # without the non-adjacent links: 2->0 hears only its own receiver, and
+    # 1->0 nothing, so neither SINR is finite
+    wide, narrow = ([(2, 0)], (0, 2)), ([(1, 0)], (1,))
+    with pytest.raises(RadioError, match="^SINR of link 2->0 is not finite"):
+        slot_sinrs([wide, narrow], radio, grid)
+    with pytest.raises(RadioError, match="^SINR of link 1->0 is not finite"):
+        slot_sinrs([narrow, wide], radio, grid)

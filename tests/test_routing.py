@@ -306,7 +306,7 @@ def test_single_route_needs_one_coordinated_slot():
 
 # -- schedule properties over generated overlays ------------------------------
 
-GRIDS = {h: SubcellGrid(GridParams(H=h)) for h in range(1, 9)}
+GRIDS = {h: SubcellGrid(GridParams(H=h)) for h in range(1, 13)}
 
 
 @st.composite
@@ -357,15 +357,26 @@ def _ref_mmdr_first_fit(grid, routes, threshold):
     return slots, max(slots) + 1 if slots else 0
 
 
+def _in_spans(draw, *spans):
+    """An integer of one of the (low, high) ``spans``, each span as likely as the others."""
+    return draw(st.sampled_from(spans).flatmap(lambda span: st.integers(*span)))
+
+
+def _some_sources(draw, cells):
+    """Up to 16 or from 17 up to 64 distinct cells of ``cells``, in random order."""
+    count = _in_spans(draw, (1, 16), (17, 64))
+    return draw(st.randoms(use_true_random=False)).sample(cells, min(count, len(cells)))
+
+
 THRESHOLDS = (0.0, 1.0, 1.5, math.sqrt(3.0), 2.0, 2.5, 7.3, 1e6, math.inf)
 
 
 @st.composite
 def mmdr_case(draw):
-    """Random H in 1..8, sources, unavailable relays and interference threshold."""
-    grid = GRIDS[draw(st.integers(1, 8))]
+    """Random H in 1..12, up to 64 sources, unavailable relays and interference threshold."""
+    grid = GRIDS[_in_spans(draw, (1, 8), (9, 12))]
     cells = range(1, len(grid.cells))
-    sources = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=16, unique=True))
+    sources = _some_sources(draw, cells)
     free = sorted(set(cells) - set(sources))
     unavailable = frozenset(draw(st.lists(st.sampled_from(free), max_size=len(free) // 3))) if free else frozenset()
     config = ProtocolConfig(kind=MMDR, interference_threshold=draw(st.sampled_from(THRESHOLDS)))
@@ -575,19 +586,27 @@ def _ref_extract_routes(grid, dest, overlay, config):
 COLORS = st.one_of(st.none(), st.integers(0, 6))
 
 
-@st.composite
-def extraction_case(draw):
-    """Random H in 1..8, destinations, sources, unavailable relays and protocol."""
-    grid = GRIDS[draw(st.integers(1, 8))]
+def _placed(draw, grid, pick_sources):
+    """Destinations of ``grid``, sources drawn by ``pick_sources(draw, free cells)`` and unavailable relays."""
     cells = range(1, len(grid.cells))
     aps = draw(st.lists(st.sampled_from(cells), max_size=2, unique=True))
     bs = grid.cell(0) if not aps or draw(st.booleans()) else None
     dest = Destinations(bs=bs, aps=tuple(grid.cell(a) for a in aps))
     free = [c for c in cells if c not in dest.indices()]
-    sources = draw(st.lists(st.sampled_from(free), min_size=1, max_size=10, unique=True))
+    sources = pick_sources(draw, free)
     rest = sorted(set(range(len(grid.cells))) - dest.indices() - set(sources))
     unavailable = frozenset(draw(st.lists(st.sampled_from(rest), max_size=len(rest) // 2))) if rest else frozenset()
-    overlay = ScenarioOverlay(sources=tuple(sources), unavailable=unavailable, k0=draw(COLORS))
+    return dest, tuple(sources), unavailable
+
+
+@st.composite
+def extraction_case(draw):
+    """Random H in 1..8, destinations, sources, unavailable relays and protocol."""
+    grid = GRIDS[draw(st.integers(1, 8))]
+    dest, sources, unavailable = _placed(
+        draw, grid, lambda draw, free: draw(st.lists(st.sampled_from(free), min_size=1, max_size=10, unique=True))
+    )
+    overlay = ScenarioOverlay(sources=sources, unavailable=unavailable, k0=draw(COLORS))
     config = ProtocolConfig(
         kind=draw(st.sampled_from((MDR, MMDR, LAR, LIR, MLIR))),
         relay_color=draw(COLORS),
@@ -610,7 +629,44 @@ def test_extract_routes_matches_per_protocol_loops(case):
     assert (rs.routes, rs.k0, rs.kind) == (*expected, config.kind)
 
 
+@st.composite
+def lar_case(draw):
+    """Random H in 1..12, destinations, up to 64 sources and unavailable relays."""
+    grid = GRIDS[_in_spans(draw, (1, 8), (9, 12))]
+    dest, sources, unavailable = _placed(draw, grid, _some_sources)
+    return grid, dest, ScenarioOverlay(sources=sources, unavailable=unavailable)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lar_case())
+def test_lar_routes_match_the_load_aware_loop(case):
+    grid, dest, overlay = case
+    config = ProtocolConfig(kind=LAR)
+    expected, _ = _ref_extract_routes(grid, dest, overlay, config)
+    assert extract_routes(grid, dest, overlay, config).routes == expected
+
+
 # -- successor-table extraction against one walk per source -------------------
+
+
+def _walk(hop, dest_idx, source):
+    """(cells, modes, reached) of the route from ``source``, hop by hop, never revisiting a cell.
+
+    ``reached`` is None for a route that strands.  Every hop visits a new
+    cell, so the walk ends.
+    """
+    cells, modes, visited = [source], [], {source}
+    current = source
+    while True:
+        step = hop(current, visited)
+        if step is None:
+            return tuple(cells), tuple(modes), None
+        current, mode = step
+        cells.append(current)
+        modes.append(mode)
+        if current in dest_idx:
+            return tuple(cells), tuple(modes), current
+        visited.add(current)
 
 
 def _walked(grid, dest, overlay, config):
@@ -619,7 +675,7 @@ def _walked(grid, dest, overlay, config):
 
     def walk_all(choose):
         hop = routing._hopper(grid, dest, overlay, choose)
-        walks = (routing._walk(hop, dest_idx, s) for s in overlay.sources)
+        walks = (_walk(hop, dest_idx, s) for s in overlay.sources)
         return [Route(s, cells, reached, modes) for s, (cells, modes, reached) in zip(overlay.sources, walks)]
 
     if config.kind in (MDR, MMDR):
