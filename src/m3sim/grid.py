@@ -116,45 +116,36 @@ class SubcellGrid:
     def __init__(self, params: GridParams):
         self.params = params
         H = params.H
-        rings: list[list[tuple[float, int, int]]] = [[] for _ in range(H + 1)]
+        # (ring, angle, q, r) of every cell, sorted once into linear index
+        # order: by ring, then by angle; the center's atan2(0, 0) is 0.0
+        polar = []
         for q in range(-H, H + 1):
             for r in range(max(-H, -q - H), min(H, -q + H) + 1):
-                h = _axial_ring(q, r)
-                if h == 0:
-                    theta = 0.0
-                else:
-                    x, y = _unit_position(q, r)
-                    theta = math.degrees(math.atan2(y, x)) % 360.0
-                rings[h].append((theta, q, r))
-        cells: list[SubcellId] = []
-        ring_cells: list[tuple[SubcellId, ...]] = []
-        for h, members in enumerate(rings):
-            members.sort()
-            first = len(cells)
-            ring = tuple(SubcellId(h=h, theta=t, i=first + k, q=q, r=r) for k, (t, q, r) in enumerate(members))
-            ring_cells.append(ring)
-            cells.extend(ring)
-        self.cells: tuple[SubcellId, ...] = tuple(cells)
-        # Integer tables: axial (q, r) -> linear index, each cell's axial
-        # coordinates, its neighbour indices in DIRECTIONS order, and its
-        # reuse color.
+                x, y = _unit_position(q, r)
+                polar.append((_axial_ring(q, r), math.degrees(math.atan2(y, x)) % 360.0, q, r))
+        polar.sort()
+        cells = tuple(SubcellId(h=h, theta=t, i=i, q=q, r=r) for i, (h, t, q, r) in enumerate(polar))
+        self.cells: tuple[SubcellId, ...] = cells
+        # Integer tables: axial (q, r) -> linear index, each cell's neighbour
+        # indices in DIRECTIONS order, and its reuse color.
         index = {(c.q, c.r): c.i for c in cells}
         self.index: dict[tuple[int, int], int] = index
-        self.axial_q: tuple[int, ...] = tuple(c.q for c in cells)
-        self.axial_r: tuple[int, ...] = tuple(c.r for c in cells)
         self.adjacent: tuple[tuple[int, ...], ...] = tuple(
             tuple(n for n in [index.get((c.q + dq, c.r + dr)) for dq, dr in DIRECTIONS] if n is not None)
             for c in cells
         )
         self.colors: tuple[int, ...] = tuple((c.q + 5 * c.r) % NUM_COLORS for c in cells)
         self._rank_tables: dict[frozenset[int], tuple[tuple[int, ...], ...]] = {}
-        self._rings: tuple[tuple[SubcellId, ...], ...] = tuple(ring_cells)
+        # each ring is the slice of ``cells`` over its index range
+        self._rings: tuple[tuple[SubcellId, ...], ...] = (cells[:1],) + tuple(
+            cells[lo : hi + 1] for lo, hi in map(ring_index_range, range(1, H + 1))
+        )
         self._ring_thetas = tuple(tuple(c.theta for c in ring) for ring in self._rings)
 
     @cached_property
     def axial_coords(self) -> np.ndarray:
         """Read-only (2, cells) array: row 0 each cell's axial q, row 1 its r."""
-        coords = np.array([self.axial_q, self.axial_r], dtype=np.intp)
+        coords = np.array([[c.q for c in self.cells], [c.r for c in self.cells]], dtype=np.intp)
         coords.flags.writeable = False
         return coords
 
@@ -177,8 +168,11 @@ class SubcellGrid:
         only when nearer by more than 1e-12 degrees.  A ring's angles rise
         with the index, so the nearest cell is one of the two that bracket
         theta, cyclically; every other cell lies a whole spacing further.
+        A non-finite theta raises ``GridError``.
         """
         ring = self.ring(h)
+        if not math.isfinite(theta):
+            raise GridError(f"placement angle must be finite, got {theta!r}")
         theta = theta % 360.0
         j = bisect.bisect_right(self._ring_thetas[h], theta)
         pair = (ring[j - 1], ring[j]) if 0 < j < len(ring) else (ring[0], ring[-1])

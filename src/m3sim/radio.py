@@ -105,14 +105,15 @@ def link_sinr(
     H = grid.params.H
     table = _offset_terms(radio.power, radio.alpha, H)
     width = 4 * H + 1
-    q, r = grid.axial_q, grid.axial_r
+    cells = grid.cells
     # a transmitter's entry is this origin plus its key
-    origin = 2 * H * (width + 1) - q[rx] * width - r[rx]
+    origin = 2 * H * (width + 1) - cells[rx].q * width - cells[rx].r
     interference = 0.0
     for cell in interferers:
         if cell == rx:
             raise RadioError(f"interferer co-located with receiver {rx}")
-        interference += table.item(origin + q[cell] * width + r[cell])
+        at = cells[cell]
+        interference += table.item(origin + at.q * width + at.r)
     denominator = interference + radio.noise_term(grid.params.relay_distance)
     try:
         sinr = radio.power / denominator

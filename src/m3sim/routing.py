@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from itertools import chain
+from itertools import chain, product
 from typing import Hashable
 
 import numpy as np
@@ -611,57 +611,22 @@ def _conflict_offsets(grid, threshold):
 def schedule(route_set: RouteSet, config: ProtocolConfig, grid: SubcellGrid) -> RouteSet:
     """Assign every route link to a slot; fills ``slots`` and ``cycle_length``.
 
-    MDR/LAR use the fixed K-slot round robin keyed by transmitter color.
-    mMDR greedily colors the link conflict graph (two links conflict when
-    they share a subcell or a transmitter sits within the interference
-    threshold of the other receiver), giving a cycle of T_min <= K slots:
-    each link, in route order, takes the lowest slot none of its conflicts
-    holds, read as the lowest clear bit of the OR of per-cell slot bit sets.
-    LIR/mLIR put all coordinated hops in one slot and round-robin the rest.
+    Every kind runs one greedy first fit and then one K-slot round robin,
+    picking only the links of each and the fit's interference threshold.
+    Fitted links conflict when they share a subcell or a transmitter sits
+    within the threshold of the other receiver; each, in order, takes the
+    lowest slot none of its conflicts holds.  The rest take slot (fitted
+    slots + transmitter color).  MDR/LAR round-robin every link, with a
+    cycle of K.  mMDR fits every link in route order at the protocol's
+    threshold, giving T_min <= K slots.  LIR/mLIR fit the sorted
+    coordinated links at threshold 0 and round-robin the fallback links.
     """
     # every distinct link, in the order the routes first use it
     links = list(dict.fromkeys(chain.from_iterable(route.links for route in route_set.routes)))
-
-    slots: dict[int, list[tuple[int, int]]] = {}
-
-    def put(slot, link):
-        slots.setdefault(slot, []).append(link)
-
     if config.kind in (MDR, LAR):
-        for link in links:
-            put(grid.colors[link[0]], link)
-        cycle = NUM_COLORS
+        fit, threshold, rest = [], 0.0, links
     elif config.kind == MMDR:
-        # First fit over the slots each cell already sends and hears in,
-        # kept as bit sets: bit s of sent[c] is set when c transmits in slot
-        # s.  A link conflicts with every assigned link that touches its
-        # endpoints, whose receiver lies near its transmitter, or whose
-        # transmitter lies near its receiver; its slot is the lowest bit
-        # clear in all of theirs.
-        offsets = _conflict_offsets(grid, config.interference_threshold)
-        sent = [0] * len(grid.cells)
-        heard = [0] * len(grid.cells)
-        around: dict[int, list[int]] = {}
-        q, r, index = grid.axial_q, grid.axial_r, grid.index
-
-        def near(i):
-            cells = around.get(i)
-            if cells is None:
-                axial = ((q[i] + dq, r[i] + dr) for dq, dr in offsets)
-                cells = around[i] = [index[a] for a in axial if a in index]
-            return cells
-
-        for tx, rx in links:
-            used = sent[tx] | heard[tx] | sent[rx] | heard[rx]
-            for c in near(tx):
-                used |= heard[c]
-            for c in near(rx):
-                used |= sent[c]
-            bit = ~used & (used + 1)
-            sent[tx] |= bit
-            heard[rx] |= bit
-            put(bit.bit_length() - 1, (tx, rx))
-        cycle = max(slots) + 1 if slots else 0
+        fit, threshold, rest = links, config.interference_threshold, []
     else:  # LIR, MLIR
         coord_links = {
             link
@@ -669,26 +634,38 @@ def schedule(route_set: RouteSet, config: ProtocolConfig, grid: SubcellGrid) -> 
             for link, mode in zip(route.links, route.link_modes)
             if mode == COORD
         }
-        fallback_links = [l for l in links if l not in coord_links]
-        # Coordinated handovers share one slot, except that links touching a
-        # common subcell (same relay receiving twice, or a cell asked to
-        # transmit and receive at once) cannot physically coexist and spill
-        # into further coordinated slots: first fit against the cells each
-        # coordinated slot already touches.
-        touched: list[set[int]] = []
-        for tx, rx in sorted(coord_links):
-            s = next(
-                (s for s, cells in enumerate(touched) if tx not in cells and rx not in cells),
-                len(touched),
-            )
-            if s == len(touched):
-                touched.append(set())
-            touched[s].update((tx, rx))
-            put(s, (tx, rx))
-        offset = len(touched)
-        for link in fallback_links:
-            put(offset + grid.colors[link[0]], link)
-        cycle = offset + (NUM_COLORS if fallback_links else 0)
+        fit, threshold, rest = sorted(coord_links), 0.0, [l for l in links if l not in coord_links]
+
+    slots: dict[int, list[tuple[int, int]]] = {}
+    # Bit s of sent[c] (heard[c]) is set when c transmits (receives) in
+    # slot s.  A link's conflicts hold every slot in the OR of its
+    # endpoints' sets, of heard[c] for c near its tx and of sent[c] for c
+    # near its rx; it takes the lowest clear bit.  At threshold 0 no cell
+    # is near another.
+    offsets = _conflict_offsets(grid, threshold)
+    sent = [0] * len(grid.cells)
+    heard = [0] * len(grid.cells)
+    cells, index = grid.cells, grid.index
+    near: dict[int, list[int]] = {i: [] for i in chain.from_iterable(fit)}
+    for (dq, dr), i in product(offsets, near):
+        a = (cells[i].q + dq, cells[i].r + dr)
+        if a in index:
+            near[i].append(index[a])
+    for tx, rx in fit:
+        used = sent[tx] | heard[tx] | sent[rx] | heard[rx]
+        for c in near[tx]:
+            used |= heard[c]
+        for c in near[rx]:
+            used |= sent[c]
+        bit = ~used & (used + 1)
+        sent[tx] |= bit
+        heard[rx] |= bit
+        slots.setdefault(bit.bit_length() - 1, []).append((tx, rx))
+    # first fit leaves no slot empty below its highest
+    fitted = len(slots)
+    for link in rest:
+        slots.setdefault(fitted + grid.colors[link[0]], []).append(link)
+    cycle = fitted + (NUM_COLORS if rest or config.kind in (MDR, LAR) else 0)
 
     route_set.slots = slots
     route_set.cycle_length = cycle

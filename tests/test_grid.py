@@ -4,16 +4,21 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from m3sim.grid import (
+    DIRECTIONS,
     NUM_COLORS,
     Destinations,
     GridError,
     GridParams,
     SubcellGrid,
+    SubcellId,
+    _axial_ring,
+    _unit_position,
     make_destinations,
     ring_index_range,
 )
@@ -102,6 +107,13 @@ def test_nearest_in_ring_matches_the_scan_over_the_ring(H):
             got = grid.nearest_in_ring(h, theta)
             want = _scanned_nearest_in_ring(grid, h, theta)
             assert got == want and repr(got[1]) == repr(want[1]), (h, theta)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_nearest_in_ring_refuses_a_non_finite_angle(theta):
+    # NaN compares false with every ring angle, so it once snapped to the ring's first cell
+    with pytest.raises(GridError, match=f"^placement angle must be finite, got {theta!r}$"):
+        SubcellGrid(GridParams(H=3)).nearest_in_ring(2, theta)
 
 
 def test_ring_angles_sorted():
@@ -263,3 +275,50 @@ def test_rings_coloring_and_neighbors_hold_at_every_depth(H):
         for n in grid.neighbors(cell):
             assert grid.cluster_color(n) != color
             assert cell in grid.neighbors(n)
+
+
+def _ref_grid_tables(H):
+    """The grid's tables built ring by ring: each ring's (theta, q, r) sorted on its own, then joined."""
+    rings = [[] for _ in range(H + 1)]
+    for q in range(-H, H + 1):
+        for r in range(max(-H, -q - H), min(H, -q + H) + 1):
+            h = _axial_ring(q, r)
+            if h == 0:
+                theta = 0.0
+            else:
+                x, y = _unit_position(q, r)
+                theta = math.degrees(math.atan2(y, x)) % 360.0
+            rings[h].append((theta, q, r))
+    cells, ring_cells = [], []
+    for h, members in enumerate(rings):
+        members.sort()
+        first = len(cells)
+        ring = tuple(SubcellId(h=h, theta=t, i=first + k, q=q, r=r) for k, (t, q, r) in enumerate(members))
+        ring_cells.append(ring)
+        cells.extend(ring)
+    index = {(c.q, c.r): c.i for c in cells}
+    adjacent = tuple(
+        tuple(n for n in [index.get((c.q + dq, c.r + dr)) for dq, dr in DIRECTIONS] if n is not None)
+        for c in cells
+    )
+    colors = tuple((c.q + 5 * c.r) % NUM_COLORS for c in cells)
+    axial = [[c.q for c in cells], [c.r for c in cells]]
+    return tuple(cells), index, adjacent, colors, tuple(ring_cells), axial
+
+
+@pytest.mark.parametrize("H", [*range(1, 25), 32, 48, 64])
+def test_grid_tables_match_the_ring_by_ring_build(H):
+    grid = SubcellGrid(GridParams(H=H))
+    cells, index, adjacent, colors, rings, axial = _ref_grid_tables(H)
+    # SubcellId compares theta with ==; the reprs also tell -0.0 from 0.0
+    assert grid.cells == cells
+    assert [repr(c.theta) for c in grid.cells] == [repr(c.theta) for c in cells]
+    assert grid.index == index and list(grid.index) == list(index)
+    assert grid.adjacent == adjacent
+    assert grid.colors == colors
+    assert tuple(grid.ring(h) for h in range(H + 1)) == rings
+    coords = grid.axial_coords
+    assert coords.tolist() == axial and coords.dtype == np.intp
+    assert not coords.flags.writeable
+    with pytest.raises(ValueError):
+        coords[0, 0] = 1

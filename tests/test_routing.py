@@ -454,7 +454,8 @@ def hop_routes(draw):
     """Random walks over adjacent cells of an H = 1..4 grid, each hop coordinated or not.
 
     Walks cross and turn back, so coordinated links share receivers and
-    cells both send and receive.
+    cells both send and receive.  The protocol's interference threshold is
+    drawn too, though the coordinated fit must not read it.
     """
     grid = GRIDS[draw(st.integers(1, 4))]
     routes = []
@@ -464,7 +465,7 @@ def hop_routes(draw):
             cells.append(draw(st.sampled_from(grid.adjacent[cells[-1]])))
         modes = tuple(draw(st.sampled_from((COORD, FALLBACK))) for _ in cells[1:])
         routes.append(Route(source=cells[0], cells=tuple(cells), reached=cells[-1], link_modes=modes))
-    return grid, routes, draw(st.sampled_from((LIR, MLIR)))
+    return grid, routes, draw(st.sampled_from((LIR, MLIR))), draw(st.sampled_from(THRESHOLDS))
 
 
 def _coord_route(*cells):
@@ -472,15 +473,24 @@ def _coord_route(*cells):
 
 
 # cell 1 receives from 2 and sends to 0, and receives again from 6
-@example((GRIDS[2], [_coord_route(2, 1, 0), _coord_route(6, 1)], MLIR))
+@example((GRIDS[2], [_coord_route(2, 1, 0), _coord_route(6, 1)], MLIR, 1.0))
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(hop_routes())
 def test_coordinated_slots_match_pairwise_grouping(case):
-    grid, routes, kind = case
-    rs = schedule(RouteSet(routes=routes, kind=kind), ProtocolConfig(kind=kind), grid)
+    grid, routes, kind, threshold = case
+    config = ProtocolConfig(kind=kind, interference_threshold=threshold)
+    rs = schedule(RouteSet(routes=routes, kind=kind), config, grid)
     expected = _ref_lir_slots(grid, routes)
     assert (rs.slots, rs.cycle_length) == expected
     assert list(rs.slots) == list(expected[0])
+
+
+@pytest.mark.parametrize("kind, cycle", [(MDR, NUM_COLORS), (LAR, NUM_COLORS), (MMDR, 0), (LIR, 0), (MLIR, 0)])
+def test_a_schedule_without_links_keeps_its_kinds_cycle(kind, cycle):
+    # the round robin of MDR/LAR spans K slots even when nothing rides it
+    routes = [Route(source=0, cells=(0,), reached=0)]
+    rs = schedule(RouteSet(routes=routes, kind=kind), ProtocolConfig(kind=kind), GRIDS[2])
+    assert (rs.slots, rs.cycle_length) == ({}, cycle)
 
 
 def test_coordinated_links_on_a_shared_cell_spill_into_new_slots():

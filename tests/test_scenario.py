@@ -390,6 +390,19 @@ MALFORMED = [
         "destinations.coverage[0][1]: ring 9 outside 0..4",
     ),
     ('destinations: {aps: ["u^8(3,250)"]}', "destinations.aps[0]: reuse type 8 outside 1..7"),
+    # a non-finite angle has no nearest subcell; it once snapped to the ring's first cell
+    ("overlay: {sources: [[2, .nan], [3, .inf]]}", "overlay.sources[0]: placement angle must be finite, got nan"),
+    ("overlay: {sources: [[2, 30], [3, .inf]]}", "overlay.sources[1]: placement angle must be finite, got inf"),
+    ("destinations: {aps: [[3, -.inf]]}", "destinations.aps[0]: placement angle must be finite, got -inf"),
+    ("traffic: {users: {u1: [2, .nan]}}", "traffic.users.u1: placement angle must be finite, got nan"),
+    (
+        "overlay: {scenarios: [{unavailable: [[1, 30], [1, .inf]]}]}",
+        "overlay.scenarios[0].unavailable[1]: placement angle must be finite, got inf",
+    ),
+    (
+        "destinations: {aps: [[3, 250]], coverage: [[[2, 0], [2, .nan]]]}",
+        "destinations.coverage[0][1]: placement angle must be finite, got nan",
+    ),
     (
         "destinations: {aps: [[3, 250]], coverage: [[], []]}",
         "destinations: coverage must list one cluster per access point",
