@@ -23,7 +23,7 @@ spreads routes by penalizing already-loaded relays.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from itertools import chain, product
 from typing import Hashable
 
@@ -304,19 +304,19 @@ def start_state(config: ProtocolConfig, cell_index: int) -> Hashable:
 class Route:
     """One extracted route: subcell index sequence from source to destination.
 
-    ``reached`` is the destination index (None when the route dead-ends) and
-    ``link_modes`` tags each hop with its scheduling mode (COORD hops ride
-    the single coordinated slot, FALLBACK hops the round-robin cycle).
+    ``reached`` is the destination index (None when the route dead-ends).
     ``links`` pairs consecutive cells; it is built once, at construction,
     and takes no part in equality, hashing or the repr.  An extraction whose
-    routes share tails hands in those pairs as ``shared_links``.
+    routes share tails hands in those pairs as the keyword ``shared_links``.
+    A hop carries no mode: ``schedule`` reads a coordinated link off its
+    receiver.
     """
 
     source: int
     cells: tuple[int, ...]
     reached: int | None
-    link_modes: tuple[str, ...] = ()
     links: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _: KW_ONLY
     shared_links: InitVar[tuple[tuple[int, int], ...] | None] = None
 
     def __post_init__(self, shared_links):
@@ -344,30 +344,40 @@ class RouteSet:
         return [r for r in self.routes if r.complete]
 
 
-def _hopper(grid, dest, overlay, choose):
-    """The hop rule of one overlay: ``hop(current, excluded)`` -> (next cell, mode) or None.
+def _hopper(grid, dest, overlay, k0=None, allow_fallback=True):
+    """The hop rule of one overlay: ``hop(current, excluded)`` -> next cell or None.
 
     A destination neighbour ends the route there; ``rank_table`` lists the
     destinations first, lowest index leading, and none is ever unavailable
     or visited, so it is the head of the ranked row.  Otherwise the
     candidates are the available neighbours not in ``excluded``, in rank
-    order: none, or ``choose(current, candidates)`` returning None, strands
-    the route, and otherwise ``choose`` names the relay and the hop mode.
+    order, and none strands the route.  With ``k0`` set, a cell of another
+    color hops to its one neighbour of color k0 when that is a candidate,
+    and otherwise strands unless ``allow_fallback``.  Every other hop takes
+    the first candidate.  A cell's neighbours differ in color from it and
+    from each other, so a hop that does not end the route lands on color
+    k0 exactly when it is coordinated, which is how ``schedule`` reads it.
     """
-    ranks, dest_idx, unavailable = grid.rank_table(dest), dest.indices(), overlay.unavailable
+    ranks, dest_idx, unavailable, colors = grid.rank_table(dest), dest.indices(), overlay.unavailable, grid.colors
 
     def hop(current, excluded):
         ranked = ranks[current]
         if ranked[0] in dest_idx:
-            return ranked[0], FALLBACK
+            return ranked[0]
         candidates = [n for n in ranked if n not in unavailable and n not in excluded]
-        return choose(current, candidates) if candidates else None
+        if k0 is not None and colors[current] != k0:
+            for n in candidates:
+                if colors[n] == k0:
+                    return n
+            if not allow_fallback:
+                return None
+        return candidates[0] if candidates else None
 
     return hop
 
 
 def _successors(hop):
-    """The successor table of one hop rule: ``successor(cell, previous)`` -> (state key, hop).
+    """The successor table of one hop rule: ``successor(cell, previous)`` -> (state key, next cell).
 
     A state is a cell and the cell before it.  Its successor is the hop a
     walk would take with only the previous cell visited: the cell's own
@@ -377,13 +387,13 @@ def _successors(hop):
     keyed by (cell, previous) and has a hop of its own.  Each hop is
     computed once.
     """
-    table: dict[Hashable, tuple[int, str] | None] = {}
+    table: dict[Hashable, int | None] = {}
 
     def successor(current, prev):
         step = table.get(current, table)
         if step is table:
             step = table[current] = hop(current, ())
-        if step is None or step[0] != prev:
+        if step is None or step != prev:
             return current, step
         key = (current, prev)
         step = table.get(key, table)
@@ -408,14 +418,14 @@ def _follow(hop, dest_idx, sources):
     known: dict[Hashable, tuple[Route, int]] = {}
     out = []
     for src in sources:
-        cells, modes, keys, visited = [src], [], [], {src}
+        cells, keys, visited = [src], [], {src}
         start = 0  # position of keys[0] on the route
         prev, current = None, src
         while True:
             key, step = successor(current, prev)
             entry = known.get(key)
             if entry is None:
-                off_table = step is not None and step[0] in visited
+                off_table = step in visited
             else:
                 shared, k = entry
                 tail = shared.cells[k + 1 :]
@@ -428,8 +438,7 @@ def _follow(hop, dest_idx, sources):
                         src,
                         tuple(cells) + tail,
                         shared.reached,
-                        tuple(modes) + shared.link_modes[k:],
-                        tuple(zip(cells, cells[1:])) + shared.links[k:],
+                        shared_links=tuple(zip(cells, cells[1:])) + shared.links[k:],
                     )
                     break
                 off_table = True
@@ -439,16 +448,14 @@ def _follow(hop, dest_idx, sources):
             else:
                 keys.append(key)
             if step is None:
-                route = Route(src, tuple(cells), None, tuple(modes))
+                route = Route(src, tuple(cells), None)
                 break
-            nxt, mode = step
-            cells.append(nxt)
-            modes.append(mode)
-            if nxt in dest_idx:
-                route = Route(src, tuple(cells), nxt, tuple(modes))
+            cells.append(step)
+            if step in dest_idx:
+                route = Route(src, tuple(cells), step)
                 break
-            visited.add(nxt)
-            prev, current = current, nxt
+            visited.add(step)
+            prev, current = current, step
         for k, key in enumerate(keys, start):
             known[key] = route, k
         out.append(route)
@@ -498,34 +505,8 @@ def _lar_route(grid, dest, overlay):
             cells.append(reached)
             for idx in cells[1:-1]:
                 load[idx] = load.get(idx, 0) + 1
-        routes.append(Route(src, tuple(cells), reached, (FALLBACK,) * (len(cells) - 1)))
+        routes.append(Route(src, tuple(cells), reached))
     return RouteSet(routes=routes, kind=LAR)
-
-
-def _nearest(current, candidates):
-    """Minimum-distance relay choice: the first ranked candidate."""
-    return candidates[0], FALLBACK
-
-
-def _color_hop(colors, k0, allow_fallback):
-    """Alternating color-relay choice: hop to the unique k0 neighbour, then re-aim.
-
-    Every cell has exactly one neighbour of each other reuse color, so a
-    coordinated hop is unambiguous; from a k0 cell (or when the k0 relay is
-    unavailable and fallback is on) the hop follows the minimum-distance
-    rule.  Without fallback such a hop strands the route.
-    """
-
-    def color_hop(current, candidates):
-        if colors[current] != k0:
-            for n in candidates:
-                if colors[n] == k0:
-                    return n, COORD
-            if not allow_fallback:
-                return None
-        return candidates[0], FALLBACK
-
-    return color_hop
 
 
 def _check_overlay(grid, dest, overlay):
@@ -550,7 +531,9 @@ def extract_routes(
 
     MDR/mMDR take the minimum-distance hop among available neighbours; LAR
     additionally weighs relay load; LIR/mLIR alternate hops through relays
-    of color k0.  When neither the overlay nor the protocol pins k0, it is
+    of color k0, which the route set keeps as ``k0`` (None for the other
+    kinds).  All but LAR follow the one ``_hopper`` rule, LIR/mLIR's given
+    k0.  When neither the overlay nor the protocol pins k0, it is
     ``coordinated_color``, the class the LIR chain sizes, and without
     fallback a route of that color that strands raises ``RoutingError``.
     Routes never revisit a subcell; otherwise dead ends are returned as
@@ -572,15 +555,11 @@ def extract_routes(
     _check_overlay(grid, dest, overlay)
     if config.kind == LAR:
         return _lar_route(grid, dest, overlay)
-    dest_idx, sources = dest.indices(), overlay.sources
-    if config.kind in (MDR, MMDR):
-        return RouteSet(_follow(_hopper(grid, dest, overlay, _nearest), dest_idx, sources), config.kind)
-
     pinned = overlay.k0 if overlay.k0 is not None else config.relay_color
-    k0 = coordinated_color(grid, dest, pinned)
-    hop = _hopper(grid, dest, overlay, _color_hop(grid.colors, k0, config.allow_fallback))
-    routes = _follow(hop, dest_idx, sources)
-    if pinned is None and not config.allow_fallback and not all(r.complete for r in routes):
+    k0 = coordinated_color(grid, dest, pinned) if config.kind in (LIR, MLIR) else None
+    hop = _hopper(grid, dest, overlay, k0, config.allow_fallback)
+    routes = _follow(hop, dest.indices(), overlay.sources)
+    if k0 is not None and pinned is None and not config.allow_fallback and not all(r.complete for r in routes):
         raise RoutingError(
             f"relay color {k0} (reuse type {k0 + 1}) strands at least one source and fallback is disabled"
         )
@@ -620,6 +599,10 @@ def schedule(route_set: RouteSet, config: ProtocolConfig, grid: SubcellGrid) -> 
     cycle of K.  mMDR fits every link in route order at the protocol's
     threshold, giving T_min <= K slots.  LIR/mLIR fit the sorted
     coordinated links at threshold 0 and round-robin the fallback links.
+    A link is coordinated when its receiver is a relay of the route set's
+    color k0, that is of color k0 and no route's destination; each
+    distinct link is classified once.  LIR/mLIR without a k0 raise
+    ``RoutingError``.
     """
     # every distinct link, in the order the routes first use it
     links = list(dict.fromkeys(chain.from_iterable(route.links for route in route_set.routes)))
@@ -628,13 +611,12 @@ def schedule(route_set: RouteSet, config: ProtocolConfig, grid: SubcellGrid) -> 
     elif config.kind == MMDR:
         fit, threshold, rest = links, config.interference_threshold, []
     else:  # LIR, MLIR
-        coord_links = {
-            link
-            for route in route_set.routes
-            for link, mode in zip(route.links, route.link_modes)
-            if mode == COORD
-        }
-        fit, threshold, rest = sorted(coord_links), 0.0, [l for l in links if l not in coord_links]
+        if route_set.k0 is None:
+            raise RoutingError(f"an {config.kind} schedule needs the route set's relay color k0, got None")
+        # a destination ends a route and relays nothing, whatever its color
+        colors, reached = grid.colors, {route.reached for route in route_set.routes}
+        coord = {(tx, rx) for tx, rx in links if colors[rx] == route_set.k0 and rx not in reached}
+        fit, threshold, rest = sorted(coord), 0.0, [l for l in links if l not in coord]
 
     slots: dict[int, list[tuple[int, int]]] = {}
     # Bit s of sent[c] (heard[c]) is set when c transmits (receives) in

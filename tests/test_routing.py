@@ -43,6 +43,12 @@ def slot_of(route_set):
     """Slot of every scheduled link."""
     return {link: s for s, links in route_set.slots.items() for link in links}
 
+
+def _coordinated(grid, routes, k0, dest_idx):
+    """The route links into a relay of color ``k0``: a cell of that color outside ``dest_idx``."""
+    return {(tx, rx) for route in routes for tx, rx in route.links if grid.colors[rx] == k0 and rx not in dest_idx}
+
+
 # deterministic overlay reused across scheduling tests: six active sources,
 # six unavailable relays, coordinated relays pinned to color 1
 OVERLAY = ScenarioOverlay(
@@ -146,18 +152,25 @@ def test_greedy_route_descends_to_base_station():
 def test_route_links_are_kept_outside_equality_and_hashing():
     rs = extract_routes(GRID4, DEST4, ScenarioOverlay(sources=(39,)), ProtocolConfig(kind=MDR))
     read = rs.routes[0]
-    unread = Route(read.source, read.cells, read.reached, read.link_modes)
+    unread = Route(read.source, read.cells, read.reached)
     before = (hash(read), repr(read))
     assert read.links == tuple(zip(read.cells, read.cells[1:])) == ((39, 20), (20, 8), (8, 1), (1, 0))
     assert read.links is read.links  # built once, then kept
     assert (hash(read), repr(read)) == before == (hash(unread), repr(unread))
-    assert hash(read) == hash((read.source, read.cells, read.reached, read.link_modes))
+    assert hash(read) == hash((read.source, read.cells, read.reached))
     assert "links" not in repr(read)
     assert read == unread and unread == read
     assert {read: 1}[unread] == 1
     moved = replace(read, cells=(39, 20, 9))
     assert moved.links == ((39, 20), (20, 9)) and moved != read
     assert Route(9, (9,), None).links == ()
+
+
+def test_route_takes_its_shared_links_only_by_keyword():
+    # a fourth positional argument would become links, which equality never reads
+    with pytest.raises(TypeError):
+        Route(9, (9, 2, 0), 0, ((9, 2), (2, 0)))
+    assert Route(9, (9, 2, 0), 0, shared_links=((9, 2), (2, 0))).links == ((9, 2), (2, 0))
 
 
 def test_greedy_route_avoids_unavailable_cells():
@@ -171,10 +184,10 @@ def test_color_route_alternates_and_targets_k0():
     rs = extract_routes(GRID4, DEST4, ScenarioOverlay(sources=(25,), k0=1), ProtocolConfig(kind=MLIR))
     route = rs.routes[0]
     assert route.cells == (25, 12, 3, 0)
-    assert route.link_modes == (COORD, FALLBACK, FALLBACK)
-    for (tx, rx), mode in zip(route.links, route.link_modes):
-        if mode == COORD:
-            assert GRID4.cluster_color(GRID4.cell(rx)) == 1
+    # 25 hands over to its neighbour of color 1, which relays by minimum
+    # distance to 3, the base station's neighbour
+    assert [GRID4.cluster_color(GRID4.cell(c)) for c in route.cells[:3]] == [6, 1, 4]
+    assert _coordinated(GRID4, rs.routes, 1, DEST4.indices()) == {(25, 12)}
     assert rs.k0 == 1
 
 
@@ -282,10 +295,8 @@ def test_mlir_schedule_coordinated_slots_then_round_robin():
     coord_slots = rs.cycle_length - 7
     assert coord_slots >= 1
     slots = slot_of(rs)
-    for route in rs.routes:
-        for link, mode in zip(route.links, route.link_modes):
-            if mode == COORD:
-                assert slots[link] < coord_slots
+    for link in _coordinated(GRID4, rs.routes, rs.k0, DEST4.indices()):
+        assert slots[link] < coord_slots
     # links sharing a coordinated slot never touch a common subcell
     for s in range(coord_slots):
         links = rs.slots[s]
@@ -293,6 +304,14 @@ def test_mlir_schedule_coordinated_slots_then_round_robin():
             for b in links:
                 if a < b:
                     assert not set(a) & set(b)
+
+
+@pytest.mark.parametrize("kind", [LIR, MLIR])
+def test_a_coordinated_schedule_without_a_relay_color_is_refused(kind):
+    # an MDR route set has no k0, so none of its links could be read as coordinated
+    routes = extract_routes(GRID4, DEST4, OVERLAY, ProtocolConfig(kind=MDR))
+    with pytest.raises(RoutingError, match=rf"{kind} schedule needs the route set's relay color k0"):
+        schedule(routes, ProtocolConfig(kind=kind), GRID4)
 
 
 def test_single_route_needs_one_coordinated_slot():
@@ -414,26 +433,18 @@ def test_round_robin_slot_is_the_transmitter_color(case):
 @settings(max_examples=25, deadline=None)
 @given(scheduled((LIR, MLIR)))
 def test_coordinated_slots_share_no_subcell(case):
-    _, _, rs = case
+    grid, _, rs = case
     slots = slot_of(rs)
-    coordinated = {
-        slots[link]
-        for route in rs.routes
-        for link, mode in zip(route.links, route.link_modes)
-        if mode == COORD
-    }
+    coordinated = {slots[link] for link in _coordinated(grid, rs.routes, rs.k0, make_destinations(grid).indices())}
     for slot in coordinated:
         cells = [cell for link in rs.slots[slot] for cell in link]
         assert len(cells) == len(set(cells))
 
 
 
-def _ref_lir_slots(grid, routes):
-    """LIR/mLIR slots by testing each coordinated link against every member of each group."""
+def _ref_lir_slots(grid, routes, coord_links):
+    """LIR/mLIR slots by testing each of ``coord_links`` against every member of each group."""
     links = list(dict.fromkeys(link for route in routes for link in route.links))
-    coord_links = {
-        link for route in routes for link, mode in zip(route.links, route.link_modes) if mode == COORD
-    }
     groups = []
     for link in sorted(coord_links):
         for group in groups:
@@ -451,36 +462,46 @@ def _ref_lir_slots(grid, routes):
 
 @st.composite
 def hop_routes(draw):
-    """Random walks over adjacent cells of an H = 1..4 grid, each hop coordinated or not.
+    """Random walks over adjacent cells of an H = 1..4 grid, with a relay color k0.
 
-    Walks cross and turn back, so coordinated links share receivers and
-    cells both send and receive.  The protocol's interference threshold is
-    drawn too, though the coordinated fit must not read it.
+    Each hop is drawn coordinated or not: a coordinated hop goes to the
+    cell's neighbour of color k0, when it has one, and any other hop to
+    any neighbour.  Walks cross and turn back, so coordinated links share
+    receivers and cells both send and receive.  A walk strands or ends at
+    its last cell, a destination, into which no link is coordinated
+    whatever its color.  The protocol's interference threshold is drawn
+    too, though the coordinated fit must not read it.
     """
     grid = GRIDS[draw(st.integers(1, 4))]
+    k0 = draw(st.integers(0, NUM_COLORS - 1))
     routes = []
     for _ in range(draw(st.integers(1, 12))):
         cells = [draw(st.integers(0, len(grid.cells) - 1))]
         for _ in range(draw(st.integers(1, 5))):
-            cells.append(draw(st.sampled_from(grid.adjacent[cells[-1]])))
-        modes = tuple(draw(st.sampled_from((COORD, FALLBACK))) for _ in cells[1:])
-        routes.append(Route(source=cells[0], cells=tuple(cells), reached=cells[-1], link_modes=modes))
-    return grid, routes, draw(st.sampled_from((LIR, MLIR))), draw(st.sampled_from(THRESHOLDS))
+            typed = [n for n in grid.adjacent[cells[-1]] if grid.colors[n] == k0]
+            coordinated = typed and draw(st.booleans())
+            cells.append(typed[0] if coordinated else draw(st.sampled_from(grid.adjacent[cells[-1]])))
+        routes.append(_route(*cells, reached=draw(st.sampled_from((None, cells[-1])))))
+    return grid, routes, k0, draw(st.sampled_from((LIR, MLIR))), draw(st.sampled_from(THRESHOLDS))
 
 
-def _coord_route(*cells):
-    return Route(source=cells[0], cells=cells, reached=cells[-1], link_modes=(COORD,) * (len(cells) - 1))
+def _route(*cells, reached=None):
+    """The route over ``cells``, stranded or ending at ``reached``."""
+    return Route(source=cells[0], cells=cells, reached=reached)
 
 
-# cell 1 receives from 2 and sends to 0, and receives again from 6
-@example((GRIDS[2], [_coord_route(2, 1, 0), _coord_route(6, 1)], MLIR, 1.0))
+# cell 1, of color 1, receives coordinated links from 2 and from 6 and sends on to 0
+@example((GRIDS[2], [_route(2, 1, 0, reached=0), _route(6, 1)], 1, MLIR, 1.0))
+# the base station has color 0, but a link into a destination is never coordinated
+@example((GRIDS[2], [_route(2, 1, 0, reached=0)], 0, LIR, 1.0))
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(hop_routes())
 def test_coordinated_slots_match_pairwise_grouping(case):
-    grid, routes, kind, threshold = case
+    grid, routes, k0, kind, threshold = case
     config = ProtocolConfig(kind=kind, interference_threshold=threshold)
-    rs = schedule(RouteSet(routes=routes, kind=kind), config, grid)
-    expected = _ref_lir_slots(grid, routes)
+    rs = schedule(RouteSet(routes=routes, kind=kind, k0=k0), config, grid)
+    ends = {route.reached for route in routes}
+    expected = _ref_lir_slots(grid, routes, _coordinated(grid, routes, k0, ends))
     assert (rs.slots, rs.cycle_length) == expected
     assert list(rs.slots) == list(expected[0])
 
@@ -489,15 +510,17 @@ def test_coordinated_slots_match_pairwise_grouping(case):
 def test_a_schedule_without_links_keeps_its_kinds_cycle(kind, cycle):
     # the round robin of MDR/LAR spans K slots even when nothing rides it
     routes = [Route(source=0, cells=(0,), reached=0)]
-    rs = schedule(RouteSet(routes=routes, kind=kind), ProtocolConfig(kind=kind), GRIDS[2])
+    rs = schedule(RouteSet(routes=routes, kind=kind, k0=0), ProtocolConfig(kind=kind), GRIDS[2])
     assert (rs.slots, rs.cycle_length) == ({}, cycle)
 
 
 def test_coordinated_links_on_a_shared_cell_spill_into_new_slots():
-    routes = [_coord_route(2, 1, 0), _coord_route(6, 1)]
-    rs = schedule(RouteSet(routes=routes, kind=MLIR), ProtocolConfig(kind=MLIR), GRIDS[2])
-    assert rs.slots == {0: [(1, 0)], 1: [(2, 1)], 2: [(6, 1)]}
-    assert rs.cycle_length == 3
+    # cell 1, of color 1, hears coordinated links from 2 and from 6, then
+    # sends on to the base station in the round robin, at 2 + its color
+    routes = [_route(2, 1, 0, reached=0), _route(6, 1)]
+    rs = schedule(RouteSet(routes=routes, kind=MLIR, k0=1), ProtocolConfig(kind=MLIR), GRIDS[2])
+    assert rs.slots == {0: [(2, 1)], 1: [(6, 1)], 3: [(1, 0)]}
+    assert rs.cycle_length == 2 + NUM_COLORS
 
 
 # -- route extraction against the per-protocol loops it replaced --------------
@@ -513,7 +536,7 @@ def _ref_ranked(grid, dest, cell):
 
 def _ref_greedy_route(grid, dest, overlay, source_idx, load=None):
     dest_idx = dest.indices()
-    cells, modes, visited = [source_idx], [], {source_idx}
+    cells, visited = [source_idx], {source_idx}
     current = grid.cell(source_idx)
     for _ in range(len(grid.cells)):
         candidates = _ref_admissible(grid, overlay, visited, current)
@@ -521,7 +544,7 @@ def _ref_greedy_route(grid, dest, overlay, source_idx, load=None):
         if hits:
             nxt = min(hits, key=lambda n: n.i)
         elif not candidates:
-            return Route(source_idx, tuple(cells), None, tuple(modes))
+            return Route(source_idx, tuple(cells), None)
         else:
             ranked = [n for n in _ref_ranked(grid, dest, current) if n in candidates]
             if load is None:
@@ -529,15 +552,15 @@ def _ref_greedy_route(grid, dest, overlay, source_idx, load=None):
             else:
                 nxt = min(ranked, key=lambda n: ((1 + load.get(n.i, 0)) * (ranked.index(n) + 1), n.i))
         cells.append(nxt.i)
-        modes.append(FALLBACK)
         if nxt.i in dest_idx:
-            return Route(source_idx, tuple(cells), nxt.i, tuple(modes))
+            return Route(source_idx, tuple(cells), nxt.i)
         visited.add(nxt.i)
         current = nxt
-    return Route(source_idx, tuple(cells), None, tuple(modes))
+    return Route(source_idx, tuple(cells), None)
 
 
 def _ref_color_route(grid, dest, overlay, source_idx, k0, allow_fallback):
+    """The color route from ``source_idx`` and its hops' modes: COORD into the k0 relay, else FALLBACK."""
     dest_idx = dest.indices()
     cells, modes, visited = [source_idx], [], {source_idx}
     current = grid.cell(source_idx)
@@ -547,7 +570,7 @@ def _ref_color_route(grid, dest, overlay, source_idx, k0, allow_fallback):
         if hits:
             nxt, mode = min(hits, key=lambda n: n.i), FALLBACK
         elif not candidates:
-            return Route(source_idx, tuple(cells), None, tuple(modes))
+            return Route(source_idx, tuple(cells), None), tuple(modes)
         else:
             typed = [n for n in candidates if grid.cluster_color(n) == k0]
             if grid.cluster_color(current) != k0 and typed:
@@ -556,14 +579,14 @@ def _ref_color_route(grid, dest, overlay, source_idx, k0, allow_fallback):
                 ranked = [n for n in _ref_ranked(grid, dest, current) if n in candidates]
                 nxt, mode = ranked[0], FALLBACK
             else:
-                return Route(source_idx, tuple(cells), None, tuple(modes))
+                return Route(source_idx, tuple(cells), None), tuple(modes)
         cells.append(nxt.i)
         modes.append(mode)
         if nxt.i in dest_idx:
-            return Route(source_idx, tuple(cells), nxt.i, tuple(modes))
+            return Route(source_idx, tuple(cells), nxt.i), tuple(modes)
         visited.add(nxt.i)
         current = nxt
-    return Route(source_idx, tuple(cells), None, tuple(modes))
+    return Route(source_idx, tuple(cells), None), tuple(modes)
 
 
 def _ref_unpinned_color(grid, dest):
@@ -573,9 +596,12 @@ def _ref_unpinned_color(grid, dest):
 
 
 def _ref_extract_routes(grid, dest, overlay, config):
-    """Route extraction as three separate loops: greedy, load-aware, color."""
+    """Route extraction as three separate loops: greedy, load-aware, color.
+
+    Returns the routes, k0 and the set of links the color loop tags COORD.
+    """
     if config.kind in (MDR, MMDR):
-        return [_ref_greedy_route(grid, dest, overlay, s) for s in overlay.sources], None
+        return [_ref_greedy_route(grid, dest, overlay, s) for s in overlay.sources], None, set()
     if config.kind == LAR:
         load, routes = {}, []
         for src in overlay.sources:
@@ -584,13 +610,15 @@ def _ref_extract_routes(grid, dest, overlay, config):
             if route.complete:
                 for idx in route.cells[1:-1]:
                     load[idx] = load.get(idx, 0) + 1
-        return routes, None
+        return routes, None, set()
     pinned = overlay.k0 if overlay.k0 is not None else config.relay_color
     k0 = _ref_unpinned_color(grid, dest) if pinned is None else pinned
-    routes = [_ref_color_route(grid, dest, overlay, s, k0, config.allow_fallback) for s in overlay.sources]
+    tagged = [_ref_color_route(grid, dest, overlay, s, k0, config.allow_fallback) for s in overlay.sources]
+    routes = [route for route, _ in tagged]
     if pinned is None and not config.allow_fallback and not all(r.complete for r in routes):
         raise RoutingError("stranded")
-    return routes, k0
+    coordinated = {link for route, modes in tagged for link, mode in zip(route.links, modes) if mode == COORD}
+    return routes, k0, coordinated
 
 
 COLORS = st.one_of(st.none(), st.integers(0, 6))
@@ -630,13 +658,18 @@ def extraction_case(draw):
 def test_extract_routes_matches_per_protocol_loops(case):
     grid, dest, overlay, config = case
     try:
-        expected = _ref_extract_routes(grid, dest, overlay, config)
+        routes, k0, coordinated = _ref_extract_routes(grid, dest, overlay, config)
     except RoutingError:
         with pytest.raises(RoutingError, match="fallback is disabled"):
             extract_routes(grid, dest, overlay, config)
         return
     rs = extract_routes(grid, dest, overlay, config)
-    assert (rs.routes, rs.k0, rs.kind) == (*expected, config.kind)
+    assert (rs.routes, rs.k0, rs.kind) == (routes, k0, config.kind)
+    if k0 is not None:
+        # the loop's COORD hops are the links into a relay of color k0, and the links the schedule fits
+        assert coordinated == _coordinated(grid, routes, k0, dest.indices())
+        schedule(rs, config, grid)
+        assert (rs.slots, rs.cycle_length) == _ref_lir_slots(grid, routes, coordinated)
 
 
 @st.composite
@@ -652,7 +685,7 @@ def lar_case(draw):
 def test_lar_routes_match_the_load_aware_loop(case):
     grid, dest, overlay = case
     config = ProtocolConfig(kind=LAR)
-    expected, _ = _ref_extract_routes(grid, dest, overlay, config)
+    expected, _, _ = _ref_extract_routes(grid, dest, overlay, config)
     assert extract_routes(grid, dest, overlay, config).routes == expected
 
 
@@ -660,40 +693,32 @@ def test_lar_routes_match_the_load_aware_loop(case):
 
 
 def _walk(hop, dest_idx, source):
-    """(cells, modes, reached) of the route from ``source``, hop by hop, never revisiting a cell.
+    """(cells, reached) of the route from ``source``, hop by hop, never revisiting a cell.
 
     ``reached`` is None for a route that strands.  Every hop visits a new
     cell, so the walk ends.
     """
-    cells, modes, visited = [source], [], {source}
+    cells, visited = [source], {source}
     current = source
     while True:
-        step = hop(current, visited)
-        if step is None:
-            return tuple(cells), tuple(modes), None
-        current, mode = step
+        current = hop(current, visited)
+        if current is None:
+            return tuple(cells), None
         cells.append(current)
-        modes.append(mode)
         if current in dest_idx:
-            return tuple(cells), tuple(modes), current
+            return tuple(cells), current
         visited.add(current)
 
 
 def _walked(grid, dest, overlay, config):
     """extract_routes by one ``_walk`` per source; an unpinned color is the largest class."""
-    dest_idx = dest.indices()
-
-    def walk_all(choose):
-        hop = routing._hopper(grid, dest, overlay, choose)
-        walks = (_walk(hop, dest_idx, s) for s in overlay.sources)
-        return [Route(s, cells, reached, modes) for s, (cells, modes, reached) in zip(overlay.sources, walks)]
-
-    if config.kind in (MDR, MMDR):
-        return walk_all(routing._nearest), None
-    pinned = overlay.k0 if overlay.k0 is not None else config.relay_color
-    k0 = _ref_unpinned_color(grid, dest) if pinned is None else pinned
-    routes = walk_all(routing._color_hop(grid.colors, k0, config.allow_fallback))
-    if pinned is None and not config.allow_fallback and not all(r.complete for r in routes):
+    k0 = pinned = None
+    if config.kind in (LIR, MLIR):
+        pinned = overlay.k0 if overlay.k0 is not None else config.relay_color
+        k0 = _ref_unpinned_color(grid, dest) if pinned is None else pinned
+    hop = routing._hopper(grid, dest, overlay, k0, config.allow_fallback)
+    routes = [Route(s, *_walk(hop, dest.indices(), s)) for s in overlay.sources]
+    if k0 is not None and pinned is None and not config.allow_fallback and not all(r.complete for r in routes):
         raise RoutingError("fallback is disabled")
     return routes, k0
 
@@ -752,7 +777,7 @@ def _table_path(successor, dest_idx, source):
         if step is None:
             break
         prev = cells[-1]
-        cells.append(step[0])
+        cells.append(step)
     return cells
 
 
@@ -760,11 +785,11 @@ def test_a_successor_path_that_repeats_a_cell_is_walked_at_the_repeat():
     grid = GRIDS[3]
     dest = make_destinations(grid)
     overlay = ScenarioOverlay(sources=(10,), unavailable=frozenset({1, 2, 8}))
-    successor = routing._successors(routing._hopper(grid, dest, overlay, routing._nearest))
+    successor = routing._successors(routing._hopper(grid, dest, overlay))
     # with only the previous cell excluded, 22 would hop back to 9
     assert _table_path(successor, dest.indices(), 10) == [10, 9, 21, 22, 9]
     rs = extract_routes(grid, dest, overlay, ProtocolConfig(kind=MMDR))
-    assert rs.routes == [Route(10, (10, 9, 21, 22, 23, 24, 11, 3, 0), 0, (FALLBACK,) * 8)]
+    assert rs.routes == [Route(10, (10, 9, 21, 22, 23, 24, 11, 3, 0), 0)]
     assert rs.routes == _walked(grid, dest, overlay, ProtocolConfig(kind=MMDR))[0]
 
 
