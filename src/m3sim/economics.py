@@ -77,7 +77,7 @@ class EconParams:
         check_finite_positive(EconError, "price step", self.price_step, joint=True)
         check_finite_positive(EconError, "tolerance", self.tol, joint=True)
         if self.max_iter < 1:
-            raise EconError("negotiation needs at least one iteration")
+            raise EconError(f"iteration budget max_iter must be at least 1, got {self.max_iter!r}")
         lo, hi = self.bounds
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise EconError(f"price bounds must be finite, got {(lo, hi)!r}")
@@ -510,9 +510,9 @@ class OffloadContext:
 
     * ``_legs``: the leg table of each direction (toward the access points
       or not), every placed cell's ``_Leg`` by cell (see ``_leg_table``);
-    * ``_instants``: each traffic instant's ``_Instant``, its users'
-      capacities, delays, costs and rates as floats, keyed by its
-      base-station and WLAN user sets (see ``_instant``);
+    * ``_instants``: each traffic instant's users' rates, one float by
+      user, keyed by its base-station and WLAN user sets (see
+      ``_instant_rates``);
     * ``_link_caps``: link capacities by slot, one dict of capacities by
       link (tx, rx) per sorted tuple of slot transmitters (see
       ``link_capacities``).
@@ -548,21 +548,17 @@ class OffloadContext:
 
 @dataclass(frozen=True)
 class _Leg:
-    """One placed cell's route in one direction, with what every instant reads of it.
+    """One placed cell's route in one direction, with the slot class of each link.
 
     ``slot_classes`` pairs each link with its slot class: the color of its
     transmitter, or None for a WLAN hop (both endpoints in the WLAN
-    domain), of which there are ``wlan_hops``.  ``macro_wait`` is the
-    round robin's NUM_COLORS slots per other hop; ``cost`` is the power
-    per hop times the hops, or one power when the route is not ``routed``.
+    domain), of which there are ``wlan_hops``.  The route's hops are its
+    links, so ``len(slot_classes)`` counts them.
     """
 
     route: Route
     slot_classes: tuple[tuple[tuple[int, int], int | None], ...]
     wlan_hops: int
-    macro_wait: int
-    cost: float
-    routed: bool
 
 
 def _leg_table(ctx: OffloadContext, to_ap: bool) -> dict[int, _Leg]:
@@ -580,53 +576,21 @@ def _leg_table(ctx: OffloadContext, to_ap: bool) -> dict[int, _Leg]:
             dest = Destinations(bs=ctx.dest.bs)
         config = ProtocolConfig(kind=MDR, p=1.0)
         overlay = ScenarioOverlay(sources=tuple(sorted(set(ctx.placements.values()))))
-        domain, colors, power = ctx.wlan_domain, ctx.grid.colors, ctx.radio.power
+        domain, colors = ctx.wlan_domain, ctx.grid.colors
         table = ctx._legs[to_ap] = {}
         for route in extract_routes(ctx.grid, dest, overlay, config).routes:
             classes = tuple(
                 (link, None if link[0] in domain and link[1] in domain else colors[link[0]])
                 for link in route.links
             )
-            hops = len(classes)
-            wlan = sum(color is None for _, color in classes)
-            routed = route.complete and hops > 0
-            cost = power * hops if routed else power
-            table[route.source] = _Leg(route, classes, wlan, (hops - wlan) * NUM_COLORS, cost, routed)
+            table[route.source] = _Leg(route, classes, sum(color is None for _, color in classes))
     return table
 
 
-@dataclass(frozen=True)
-class _Instant:
-    """Capacity, delay, cost and rate of every user of one traffic instant, by user."""
-
-    capacity: dict[str, float]
-    delay: dict[str, float]
-    cost: dict[str, float]
-    rate: dict[str, float]
-
-
-def _instant(ctx: OffloadContext, bs_users: frozenset[str], wlan_users: frozenset[str]) -> _Instant:
-    """``_instant_metrics`` of one traffic instant, computed once per context.
-
-    The legs list the base-station users first, each group in name order,
-    which numbers the WLAN slots.  No capacity depends on that order, and
-    ``offload_breakdown`` adds every rate sum in name order, so the memo is
-    keyed by the two user sets alone.
-    """
-    key = (bs_users, wlan_users)
-    instant = ctx._instants.get(key)
-    if instant is None:
-        legs: dict[str, _Leg] = {}
-        for users, to_ap in ((bs_users, False), (wlan_users, True)):
-            if users:
-                table = _leg_table(ctx, to_ap)
-                legs.update((u, table[ctx.placements[u]]) for u in sorted(users))
-        instant = ctx._instants[key] = _instant_metrics(ctx, legs)
-    return instant
-
-
-def _instant_metrics(ctx: OffloadContext, legs: Mapping[str, _Leg]) -> _Instant:
-    """Capacity, delay, cost and rate of every user of one traffic instant.
+def _instant_rates(
+    ctx: OffloadContext, bs_users: frozenset[str], wlan_users: frozenset[str]
+) -> dict[str, float]:
+    """Rate of every user of one traffic instant, by user, computed once per context.
 
     Links whose endpoints both sit in the WLAN domain run on the access
     point's sequential schedule: every user's hop gets its own slot (a
@@ -634,30 +598,45 @@ def _instant_metrics(ctx: OffloadContext, legs: Mapping[str, _Leg]) -> _Instant:
     instances and there is no co-slot interference.  All other links share
     the macrocell's color round robin.  The slot table holds one slot per
     color and one per distinct WLAN hop, numbered past the colors by the
-    hop's place among the instant's distinct links.  A user's rate is
-    capacity / (delay * cost), and 0.0 when its route is incomplete.
-    """
-    # each distinct link once, in first-use order, with its slot class
-    classes: dict[tuple[int, int], int | None] = {}
-    for leg in legs.values():
-        classes.update(leg.slot_classes)
-    slots: dict[int, list[tuple[int, int]]] = {}
-    for n, (link, color) in enumerate(classes.items()):
-        slots.setdefault(NUM_COLORS + n if color is None else color, []).append(link)
-    caps = link_capacities(slots, ctx.radio, ctx.grid, ctx._link_caps)
+    hop's place among the instant's distinct links.
 
-    wlan_wait = max(sum(leg.wlan_hops for leg in legs.values()), 1)
-    instant = _Instant({}, {}, {}, {})
-    capacities, delays, costs, rates = instant.capacity, instant.delay, instant.cost, instant.rate
-    for user, leg in legs.items():
-        if leg.routed:
-            capacity = capacities[user] = route_capacity(leg.route, caps)
-            delay = delays[user] = float(leg.wlan_hops * wlan_wait + leg.macro_wait)
-            rates[user] = capacity / (delay * leg.cost)
-        else:
-            capacities[user], delays[user], rates[user] = 0.0, math.inf, 0.0
-        costs[user] = leg.cost
-    return instant
+    A user's rate is ``user_utility`` at unit revenue: its route's
+    capacity over its delay, the WLAN cycle per WLAN hop and the round
+    robin's NUM_COLORS slots per other hop, times its cost, the power per
+    hop times the hops.  An incomplete route has no capacity, so its rate
+    is 0.0.
+
+    The legs list the base-station users first, each group in name order,
+    which numbers the WLAN slots.  No capacity depends on that order, and
+    ``offload_breakdown`` adds every rate sum in name order, so the memo is
+    keyed by the two user sets alone.
+    """
+    key = (bs_users, wlan_users)
+    rates = ctx._instants.get(key)
+    if rates is None:
+        legs: dict[str, _Leg] = {}
+        for users, to_ap in ((bs_users, False), (wlan_users, True)):
+            if users:
+                table = _leg_table(ctx, to_ap)
+                legs.update((u, table[ctx.placements[u]]) for u in sorted(users))
+        # each distinct link once, in first-use order, with its slot class
+        classes: dict[tuple[int, int], int | None] = {}
+        for leg in legs.values():
+            classes.update(leg.slot_classes)
+        slots: dict[int, list[tuple[int, int]]] = {}
+        for n, (link, color) in enumerate(classes.items()):
+            slots.setdefault(NUM_COLORS + n if color is None else color, []).append(link)
+        caps = link_capacities(slots, ctx.radio, ctx.grid, ctx._link_caps)
+
+        wlan_wait = max(sum(leg.wlan_hops for leg in legs.values()), 1)
+        power = ctx.radio.power
+        rates = {}
+        for user, leg in legs.items():
+            hops, wlan = len(leg.slot_classes), leg.wlan_hops
+            delay = float(wlan * wlan_wait + (hops - wlan) * NUM_COLORS)
+            rates[user] = user_utility(route_capacity(leg.route, caps), delay, power * hops, 1.0)
+        ctx._instants[key] = rates
+    return rates
 
 
 @dataclass(frozen=True)
@@ -684,12 +663,12 @@ def offload_breakdown(ctx: OffloadContext, state: TrafficState) -> OffloadBreakd
     if missing:
         raise EconError(f"users without placements: {sorted(missing)}")
 
-    def rates(users: Iterable[str], instant: _Instant) -> float:
-        return sum(map(instant.rate.__getitem__, sorted(users)))
+    def rates(users: Iterable[str], instant: Mapping[str, float]) -> float:
+        return sum(map(instant.__getitem__, sorted(users)))
 
-    before = _instant(ctx, state.bs_users, state.wlan_users)
+    before = _instant_rates(ctx, state.bs_users, state.wlan_users)
     bs_next, wlan_next = apply_traffic_step(state)
-    after = _instant(ctx, bs_next, wlan_next)
+    after = _instant_rates(ctx, bs_next, wlan_next)
 
     return OffloadBreakdown(
         bs_before=rates(state.bs_users, before),

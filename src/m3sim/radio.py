@@ -142,32 +142,25 @@ def slot_sinrs(
     the other (``np.cumsum`` along its row), and its own tx and rx, and the
     padding past its slot's last transmitter, add an exact 0.0.
 
-    The slots are taken in order of width and their links evaluated in
-    blocks of ``_BLOCK``, each padded to its own widest slot.  The first
+    The links are evaluated in the caller's slot order, in blocks of
+    ``_BLOCK``, each padded to the widest slot it touches.  The first
     non-adjacent link, in slot and then link order, fails before any SINR
     is evaluated; then the first SINR that is not finite fails.
     """
-    ranked = sorted(range(len(slots)), key=lambda k: len(slots[k][1]))
-    counts = [len(slots[k][0]) for k in ranked]
-    widths = [len(slots[k][1]) for k in ranked]
-    # in width order, slot k owns links link_start[k]:link_start[k + 1]
-    # and transmitters sent_start[k]:sent_start[k + 1]
+    counts = [len(links) for links, _ in slots]
+    widths = [len(sent) for _, sent in slots]
+    # slot k owns links link_start[k]:link_start[k + 1] and transmitters
+    # sent_start[k]:sent_start[k + 1]
     link_start, sent_start = [0, *accumulate(counts)], [0, *accumulate(widths)]
-    links = chain.from_iterable(chain.from_iterable(slots[k][0] for k in ranked))
+    links = chain.from_iterable(chain.from_iterable(links for links, _ in slots))
     tx, rx = np.fromiter(links, dtype=np.intp, count=2 * link_start[-1]).reshape(-1, 2).T
-    order = np.fromiter(chain.from_iterable(slots[k][1] for k in ranked), dtype=np.intp, count=sent_start[-1])
-    link_slot = np.repeat(np.arange(len(ranked)), counts)
-
-    def first_bad(bad):
-        """The position of the first of the ``bad`` links in slot and then link order."""
-        k = link_slot[bad]
-        return bad[np.argmin(np.array(ranked)[k] * link_start[-1] + bad - np.array(link_start)[k])]
-
+    order = np.fromiter(chain.from_iterable(sent for _, sent in slots), dtype=np.intp, count=sent_start[-1])
+    link_slot = np.repeat(np.arange(len(slots)), counts)
     q, r = grid.axial_coords
     dq, dr = q[tx] - q[rx], r[tx] - r[rx]
     far = np.flatnonzero(dq * dq + dr * dr + dq * dr != 1)
     if far.size:
-        i = first_bad(far)
+        i = far[0]
         raise RadioError(f"link {tx[i]}->{rx[i]} does not span adjacent subcells")
     H = grid.params.H
     table = _offset_terms(radio.power, radio.alpha, H)
@@ -177,7 +170,7 @@ def slot_sinrs(
     sent = q[order] * width + r[order] + centre
     heard_at = q[rx] * width + r[rx]
     # the column of each link's own tx in its slot, where it is one of the transmitters
-    keys = np.repeat(np.arange(len(ranked)), widths) * len(grid.cells) + order
+    keys = np.repeat(np.arange(len(slots)), widths) * len(grid.cells) + order
     own_key = link_slot * len(grid.cells) + tx
     own = np.searchsorted(keys, own_key)
     hit = keys.take(own, mode="clip") == own_key
@@ -186,7 +179,7 @@ def slot_sinrs(
     for start in range(0, tx.size, _BLOCK):
         stop = min(start + _BLOCK, tx.size)
         low, high = link_slot[start], link_slot[stop - 1]
-        index = np.empty((stop - start, widths[high]), dtype=np.intp)
+        index = np.empty((stop - start, max(widths[low : high + 1])), dtype=np.intp)
         for k in range(low, high + 1):
             a, b = max(link_start[k], start), min(link_start[k + 1], stop)
             part = index[a - start : b - start]
@@ -201,13 +194,9 @@ def slot_sinrs(
         sinrs = radio.power / denominators
     bad = np.flatnonzero(~np.isfinite(sinrs))
     if bad.size:
-        i = first_bad(bad)
+        i = bad[0]
         raise _non_finite_sinr(tx[i], rx[i], radio, denominators[i])
-    values = sinrs.tolist()
-    by_slot = [[]] * len(slots)
-    for k, a, b in zip(ranked, link_start, link_start[1:]):
-        by_slot[k] = values[a:b]
-    return list(chain.from_iterable(by_slot))
+    return sinrs.tolist()
 
 
 def _non_finite_sinr(tx: int, rx: int, radio: RadioParams, denominator: float) -> RadioError:

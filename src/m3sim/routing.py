@@ -334,7 +334,6 @@ class RouteSet:
     """Routes of one scenario plus their slot schedule once assigned."""
 
     routes: list[Route]
-    kind: str
     k0: int | None = None
     slots: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     cycle_length: int = 0
@@ -506,7 +505,7 @@ def _lar_route(grid, dest, overlay):
             for idx in cells[1:-1]:
                 load[idx] = load.get(idx, 0) + 1
         routes.append(Route(src, tuple(cells), reached))
-    return RouteSet(routes=routes, kind=LAR)
+    return RouteSet(routes=routes)
 
 
 def _check_overlay(grid, dest, overlay):
@@ -563,7 +562,7 @@ def extract_routes(
         raise RoutingError(
             f"relay color {k0} (reuse type {k0 + 1}) strands at least one source and fallback is disabled"
         )
-    return RouteSet(routes=routes, kind=config.kind, k0=k0)
+    return RouteSet(routes=routes, k0=k0)
 
 
 # --------------------------------------------------------------------------

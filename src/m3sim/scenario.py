@@ -552,6 +552,13 @@ def load_scenario(path: str | Path) -> ScenarioFile:
             raise ScenarioError("experiment.sites: expected [radius fraction, bearing] pairs")
         if not all(map(math.isfinite, site)):
             raise ScenarioError(f"experiment.sites[{i}] must be finite, got {list(site)!r}")
+        # snapping squares the distance from the site to a subcell centre, at most this far
+        reach = (1.0 + abs(site[0])) * params.R
+        if reach * reach == math.inf:
+            raise ScenarioError(
+                f"experiment.sites[{i}] lies too far out to snap: its distance to a subcell, up to "
+                f"(1 + |radius fraction|) * grid.R = {reach!r} m, overflows when squared"
+            )
     experiment = ExperimentSpec(
         **experiment_fields, **{key: value for key, value in sweeps.items() if value}
     )
@@ -567,7 +574,7 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         if not 0 < term < math.inf:
             raise ScenarioError(
                 f"radio.noise * relay_distance**alpha is {term!r} at H={h}, so a link's "
-                "SINR is undefined: it must be finite and positive; change grid.R or radio.noise"
+                "SINR is undefined: it must be finite and positive; change grid.R, radio.alpha or radio.noise"
             )
         if power / term == math.inf:
             raise ScenarioError(
@@ -818,7 +825,11 @@ def _cmd_negotiate(scn: ScenarioFile, seed: int, walks: int) -> ResultTable:
         try:
             result = negotiate(ctx, state, scn.econ, mode=scn.mode, chi0=scn.chi0)
         except NegotiationError as exc:
-            raise NegotiationError(f"traffic.steps[{s - 1}] (step {s}): {exc}", exc.trace) from exc
+            raise NegotiationError(
+                f"traffic.steps[{s - 1}] (step {s}): {exc}; "
+                "raise econ.max_iter or econ.step, or narrow econ.bounds",
+                exc.trace,
+            ) from exc
         for j, (chi, d_mno, d_sso) in enumerate(result.trace):
             rows.append(
                 (

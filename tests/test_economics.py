@@ -710,9 +710,12 @@ def test_offload_user_capacities_match_reference():
     for state in scn.steps:
         offload_breakdown(ctx, state)
         for bs_users, wlan_users in ((state.bs_users, state.wlan_users), apply_traffic_step(state)):
-            expected = _reference_user_capacities(ctx, bs_users, wlan_users)
+            capacities = _reference_user_capacities(ctx, bs_users, wlan_users)
+            # each rate is the reference capacity over the oracle's delay * cost
+            oracle = _oracle_instant(ctx, bs_users, wlan_users)
+            expected = {user: replace(m, capacity=capacities[user]).rate for user, m in oracle.items()}
             # the breakdown memoized both instants, so this reads its records
-            assert economics._instant(ctx, bs_users, wlan_users).capacity == expected
+            assert economics._instant_rates(ctx, bs_users, wlan_users) == expected
 
 
 # -- offloading --------------------------------------------------------------
@@ -738,16 +741,24 @@ def test_wlan_domain(offload_ctx):
 
 def test_offload_breakdown_wlan_schedule(offload_ctx, offload_state):
     b = offload_breakdown(offload_ctx, offload_state)
-    after = economics._instant(offload_ctx, *apply_traffic_step(offload_state))
+    bs_next, wlan_next = apply_traffic_step(offload_state)
+    after = economics._instant_rates(offload_ctx, bs_next, wlan_next)
+    caps = _reference_user_capacities(offload_ctx, bs_next, wlan_next)
+    assert min(caps.values()) > 0.0
+    power = offload_ctx.radio.power
+
+    def rate(user, delay, hops):
+        return caps[user] / (delay * (power * hops))
+
     # after the step u4 joins u5 on the access point: two WLAN link instances
-    assert after.delay["u4"] == 2.0
-    assert after.delay["u5"] == 2.0
-    # same one-hop geometry, no co-slot interference: identical capacity
-    assert after.capacity["u4"] == pytest.approx(after.capacity["u5"])
+    assert after["u4"] == rate("u4", 2.0, 1)
+    assert after["u5"] == rate("u5", 2.0, 1)
+    # same one-hop geometry, no co-slot interference: identical rate
+    assert after["u4"] == pytest.approx(after["u5"])
     # macro users keep paying the full round robin per hop
-    assert after.delay["u1"] == 14.0
-    assert after.delay["u2"] == 21.0
-    assert b.offload_after == pytest.approx(after.rate["u4"])
+    assert after["u1"] == rate("u1", 14.0, 2)
+    assert after["u2"] == rate("u2", 21.0, 3)
+    assert b.offload_after == pytest.approx(after["u4"])
 
 
 def test_offload_breakdown_requires_placements(offload_ctx):
@@ -1420,10 +1431,9 @@ def _assert_instants_match_the_oracle(ctx, steps, econ):
             assert sums == _oracle_breakdown(fresh, state)
         for (bs_users, wlan_users), instant in fresh._instants.items():
             expected = _oracle_instant(fresh, bs_users, wlan_users)
-            assert instant.rate.keys() == expected.keys()
+            assert instant.keys() == expected.keys()
             for user, m in expected.items():
-                got = (instant.capacity[user], instant.delay[user], instant.cost[user], instant.rate[user])
-                assert got == (m.capacity, m.delay, m.cost, m.rate), user
+                assert instant[user] == m.rate, user
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1443,7 +1453,7 @@ def test_memoized_instants_equal_the_oracle_on_the_bundled_scenario():
 def test_negotiate_extracts_each_direction_and_each_instant_once(monkeypatch):
     scn = load_scenario(bundled_scenario("offload"))
     ctx = OffloadContext(grid=scn.grid, dest=scn.dest, radio=scn.radio, placements=scn.users)
-    calls = {"extract_routes": 0, "_instant_metrics": 0}
+    calls = {"extract_routes": 0, "link_capacities": 0}
     states = []
     sinr_keys = []
     real_sinr = economics.link_sinr
@@ -1456,6 +1466,7 @@ def test_negotiate_extracts_each_direction_and_each_instant_once(monkeypatch):
     real_caps = economics.link_capacities
 
     def keyed_caps(slots, radio, grid, memo=None):
+        calls["link_capacities"] += 1
         for links in slots.values():
             transmitters = {tx for tx, _ in links}
             scheduled.update((tx, rx, tuple(sorted(transmitters - {tx, rx}))) for tx, rx in links)
@@ -1471,7 +1482,6 @@ def test_negotiate_extracts_each_direction_and_each_instant_once(monkeypatch):
         monkeypatch.setattr(economics, name, wrapper)
 
     counted("extract_routes")
-    counted("_instant_metrics")
     monkeypatch.setattr(economics, "link_sinr", keyed_sinr)
     monkeypatch.setattr(economics, "link_capacities", keyed_caps)
     real_breakdown = economics.offload_breakdown
@@ -1486,7 +1496,8 @@ def test_negotiate_extracts_each_direction_and_each_instant_once(monkeypatch):
     instants = {(s.bs_users, s.wlan_users) for s in states} | {apply_traffic_step(s) for s in states}
     assert len(states) > len(scn.steps)
     assert calls["extract_routes"] <= 2
-    assert calls["_instant_metrics"] == len(instants)
+    # each memo miss schedules its instant's links once
+    assert calls["link_capacities"] == len(ctx._instants) == len(instants)
     # one SINR per link and set of co-slot transmitters, however many
     # instants schedule it that way
     assert len(sinr_keys) == len(set(sinr_keys))
@@ -1496,6 +1507,7 @@ def test_negotiate_extracts_each_direction_and_each_instant_once(monkeypatch):
     for state in scn.steps:
         negotiate(ctx, state, scn.econ, mode="price-and-set")
     assert len(sinr_keys) == evaluated
+    assert calls["link_capacities"] == len(instants)
 
 
 def test_signature_defaults_come_from_the_dataclasses():

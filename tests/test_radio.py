@@ -325,8 +325,8 @@ def test_sinr_without_interference_or_noise_fails_by_name():
 
 
 def test_slot_sinrs_name_the_first_bad_link_in_slot_order():
-    # slots are evaluated in order of width, but a fault is named in slot
-    # and then link order, and a non-adjacent link before a non-finite SINR
+    # a fault is named in slot and then link order, whatever the slots'
+    # widths, and a non-adjacent link before a non-finite SINR
     grid, radio = _silent_grid()
     wide, narrow = ([(2, 0), (2, 18)], (0, 2)), ([(1, 10), (1, 0)], (1,))
     with pytest.raises(RadioError, match="^link 2->18 does not span adjacent subcells$"):

@@ -499,7 +499,7 @@ def _route(*cells, reached=None):
 def test_coordinated_slots_match_pairwise_grouping(case):
     grid, routes, k0, kind, threshold = case
     config = ProtocolConfig(kind=kind, interference_threshold=threshold)
-    rs = schedule(RouteSet(routes=routes, kind=kind, k0=k0), config, grid)
+    rs = schedule(RouteSet(routes=routes, k0=k0), config, grid)
     ends = {route.reached for route in routes}
     expected = _ref_lir_slots(grid, routes, _coordinated(grid, routes, k0, ends))
     assert (rs.slots, rs.cycle_length) == expected
@@ -510,7 +510,7 @@ def test_coordinated_slots_match_pairwise_grouping(case):
 def test_a_schedule_without_links_keeps_its_kinds_cycle(kind, cycle):
     # the round robin of MDR/LAR spans K slots even when nothing rides it
     routes = [Route(source=0, cells=(0,), reached=0)]
-    rs = schedule(RouteSet(routes=routes, kind=kind, k0=0), ProtocolConfig(kind=kind), GRIDS[2])
+    rs = schedule(RouteSet(routes=routes, k0=0), ProtocolConfig(kind=kind), GRIDS[2])
     assert (rs.slots, rs.cycle_length) == ({}, cycle)
 
 
@@ -518,7 +518,7 @@ def test_coordinated_links_on_a_shared_cell_spill_into_new_slots():
     # cell 1, of color 1, hears coordinated links from 2 and from 6, then
     # sends on to the base station in the round robin, at 2 + its color
     routes = [_route(2, 1, 0, reached=0), _route(6, 1)]
-    rs = schedule(RouteSet(routes=routes, kind=MLIR, k0=1), ProtocolConfig(kind=MLIR), GRIDS[2])
+    rs = schedule(RouteSet(routes=routes, k0=1), ProtocolConfig(kind=MLIR), GRIDS[2])
     assert rs.slots == {0: [(2, 1)], 1: [(6, 1)], 3: [(1, 0)]}
     assert rs.cycle_length == 2 + NUM_COLORS
 
@@ -664,7 +664,7 @@ def test_extract_routes_matches_per_protocol_loops(case):
             extract_routes(grid, dest, overlay, config)
         return
     rs = extract_routes(grid, dest, overlay, config)
-    assert (rs.routes, rs.k0, rs.kind) == (routes, k0, config.kind)
+    assert (rs.routes, rs.k0) == (routes, k0)
     if k0 is not None:
         # the loop's COORD hops are the links into a relay of color k0, and the links the schedule fits
         assert coordinated == _coordinated(grid, routes, k0, dest.indices())

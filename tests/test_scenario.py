@@ -1,5 +1,6 @@
 """Scenario files, result tables, the five commands and the CLI."""
 
+import copy
 import math
 import os
 import re
@@ -11,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import m3sim
 from m3sim.chains import absorption_statistics, simulate_walks
@@ -19,6 +22,7 @@ from m3sim.economics import OffloadContext, negotiate
 from m3sim.routing import build_mdr_chain
 from m3sim.scenario import (
     _SCHEMA,
+    COMMANDS,
     ResultTable,
     ScenarioError,
     ScenarioWarning,
@@ -339,7 +343,7 @@ MALFORMED = [
     # a link without interferers divides by the noise term alone
     ("radio: {noise: 0.0}", "radio: noise power must be finite and positive"),
     ("radio: {noise: .inf}", "radio: noise power must be finite and positive"),
-    ("grid: {R: 1.0e-300}", "change grid.R or radio.noise"),
+    ("grid: {R: 1.0e-300}", "change grid.R, radio.alpha or radio.noise"),
     ("grid: {R: 1.0e+200}", "relay_distance**alpha is inf at H=2"),
     # a positive noise term so small that P over it overflows
     ("radio: {noise: 1.0e-320}", "change radio.P, experiment.powers, grid.R or radio.noise"),
@@ -973,7 +977,7 @@ def test_noise_term_is_checked_at_every_swept_depth(tmp_path):
     # H=7 and underflows to 0 at H=100
     text = "grid: {H: 4, R: 8.0}\nradio: {alpha: 100, noise: 1.0e-250}\n"
     assert load_scenario(write(tmp_path, text)).radio.noise == 1e-250
-    with pytest.raises(ScenarioError, match=r"is 0\.0 at H=100, .*change grid\.R or radio\.noise"):
+    with pytest.raises(ScenarioError, match=r"is 0\.0 at H=100, .*change grid\.R, radio\.alpha or radio\.noise"):
         load_scenario(write(tmp_path, text + "experiment: {h_values: [2, 100]}\n"))
 
 
@@ -998,6 +1002,114 @@ def test_cli_refuses_inputs_without_a_finite_sinr_or_price(
     err = capsys.readouterr().err
     assert f"m3sim: error: {message}" in err and "Traceback" not in err
     assert not out.exists()
+
+
+# An H=2 scenario on which all five commands run, with a number at every key
+# below.  Each key maps to the names an error about it may give: its dotted
+# path, or its section and the field its constructor names.
+EDGE_BASE = {
+    "grid": {"H": 2, "R": 1000.0, "K": 7},
+    "radio": {"P": 0.15, "P_range": [0.15, 0.3], "alpha": 2.0, "noise": 1e-6, "sensitivity": 1e-6},
+    "compression": {"n_o": [3, 4], "zeta": 0.3, "phi": 360.0},
+    "protocol": {"kind": "MDR", "p": 0.8, "interference_threshold": 1.0, "k0": 3},
+    "destinations": {"aps": [[2, 240]]},
+    "overlay": {
+        "sources": [[2, 0], [2, 120], [1, 60]],
+        "scenarios": [{"name": "a", "k0": 2, "unavailable": [[1, 180]]}],
+    },
+    "traffic": {
+        "users": {"u1": [2, 90], "u2": [2, 210], "u3": [1, 240], "u4": [2, 270]},
+        "steps": [{"bs": ["u1", "u2", "u4"], "wlan": ["u3"], "offload": ["u2"]}],
+    },
+    "econ": {
+        "rho": 2.0,
+        "rho1": 1.0,
+        "step": 0.05,
+        "tol": 1e-9,
+        "bounds": [0.05, 2.0],
+        "chi0": 1.0,
+        "max_iter": 1000,
+        "mode": "price-and-set",
+    },
+    "experiment": {
+        "h_values": [2],
+        "powers": [0.15],
+        "availabilities": [0.7],
+        "seed": 1,
+        "n_walks": 40,
+        "sites": [[0.5, 30.0], [0.8, 200.0]],
+    },
+}
+# Ring counts, walk counts and placement rings are left out: a whole number
+# as large as 1e300 is a valid size there, which no run could hold.
+EDGE_KEYS = {
+    ("grid", "R"): ("grid.R", "grid: macrocell radius"),
+    ("grid", "K"): ("grid.K", "grid: only the 7-cell rhombic clustering is supported, got K="),
+    ("radio", "P"): ("radio.P", "radio: transmit power"),
+    ("radio", "P_range", 0): ("radio.P_range[0]",),
+    ("radio", "alpha"): ("radio.alpha", "radio: path-loss exponent"),
+    ("radio", "noise"): ("radio.noise", "radio: noise power"),
+    ("radio", "sensitivity"): ("radio.sensitivity", "radio: sensitivity"),
+    ("compression", "zeta"): ("compression.zeta", "compression: traffic load zeta"),
+    ("compression", "phi"): ("compression.phi", "compression: beamwidth"),
+    ("compression", "p"): ("compression.p",),
+    ("protocol", "p"): ("protocol.p", "protocol: availability p"),
+    ("protocol", "interference_threshold"): ("protocol.interference_threshold", "protocol: interference threshold"),
+    ("protocol", "k0"): ("protocol.k0",),
+    ("econ", "rho"): ("econ.rho", "econ: MNO revenue", "econ: revenues must satisfy mno_revenue"),
+    ("econ", "rho1"): ("econ.rho1", "econ: SSO revenue", "econ: revenues must satisfy mno_revenue >= sso_revenue"),
+    ("econ", "step"): ("econ.step", "econ: price step"),
+    ("econ", "tol"): ("econ.tol", "econ: tolerance"),
+    ("econ", "bounds", 0): ("econ.bounds", "econ: price bounds"),
+    ("econ", "bounds", 1): ("econ.bounds", "econ: price bounds"),
+    ("econ", "chi0"): ("econ.chi0",),
+    ("econ", "max_iter"): ("econ.max_iter", "econ: iteration budget max_iter"),
+    ("experiment", "powers", 0): ("experiment.powers",),
+    ("experiment", "availabilities", 0): ("experiment.availabilities[0]",),
+    ("experiment", "seed"): ("experiment.seed",),
+    ("experiment", "sites", 0, 0): ("experiment.sites[0]",),
+    ("experiment", "sites", 0, 1): ("experiment.sites[0]",),
+    ("overlay", "sources", 0, 1): ("overlay.sources[0]",),
+    ("overlay", "scenarios", 0, "k0"): ("overlay.scenarios[0].k0",),
+    # a user and an access point on one subcell name the user
+    ("destinations", "aps", 0, 1): ("destinations.aps[0]", "sits on a destination subcell"),
+    ("traffic", "users", "u1", 1): ("traffic.users.u1", "traffic.users: user 'u1' sits on a destination subcell"),
+}
+EDGE_VALUES = (0.0, 1e-300, 1e300, math.inf, -math.inf, math.nan)
+# where no walk visits a state, its Monte Carlo mean and split have no value
+NO_WALK_COLUMNS = {"tau_mc", "b_gap"}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.dictionaries(st.sampled_from(list(EDGE_KEYS)), st.sampled_from(EDGE_VALUES), min_size=1, max_size=2))
+def test_every_command_writes_finite_numbers_or_names_an_edge_value_key(tmp_path_factory, edits):
+    doc = copy.deepcopy(EDGE_BASE)
+    for key, value in edits.items():
+        node = doc
+        for part in key[:-1]:
+            node = node[part]
+        node[key[-1]] = value
+    if ("compression", "p") in edits:
+        # a direct p excludes the terminal counts, zeta and phi
+        doc["compression"] = {"p": edits[("compression", "p")]}
+        edits = {key: value for key, value in edits.items() if key[0] != "compression" or key[1] == "p"}
+    path = tmp_path_factory.mktemp("edge") / "case.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    names = [name for key in edits for name in EDGE_KEYS[key]]
+    try:
+        scn = load_scenario(path)
+        tables = {command: run_experiment(scn, command) for command in COMMANDS}
+    except ScenarioError as exc:
+        assert any(name in str(exc) for name in names), (str(exc), names)
+        return
+    for command, table in tables.items():
+        for row in table.rows:
+            cells = dict(zip(table.columns, row))
+            for column, value in cells.items():
+                if command == "verify" and column in NO_WALK_COLUMNS and cells["walks"] == 0:
+                    continue
+                if isinstance(value, (float, np.floating)):
+                    assert math.isfinite(value), (command, column, row)
 
 
 def test_cli_reads_and_writes_utf8_in_a_c_locale(tmp_path):
