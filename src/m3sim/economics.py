@@ -24,7 +24,7 @@ from .compression import (
     aggregate_availability,
     climb_topology,
 )
-from .grid import NUM_COLORS, SQRT3, Destinations, GridParams, SubcellGrid, check_finite_positive
+from .grid import NUM_COLORS, Destinations, GridParams, SubcellGrid, _unit_position, check_finite_positive
 from .radio import RadioParams, link_capacity, link_sinr, slot_sinrs
 from .routing import (
     MDR,
@@ -261,44 +261,26 @@ def snap_sites(
 ) -> list[int]:
     """Nearest subcell index for each physical (radius fraction, bearing) site.
 
-    The center subcell is never chosen, and ties go to the lower index.  A
-    site is rounded to the lattice cell around it, and only that cell and
-    its neighbours on the grid are compared: any center that rounding error
-    lets come as near to the site lies among them.  Where the rounded cell
-    is off the grid or next to the center, every ring subcell is compared.
+    Each site compares every ring subcell's centre in one array pass and
+    takes the first nearest, so the center subcell is never chosen and ties
+    go to the lower index.  A site whose smallest squared distance is not
+    finite (a NaN site, an infinite radius fraction, or one so far out that
+    the square overflows) raises ``EconError`` naming it; an infinite
+    bearing raises ``math.cos``'s ValueError.
     """
-    radius, size = grid.params.R, grid.params.subcell_radius
-    cells = grid.cells
-
-    def gap(i: int, x: float, y: float) -> tuple[float, int]:
-        cx, cy = grid.center_position(cells[i])
-        return (cx - x) ** 2 + (cy - y) ** 2, i
-
+    size, radius = grid.params.subcell_radius, grid.params.R
+    cx, cy = (u * size for u in _unit_position(*grid.axial_coords[:, 1:]))
     out = []
-    for frac, bearing in sites:
+    for k, (frac, bearing) in enumerate(sites):
         x = frac * radius * math.cos(math.radians(bearing))
         y = frac * radius * math.sin(math.radians(bearing))
-        home = None
-        if math.isfinite(x + y):
-            home = grid.index.get(_axial_round(2.0 * x / (3.0 * size), (SQRT3 * y - x) / (3.0 * size)))
-        if home is not None and cells[home].h >= 2:
-            candidates: Iterable[int] = (home, *grid.adjacent[home])
-        else:
-            candidates = range(1, len(cells))
-        out.append(min(candidates, key=lambda i: gap(i, x, y)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = (cx - x) ** 2 + (cy - y) ** 2
+        i = int(np.argmin(gap))
+        if not math.isfinite(gap[i]):
+            raise EconError(f"site {k} at {(frac, bearing)!r} has no finite squared distance, got {float(gap[i])!r}")
+        out.append(1 + i)
     return out
-
-
-def _axial_round(q: float, r: float) -> tuple[int, int]:
-    """Axial coordinates of the hexagon holding the fractional point (q, r)."""
-    s = -q - r
-    rq, rr, rs = round(q), round(r), round(s)
-    dq, dr, ds = abs(rq - q), abs(rr - r), abs(rs - s)
-    if dq > dr and dq > ds:
-        rq = -rr - rs
-    elif dr > ds:
-        rr = -rq - rs
-    return rq, rr
 
 
 def _mdr_layers(

@@ -242,11 +242,11 @@ def _fields(section: str, mapping: Mapping) -> dict[str, Any]:
 
 
 def _reuse_color(where: str, value: Any) -> int:
-    """The 0-based reuse color of the 1-based type ``value`` that the file writes at ``where``."""
-    k = _number(where, value, int)
-    if not 1 <= k <= NUM_COLORS:
-        raise ScenarioError(f"{where}: reuse type {k} outside 1..{NUM_COLORS}")
-    return k - 1
+    """The 0-based reuse color of the 1-based type ``value`` that the file writes at ``where``;
+    a type out of range is named as written, before any cast to ``int``."""
+    if not 1 <= _number(where, value) <= NUM_COLORS:
+        raise ScenarioError(f"{where}: reuse type {value} outside 1..{NUM_COLORS}")
+    return _number(where, value, int) - 1
 
 
 def _parse_user_spec(value: Any, where: str) -> tuple[int | None, int, float]:
@@ -335,8 +335,9 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         return _check_keys(name, raw.get(name), _SCHEMA[name])
 
     # -- grid (four rings unless the file says otherwise)
+    grid_fields = {"H": 4, **_fields("grid", section("grid"))}
     with _named("grid"):
-        params = GridParams(**{"H": 4, **_fields("grid", section("grid"))})
+        params = GridParams(**grid_fields)
         grid = SubcellGrid(params)
 
     # -- radio

@@ -4,6 +4,7 @@ import inspect
 import math
 import random
 import re
+import warnings
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
@@ -441,6 +442,31 @@ def test_snap_sites_break_exact_ties_toward_the_lower_index(h):
         site = (1.5 * q * size / grid.params.R, 0.0)
         pair = (grid.index[(q, (1 - q) // 2)], grid.index[(q, (-1 - q) // 2)])
         assert snap_sites(grid, [site]) == _snap_by_scan(grid, [site]) == [min(pair)]
+
+
+@pytest.mark.parametrize("h", [32, 48, 64])
+def test_snap_sites_matches_the_full_scan_on_deep_grids(h):
+    # default site 11 lies off the lattice for every H >= 8; the drawn sites
+    # lie outside the macrocell (radius fractions 1.2-1.3) or across the
+    # centre (negative fractions, so the bearing points the other way)
+    rng = random.Random(h)
+    outside = [(rng.uniform(1.2, 1.3), rng.uniform(0.0, 360.0)) for _ in range(4)]
+    across = [(-rng.uniform(0.0, 1.3), rng.uniform(-360.0, 360.0)) for _ in range(4)]
+    sites = [*DEFAULT_USER_SITES, *outside, *across]
+    grid = SubcellGrid(GridParams(H=h))
+    assert snap_sites(grid, sites) == _snap_by_scan(grid, sites)
+
+
+@pytest.mark.parametrize(
+    "site",
+    [(math.nan, 10.0), (math.inf, 10.0), (-math.inf, 10.0), (1e200, 10.0), (0.5, math.nan)],
+    ids=["nan", "inf", "-inf", "overflow", "nan-bearing"],
+)
+def test_snap_sites_names_a_site_at_no_finite_distance(site):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EconError, match=re.escape(f"site 1 at {site!r} has no finite squared distance, got ")):
+            snap_sites(GRID4, [DEFAULT_USER_SITES[0], site])
 
 
 # -- availability sweeps -----------------------------------------------------

@@ -304,6 +304,7 @@ MALFORMED = [
     ('traffic: {users: {1: [2, 90], "1": [3, 170]}}', "traffic.users: two users are named '1'"),
     ("radio: {P: min, sensitivity: 0}", "radio: sensitivity"),
     ("grid: {H: 2.5}", "grid.H"),
+    ("grid: {K: 1.0e-300}", "grid.K must be a whole number, got 1e-300"),
     # integer keys take whole numbers only; int() would truncate these
     ("experiment: {seed: 1.5}", "experiment.seed"),
     ("experiment: {n_walks: 100.5}", "experiment.n_walks"),
@@ -907,10 +908,31 @@ def test_negotiate_names_the_key_an_offload_context_refuses(tmp_path, text, mess
             "overlay.scenarios[0].unavailable_types[1]: reuse type 8 outside 1..7",
         ),
         ('overlay: {sources: ["u^0(2,0)"]}', "overlay.sources[0]: reuse type 0 outside 1..7"),
+        # far out of range, the type reads as written, not as a 301-digit integer
+        ("protocol: {k0: 1.0e+300}", "protocol.k0: reuse type 1e+300 outside 1..7"),
+        ("protocol: {k0: -1.0e+300}", "protocol.k0: reuse type -1e+300 outside 1..7"),
+        ("overlay: {scenarios: [{k0: 1.0e+300}]}", "overlay.scenarios[0].k0: reuse type 1e+300 outside 1..7"),
+        ("overlay: {scenarios: [{k0: -1.0e+300}]}", "overlay.scenarios[0].k0: reuse type -1e+300 outside 1..7"),
     ],
 )
 def test_reuse_types_are_checked_as_the_file_writes_them(tmp_path, text, message):
     # one prefix, the key, and the 1-based type the file wrote
+    with pytest.raises(ScenarioError) as caught:
+        load_scenario(write(tmp_path, text + "\n"))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a key error names its section once, in the key
+        ("grid: {K: 1.0e-300}", "grid.K must be a whole number, got 1e-300"),
+        ("grid: {H: 2, rings: 3}", "unknown key grid.rings (allowed: H, K, R)"),
+        # an error of GridParams itself is led by its section
+        ("grid: {K: 6}", "grid: only the 7-cell rhombic clustering is supported, got K=6"),
+    ],
+)
+def test_grid_errors_name_their_section_once(tmp_path, text, message):
     with pytest.raises(ScenarioError) as caught:
         load_scenario(write(tmp_path, text + "\n"))
     assert str(caught.value) == message
