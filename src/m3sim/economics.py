@@ -265,15 +265,16 @@ def snap_sites(
     takes the first nearest, so the center subcell is never chosen and ties
     go to the lower index.  A site whose smallest squared distance is not
     finite (a NaN site, an infinite radius fraction, or one so far out that
-    the square overflows) raises ``EconError`` naming it; an infinite
-    bearing raises ``math.cos``'s ValueError.
+    the square overflows, or a non-finite bearing) raises ``EconError``
+    naming it.
     """
     size, radius = grid.params.subcell_radius, grid.params.R
     cx, cy = (u * size for u in _unit_position(*grid.axial_coords[:, 1:]))
     out = []
     for k, (frac, bearing) in enumerate(sites):
-        x = frac * radius * math.cos(math.radians(bearing))
-        y = frac * radius * math.sin(math.radians(bearing))
+        # math.cos raises on an infinite angle; NaN carries the site to the check below
+        angle = math.radians(bearing) if math.isfinite(bearing) else math.nan
+        x, y = frac * radius * math.cos(angle), frac * radius * math.sin(angle)
         with np.errstate(over="ignore", invalid="ignore"):
             gap = (cx - x) ** 2 + (cy - y) ** 2
         i = int(np.argmin(gap))

@@ -11,6 +11,12 @@ apart.  Subcells are addressed three ways:
 
 Ring h holds 6h subcells occupying linear indices 3h(h-1)+1 .. 3h(h+1);
 within a ring, indices increase with theta.
+
+A grid is built in one array pass: one lexsort on (ring, theta, q, r) puts
+every subcell in index order, and each table derives from the sorted arrays.
+Only theta is computed per cell, with ``math.atan2``: numpy's ``arctan2``
+differs from it in the last bit on some cells, and both the ring order and
+the routes CSV read theta.
 """
 
 from __future__ import annotations
@@ -18,8 +24,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -116,38 +120,36 @@ class SubcellGrid:
     def __init__(self, params: GridParams):
         self.params = params
         H = params.H
-        # (ring, angle, q, r) of every cell, sorted once into linear index
-        # order: by ring, then by angle; the center's atan2(0, 0) is 0.0
-        polar = []
-        for q in range(-H, H + 1):
-            for r in range(max(-H, -q - H), min(H, -q + H) + 1):
-                x, y = _unit_position(q, r)
-                polar.append((_axial_ring(q, r), math.degrees(math.atan2(y, x)) % 360.0, q, r))
-        polar.sort()
-        cells = tuple(SubcellId(h=h, theta=t, i=i, q=q, r=r) for i, (h, t, q, r) in enumerate(polar))
-        self.cells: tuple[SubcellId, ...] = cells
-        # Integer tables: axial (q, r) -> linear index, each cell's neighbour
-        # indices in DIRECTIONS order, and its reuse color.
-        index = {(c.q, c.r): c.i for c in cells}
-        self.index: dict[tuple[int, int], int] = index
+        # Every axial (q, r) within H hops of the center, theta by math.atan2
+        # per cell (the center's atan2(0, 0) is 0.0), and one lexsort on
+        # (ring, theta, q, r) into linear index order.
+        qr = np.mgrid[-H : H + 1, -H : H + 1].reshape(2, -1)
+        qr = qr[:, abs(qr.sum(axis=0)) <= H]
+        x, y = _unit_position(*qr)
+        theta = np.array([math.degrees(math.atan2(b, a)) % 360.0 for a, b in zip(x.tolist(), y.tolist())])
+        ring = _axial_ring(*qr)
+        order = np.lexsort((qr[1], qr[0], theta, ring))
+        # Read-only (2, cells) array: row 0 each cell's axial q, row 1 its r.
+        q, r = self.axial_coords = qr[:, order]
+        self.axial_coords.flags.writeable = False
+        size, (qs, rs) = len(order), self.axial_coords.tolist()
+        self._thetas: list[float] = theta[order].tolist()
+        self.cells: tuple[SubcellId, ...] = tuple(
+            map(SubcellId, ring[order].tolist(), self._thetas, range(size), qs, rs)
+        )
+        # Integer tables: axial (q, r) -> linear index, each cell's neighbours in
+        # DIRECTIONS order (-1 off the grid, from a dense lookup one ring wider),
+        # and its reuse color.
+        self.index: dict[tuple[int, int], int] = dict(zip(zip(qs, rs), range(size)))
+        lookup = np.full((2 * H + 3, 2 * H + 3), -1)
+        lookup[q + H + 1, r + H + 1] = np.arange(size)
+        dq, dr = np.array(DIRECTIONS).T
+        self._padded_adjacent: np.ndarray = lookup[q[:, None] + dq + H + 1, r[:, None] + dr + H + 1]
         self.adjacent: tuple[tuple[int, ...], ...] = tuple(
-            tuple(n for n in [index.get((c.q + dq, c.r + dr)) for dq, dr in DIRECTIONS] if n is not None)
-            for c in cells
+            tuple(n for n in row if n >= 0) for row in self._padded_adjacent.tolist()
         )
-        self.colors: tuple[int, ...] = tuple((c.q + 5 * c.r) % NUM_COLORS for c in cells)
+        self.colors: tuple[int, ...] = tuple(((q + 5 * r) % NUM_COLORS).tolist())
         self._rank_tables: dict[frozenset[int], tuple[tuple[int, ...], ...]] = {}
-        # each ring is the slice of ``cells`` over its index range
-        self._rings: tuple[tuple[SubcellId, ...], ...] = (cells[:1],) + tuple(
-            cells[lo : hi + 1] for lo, hi in map(ring_index_range, range(1, H + 1))
-        )
-        self._ring_thetas = tuple(tuple(c.theta for c in ring) for ring in self._rings)
-
-    @cached_property
-    def axial_coords(self) -> np.ndarray:
-        """Read-only (2, cells) array: row 0 each cell's axial q, row 1 its r."""
-        coords = np.array([[c.q for c in self.cells], [c.r for c in self.cells]], dtype=np.intp)
-        coords.flags.writeable = False
-        return coords
 
     # -- addressing ---------------------------------------------------------
 
@@ -157,9 +159,13 @@ class SubcellGrid:
         return self.cells[i]
 
     def ring(self, h: int) -> tuple[SubcellId, ...]:
+        lo, hi = self._ring_bounds(h)
+        return self.cells[lo : hi + 1]
+
+    def _ring_bounds(self, h: int) -> tuple[int, int]:
         if not 0 <= h <= self.params.H:
             raise GridError(f"ring {h} outside 0..{self.params.H}")
-        return self._rings[h]
+        return ring_index_range(h) if h else (0, 0)
 
     def nearest_in_ring(self, h: int, theta: float) -> tuple[SubcellId, float]:
         """Subcell of ring h nearest to angle theta, with the angular snap in degrees.
@@ -170,19 +176,14 @@ class SubcellGrid:
         theta, cyclically; every other cell lies a whole spacing further.
         A non-finite theta raises ``GridError``.
         """
-        ring = self.ring(h)
+        lo, hi = self._ring_bounds(h)
         if not math.isfinite(theta):
             raise GridError(f"placement angle must be finite, got {theta!r}")
         theta = theta % 360.0
-        j = bisect.bisect_right(self._ring_thetas[h], theta)
-        pair = (ring[j - 1], ring[j]) if 0 < j < len(ring) else (ring[0], ring[-1])
-        best, best_gap = None, None
-        for c in pair:
-            gap = abs(c.theta - theta)
-            gap = min(gap, 360.0 - gap)
-            if best is None or gap < best_gap - 1e-12:
-                best, best_gap = c, gap
-        return best, best_gap
+        j = bisect.bisect_right(self._thetas, theta, lo, hi + 1)
+        a, b = (self.cells[j - 1], self.cells[j]) if lo < j <= hi else (self.cells[lo], self.cells[hi])
+        gap_a, gap_b = (min(abs(c.theta - theta), 360.0 - abs(c.theta - theta)) for c in (a, b))
+        return (b, gap_b) if gap_b < gap_a - 1e-12 else (a, gap_a)
 
     # -- geometry -----------------------------------------------------------
 
@@ -209,8 +210,9 @@ class SubcellGrid:
         """Each cell's neighbour indices sorted by (squared distance to the nearest destination, index).
 
         Built once per grid and set of absorbing cells, from one (cells x
-        destinations) array of squared distances; each padded neighbour row
-        sorts on the exact integer key near * cells + index.
+        destinations) array of squared distances; each row of the padded
+        neighbour array sorts on the exact integer key near * cells + index,
+        its off-grid padding last.
         """
         key = dest.indices()
         table = self._rank_tables.get(key)
@@ -220,13 +222,10 @@ class SubcellGrid:
             targets = [c.i for c in dest.absorbing_cells()]
             dq, dr = q[:, None] - q[targets], r[:, None] - r[targets]
             near = (dq * dq + dr * dr + dq * dr).min(axis=1)
-            degree = np.fromiter(map(len, self.adjacent), dtype=np.intp, count=size)
-            padded = np.arange(len(DIRECTIONS)) < degree[:, None]
-            keys = np.full(padded.shape, np.iinfo(np.intp).max)
-            adjacent = np.fromiter(chain.from_iterable(self.adjacent), dtype=np.intp)
-            keys[padded] = near[adjacent] * size + adjacent
+            padded = self._padded_adjacent
+            keys = np.where(padded < 0, np.iinfo(np.intp).max, near[padded] * size + padded)
             ranked = (np.sort(keys, axis=1) % size).tolist()
-            table = tuple(tuple(row[:d]) for row, d in zip(ranked, degree.tolist()))
+            table = tuple(tuple(row[:d]) for row, d in zip(ranked, map(len, self.adjacent)))
             self._rank_tables[key] = table
         return table
 
@@ -238,11 +237,9 @@ class SubcellGrid:
 
     def color_populations(self, exclude: frozenset[int] = frozenset()) -> list[int]:
         """Ring-subcell count per color, skipping the center and excluded indices."""
-        pops = [0] * NUM_COLORS
-        for i in range(1, len(self.cells)):
-            if i not in exclude:
-                pops[self.colors[i]] += 1
-        return pops
+        counted = np.ones(len(self.cells), dtype=bool)
+        counted[[0, *exclude]] = False
+        return np.bincount(np.compress(counted, self.colors), minlength=NUM_COLORS).tolist()
 
 
 @dataclass(frozen=True)

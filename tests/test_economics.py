@@ -459,8 +459,16 @@ def test_snap_sites_matches_the_full_scan_on_deep_grids(h):
 
 @pytest.mark.parametrize(
     "site",
-    [(math.nan, 10.0), (math.inf, 10.0), (-math.inf, 10.0), (1e200, 10.0), (0.5, math.nan)],
-    ids=["nan", "inf", "-inf", "overflow", "nan-bearing"],
+    [
+        (math.nan, 10.0),
+        (math.inf, 10.0),
+        (-math.inf, 10.0),
+        (1e200, 10.0),
+        (0.5, math.nan),
+        (0.5, math.inf),
+        (0.5, -math.inf),
+    ],
+    ids=["nan", "inf", "-inf", "overflow", "nan-bearing", "inf-bearing", "-inf-bearing"],
 )
 def test_snap_sites_names_a_site_at_no_finite_distance(site):
     with warnings.catch_warnings():

@@ -95,7 +95,7 @@ def _scanned_nearest_in_ring(grid, h, theta):
     return best, best_gap
 
 
-@pytest.mark.parametrize("H", [1, 2, 5, 10, 33])
+@pytest.mark.parametrize("H", [1, 2, 5, 10, 33, 64])
 def test_nearest_in_ring_matches_the_scan_over_the_ring(H):
     grid = SubcellGrid(GridParams(H=H))
     rng = random.Random(H)
@@ -170,6 +170,20 @@ def test_color_populations():
     assert all(grid.cell(i).h == 3 for i in zero)
     without = grid.color_populations(exclude=frozenset(zero))
     assert without[0] == 0 and sum(without) == 54
+
+
+@pytest.mark.parametrize("H", range(1, 13))
+def test_color_populations_count_each_ring_cell_not_excluded(H):
+    grid = SubcellGrid(GridParams(H=H))
+    rng = random.Random(H)
+    excludes = [frozenset(), frozenset({0}), frozenset(range(len(grid.cells)))]
+    excludes += [frozenset(rng.sample(range(len(grid.cells)), rng.randint(1, 7))) for _ in range(20)]
+    for exclude in excludes:
+        want = [0] * NUM_COLORS
+        for cell in grid.cells[1:]:
+            if cell.i not in exclude:
+                want[grid.cluster_color(cell)] += 1
+        assert grid.color_populations(exclude=exclude) == want, sorted(exclude)
 
 
 def test_distances():
