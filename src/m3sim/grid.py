@@ -16,7 +16,8 @@ A grid is built in one array pass: one lexsort on (ring, theta, q, r) puts
 every subcell in index order, and each table derives from the sorted arrays.
 Only theta is computed per cell, with ``math.atan2``: numpy's ``arctan2``
 differs from it in the last bit on some cells, and both the ring order and
-the routes CSV read theta.
+the routes CSV read theta.  A cell's neighbours are one row of six, -1 off the
+grid, in ``adjacent`` and, ranked per destination set, in ``rank_table``.
 """
 
 from __future__ import annotations
@@ -137,17 +138,15 @@ class SubcellGrid:
         self.cells: tuple[SubcellId, ...] = tuple(
             map(SubcellId, ring[order].tolist(), self._thetas, range(size), qs, rs)
         )
-        # Integer tables: axial (q, r) -> linear index, each cell's neighbours in
-        # DIRECTIONS order (-1 off the grid, from a dense lookup one ring wider),
-        # and its reuse color.
+        # Integer tables: axial (q, r) -> linear index, each cell's neighbours
+        # (a read-only (cells, 6) array in DIRECTIONS order, -1 where a step
+        # leaves the grid, from a dense lookup one ring wider), and its reuse color.
         self.index: dict[tuple[int, int], int] = dict(zip(zip(qs, rs), range(size)))
-        lookup = np.full((2 * H + 3, 2 * H + 3), -1)
+        lookup = np.full((2 * H + 3, 2 * H + 3), -1, dtype=np.intp)
         lookup[q + H + 1, r + H + 1] = np.arange(size)
         dq, dr = np.array(DIRECTIONS).T
-        self._padded_adjacent: np.ndarray = lookup[q[:, None] + dq + H + 1, r[:, None] + dr + H + 1]
-        self.adjacent: tuple[tuple[int, ...], ...] = tuple(
-            tuple(n for n in row if n >= 0) for row in self._padded_adjacent.tolist()
-        )
+        self.adjacent: np.ndarray = lookup[q[:, None] + dq + H + 1, r[:, None] + dr + H + 1]
+        self.adjacent.flags.writeable = False
         self.colors: tuple[int, ...] = tuple(((q + 5 * r) % NUM_COLORS).tolist())
         self._rank_tables: dict[frozenset[int], tuple[tuple[int, ...], ...]] = {}
 
@@ -204,15 +203,15 @@ class SubcellGrid:
 
     def neighbors(self, cell: SubcellId) -> list[SubcellId]:
         """Existing lattice neighbours (at most six; fewer on the outer ring)."""
-        return [self.cells[n] for n in self.adjacent[cell.i]]
+        return [self.cells[n] for n in self.adjacent[cell.i].tolist() if n >= 0]
 
     def rank_table(self, dest: "Destinations") -> tuple[tuple[int, ...], ...]:
         """Each cell's neighbour indices sorted by (squared distance to the nearest destination, index).
 
-        Built once per grid and set of absorbing cells, from one (cells x
-        destinations) array of squared distances; each row of the padded
-        neighbour array sorts on the exact integer key near * cells + index,
-        its off-grid padding last.
+        Rows of six, the neighbours in rank order then -1, built once per grid
+        and set of absorbing cells from one (cells x destinations) array of
+        squared distances: each ``adjacent`` row sorts on the exact integer key
+        near * cells + index, -1 last, and one ``tolist`` reads the rows.
         """
         key = dest.indices()
         table = self._rank_tables.get(key)
@@ -222,11 +221,10 @@ class SubcellGrid:
             targets = [c.i for c in dest.absorbing_cells()]
             dq, dr = q[:, None] - q[targets], r[:, None] - r[targets]
             near = (dq * dq + dr * dr + dq * dr).min(axis=1)
-            padded = self._padded_adjacent
-            keys = np.where(padded < 0, np.iinfo(np.intp).max, near[padded] * size + padded)
-            ranked = (np.sort(keys, axis=1) % size).tolist()
-            table = tuple(tuple(row[:d]) for row, d in zip(ranked, map(len, self.adjacent)))
-            self._rank_tables[key] = table
+            padding = np.iinfo(np.intp).max
+            keys = np.where(self.adjacent < 0, padding, near[self.adjacent] * size + self.adjacent)
+            keys.sort(axis=1)
+            table = self._rank_tables[key] = tuple(map(tuple, np.where(keys == padding, -1, keys % size).tolist()))
         return table
 
     # -- clustering ---------------------------------------------------------
@@ -264,10 +262,8 @@ class Destinations:
             raise GridError("duplicate access-point placements")
         if len(self.coverage) not in (0, len(self.aps)):
             raise GridError("coverage must list one cluster per access point")
-        for cluster in self.coverage:
-            for c in cluster:
-                if self.bs is not None and c.i == self.bs.i:
-                    raise GridError("access-point coverage may not include the base station")
+        if self.bs is not None and any(c.i == self.bs.i for cluster in self.coverage for c in cluster):
+            raise GridError("access-point coverage may not include the base station")
         object.__setattr__(self, "_indices", frozenset(c.i for c in self.absorbing_cells()))
 
     def absorbing_cells(self) -> list[SubcellId]:
@@ -293,11 +289,9 @@ def make_destinations(
     defaults to each access point's lattice neighbours.
     """
     aps = tuple(grid.nearest_in_ring(h, theta)[0] for h, theta in ap_polars or [])
-    if coverage is None:
-        clusters = tuple(tuple(grid.neighbors(a)) for a in aps)
-    else:
-        clusters = tuple(
-            tuple(grid.nearest_in_ring(h, theta)[0] for h, theta in cluster)
-            for cluster in coverage
-        )
+    clusters = (
+        tuple(tuple(grid.neighbors(a)) for a in aps)
+        if coverage is None
+        else tuple(tuple(grid.nearest_in_ring(h, theta)[0] for h, theta in cluster) for cluster in coverage)
+    )
     return Destinations(bs=grid.cell(0), aps=aps, coverage=clusters)

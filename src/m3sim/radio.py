@@ -100,12 +100,12 @@ def link_sinr(
     A SINR that is not finite (no interference and a noise term too small
     for the power) raises ``RadioError`` naming the link.
     """
-    if rx not in grid.adjacent[tx]:
+    cells = grid.cells
+    if grid.squared_step_distance(cells[tx], cells[rx]) != 1:
         raise RadioError(f"link {tx}->{rx} does not span adjacent subcells")
     H = grid.params.H
     table = _offset_terms(radio.power, radio.alpha, H)
     width = 4 * H + 1
-    cells = grid.cells
     # a transmitter's entry is this origin plus its key
     origin = 2 * H * (width + 1) - cells[rx].q * width - cells[rx].r
     interference = 0.0

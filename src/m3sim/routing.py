@@ -235,17 +235,15 @@ def _ranked_columns(
     ``dest.absorbing_cells()`` has the k-th column after the transient ones,
     and no-route the last column.  The ranked columns have shape (copies,
     relays, 6): entry [mode, r, n] is the column of relay r's n-th ranked
-    neighbour in copy ``mode``, and padding past the count.
+    neighbour in copy ``mode``, and past the count -1's column, the last cell's.
     """
-    table = grid.rank_table(dest)
-    counts = np.fromiter(map(len, table), dtype=np.intp, count=len(table))
-    ranked = np.zeros((len(table), _RANKS.size), dtype=np.intp)
-    ranked[_RANKS < counts[:, None]] = np.fromiter(chain.from_iterable(table), dtype=np.intp)
+    ranked = np.array(grid.rank_table(dest), dtype=np.intp)
+    counts = (ranked >= 0).sum(axis=1)
     targets = [c.i for c in dest.absorbing_cells()]
-    relay = np.ones(len(table), dtype=bool)
+    relay = np.ones(len(ranked), dtype=bool)
     relay[targets] = False
     relays = np.flatnonzero(relay)
-    column = np.empty((copies, len(table)), dtype=np.intp)
+    column = np.empty((copies, len(ranked)), dtype=np.intp)
     column[:, relays] = copies * np.arange(relays.size) + np.arange(copies)[:, None]
     column[:, targets] = copies * relays.size + np.arange(len(targets))
     return relays, counts[relays], column[:, ranked[relays]], copies * relays.size + len(targets)
@@ -350,20 +348,21 @@ def _hopper(grid, dest, overlay, k0=None, allow_fallback=True):
     destinations first, lowest index leading, and none is ever unavailable
     or visited, so it is the head of the ranked row.  Otherwise the
     candidates are the available neighbours not in ``excluded``, in rank
-    order, and none strands the route.  With ``k0`` set, a cell of another
-    color hops to its one neighbour of color k0 when that is a candidate,
-    and otherwise strands unless ``allow_fallback``.  Every other hop takes
-    the first candidate.  A cell's neighbours differ in color from it and
+    order, and none strands the route; the row's -1 padding is blocked with
+    the unavailable cells, in one set per extraction.  With ``k0`` set, a
+    cell of another color hops to its one neighbour of color k0 when that
+    is a candidate, and otherwise strands unless ``allow_fallback``.  Every
+    other hop takes the first candidate.  A cell's neighbours differ in color from it and
     from each other, so a hop that does not end the route lands on color
     k0 exactly when it is coordinated, which is how ``schedule`` reads it.
     """
-    ranks, dest_idx, unavailable, colors = grid.rank_table(dest), dest.indices(), overlay.unavailable, grid.colors
+    ranks, dest_idx, blocked, colors = grid.rank_table(dest), dest.indices(), overlay.unavailable | {-1}, grid.colors
 
     def hop(current, excluded):
         ranked = ranks[current]
         if ranked[0] in dest_idx:
             return ranked[0]
-        candidates = [n for n in ranked if n not in unavailable and n not in excluded]
+        candidates = [n for n in ranked if n not in blocked and n not in excluded]
         if k0 is not None and colors[current] != k0:
             for n in candidates:
                 if colors[n] == k0:
@@ -473,11 +472,12 @@ def _lar_route(grid, dest, overlay):
     Each hop is one pass over the cell's ``rank_table`` row.  A destination
     at its head ends the route: the row lists destinations first, and none
     is ever unavailable or visited, so no later neighbour is one.  Otherwise
-    the pass skips unavailable and visited cells, and, as a cost is never
+    the pass skips unavailable and visited cells and the row's -1 padding,
+    blocked with the unavailable ones in one set, and, as a cost is never
     below its rank, stops at the first rank above the best cost so far.  A
     hop with no candidate strands the route.
     """
-    ranks, dest_idx, unavailable = grid.rank_table(dest), dest.indices(), overlay.unavailable
+    ranks, dest_idx, blocked = grid.rank_table(dest), dest.indices(), overlay.unavailable | {-1}
     load: dict[int, int] = {}
     routes = []
     for src in overlay.sources:
@@ -486,7 +486,7 @@ def _lar_route(grid, dest, overlay):
         while ranked[0] not in dest_idx:
             best, best_cost, rank = None, math.inf, 0
             for n in ranked:
-                if n in unavailable or n in visited:
+                if n in blocked or n in visited:
                     continue
                 rank += 1
                 if rank > best_cost:

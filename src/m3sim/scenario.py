@@ -60,7 +60,7 @@ from .economics import (
     network_capacity_throughput,
     optimize_tessellation,
 )
-from .grid import NUM_COLORS, Destinations, GridParams, SubcellGrid, SubcellId, make_destinations
+from .grid import NUM_COLORS, Destinations, GridParams, SubcellGrid, SubcellId
 from .radio import RadioParams, min_power
 from .routing import (
     LAR,
@@ -401,24 +401,30 @@ def load_scenario(path: str | Path) -> ScenarioFile:
                 )
         return cell
 
-    def polars(where: str, specs: Any) -> list[tuple[int, float]]:
-        """Each placement of a list as its snapped subcell's exact (h, theta)."""
-        cells = (resolve(spec, f"{where}[{i}]") for i, spec in enumerate(_list(where, specs)))
-        return [(cell.h, cell.theta) for cell in cells]
+    def placed(where: str, specs: Any) -> tuple[SubcellId, ...]:
+        """Each placement of a list, snapped to its subcell."""
+        return tuple(resolve(spec, f"{where}[{i}]") for i, spec in enumerate(_list(where, specs)))
 
     # -- destinations
     d = section("destinations")
-    ap_polars = polars("destinations.aps", d.get("aps"))
-    coverage = None
+    aps = placed("destinations.aps", d.get("aps"))
     if d.get("coverage"):
-        coverage = [
-            polars(f"destinations.coverage[{i}]", cluster)
-            for i, cluster in enumerate(_list("destinations.coverage", d["coverage"]))
-        ]
+        clusters = enumerate(_list("destinations.coverage", d["coverage"]))
+        coverage = tuple(placed(f"destinations.coverage[{i}]", cluster) for i, cluster in clusters)
+        covered = [f"coverage[{i}][{j}]" for i, c in enumerate(coverage) for j, cell in enumerate(c) if cell.h == 0]
+        fault = "access-point coverage may not include the base station"
+    else:
+        coverage = tuple(tuple(grid.neighbors(ap)) for ap in aps)
+        covered = [f"aps[{i}]" for i, ap in enumerate(aps) if ap.h == 1]
+        fault = (
+            "an access point on ring 1 borders the base station, which its default coverage"
+            " (its neighbours) would include; list destinations.coverage"
+        )
+    if covered:
+        raise ScenarioError(f"destinations.{covered[0]}: {fault}")
+    bs = grid.cell(0) if _number("destinations.bs", d.get("bs", True), bool) else None
     with _named("destinations"):
-        dest = make_destinations(grid, ap_polars, coverage)
-    if not _number("destinations.bs", d.get("bs", True), bool):
-        dest = Destinations(bs=None, aps=dest.aps, coverage=dest.coverage)
+        dest = Destinations(bs=bs, aps=aps, coverage=coverage)
 
     # -- overlay scenarios
     o = section("overlay")

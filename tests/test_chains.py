@@ -691,7 +691,7 @@ def lir_protocol_walks(grid, dest, p, relay_color, n_walks, seed):
 
     Returns each walk's start relay, its slots and its absorbing label.
     """
-    table = grid.rank_table(dest)
+    table = [[n for n in row if n >= 0] for row in grid.rank_table(dest)]
     count = np.array([len(row) for row in table])
     ranked = np.zeros((len(table), 6), dtype=np.intp)
     for i, row in enumerate(table):
@@ -1147,7 +1147,7 @@ def mdr_transition_row(grid, dest, cell, p):
     """Outgoing MDR transitions of one subcell: ranked neighbours plus no-route."""
     if cell.i in dest.indices():
         raise RoutingError(f"subcell {cell.i} is a destination, not a relay source")
-    ranked = grid.rank_table(dest)[cell.i]
+    ranked = [n for n in grid.rank_table(dest)[cell.i] if n >= 0]
     probs, residual = rank_probabilities(p, len(ranked))
     row = list(zip(ranked, probs))
     row.append((NO_ROUTE, residual))
@@ -1159,7 +1159,7 @@ def lir_transition_rows(grid, dest, cell, p, n_color):
     dest_idx = dest.indices()
     if cell.i in dest_idx:
         raise RoutingError(f"subcell {cell.i} is a destination, not a relay source")
-    ranked = grid.rank_table(dest)[cell.i]
+    ranked = [n for n in grid.rank_table(dest)[cell.i] if n >= 0]
     q = coordination_probability(p, n_color)
     coord_probs, coord_residual = rank_probabilities(q, len(ranked))
     fall_probs, fall_residual = rank_probabilities(p, len(ranked))

@@ -57,6 +57,11 @@ from m3sim.scenario import load_scenario
 GRID4 = SubcellGrid(GridParams(H=4))
 
 
+def _neighbours(grid, i):
+    """Cell i's neighbour indices in ``DIRECTIONS`` order: its ``adjacent`` row without the -1 padding."""
+    return [n for n in grid.adjacent[i].tolist() if n >= 0]
+
+
 @pytest.fixture(scope="module")
 def offload_ctx():
     dest = make_destinations(GRID4, [(3, 250)])
@@ -405,8 +410,8 @@ SNAP_GRIDS = {h: SubcellGrid(GridParams(H=h)) for h in range(1, 17)}
 def boundary_sites(draw, grid):
     """The midpoint of two adjacent centers, or the corner three cells share."""
     a = draw(st.integers(0, len(grid.cells) - 1))
-    b = draw(st.sampled_from(grid.adjacent[a]))
-    shared = [c for c in grid.adjacent[b] if c in grid.adjacent[a]]
+    b = draw(st.sampled_from(_neighbours(grid, a)))
+    shared = [c for c in _neighbours(grid, b) if c in _neighbours(grid, a)]
     corner = draw(st.booleans()) and shared
     points = [grid.center_position(grid.cells[i]) for i in (a, b, *(shared[:1] if corner else ()))]
     x = sum(px for px, _ in points) / len(points)
@@ -540,7 +545,7 @@ def test_link_table_matches_rescanned_route_capacity(name):
 def slot_tables(draw):
     """Slots of hops between adjacent subcells on the H=4 grid; a receiver may
     transmit in its own slot."""
-    hops = [(tx, rx) for tx in range(1, len(GRID4.cells)) for rx in GRID4.adjacent[tx]]
+    hops = [(tx, rx) for tx in range(1, len(GRID4.cells)) for rx in _neighbours(GRID4, tx)]
     links = draw(st.lists(st.sampled_from(hops), max_size=24, unique=True))
     slots = {}
     for link in links:
@@ -683,7 +688,7 @@ def _silent_wide_slots():
     at the centre underflow to 0.0, and so does d_r**alpha with d_r < 1."""
     grid = SubcellGrid(GridParams(H=4, R=1.0))
     ring = [c.i for c in grid.ring(4)][::2]
-    return {0: [(1, 0)] + [(tx, grid.adjacent[tx][0]) for tx in ring]}, RadioParams(alpha=1000.0), grid
+    return {0: [(1, 0)] + [(tx, _neighbours(grid, tx)[0]) for tx in ring]}, RadioParams(alpha=1000.0), grid
 
 
 @pytest.mark.parametrize("case, wide", [(_silent_slots, False), (_silent_wide_slots, True)], ids=["loop", "slot"])

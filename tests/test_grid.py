@@ -240,7 +240,12 @@ def test_destinations_without_base_station():
 
 
 def _ranked(grid, cell, dest):
-    return [grid.cell(n) for n in grid.rank_table(dest)[cell.i]]
+    """The cell's rank-table row as cells, after checking that it holds six
+    entries: as many as the cell has neighbours, then only -1."""
+    row = grid.rank_table(dest)[cell.i]
+    degree = len(grid.neighbors(cell))
+    assert len(row) == 6 and row[degree:] == (-1,) * (6 - degree)
+    return [grid.cell(n) for n in row[:degree]]
 
 
 def test_rank_table_is_deterministic():
@@ -273,6 +278,20 @@ def test_rank_table_matches_sort_by_minimum_distance(case):
             key=lambda n: (min(grid.squared_step_distance(n, t) for t in targets), n.i),
         )
         assert _ranked(grid, cell, dest) == expected
+
+
+@pytest.mark.parametrize("H", [1, 2, 7, 64])
+def test_every_rank_row_holds_six_entries_the_neighbours_then_only_padding(H):
+    grid = SubcellGrid(GridParams(H=H))
+    for dest in (make_destinations(grid), Destinations(bs=None, aps=(grid.cells[-1],))):
+        table = grid.rank_table(dest)
+        assert len(table) == len(grid.cells)
+        for cell, row in zip(grid.cells, table):
+            steps = [(cell.q + dq, cell.r + dr) for dq, dr in DIRECTIONS]
+            neighbours = sorted(grid.index[s] for s in steps if s in grid.index)
+            assert len(row) == 6
+            assert sorted(row[: len(neighbours)]) == neighbours
+            assert row[len(neighbours) :] == (-1,) * (6 - len(neighbours))
 
 
 @settings(max_examples=12, deadline=None)
@@ -311,10 +330,8 @@ def _ref_grid_tables(H):
         ring_cells.append(ring)
         cells.extend(ring)
     index = {(c.q, c.r): c.i for c in cells}
-    adjacent = tuple(
-        tuple(n for n in [index.get((c.q + dq, c.r + dr)) for dq, dr in DIRECTIONS] if n is not None)
-        for c in cells
-    )
+    # each cell's step in every direction, -1 where it leaves the grid
+    adjacent = [[index.get((c.q + dq, c.r + dr), -1) for dq, dr in DIRECTIONS] for c in cells]
     colors = tuple((c.q + 5 * c.r) % NUM_COLORS for c in cells)
     axial = [[c.q for c in cells], [c.r for c in cells]]
     return tuple(cells), index, adjacent, colors, tuple(ring_cells), axial
@@ -328,11 +345,10 @@ def test_grid_tables_match_the_ring_by_ring_build(H):
     assert grid.cells == cells
     assert [repr(c.theta) for c in grid.cells] == [repr(c.theta) for c in cells]
     assert grid.index == index and list(grid.index) == list(index)
-    assert grid.adjacent == adjacent
     assert grid.colors == colors
     assert tuple(grid.ring(h) for h in range(H + 1)) == rings
-    coords = grid.axial_coords
-    assert coords.tolist() == axial and coords.dtype == np.intp
-    assert not coords.flags.writeable
-    with pytest.raises(ValueError):
-        coords[0, 0] = 1
+    for table, expected in ((grid.axial_coords, axial), (grid.adjacent, adjacent)):
+        assert table.tolist() == expected and table.dtype == np.intp
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1

@@ -1,5 +1,6 @@
 """Link physics: SINR with explicit interferer sets, capacity, power floor."""
 
+import itertools
 import math
 import re
 
@@ -119,6 +120,11 @@ SINR_GRIDS = {h: SubcellGrid(GridParams(H=h)) for h in (4, 10)}
 ALPHAS = (2.0, 3.5, 4.0)
 
 
+def _neighbours(grid, i):
+    """Cell i's neighbour indices in ``DIRECTIONS`` order: its ``adjacent`` row without the -1 padding."""
+    return [n for n in grid.adjacent[i].tolist() if n >= 0]
+
+
 def _ref_link_sinr(tx, rx, interferers, radio, grid):
     """SINR with one sqrt and power per interferer, summed in the given order."""
     tx, rx = grid.cell(tx), grid.cell(rx)
@@ -147,7 +153,7 @@ def sinr_case(draw):
         noise=draw(st.sampled_from((1e-4, 1e-8, 1e-12))),
     )
     tx = draw(st.integers(0, len(grid.cells) - 1))
-    rx = draw(st.sampled_from(grid.adjacent[tx]))
+    rx = draw(st.sampled_from(_neighbours(grid, tx)))
     others = [c for c in range(len(grid.cells)) if c != rx]
     interferers = draw(st.lists(st.sampled_from(others), max_size=40, unique=True))
     return tx, rx, tuple(interferers), radio, grid
@@ -217,11 +223,11 @@ def slot_cases(draw):
     transmits in the slot too.
     """
     radio, grid = _radio_case(draw)
-    hops = [(tx, rx) for tx in range(len(grid.cells)) for rx in grid.adjacent[tx]]
+    hops = [(tx, rx) for tx in range(len(grid.cells)) for rx in _neighbours(grid, tx)]
     count = draw(st.sampled_from(((1, 11), (12, 60), (257, 600))).flatmap(lambda span: st.integers(*span)))
     links = draw(st.randoms(use_true_random=False)).sample(hops, min(count, len(hops)))
     rx = links[0][1]
-    relay = (rx, draw(st.sampled_from(grid.adjacent[rx])))
+    relay = (rx, draw(st.sampled_from(_neighbours(grid, rx))))
     if relay not in links:
         links.append(relay)
     return links, radio, grid
@@ -259,7 +265,7 @@ def slot_tables(draw):
     while widths or sum(len(links) for links, _ in slots) <= _BLOCK:
         w = widths.pop() if widths else rng.choice((rng.randint(1, 11), rng.randint(12, 60)))
         senders = rng.sample(cells, w)
-        links = [(tx, rx) for tx in senders for rx in rng.sample(grid.adjacent[tx], rng.randint(1, 3))]
+        links = [(tx, rx) for tx in senders for rx in rng.sample(_neighbours(grid, tx), rng.randint(1, 3))]
         rng.shuffle(links)
         swapped = rng.randint(0, min(2, len(grid.cells) - w))
         others = rng.sample([c for c in cells if c not in senders], swapped)
@@ -287,7 +293,7 @@ def test_slot_sinrs_cross_blocks_and_read_the_underflowing_table():
     # the alpha = 1000 table of test_sinr_underflows_where_the_formula_overflows,
     # in one slot of every hop of the grid: 312 links, two blocks
     radio = RadioParams(alpha=1000.0)
-    links = [(tx, rx) for tx in range(len(UNIT_GRID.cells)) for rx in UNIT_GRID.adjacent[tx]]
+    links = [(tx, rx) for tx in range(len(UNIT_GRID.cells)) for rx in _neighbours(UNIT_GRID, tx)]
     order = tuple(range(len(UNIT_GRID.cells)))
     got = slot_sinrs([(links, order)], radio, UNIT_GRID)
     assert len(links) > 256
@@ -297,14 +303,28 @@ def test_slot_sinrs_cross_blocks_and_read_the_underflowing_table():
     assert all(0.0 <= sinr < math.inf for sinr in got)
 
 
-def test_slot_sinrs_reject_a_non_adjacent_link_as_link_sinr_does():
-    grid = SINR_GRIDS[4]
-    radio = RadioParams()
-    message = "^link 1->10 does not span adjacent subcells$"
-    with pytest.raises(RadioError, match=message):
-        link_sinr(1, 10, (), radio, grid)
-    with pytest.raises(RadioError, match=message):
-        slot_sinrs([([(1, 0), (1, 10)], (1,))], radio, grid)
+def _refusal(call, *args):
+    """The message of the ``RadioError`` that ``call(*args)`` raises, or None."""
+    try:
+        call(*args)
+    except RadioError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("H", [1, 2, 3, 4])
+def test_slot_sinrs_reject_a_non_adjacent_link_as_link_sinr_does(H):
+    # every ordered pair of cells, tx == rx included: both refuse the link,
+    # with one message, exactly when the centres are not one step apart; in
+    # the slot it follows an adjacent link of the same transmitter
+    grid, radio = SubcellGrid(GridParams(H=H)), RadioParams()
+    for tx, rx in itertools.product(range(len(grid.cells)), repeat=2):
+        far = grid.squared_step_distance(grid.cells[tx], grid.cells[rx]) != 1
+        assert far == (rx not in _neighbours(grid, tx))
+        message = f"link {tx}->{rx} does not span adjacent subcells" if far else None
+        assert _refusal(link_sinr, tx, rx, (), radio, grid) == message
+        slot = [(tx, _neighbours(grid, tx)[0]), (tx, rx)], (tx,)
+        assert _refusal(slot_sinrs, [slot], radio, grid) == message
 
 
 def _silent_grid():

@@ -39,6 +39,11 @@ GRID4 = SubcellGrid(GridParams(H=4))
 DEST4 = make_destinations(GRID4)
 
 
+def _neighbours(grid, i):
+    """Cell i's neighbour indices in ``DIRECTIONS`` order: its ``adjacent`` row without the -1 padding."""
+    return [n for n in grid.adjacent[i].tolist() if n >= 0]
+
+
 def slot_of(route_set):
     """Slot of every scheduled link."""
     return {link: s for s, links in route_set.slots.items() for link in links}
@@ -478,9 +483,9 @@ def hop_routes(draw):
     for _ in range(draw(st.integers(1, 12))):
         cells = [draw(st.integers(0, len(grid.cells) - 1))]
         for _ in range(draw(st.integers(1, 5))):
-            typed = [n for n in grid.adjacent[cells[-1]] if grid.colors[n] == k0]
+            typed = [n for n in _neighbours(grid, cells[-1]) if grid.colors[n] == k0]
             coordinated = typed and draw(st.booleans())
-            cells.append(typed[0] if coordinated else draw(st.sampled_from(grid.adjacent[cells[-1]])))
+            cells.append(typed[0] if coordinated else draw(st.sampled_from(_neighbours(grid, cells[-1]))))
         routes.append(_route(*cells, reached=draw(st.sampled_from((None, cells[-1])))))
     return grid, routes, k0, draw(st.sampled_from((LIR, MLIR))), draw(st.sampled_from(THRESHOLDS))
 
@@ -531,7 +536,7 @@ def _ref_admissible(grid, overlay, visited, cell):
 
 
 def _ref_ranked(grid, dest, cell):
-    return [grid.cell(n) for n in grid.rank_table(dest)[cell.i]]
+    return [grid.cell(n) for n in grid.rank_table(dest)[cell.i] if n >= 0]
 
 
 def _ref_greedy_route(grid, dest, overlay, source_idx, load=None):

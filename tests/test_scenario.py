@@ -412,6 +412,22 @@ MALFORMED = [
         "destinations: {aps: [[3, 250]], coverage: [[], []]}",
         "destinations: coverage must list one cluster per access point",
     ),
+    # a ring-1 access point's default coverage, its neighbours, holds the centre
+    (
+        "destinations: {aps: [[2, 0], [1, 30]]}",
+        "destinations.aps[1]: an access point on ring 1 borders the base station, which its default coverage"
+        " (its neighbours) would include; list destinations.coverage",
+    ),
+    (
+        "destinations: {bs: false, aps: [[1, 30]]}",
+        "destinations.aps[0]: an access point on ring 1 borders the base station",
+    ),
+    (
+        "destinations: {aps: [[3, 250], [1, 30]], coverage: [[[3, 230]], [[1, 0], [0, 0]]]}",
+        "destinations.coverage[1][1]: access-point coverage may not include the base station",
+    ),
+    # once a bare GridError from the grid layer
+    ("destinations: {bs: false}", "destinations: a destination set needs a base station or an access point"),
     (
         "overlay: {sources: [[1, 0]], scenarios: [{unavailable: [[1, 0]]}]}",
         "overlay.scenarios[0]: a source subcell cannot be unavailable",
