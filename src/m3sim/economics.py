@@ -217,10 +217,9 @@ def link_capacities(
 
 
 def route_capacity(route: Route, caps: Mapping[tuple[int, int], float]) -> float:
-    """Bottleneck link capacity of a scheduled route; incomplete routes carry none."""
-    if not route.complete or not route.links:
-        return 0.0
-    return min(caps[link] for link in route.links)
+    """Bottleneck link capacity of a scheduled route; an incomplete route or one without a link carries none."""
+    cells = route.cells
+    return min(map(caps.__getitem__, zip(cells, cells[1:]))) if route.complete and len(cells) > 1 else 0.0
 
 
 def network_capacity_throughput(

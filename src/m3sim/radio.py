@@ -21,8 +21,8 @@ evaluates every link of a sequence of slots in numpy: it gathers the same
 terms over (links x slot transmitters) arrays and adds each row in
 transmitter order with ``np.cumsum``, so its floats equal ``link_sinr``'s
 with ``==``.
-Either raises ``RadioError`` naming the link when P / (I + N) is not
-finite.
+Either raises ``RadioError`` naming a cell index outside the grid, a link
+that is not one step long, or a link whose P / (I + N) is not finite.
 """
 
 from __future__ import annotations
@@ -97,10 +97,14 @@ def link_sinr(
 
     Interference is summed over the co-slot transmitters ``interferers``, in
     the given order; each must occupy a subcell distinct from the receiver.
-    A SINR that is not finite (no interference and a noise term too small
-    for the power) raises ``RadioError`` naming the link.
+    ``RadioError`` names the first of tx, rx and the interferers outside
+    0..len(grid.cells) - 1, or the link when its SINR is not finite (no
+    interference and a noise term too small for the power).
     """
-    cells = grid.cells
+    cells, n = grid.cells, len(grid.cells)
+    for cell in (tx, rx, *interferers):
+        if not 0 <= cell < n:
+            raise _unknown_cell(cell, n)
     if grid.squared_step_distance(cells[tx], cells[rx]) != 1:
         raise RadioError(f"link {tx}->{rx} does not span adjacent subcells")
     H = grid.params.H
@@ -115,10 +119,7 @@ def link_sinr(
         at = cells[cell]
         interference += table.item(origin + at.q * width + at.r)
     denominator = interference + radio.noise_term(grid.params.relay_distance)
-    try:
-        sinr = radio.power / denominator
-    except ZeroDivisionError:
-        sinr = math.inf
+    sinr = radio.power / denominator if denominator else math.inf
     if not math.isfinite(sinr):
         raise _non_finite_sinr(tx, rx, radio, denominator)
     return sinr
@@ -143,9 +144,10 @@ def slot_sinrs(
     padding past its slot's last transmitter, add an exact 0.0.
 
     The links are evaluated in the caller's slot order, in blocks of
-    ``_BLOCK``, each padded to the widest slot it touches.  The first
-    non-adjacent link, in slot and then link order, fails before any SINR
-    is evaluated; then the first SINR that is not finite fails.
+    ``_BLOCK``, each padded to the widest slot it touches.  Before any SINR
+    is evaluated, the first cell index outside the grid fails, a slot's
+    links before its transmitters, then the first non-adjacent link, both
+    in slot and then link order; then the first SINR that is not finite.
     """
     counts = [len(links) for links, _ in slots]
     widths = [len(sent) for _, sent in slots]
@@ -155,6 +157,10 @@ def slot_sinrs(
     links = chain.from_iterable(chain.from_iterable(links for links, _ in slots))
     tx, rx = np.fromiter(links, dtype=np.intp, count=2 * link_start[-1]).reshape(-1, 2).T
     order = np.fromiter(chain.from_iterable(sent for _, sent in slots), dtype=np.intp, count=sent_start[-1])
+    every = np.concatenate((tx, rx, order))
+    if every.size and not 0 <= every.min() <= every.max() < len(grid.cells):
+        indices = chain.from_iterable(chain(*links, sent) for links, sent in slots)
+        raise _unknown_cell(next(i for i in indices if not 0 <= i < len(grid.cells)), len(grid.cells))
     link_slot = np.repeat(np.arange(len(slots)), counts)
     q, r = grid.axial_coords
     dq, dr = q[tx] - q[rx], r[tx] - r[rx]
@@ -197,6 +203,10 @@ def slot_sinrs(
         i = bad[0]
         raise _non_finite_sinr(tx[i], rx[i], radio, denominators[i])
     return sinrs.tolist()
+
+
+def _unknown_cell(index: int, count: int) -> RadioError:
+    return RadioError(f"cell index {index} outside the grid's 0..{count - 1}")
 
 
 def _non_finite_sinr(tx: int, rx: int, radio: RadioParams, denominator: float) -> RadioError:

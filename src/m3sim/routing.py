@@ -23,7 +23,7 @@ spreads routes by penalizing already-loaded relays.
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, InitVar, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain, product
 from typing import Hashable
 
@@ -302,36 +302,30 @@ def start_state(config: ProtocolConfig, cell_index: int) -> Hashable:
 class Route:
     """One extracted route: subcell index sequence from source to destination.
 
-    ``reached`` is the destination index (None when the route dead-ends).
-    ``links`` pairs consecutive cells; it is built once, at construction,
-    and takes no part in equality, hashing or the repr.  An extraction whose
-    routes share tails hands in those pairs as the keyword ``shared_links``.
-    A hop carries no mode: ``schedule`` reads a coordinated link off its
-    receiver.
+    ``reached`` is the destination index (None when the route dead-ends);
+    ``links`` pairs consecutive cells.  A hop carries no mode: ``schedule``
+    reads a coordinated link off its receiver.
     """
 
     source: int
     cells: tuple[int, ...]
     reached: int | None
-    links: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    _: KW_ONLY
-    shared_links: InitVar[tuple[tuple[int, int], ...] | None] = None
-
-    def __post_init__(self, shared_links):
-        if shared_links is None:
-            shared_links = tuple(zip(self.cells, self.cells[1:]))
-        object.__setattr__(self, "links", shared_links)
 
     @property
     def complete(self) -> bool:
         return self.reached is not None
 
+    @property
+    def links(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.cells, self.cells[1:]))
+
 
 @dataclass
 class RouteSet:
-    """Routes of one scenario plus their slot schedule once assigned."""
+    """Routes of one scenario, each of their links once in first-use order, and their slot schedule."""
 
     routes: list[Route]
+    links: list[tuple[int, int]]
     k0: int | None = None
     slots: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     cycle_length: int = 0
@@ -403,18 +397,19 @@ def _successors(hop):
 
 
 def _follow(hop, dest_idx, sources):
-    """The route of every source, read off the successor table of ``hop``.
+    """Every source's route, read off the successor table of ``hop``, and their links in first-use order.
 
     Each finished route records, for every state whose successor path it
     follows, itself and the state's position, so a later route that
-    reaches the state copies the rest and shares its link pairs.  Where the
-    table would lead a route back onto one of its own cells, the route
-    takes the next hop with everything it visited excluded, as a walk hop
-    by hop would, and the states before that hop are not recorded.
+    reaches the state copies the rest of its cells.  Where the table would
+    lead a route back onto one of its own cells, the route takes the next
+    hop with everything it visited excluded, as a walk hop by hop would,
+    and the states before that hop are not recorded.  A route adds the
+    links it walked: a copied tail's, and the one onto it, are in already.
     """
     successor = _successors(hop)
     known: dict[Hashable, tuple[Route, int]] = {}
-    out = []
+    out, links = [], {}
     for src in sources:
         cells, keys, visited = [src], [], {src}
         start = 0  # position of keys[0] on the route
@@ -432,12 +427,7 @@ def _follow(hop, dest_idx, sources):
                 # Nor does it hold a source whose first hop led here: leaving
                 # the source, it would come back by that same first hop.
                 if len(cells) <= 2 or visited.isdisjoint(tail):
-                    route = Route(
-                        src,
-                        tuple(cells) + tail,
-                        shared.reached,
-                        shared_links=tuple(zip(cells, cells[1:])) + shared.links[k:],
-                    )
+                    route = Route(src, tuple(cells) + tail, shared.reached)
                     break
                 off_table = True
             if off_table:
@@ -456,8 +446,9 @@ def _follow(hop, dest_idx, sources):
             prev, current = current, step
         for k, key in enumerate(keys, start):
             known[key] = route, k
+        links.update(dict.fromkeys(zip(cells, cells[1:])))
         out.append(route)
-    return out
+    return out, list(links)
 
 
 def _lar_route(grid, dest, overlay):
@@ -479,7 +470,7 @@ def _lar_route(grid, dest, overlay):
     """
     ranks, dest_idx, blocked = grid.rank_table(dest), dest.indices(), overlay.unavailable | {-1}
     load: dict[int, int] = {}
-    routes = []
+    routes, links = [], {}
     for src in overlay.sources:
         cells, visited, reached = [src], {src}, None
         ranked = ranks[src]
@@ -505,7 +496,8 @@ def _lar_route(grid, dest, overlay):
             for idx in cells[1:-1]:
                 load[idx] = load.get(idx, 0) + 1
         routes.append(Route(src, tuple(cells), reached))
-    return RouteSet(routes=routes)
+        links.update(dict.fromkeys(zip(cells, cells[1:])))
+    return RouteSet(routes=routes, links=list(links))
 
 
 def _check_overlay(grid, dest, overlay):
@@ -557,12 +549,12 @@ def extract_routes(
     pinned = overlay.k0 if overlay.k0 is not None else config.relay_color
     k0 = coordinated_color(grid, dest, pinned) if config.kind in (LIR, MLIR) else None
     hop = _hopper(grid, dest, overlay, k0, config.allow_fallback)
-    routes = _follow(hop, dest.indices(), overlay.sources)
+    routes, links = _follow(hop, dest.indices(), overlay.sources)
     if k0 is not None and pinned is None and not config.allow_fallback and not all(r.complete for r in routes):
         raise RoutingError(
             f"relay color {k0} (reuse type {k0 + 1}) strands at least one source and fallback is disabled"
         )
-    return RouteSet(routes=routes, k0=k0)
+    return RouteSet(routes=routes, links=links, k0=k0)
 
 
 # --------------------------------------------------------------------------
@@ -587,7 +579,7 @@ def _conflict_offsets(grid, threshold):
 
 
 def schedule(route_set: RouteSet, config: ProtocolConfig, grid: SubcellGrid) -> RouteSet:
-    """Assign every route link to a slot; fills ``slots`` and ``cycle_length``.
+    """Assign every link of ``route_set.links`` to a slot; fills ``slots`` and ``cycle_length``.
 
     Every kind runs one greedy first fit and then one K-slot round robin,
     picking only the links of each and the fit's interference threshold.
@@ -595,7 +587,7 @@ def schedule(route_set: RouteSet, config: ProtocolConfig, grid: SubcellGrid) -> 
     within the threshold of the other receiver; each, in order, takes the
     lowest slot none of its conflicts holds.  The rest take slot (fitted
     slots + transmitter color).  MDR/LAR round-robin every link, with a
-    cycle of K.  mMDR fits every link in route order at the protocol's
+    cycle of K.  mMDR fits every link in first-use order at the protocol's
     threshold, giving T_min <= K slots.  LIR/mLIR fit the sorted
     coordinated links at threshold 0 and round-robin the fallback links.
     A link is coordinated when its receiver is a relay of the route set's
@@ -603,19 +595,17 @@ def schedule(route_set: RouteSet, config: ProtocolConfig, grid: SubcellGrid) -> 
     distinct link is classified once.  LIR/mLIR without a k0 raise
     ``RoutingError``.
     """
-    # every distinct link, in the order the routes first use it
-    links = list(dict.fromkeys(chain.from_iterable(route.links for route in route_set.routes)))
     if config.kind in (MDR, LAR):
-        fit, threshold, rest = [], 0.0, links
+        fit, threshold, rest = [], 0.0, route_set.links
     elif config.kind == MMDR:
-        fit, threshold, rest = links, config.interference_threshold, []
+        fit, threshold, rest = route_set.links, config.interference_threshold, []
     else:  # LIR, MLIR
         if route_set.k0 is None:
             raise RoutingError(f"an {config.kind} schedule needs the route set's relay color k0, got None")
         # a destination ends a route and relays nothing, whatever its color
         colors, reached = grid.colors, {route.reached for route in route_set.routes}
-        coord = {(tx, rx) for tx, rx in links if colors[rx] == route_set.k0 and rx not in reached}
-        fit, threshold, rest = sorted(coord), 0.0, [l for l in links if l not in coord]
+        coord = {(tx, rx) for tx, rx in route_set.links if colors[rx] == route_set.k0 and rx not in reached}
+        fit, threshold, rest = sorted(coord), 0.0, [l for l in route_set.links if l not in coord]
 
     slots: dict[int, list[tuple[int, int]]] = {}
     # Bit s of sent[c] (heard[c]) is set when c transmits (receives) in

@@ -327,6 +327,23 @@ def test_slot_sinrs_reject_a_non_adjacent_link_as_link_sinr_does(H):
         assert _refusal(slot_sinrs, [slot], radio, grid) == message
 
 
+GRID2 = SubcellGrid(GridParams(H=2))
+
+
+@pytest.mark.parametrize("bad", [-1, -len(GRID2.cells), len(GRID2.cells)])
+@pytest.mark.parametrize("position", ["tx", "rx", "interferer"])
+def test_both_kernels_refuse_a_cell_index_outside_the_grid(position, bad):
+    # a negative index would otherwise read a cell counted from the end:
+    # -1 is the last cell, so (-1, n) would pass for one of its links
+    radio, last = RadioParams(), len(GRID2.cells) - 1
+    n = _neighbours(GRID2, last)[0]
+    tx, rx, interferers = {"tx": (bad, n, ()), "rx": (n, bad, ()), "interferer": (last, n, (bad,))}[position]
+    message = f"cell index {bad} outside the grid's 0..{last}"
+    assert _refusal(link_sinr, tx, rx, interferers, radio, GRID2) == message
+    slot = [(tx, rx)], tuple(sorted({tx, *interferers}))
+    assert _refusal(slot_sinrs, [slot], radio, GRID2) == message
+
+
 def _silent_grid():
     """H=2 grid whose noise term underflows to 0.0 at noise = 1e-320."""
     grid = SubcellGrid(GridParams(H=2, R=1e-3))

@@ -49,6 +49,11 @@ def slot_of(route_set):
     return {link: s for s, links in route_set.slots.items() for link in links}
 
 
+def _first_use_links(routes):
+    """Every link of ``routes`` once, in the order the routes first use it, read off their cells."""
+    return list(dict.fromkeys(link for route in routes for link in zip(route.cells, route.cells[1:])))
+
+
 def _coordinated(grid, routes, k0, dest_idx):
     """The route links into a relay of color ``k0``: a cell of that color outside ``dest_idx``."""
     return {(tx, rx) for route in routes for tx, rx in route.links if grid.colors[rx] == k0 and rx not in dest_idx}
@@ -155,12 +160,12 @@ def test_greedy_route_descends_to_base_station():
 
 
 def test_route_links_are_kept_outside_equality_and_hashing():
+    # links are a view derived from the cells; equality, hash and repr read (source, cells, reached)
     rs = extract_routes(GRID4, DEST4, ScenarioOverlay(sources=(39,)), ProtocolConfig(kind=MDR))
     read = rs.routes[0]
     unread = Route(read.source, read.cells, read.reached)
     before = (hash(read), repr(read))
     assert read.links == tuple(zip(read.cells, read.cells[1:])) == ((39, 20), (20, 8), (8, 1), (1, 0))
-    assert read.links is read.links  # built once, then kept
     assert (hash(read), repr(read)) == before == (hash(unread), repr(unread))
     assert hash(read) == hash((read.source, read.cells, read.reached))
     assert "links" not in repr(read)
@@ -169,13 +174,6 @@ def test_route_links_are_kept_outside_equality_and_hashing():
     moved = replace(read, cells=(39, 20, 9))
     assert moved.links == ((39, 20), (20, 9)) and moved != read
     assert Route(9, (9,), None).links == ()
-
-
-def test_route_takes_its_shared_links_only_by_keyword():
-    # a fourth positional argument would become links, which equality never reads
-    with pytest.raises(TypeError):
-        Route(9, (9, 2, 0), 0, ((9, 2), (2, 0)))
-    assert Route(9, (9, 2, 0), 0, shared_links=((9, 2), (2, 0))).links == ((9, 2), (2, 0))
 
 
 def test_greedy_route_avoids_unavailable_cells():
@@ -371,7 +369,7 @@ def _conflicts(grid, a, b, threshold):
 
 def _ref_mmdr_first_fit(grid, routes, threshold):
     """mMDR slots by testing each link against every link already assigned."""
-    links = list(dict.fromkeys(link for route in routes for link in route.links))
+    links = _first_use_links(routes)
     assigned, slots = {}, {}
     for link in links:
         used = {assigned[other] for other in assigned if _conflicts(grid, link, other, threshold)}
@@ -449,7 +447,7 @@ def test_coordinated_slots_share_no_subcell(case):
 
 def _ref_lir_slots(grid, routes, coord_links):
     """LIR/mLIR slots by testing each of ``coord_links`` against every member of each group."""
-    links = list(dict.fromkeys(link for route in routes for link in route.links))
+    links = _first_use_links(routes)
     groups = []
     for link in sorted(coord_links):
         for group in groups:
@@ -504,7 +502,7 @@ def _route(*cells, reached=None):
 def test_coordinated_slots_match_pairwise_grouping(case):
     grid, routes, k0, kind, threshold = case
     config = ProtocolConfig(kind=kind, interference_threshold=threshold)
-    rs = schedule(RouteSet(routes=routes, k0=k0), config, grid)
+    rs = schedule(RouteSet(routes=routes, links=_first_use_links(routes), k0=k0), config, grid)
     ends = {route.reached for route in routes}
     expected = _ref_lir_slots(grid, routes, _coordinated(grid, routes, k0, ends))
     assert (rs.slots, rs.cycle_length) == expected
@@ -515,7 +513,7 @@ def test_coordinated_slots_match_pairwise_grouping(case):
 def test_a_schedule_without_links_keeps_its_kinds_cycle(kind, cycle):
     # the round robin of MDR/LAR spans K slots even when nothing rides it
     routes = [Route(source=0, cells=(0,), reached=0)]
-    rs = schedule(RouteSet(routes=routes, k0=0), ProtocolConfig(kind=kind), GRIDS[2])
+    rs = schedule(RouteSet(routes=routes, links=_first_use_links(routes), k0=0), ProtocolConfig(kind=kind), GRIDS[2])
     assert (rs.slots, rs.cycle_length) == ({}, cycle)
 
 
@@ -523,7 +521,7 @@ def test_coordinated_links_on_a_shared_cell_spill_into_new_slots():
     # cell 1, of color 1, hears coordinated links from 2 and from 6, then
     # sends on to the base station in the round robin, at 2 + its color
     routes = [_route(2, 1, 0, reached=0), _route(6, 1)]
-    rs = schedule(RouteSet(routes=routes, k0=1), ProtocolConfig(kind=MLIR), GRIDS[2])
+    rs = schedule(RouteSet(routes=routes, links=_first_use_links(routes), k0=1), ProtocolConfig(kind=MLIR), GRIDS[2])
     assert rs.slots == {0: [(2, 1)], 1: [(6, 1)], 3: [(1, 0)]}
     assert rs.cycle_length == 2 + NUM_COLORS
 
@@ -670,6 +668,7 @@ def test_extract_routes_matches_per_protocol_loops(case):
         return
     rs = extract_routes(grid, dest, overlay, config)
     assert (rs.routes, rs.k0) == (routes, k0)
+    assert rs.links == _first_use_links(rs.routes)
     if k0 is not None:
         # the loop's COORD hops are the links into a relay of color k0, and the links the schedule fits
         assert coordinated == _coordinated(grid, routes, k0, dest.indices())
@@ -691,7 +690,9 @@ def test_lar_routes_match_the_load_aware_loop(case):
     grid, dest, overlay = case
     config = ProtocolConfig(kind=LAR)
     expected, _, _ = _ref_extract_routes(grid, dest, overlay, config)
-    assert extract_routes(grid, dest, overlay, config).routes == expected
+    rs = extract_routes(grid, dest, overlay, config)
+    assert rs.routes == expected
+    assert rs.links == _first_use_links(rs.routes)
 
 
 # -- successor-table extraction against one walk per source -------------------
@@ -770,8 +771,11 @@ def test_successor_table_routes_equal_one_walk_per_source_at_h16(share, aps, nea
         rs = extract_routes(GRID16, dest, overlay, config)
         assert (rs.routes, rs.k0) == expected, config
         assert all(r.links == tuple(zip(r.cells, r.cells[1:])) for r in rs.routes)
+        assert rs.links == _first_use_links(rs.routes)
     lar = ProtocolConfig(kind=LAR)
-    assert extract_routes(GRID16, dest, overlay, lar).routes == _ref_extract_routes(GRID16, dest, overlay, lar)[0]
+    rs = extract_routes(GRID16, dest, overlay, lar)
+    assert rs.routes == _ref_extract_routes(GRID16, dest, overlay, lar)[0]
+    assert rs.links == _first_use_links(rs.routes)
 
 
 def _table_path(successor, dest_idx, source):
@@ -796,6 +800,7 @@ def test_a_successor_path_that_repeats_a_cell_is_walked_at_the_repeat():
     rs = extract_routes(grid, dest, overlay, ProtocolConfig(kind=MMDR))
     assert rs.routes == [Route(10, (10, 9, 21, 22, 23, 24, 11, 3, 0), 0)]
     assert rs.routes == _walked(grid, dest, overlay, ProtocolConfig(kind=MMDR))[0]
+    assert rs.links == _first_use_links(rs.routes)
 
 
 def test_a_shared_tail_that_comes_back_to_the_route_is_not_copied():
@@ -807,3 +812,4 @@ def test_a_shared_tail_that_comes_back_to_the_route_is_not_copied():
     rs = extract_routes(grid, dest, overlay, ProtocolConfig(kind=MLIR))
     assert [r.cells for r in rs.routes] == [(11, 24, 25, 26, 27, 13, 14, 4, 0), (26, 25, 11, 24)]
     assert rs.routes == _walked(grid, dest, overlay, ProtocolConfig(kind=MLIR))[0]
+    assert rs.links == _first_use_links(rs.routes)
