@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -76,6 +76,8 @@ class EconParams:
             )
         check_finite_positive(EconError, "price step", self.price_step, joint=True)
         check_finite_positive(EconError, "tolerance", self.tol, joint=True)
+        if not isinstance(self.max_iter, int) or isinstance(self.max_iter, bool):
+            raise EconError(f"iteration budget max_iter must be a whole number, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise EconError(f"iteration budget max_iter must be at least 1, got {self.max_iter!r}")
         lo, hi = self.bounds
@@ -687,8 +689,7 @@ class NegotiationResult:
 
 
 def negotiate_price(
-    delta_mno: Callable[[Any, frozenset[str]], Any],
-    delta_sso: Callable[[Any, frozenset[str]], Any],
+    terms: Callable[[frozenset[str]], tuple[float, float, float]],
     econ: EconParams,
     *,
     offload: frozenset[str] = frozenset(),
@@ -697,24 +698,24 @@ def negotiate_price(
 ) -> NegotiationResult:
     """Walk the price in fixed steps until the two offsets balance.
 
+    ``terms(s)`` gives the price-free terms ``(m, w, o)`` of the offload set
+    ``s``: at the price chi the MNO's offset is ``m + (rho - chi) * o`` and
+    the SSO's ``w + chi * o``, with ``rho`` the MNO revenue.
     The offer moves down when the SSO's offset leads and up when it trails;
     with a non-empty ``candidates`` pool each iteration additionally grows or
     shrinks the offload set by the user with the largest/smallest marginal
     MNO offset.
     The walk ends at equilibrium (within tolerance), when it starts cycling
     (the best probed point wins), or pinned at a bound.  For a fixed set both
-    offsets must be affine in the price: the crossing of a pinned walk, or of
-    a cycle whose last two probes straddle it, is then exact.
+    offsets are affine in the price, so the crossing of a pinned walk, or of
+    a cycle whose last two probes straddle it, is exact.
 
-    For a fixed set both offsets must also accept a numpy array of prices and
-    return the offsets elementwise, with the float operations they apply to
-    one price (a constant may come back as a scalar).  Where the set cannot
-    change in the walk's direction -- always in price mode, when growing once
-    every candidate is in the set, when shrinking once one user is left --
-    the walk probes the next prices of the run as one array and keeps the
-    probes that would each have stepped on; the first that would stop is
-    probed again on its own.  The result is the one of a walk that probes
-    one price at a time.
+    Where the set cannot change in the walk's direction -- always in price
+    mode, when growing once every candidate is in the set, when shrinking
+    once one user is left -- the walk probes the next prices of the run as
+    one array and keeps the probes that would each have stepped on; the
+    first that would stop is probed again on its own.  The result is the one
+    of a walk that probes one price at a time.
     """
     lo, hi = econ.bounds
     step = econ.price_step
@@ -725,14 +726,19 @@ def negotiate_price(
     chi0 = min(max(chi0, lo), hi)
     current = frozenset(offload)
     pool = tuple(sorted(set(candidates) | current))
+    rho = econ.mno_revenue
 
     def chi_at(k: int) -> float:
         return min(max(chi0 + k * step, lo), hi)
 
+    def offsets(chi: float | np.ndarray, s: frozenset[str]) -> tuple[float | np.ndarray, float | np.ndarray]:
+        # (MNO offset, SSO offset) at one price, or elementwise at an array of prices
+        m, w, o = terms(s)
+        return m + (rho - chi) * o, w + chi * o
+
     def crossing_of(s: frozenset[str]) -> float | None:
         # gap(chi) = g0 + (g1 - g0) * chi for a fixed set
-        g0 = delta_mno(0.0, s) - delta_sso(0.0, s)
-        g1 = delta_mno(1.0, s) - delta_sso(1.0, s)
+        g0, g1 = (d_mno - d_sso for d_mno, d_sso in (offsets(0.0, s), offsets(1.0, s)))
         return None if g0 == g1 else g0 / (g0 - g1)
 
     k, chi = 0, chi_at(0)
@@ -754,8 +760,7 @@ def negotiate_price(
             n = min(run, econ.max_iter - len(trace))
             chis = np.minimum(np.maximum(chi0 + (k + heading * np.arange(n + 1)) * step, lo), hi)
             probes = chis[:-1]
-            d_mno = np.broadcast_to(delta_mno(probes, current), probes.shape)
-            d_sso = np.broadcast_to(delta_sso(probes, current), probes.shape)
+            d_mno, d_sso = offsets(probes, current)
             gap = d_mno - d_sso
             # a probe steps on when its gap is finite and out of tolerance, it
             # points the run's way, its price is new and the next one differs
@@ -781,8 +786,7 @@ def negotiate_price(
                 continue
 
         run = _FIRST_RUN
-        d_mno = delta_mno(chi, current)
-        d_sso = delta_sso(chi, current)
+        d_mno, d_sso = offsets(chi, current)
         gap = d_mno - d_sso
         trace.append((chi, d_mno, d_sso))
         if best is None or abs(gap) < abs(best[1]):
@@ -805,7 +809,7 @@ def negotiate_price(
             k_next = k - 1 if d_sso > d_mno else k + 1
             next_set = current
             if candidates:
-                next_set = _adjust_offload(delta_mno, chi, current, pool, d_mno, d_sso)
+                next_set = _adjust_offload(offsets, chi, current, pool, d_mno, d_sso)
             chi_next = chi_at(k_next)
             if chi_next != chi or next_set != current:
                 prev = (gap, current)
@@ -832,24 +836,27 @@ def negotiate_price(
 
 
 def _adjust_offload(
-    delta_mno: Callable[[float, frozenset[str]], float],
+    offsets: Callable[[float, frozenset[str]], tuple[float, float]],
     chi: float,
     current: frozenset[str],
     pool: Sequence[str],
     d_mno: float,
     d_sso: float,
 ) -> frozenset[str]:
-    """One set move of the joint walk: grow when trailing, shrink when leading."""
+    """One set move of the joint walk: grow when trailing, shrink when leading.
+
+    Each candidate set is ranked by its MNO offset at ``chi``, ``offsets(chi, s)[0]``.
+    """
     if d_sso > d_mno:
         additions = [u for u in pool if u not in current]
         if not additions:
             return current
-        pick = max(additions, key=lambda u: (delta_mno(chi, current | {u}) - d_mno, u))
+        pick = max(additions, key=lambda u: (offsets(chi, current | {u})[0] - d_mno, u))
         return current | {pick}
     if len(current) > 1:
         # ``pool`` is sorted and holds ``current``: its members in name order
         members = [u for u in pool if u in current]
-        pick = min(members, key=lambda u: (d_mno - delta_mno(chi, current - {u}), u))
+        pick = min(members, key=lambda u: (d_mno - offsets(chi, current - {u})[0], u))
         return current - {pick}
     return current
 
@@ -861,7 +868,10 @@ def negotiate(
     mode: str = "price",
     chi0: float | None = None,
 ) -> NegotiationResult:
-    """Negotiate the offload price (and optionally the set) for one step."""
+    """Negotiate the offload price (and optionally the set) for one step.
+
+    The walk reads each probed set's terms (m, w, o) from one breakdown of it.
+    """
     if mode not in ("price", "price-and-set"):
         raise EconError(f"unknown negotiation mode {mode!r}")
     if not state.offload:
@@ -882,20 +892,11 @@ def negotiate(
             )
         return terms[off]
 
-    def d_mno(chi: float, off: frozenset[str]) -> float:
-        m, _, o = term(off)
-        return m + (rho - chi) * o
-
-    def d_sso(chi: float, off: frozenset[str]) -> float:
-        _, w, o = term(off)
-        return w + chi * o
-
     candidates: tuple[str, ...] = ()
     if mode == "price-and-set":
         candidates = tuple(sorted(state.bs_users - state.bs_departures))
     return negotiate_price(
-        d_mno,
-        d_sso,
+        term,
         econ,
         offload=state.offload,
         candidates=candidates,

@@ -291,10 +291,6 @@ class ScenarioFile:
     experiment: ExperimentSpec
     notes: list[str]
 
-    @property
-    def availability(self) -> float:
-        return self.protocol.p
-
 
 # --------------------------------------------------------------------------
 # loading
@@ -724,7 +720,7 @@ def _cmd_tessellate(scn: ScenarioFile, seed: int, walks: int) -> ResultTable:
         exp.h_values,
         exp.powers,
         sites=exp.sites or DEFAULT_USER_SITES,
-        availability=scn.availability,
+        availability=scn.protocol.p,
         macro_radius=scn.grid.params.R,
         alpha=scn.radio.alpha,
         noise=scn.radio.noise,

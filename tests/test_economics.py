@@ -195,7 +195,7 @@ def test_econ_params_validation():
         EconParams(price_step=math.inf)
     with pytest.raises(EconError):
         EconParams(tol=-1.0)
-    with pytest.raises(EconError):
+    with pytest.raises(EconError, match="max_iter must be at least 1"):
         EconParams(max_iter=0)
     with pytest.raises(EconError):
         EconParams(price_bounds=(0.0, 1.0))
@@ -213,6 +213,12 @@ def test_econ_params_validation():
     ]:
         with pytest.raises(EconError, match=re.escape(message)):
             EconParams(**kwargs)
+
+
+@pytest.mark.parametrize("max_iter", [300.5, math.inf, math.nan, True])
+def test_econ_params_refuse_a_budget_that_is_not_a_whole_number(max_iter):
+    with pytest.raises(EconError, match=r"max_iter must be a whole number, got " + re.escape(repr(max_iter))):
+        EconParams(mno_revenue=2.0, sso_revenue=0.5, price_step=0.001, max_iter=max_iter, price_bounds=(0.5, 100.0))
 
 
 # -- traffic bookkeeping -----------------------------------------------------
@@ -853,7 +859,7 @@ ECON = EconParams(mno_revenue=2.0, sso_revenue=0.5, price_step=0.01)
 
 
 def test_negotiation_converges_on_linear_offsets():
-    result = negotiate_price(lambda chi, s: 3.0 - 2.0 * chi, lambda chi, s: chi, ECON)
+    result = negotiate_price(lambda s: (0, 0, 1), ECON)
     assert result.converged and result.verdict == "offload"
     assert result.crossing == pytest.approx(1.0, abs=1e-9)
     assert result.price == pytest.approx(1.0, abs=1e-9)
@@ -861,20 +867,20 @@ def test_negotiation_converges_on_linear_offsets():
 
 
 def test_negotiation_accepts_the_opening_offer():
-    result = negotiate_price(lambda chi, s: 1.0, lambda chi, s: 1.0, ECON, chi0=0.9)
+    result = negotiate_price(lambda s: (1, 1, 0), ECON, chi0=0.9)
     assert result.iterations == 0
     assert result.price == 0.9 and result.crossing == 0.9
     assert result.converged
     # only a pinned walk can refuse: a balanced offer above rho still offloads
     wide = replace(ECON, price_bounds=(0.5, 4.0))
-    result = negotiate_price(lambda chi, s: 3.0, lambda chi, s: chi, wide, chi0=3.0)
+    result = negotiate_price(lambda s: (4, 0, 1), wide, chi0=3.0)
     assert result.converged and result.crossing == 3.0 > wide.mno_revenue
     assert result.verdict == "offload"
 
 
 def test_negotiation_settles_oscillation_at_the_exact_crossing():
     # equilibrium at 1.005 sits between two grid points; the walk ping-pongs
-    result = negotiate_price(lambda chi, s: 1.005, lambda chi, s: chi, ECON, chi0=1.0)
+    result = negotiate_price(lambda s: (0.01, 0, 1), ECON, chi0=1.0)
     assert result.converged and result.verdict == "offload"
     assert result.crossing == pytest.approx(1.005)
     assert result.price == pytest.approx(1.0)
@@ -882,7 +888,7 @@ def test_negotiation_settles_oscillation_at_the_exact_crossing():
 
 
 def test_negotiation_pinned_above_revenue_means_no_offload():
-    result = negotiate_price(lambda chi, s: 3.0, lambda chi, s: chi, ECON)
+    result = negotiate_price(lambda s: (4, 0, 1), ECON)
     assert not result.converged
     assert result.price == 2.0
     assert result.crossing == pytest.approx(3.0)
@@ -890,7 +896,7 @@ def test_negotiation_pinned_above_revenue_means_no_offload():
 
 
 def test_negotiation_pinned_below_bounds_still_offloads():
-    result = negotiate_price(lambda chi, s: 0.3, lambda chi, s: chi, ECON)
+    result = negotiate_price(lambda s: (-1.4, 0, 1), ECON)
     assert not result.converged
     assert result.price == 0.5
     assert result.crossing == pytest.approx(0.3)
@@ -899,7 +905,7 @@ def test_negotiation_pinned_below_bounds_still_offloads():
 
 def test_negotiation_with_zero_width_bounds_finds_the_crossing():
     # rho == rho1 and no bounds key: the walk cannot leave its opening price
-    result = negotiate_price(lambda chi, s: 3.0 - 2.0 * chi, lambda chi, s: chi, EconParams())
+    result = negotiate_price(lambda s: (-1, -1, 1.5), EconParams())
     assert result.trace == ((2.0, -1.0, 2.0),)
     assert not result.converged
     assert (result.price, result.crossing, result.verdict) == (2.0, 1.0, "offload")
@@ -907,7 +913,7 @@ def test_negotiation_with_zero_width_bounds_finds_the_crossing():
 
 def test_negotiation_rejects_a_nan_opening_price():
     with pytest.raises(EconError, match="chi0") as err:
-        negotiate_price(lambda chi, s: 3.0 - 2.0 * chi, lambda chi, s: chi, ECON, chi0=math.nan)
+        negotiate_price(lambda s: (0, 0, 1), ECON, chi0=math.nan)
     assert not isinstance(err.value, NegotiationError)
 
 
@@ -916,14 +922,13 @@ def test_negotiation_budget_exhaustion():
         mno_revenue=2.0, sso_revenue=0.5, price_step=0.01, max_iter=3, price_bounds=(0.5, 100.0)
     )
     with pytest.raises(NegotiationError) as err:
-        negotiate_price(lambda chi, s: 50.0, lambda chi, s: chi, tight)
+        negotiate_price(lambda s: (98, 0, 1), tight)
     assert len(err.value.trace) == 3
 
 
 def test_joint_walk_adapts_the_offload_set():
     result = negotiate_price(
-        lambda chi, s: len(s) - chi,
-        lambda chi, s: chi,
+        lambda s: (len(s) - 2, 0, 1),
         ECON,
         offload=frozenset({"a"}),
         candidates=("b", "c"),
@@ -945,11 +950,12 @@ def test_joint_walk_adapts_the_offload_set():
     chi0=st.one_of(st.none(), st.floats(-1.0, 11.0)),
 )
 def test_negotiation_terminates_at_the_closed_form_crossing(a, b, o, lo, width, step, chi0):
-    # For a fixed set both offsets are affine in the price, A - chi*o and
-    # B + chi*o, so they cross exactly at chi* = (A - B) / (2o).
+    # For a fixed set both offsets are affine in the price; with rho = 2 the
+    # terms (A - 2o, B, o) give A - chi*o and B + chi*o, which cross exactly
+    # at chi* = (A - B) / (2o).
     econ = EconParams(price_step=step, price_bounds=(lo, lo + width))
     lo, hi = econ.bounds
-    result = negotiate_price(lambda chi, s: a - chi * o, lambda chi, s: b + chi * o, econ, chi0=chi0)
+    result = negotiate_price(lambda s: (a - 2.0 * o, b, o), econ, chi0=chi0)
     assert len(result.trace) <= math.ceil((hi - lo) / step) + 3
     if o > 0.0:
         exact = (a - b) / (2.0 * o)
@@ -1054,14 +1060,19 @@ def _per_probe_adjust_offload(delta_mno, chi, current, pool, d_mno, d_sso):
 def _affine_walk(walk, terms, econ, offload, candidates, chi0, calls=None):
     """One walk over per-set affine offsets, m + (rho - chi) o and w + chi o.
 
-    Returns the result, or the type, message and trace of the error raised.
-    ``calls`` collects each offset call's price argument.
+    ``negotiate_price`` reads each set's terms (m, w, o); the per-probe walk
+    reads the two offsets as callables.  Returns the result, or the type,
+    message and trace of the error raised.  ``calls`` collects the set of
+    each terms call.
     """
     rho = econ.mno_revenue
 
-    def d_mno(chi, s):
+    def term(s):
         if calls is not None:
-            calls.append(chi)
+            calls.append(s)
+        return terms[s]
+
+    def d_mno(chi, s):
         m, _, o = terms[s]
         return m + (rho - chi) * o
 
@@ -1069,8 +1080,9 @@ def _affine_walk(walk, terms, econ, offload, candidates, chi0, calls=None):
         _, w, o = terms[s]
         return w + chi * o
 
+    reads = (term,) if walk is negotiate_price else (d_mno, d_sso)
     try:
-        return walk(d_mno, d_sso, econ, offload=offload, candidates=candidates, chi0=chi0)
+        return walk(*reads, econ, offload=offload, candidates=candidates, chi0=chi0)
     except EconError as exc:
         return type(exc), str(exc), getattr(exc, "trace", None)
 
@@ -1220,9 +1232,9 @@ def test_joint_walk_probes_each_fixed_set_run_as_arrays():
         assert outcome.offload == offload and len(outcome.trace) > 1500
         calls = []
         _affine_walk(negotiate_price, terms, econ, offload, users, chi0, calls)
-        assert sum(1 for chi in calls if isinstance(chi, float)) < 10
+        # one terms call per probe on its own, per array and per crossing end;
         # each array of a run is twice as long as the one before it
-        assert sum(1 for chi in calls if not isinstance(chi, float)) <= math.log2(len(outcome.trace))
+        assert len(calls) <= 10 + math.log2(len(outcome.trace))
 
 
 def test_negotiate_end_to_end(offload_ctx, offload_state):
@@ -1258,16 +1270,16 @@ def _fresh_negotiate(ctx, state, econ, mode):
             cache[off] = offload_breakdown(fresh, replace(state, offload=off))
         return cache[off]
 
-    def d_mno(chi, off):
+    def terms(off):
         b = breakdown(off)
-        return econ.mno_revenue * (b.bs_after - b.bs_before) + (econ.mno_revenue - chi) * b.offload_after
-
-    def d_sso(chi, off):
-        b = breakdown(off)
-        return econ.sso_revenue * (b.wlan_after - b.wlan_before) + chi * b.offload_after
+        return (
+            econ.mno_revenue * (b.bs_after - b.bs_before),
+            econ.sso_revenue * (b.wlan_after - b.wlan_before),
+            b.offload_after,
+        )
 
     candidates = tuple(sorted(state.bs_users - state.bs_departures)) if mode == "price-and-set" else ()
-    result = negotiate_price(d_mno, d_sso, econ, offload=state.offload, candidates=candidates)
+    result = negotiate_price(terms, econ, offload=state.offload, candidates=candidates)
     return result, cache
 
 

@@ -55,7 +55,7 @@ def test_defaults_from_minimal_file(tmp_path):
     assert scn.name == "case"
     assert scn.grid.params.H == 2 and scn.grid.params.R == 1000.0
     assert scn.radio.power == 0.15 and scn.radio.noise == 1e-4
-    assert scn.protocol.kind == "MDR" and scn.availability == 1.0
+    assert scn.protocol.kind == "MDR" and scn.protocol.p == 1.0
     assert scn.dest.bs is not None and not scn.dest.aps
     assert scn.overlays == () and scn.steps == ()
     assert scn.econ.mno_revenue == 2.0 and scn.mode == "price"
@@ -191,7 +191,7 @@ def test_availability_sources(tmp_path):
     via_compression = load_scenario(
         write(tmp_path, "compression: {n_o: [45, 45], zeta: 0.25, phi: 360}\n")
     )
-    assert via_compression.availability == 0.80859375
+    assert via_compression.protocol.p == 0.80859375
     assert via_compression.protocol.p == 0.80859375
 
     overridden = load_scenario(
@@ -200,7 +200,7 @@ def test_availability_sources(tmp_path):
             "compression: {n_o: [45, 45], zeta: 0.25, phi: 360}\nprotocol: {p: 0.5}\n",
         )
     )
-    assert overridden.availability == 0.5
+    assert overridden.protocol.p == 0.5
 
     with pytest.raises(ScenarioError, match="direct p excludes"):
         load_scenario(write(tmp_path, "compression: {p: 0.5, zeta: 0.1}\n"))
@@ -214,7 +214,7 @@ def test_compression_section_computes_no_gain(tmp_path, monkeypatch):
     loaded = load_scenario(
         write(tmp_path, "grid: {H: 4, R: 500.0}\nradio: {alpha: 3}\ncompression: {n_o: [45, 45], zeta: 0.25}\n")
     )
-    assert loaded.availability == 0.80859375
+    assert loaded.protocol.p == 0.80859375
     assert calls == []
     with pytest.raises(ScenarioError, match=r"compression: p_o\[0\] must lie in \[0, 1\]"):
         load_scenario(write(tmp_path, "grid: {H: 4}\ncompression: {n_o: [61]}\n"))
@@ -462,7 +462,7 @@ def test_bundled_scenarios_resolve(default_scenario):
     assert len(default_scenario.steps) == 7
     offload = load_scenario(bundled_scenario("offload"))
     assert offload.radio.noise == 1e-6
-    assert offload.availability == 1.0
+    assert offload.protocol.p == 1.0
 
 
 def test_readme_scenario_examples_load(tmp_path):
