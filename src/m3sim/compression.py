@@ -99,7 +99,7 @@ def full_vector(
     return FullStateVector(
         H=H,
         N=N,
-        n_o=tuple(int(n) for n in n_o),
+        n_o=tuple(n_o),
         p_o=tuple(n / N for n in n_o),
         p_a=1.0 - zeta,
         gain=reconstruct_gain(H, params.R, alpha),
@@ -109,11 +109,19 @@ def full_vector(
     )
 
 
+def _whole(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_vector(H, n_o, zeta, phi):
+    if not _whole(H):
+        raise CompressionError(f"H must be a whole number, got {H!r}")
     if H < 1:
         raise CompressionError(f"H must be >= 1, got {H!r}")
     if not n_o:
         raise CompressionError("need at least one operator terminal count")
+    if not all(map(_whole, n_o)):
+        raise CompressionError(f"terminal counts must be whole numbers, got {tuple(n_o)!r}")
     if any(n < 0 for n in n_o):
         raise CompressionError(f"terminal counts cannot be negative, got {tuple(n_o)!r}")
     if not 0.0 <= zeta <= 1.0:

@@ -301,40 +301,6 @@ def _mdr_layers(
     return route_set, stats, [chain.transient_index(r.source) for r in route_set.routes]
 
 
-@dataclass(frozen=True)
-class _TessellationLayers:
-    """What a tessellation utility needs of one ring count, whatever the power.
-
-    ``taus`` holds each scheduled route's mean discovery time, in route order.
-    """
-
-    grid: SubcellGrid
-    route_set: RouteSet
-    taus: tuple[float, ...]
-
-    @classmethod
-    def build(
-        cls,
-        h: int,
-        sites: Sequence[tuple[float, float]],
-        availability: float,
-        macro_radius: float,
-    ) -> "_TessellationLayers":
-        grid = SubcellGrid(GridParams(H=h, R=macro_radius))
-        dest = Destinations(bs=grid.cell(0))
-        occupied = sorted(set(snap_sites(grid, sites)))
-        route_set, stats, index = _mdr_layers(grid, dest, occupied, availability)
-        return cls(grid, route_set, tuple(float(stats.tau[k]) for k in index))
-
-    def utility(self, radio: RadioParams, revenue: float) -> float:
-        """Summed route utilities at one transmit power; see ``macrocell_utility``."""
-        caps = link_capacities(self.route_set.slots, radio, self.grid)
-        total = 0.0
-        for route, tau in zip(self.route_set.routes, self.taus):
-            total += user_utility(route_capacity(route, caps), NUM_COLORS * tau, radio.power * tau, revenue)
-        return total
-
-
 def macrocell_utility(
     h: int,
     power: float,
@@ -355,8 +321,10 @@ def macrocell_utility(
     subcell's route, so each occupied subcell contributes once: a coarser
     grid merges users rather than multiplying demand.
     """
-    layers = _TessellationLayers.build(h, sites, availability, macro_radius)
-    return layers.utility(RadioParams(power=power, alpha=alpha, noise=noise), revenue)
+    return optimize_tessellation(
+        (h,), (power,), sites=sites, availability=availability,
+        macro_radius=macro_radius, alpha=alpha, noise=noise, revenue=revenue,
+    ).surface[(h, power)]
 
 
 @dataclass(frozen=True)
@@ -384,22 +352,32 @@ def optimize_tessellation(
 
     Alongside the exhaustive argmax, a local hill climb over H (started from
     the middle of the range) is reported for comparison.  The keywords are
-    those of ``macrocell_utility``.  Only link capacities depend on the
-    power, so each ring count's grid, routes, schedule and discovery chain
-    are built once per call, for the sweep and the climb alike.
+    those of ``macrocell_utility``, which is this search at one point.  Only
+    link capacities depend on the power, so each ring count's grid, routes,
+    schedule and discovery chain are built once per call, for the sweep and
+    the climb alike.
     """
     if not h_values or not powers:
         raise EconError("tessellation search needs at least one H and one power")
     hs = sorted(set(h_values))
     radios = {p: RadioParams(power=p, alpha=alpha, noise=noise) for p in powers}
-    layers: dict[int, _TessellationLayers] = {}
+    layers: dict[int, tuple[SubcellGrid, RouteSet, list[float]]] = {}
     utilities: dict[tuple[int, float], float] = {}
 
     def utility_at(h: int, power: float) -> float:
         if (h, power) not in utilities:
             if h not in layers:
-                layers[h] = _TessellationLayers.build(h, sites, availability, macro_radius)
-            utilities[(h, power)] = layers[h].utility(radios[power], revenue)
+                grid = SubcellGrid(GridParams(H=h, R=macro_radius))
+                occupied = sorted(set(snap_sites(grid, sites)))
+                dest = Destinations(bs=grid.cell(0))
+                route_set, stats, index = _mdr_layers(grid, dest, occupied, availability)
+                layers[h] = grid, route_set, [float(stats.tau[k]) for k in index]
+            grid, route_set, taus = layers[h]
+            caps = link_capacities(route_set.slots, radios[power], grid)
+            total = 0.0
+            for route, tau in zip(route_set.routes, taus):
+                total += user_utility(route_capacity(route, caps), NUM_COLORS * tau, power * tau, revenue)
+            utilities[(h, power)] = total
         return utilities[(h, power)]
 
     surface = {(h, p): utility_at(h, p) for h in hs for p in powers}

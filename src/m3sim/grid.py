@@ -140,7 +140,8 @@ class SubcellGrid:
         )
         # Integer tables: axial (q, r) -> linear index, each cell's neighbours
         # (a read-only (cells, 6) array in DIRECTIONS order, -1 where a step
-        # leaves the grid, from a dense lookup one ring wider), and its reuse color.
+        # leaves the grid, from a dense lookup one ring wider), and its reuse
+        # color 0..6: the center's is 0 and no two neighbours share one.
         self.index: dict[tuple[int, int], int] = dict(zip(zip(qs, rs), range(size)))
         lookup = np.full((2 * H + 3, 2 * H + 3), -1, dtype=np.intp)
         lookup[q + H + 1, r + H + 1] = np.arange(size)
@@ -228,10 +229,6 @@ class SubcellGrid:
         return table
 
     # -- clustering ---------------------------------------------------------
-
-    def cluster_color(self, cell: SubcellId) -> int:
-        """Reuse color 0..6; the center has color 0 and no two neighbours share one."""
-        return self.colors[cell.i]
 
     def color_populations(self, exclude: frozenset[int] = frozenset()) -> list[int]:
         """Ring-subcell count per color, skipping the center and excluded indices."""

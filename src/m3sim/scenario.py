@@ -389,7 +389,7 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         with _named(where):
             cell, gap = grid.nearest_in_ring(h, theta)
         if color is not None:
-            actual = grid.cluster_color(cell)
+            actual = grid.colors[cell.i]
             if actual != color:
                 warn(
                     f"{where}: u^{color + 1}({h},{theta:g}) declares color {color} but "
@@ -452,9 +452,7 @@ def load_scenario(path: str | Path) -> ScenarioFile:
             unavailable.add(idx)
         for j, k in enumerate(_list(f"{where}.unavailable_types", entry.get("unavailable_types"))):
             color = _reuse_color(f"{where}.unavailable_types[{j}]", k)
-            unavailable.update(
-                c.i for c in grid.cells[1:] if grid.cluster_color(c) == color
-            )
+            unavailable.update(c.i for c in grid.cells[1:] if grid.colors[c.i] == color)
         k0 = None if entry.get("k0") is None else _reuse_color(f"{where}.k0", entry["k0"])
         with _named(where):
             overlays.append(
@@ -716,9 +714,10 @@ def emit_plotdata(table: ResultTable, path: str | Path) -> None:
 
 def _cmd_tessellate(scn: ScenarioFile, seed: int, walks: int) -> ResultTable:
     exp = scn.experiment
+    powers = list(dict.fromkeys(exp.powers))
     result = optimize_tessellation(
         exp.h_values,
-        exp.powers,
+        powers,
         sites=exp.sites or DEFAULT_USER_SITES,
         availability=scn.protocol.p,
         macro_radius=scn.grid.params.R,
@@ -727,7 +726,7 @@ def _cmd_tessellate(scn: ScenarioFile, seed: int, walks: int) -> ResultTable:
         revenue=scn.econ.mno_revenue,
     )
     rows = []
-    for power in exp.powers:
+    for power in powers:
         for h in sorted(set(exp.h_values)):
             rows.append(
                 (

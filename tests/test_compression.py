@@ -91,6 +91,23 @@ def test_vector_validation(kwargs):
         full_vector(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (compressed_vector, (2.5, [10], 0.1, 360.0), r"H must be a whole number, got 2\.5"),
+        (compressed_vector, (True, [10], 0.1, 360.0), r"H must be a whole number, got True"),
+        (compressed_vector, (math.inf, [10], 0.1, 360.0), r"H must be a whole number, got inf"),
+        (compressed_vector, (2, [2.7], 0.1, 360.0), r"terminal counts must be whole numbers, got \(2\.7,\)"),
+        (compressed_vector, (2, [3, True], 0.1, 360.0), r"terminal counts must be whole numbers, got \(3, True\)"),
+        (full_vector, (2, (2.7,), 0.1, 360.0), r"terminal counts must be whole numbers, got \(2\.7,\)"),
+        (full_vector, (2, (False,), 0.1, 360.0), r"terminal counts must be whole numbers, got \(False,\)"),
+    ],
+)
+def test_vectors_refuse_a_depth_or_count_that_is_not_a_whole_number(build, args, message):
+    with pytest.raises(CompressionError, match=message):
+        build(*args)
+
+
 def test_full_vector_grid_mismatch():
     from m3sim.grid import GridParams
 

@@ -378,8 +378,8 @@ def test_tessellation_search_equals_the_per_point_search(case):
     assert result.argmax_h == argmax_h
     assert result.climb_h == climb_h
     assert result.best == best
-    for h in {h for h, _ in surface}:
-        assert macrocell_utility(h, powers[0], **kwargs) == surface[(h, powers[0])]
+    for (h, p), utility in surface.items():
+        assert macrocell_utility(h, p, **kwargs) == utility
 
 
 def test_tessellation_search_builds_power_free_layers_once_per_ring_count(monkeypatch):
@@ -735,7 +735,7 @@ def _reference_user_capacities(ctx, bs_users, wlan_users):
         return link[0] in domain and link[1] in domain
 
     def color(i):
-        return grid.cluster_color(grid.cell(i))
+        return grid.colors[i]
 
     macro_tx = {l[0] for r in routes.values() for l in r.links if not on_wlan(l)}
     out = {}

@@ -151,9 +151,9 @@ def test_coloring_is_proper_and_complete():
     """No two adjacent subcells share a color, and interior subcells see all 7."""
     grid = SubcellGrid(GridParams(H=4))
     for cell in grid.cells:
-        mine = grid.cluster_color(cell)
+        mine = grid.colors[cell.i]
         ns = grid.neighbors(cell)
-        colors = [grid.cluster_color(n) for n in ns]
+        colors = [grid.colors[n.i] for n in ns]
         assert mine not in colors
         if len(ns) == 6:
             assert sorted(colors + [mine]) == list(range(7))
@@ -164,8 +164,8 @@ def test_color_populations():
     pops = grid.color_populations()
     assert sum(pops) == 60
     # the center's color class is the rarest on this depth: six ring-3 cells
-    assert pops[grid.cluster_color(grid.cell(0))] == 6
-    zero = [c.i for c in grid.cells[1:] if grid.cluster_color(c) == 0]
+    assert pops[grid.colors[0]] == 6
+    zero = [c.i for c in grid.cells[1:] if grid.colors[c.i] == 0]
     assert zero == [21, 24, 27, 30, 33, 36]
     assert all(grid.cell(i).h == 3 for i in zero)
     without = grid.color_populations(exclude=frozenset(zero))
@@ -182,7 +182,7 @@ def test_color_populations_count_each_ring_cell_not_excluded(H):
         want = [0] * NUM_COLORS
         for cell in grid.cells[1:]:
             if cell.i not in exclude:
-                want[grid.cluster_color(cell)] += 1
+                want[grid.colors[cell.i]] += 1
         assert grid.color_populations(exclude=exclude) == want, sorted(exclude)
 
 
@@ -303,10 +303,10 @@ def test_rings_coloring_and_neighbors_hold_at_every_depth(H):
     for h in range(1, H + 1):
         assert len(grid.ring(h)) == 6 * h
     for cell in grid.cells:
-        color = grid.cluster_color(cell)
+        color = grid.colors[cell.i]
         assert 0 <= color < NUM_COLORS
         for n in grid.neighbors(cell):
-            assert grid.cluster_color(n) != color
+            assert grid.colors[n.i] != color
             assert cell in grid.neighbors(n)
 
 

@@ -189,7 +189,7 @@ def test_color_route_alternates_and_targets_k0():
     assert route.cells == (25, 12, 3, 0)
     # 25 hands over to its neighbour of color 1, which relays by minimum
     # distance to 3, the base station's neighbour
-    assert [GRID4.cluster_color(GRID4.cell(c)) for c in route.cells[:3]] == [6, 1, 4]
+    assert [GRID4.colors[c] for c in route.cells[:3]] == [6, 1, 4]
     assert _coordinated(GRID4, rs.routes, 1, DEST4.indices()) == {(25, 12)}
     assert rs.k0 == 1
 
@@ -275,7 +275,7 @@ def test_round_robin_schedule_keys_slots_by_transmitter_color():
     assert rs.cycle_length == 7
     for slot, links in rs.slots.items():
         for tx, _ in links:
-            assert GRID4.cluster_color(GRID4.cell(tx)) == slot
+            assert GRID4.colors[tx] == slot
 
 
 def test_mmdr_schedule_is_conflict_free_and_compact():
@@ -430,7 +430,7 @@ def test_round_robin_slot_is_the_transmitter_color(case):
     grid, _, rs = case
     for slot, links in rs.slots.items():
         for tx, _ in links:
-            assert slot == grid.cluster_color(grid.cell(tx))
+            assert slot == grid.colors[tx]
 
 
 @settings(max_examples=25, deadline=None)
@@ -575,10 +575,10 @@ def _ref_color_route(grid, dest, overlay, source_idx, k0, allow_fallback):
         elif not candidates:
             return Route(source_idx, tuple(cells), None), tuple(modes)
         else:
-            typed = [n for n in candidates if grid.cluster_color(n) == k0]
-            if grid.cluster_color(current) != k0 and typed:
+            typed = [n for n in candidates if grid.colors[n.i] == k0]
+            if grid.colors[current.i] != k0 and typed:
                 nxt, mode = typed[0], COORD
-            elif grid.cluster_color(current) == k0 or allow_fallback:
+            elif grid.colors[current.i] == k0 or allow_fallback:
                 ranked = [n for n in _ref_ranked(grid, dest, current) if n in candidates]
                 nxt, mode = ranked[0], FALLBACK
             else:
@@ -594,7 +594,7 @@ def _ref_color_route(grid, dest, overlay, source_idx, k0, allow_fallback):
 
 def _ref_unpinned_color(grid, dest):
     """The largest color class of non-destination ring cells, ties to the smaller color."""
-    counts = Counter(grid.cluster_color(c) for c in grid.cells[1:] if c.i not in dest.indices())
+    counts = Counter(grid.colors[c.i] for c in grid.cells[1:] if c.i not in dest.indices())
     return max(range(NUM_COLORS), key=lambda k: (counts[k], -k))
 
 

@@ -170,7 +170,7 @@ def test_unavailable_types_expand_to_color_classes(tmp_path):
     )
     overlay = scn.overlays[0]
     assert len(overlay.unavailable) == 18
-    colors = {scn.grid.cluster_color(scn.grid.cell(i)) for i in overlay.unavailable}
+    colors = {scn.grid.colors[i] for i in overlay.unavailable}
     assert colors == {1, 2}
     assert overlay.k0 == 4  # file speaks 1-based
     with pytest.raises(ScenarioError, match="outside 1..7"):
@@ -614,6 +614,26 @@ def test_tessellate_command_marks_one_argmax_per_power(tmp_path):
     for power in (0.1, 0.35):
         marks = [row for row in table.rows if row[0] == power and row[3]]
         assert len(marks) == 1
+
+
+def test_tessellate_command_writes_a_repeated_power_once(tmp_path):
+    scn = load_scenario(
+        write(
+            tmp_path,
+            """
+            grid: {H: 3}
+            experiment:
+              h_values: [2, 3, 3]
+              powers: [0.1, 0.2, 0.1]
+            """,
+        )
+    )
+    table = run_experiment(scn, "tessellate")
+    assert [row[:2] for row in table.rows] == [(0.1, 2), (0.1, 3), (0.2, 2), (0.2, 3)]
+    out = tmp_path / "t.dat"
+    emit_plotdata(table, out)
+    block = out.read_text().split("# power = 0.1\n")[1].split("\n\n")[0]
+    assert len(block.splitlines()) == 2
 
 
 def test_capacity_command_requires_bs_and_overlays(tmp_path):
