@@ -10,7 +10,7 @@ increments until their utility offsets balance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -155,60 +155,55 @@ def user_utility(capacity: float, delay: float, cost: float, revenue: float) -> 
 # transmitters 9 against 57 us, 8 26 against 60 us, 12 50 against 61 us,
 # 16 80 against 59 us, 48 527 against 71 us.  As one more slot of an
 # 8-slot table it adds 20 to 40 us at any of these widths, too noisy a
-# margin to move the cut by, and a table of narrow slots alone, as the
-# negotiation makes, would pay the whole call.  Both give the same floats.
+# margin to move the cut by.  The cut applies to link_capacities' slot
+# tables only: an offload instant evaluates each memo miss on its own,
+# through link_sinr, whatever its slot's width.  Both give the same floats.
 WIDE_SLOT = 12
+
+
+def _slot_link_capacity(
+    link: tuple[int, int], order: tuple[int, ...], radio: RadioParams, grid: SubcellGrid
+) -> float:
+    """Capacity of one link through ``link_sinr``, hearing every other transmitter of its slot.
+
+    ``order`` holds the slot's transmitters in ascending order; the link's
+    own endpoints are left out of its interferers.
+    """
+    tx, rx = link
+    return link_capacity(link_sinr(tx, rx, tuple(cell for cell in order if cell != tx and cell != rx), radio, grid))
 
 
 def link_capacities(
     slots: Mapping[int, Sequence[tuple[int, int]]],
     radio: RadioParams,
     grid: SubcellGrid,
-    memo: dict[tuple[int, ...], dict[tuple[int, int], float]] | None = None,
 ) -> dict[tuple[int, int], float]:
     """Capacity of every scheduled link, keyed by link.
 
     A link's SINR counts every other transmitter sharing its slot (the
     link's own endpoints excluded).  Each link must sit in exactly one slot,
-    else ``EconError`` names it; it is evaluated once, however many routes
-    use it.  A ``memo`` carries capacities across calls on the same radio
-    and grid as ``memo[sorted slot transmitters][(tx, rx)]``: a link is then
-    evaluated once per set of transmitters it shares a slot with.
+    else ``EconError`` names it.
 
-    Each slot evaluates only the links missing from its memo entry.  A slot
-    of fewer than ``WIDE_SLOT`` transmitters, where the array set-up costs
-    more than it saves, runs ``link_sinr`` per link as it comes.  The
-    misses of every wider slot go to ``slot_sinrs`` together, in one numpy
+    A slot of fewer than ``WIDE_SLOT`` transmitters, where the array set-up
+    costs more than it saves, runs ``link_sinr`` per link as it comes.  The
+    links of every wider slot go to ``slot_sinrs`` together, in one numpy
     pass after the narrow ones, so a bad link of a narrow slot is named
     before one of a wide slot.  The two give equal floats, so the cut moves
     no capacity.
     """
     caps = {}
-    memo = {} if memo is None else memo
-    wide = []  # (memo entry, its misses, transmitters) of each wide slot with misses
+    wide = []  # (links, transmitters) of each wide slot
     for links in slots.values():
         order = tuple(sorted({tx for tx, _ in links}))
-        known = memo.setdefault(order, {})
         if len(order) < WIDE_SLOT:
             for link in links:
-                if link not in known:
-                    tx, rx = link
-                    others = tuple(cell for cell in order if cell != tx and cell != rx)
-                    known[link] = link_capacity(link_sinr(tx, rx, others, radio, grid))
-                caps[link] = known[link]
+                caps[link] = _slot_link_capacity(link, order, radio, grid)
         else:
-            missing = [link for link in links if link not in known]
-            if missing:
-                wide.append((known, missing, order))
-            # a miss holds its place in ``caps`` until the kernel fills it
-            for link in links:
-                caps[link] = known.get(link)
+            wide.append((links, order))
     if wide:
-        sinrs = iter(slot_sinrs([(missing, order) for _, missing, order in wide], radio, grid))
-        for known, missing, _ in wide:
-            found = dict(zip(missing, map(link_capacity, sinrs)))
-            known.update(found)
-            caps.update(found)
+        sinrs = iter(slot_sinrs(wide, radio, grid))
+        for links, _ in wide:
+            caps.update(zip(links, map(link_capacity, sinrs)))
     if len(caps) != sum(map(len, slots.values())):
         seen = set()
         for link in (link for links in slots.values() for link in links):
@@ -476,8 +471,8 @@ class OffloadContext:
       user, keyed by its base-station and WLAN user sets (see
       ``_instant_rates``);
     * ``_link_caps``: link capacities by slot, one dict of capacities by
-      link (tx, rx) per sorted tuple of slot transmitters (see
-      ``link_capacities``).
+      link (tx, rx) per sorted tuple of slot transmitters, filled as the
+      instants miss (see ``_instant_rates``).
     """
 
     grid: SubcellGrid
@@ -557,48 +552,73 @@ def _instant_rates(
     Links whose endpoints both sit in the WLAN domain run on the access
     point's sequential schedule: every user's hop gets its own slot (a
     shared relay transmits once per user), so the cycle counts link
-    instances and there is no co-slot interference.  All other links share
-    the macrocell's color round robin.  The slot table holds one slot per
-    color and one per distinct WLAN hop, numbered past the colors by the
-    hop's place among the instant's distinct links.
+    instances and a WLAN hop's slot holds its transmitter alone.  All other
+    links share the macrocell's color round robin: a color's slot holds
+    the transmitters of every link of that color in the instant.
 
-    A user's rate is ``user_utility`` at unit revenue: its route's
-    capacity over its delay, the WLAN cycle per WLAN hop and the round
-    robin's NUM_COLORS slots per other hop, times its cost, the power per
-    hop times the hops.  An incomplete route has no capacity, so its rate
-    is 0.0.
+    Each hop reads its capacity from ``ctx._link_caps`` under its slot's
+    sorted transmitters; a miss is evaluated there, through ``link_sinr``,
+    and kept.  A user's rate is ``user_utility`` at unit revenue: its
+    route's capacity, the least of its hops', over its delay, the WLAN
+    cycle per WLAN hop and the round robin's NUM_COLORS slots per other
+    hop, times its cost, the power per hop times the hops.  An incomplete
+    route has no capacity, so its rate is 0.0.
 
-    The legs list the base-station users first, each group in name order,
-    which numbers the WLAN slots.  No capacity depends on that order, and
-    ``offload_breakdown`` adds every rate sum in name order, so the memo is
-    keyed by the two user sets alone.
+    No capacity depends on the users' order, and every rate sum is added
+    in name order, so the memo is keyed by the two user sets alone.
     """
     key = (bs_users, wlan_users)
     rates = ctx._instants.get(key)
     if rates is None:
-        legs: dict[str, _Leg] = {}
+        # users in name order, so every process evaluates the misses, and
+        # names a bad link, in the same order
+        legs: list[tuple[str, _Leg]] = []
         for users, to_ap in ((bs_users, False), (wlan_users, True)):
             if users:
                 table = _leg_table(ctx, to_ap)
-                legs.update((u, table[ctx.placements[u]]) for u in sorted(users))
-        # each distinct link once, in first-use order, with its slot class
-        classes: dict[tuple[int, int], int | None] = {}
-        for leg in legs.values():
-            classes.update(leg.slot_classes)
-        slots: dict[int, list[tuple[int, int]]] = {}
-        for n, (link, color) in enumerate(classes.items()):
-            slots.setdefault(NUM_COLORS + n if color is None else color, []).append(link)
-        caps = link_capacities(slots, ctx.radio, ctx.grid, ctx._link_caps)
+                legs += ((u, table[ctx.placements[u]]) for u in sorted(users))
+        transmitters: dict[int, set[int]] = {}
+        for _, leg in legs:
+            for (tx, _), color in leg.slot_classes:
+                if color is not None:
+                    transmitters.setdefault(color, set()).add(tx)
+        orders = {color: tuple(sorted(cells)) for color, cells in transmitters.items()}
 
-        wlan_wait = max(sum(leg.wlan_hops for leg in legs.values()), 1)
-        power = ctx.radio.power
+        memo, radio, grid = ctx._link_caps, ctx.radio, ctx.grid
+        wlan_wait = max(sum(leg.wlan_hops for _, leg in legs), 1)
         rates = {}
-        for user, leg in legs.items():
-            hops, wlan = len(leg.slot_classes), leg.wlan_hops
+        for user, leg in legs:
+            caps = []
+            for link, color in leg.slot_classes:
+                order = link[:1] if color is None else orders[color]
+                try:
+                    cap = memo[order][link]
+                except KeyError:
+                    cap = memo.setdefault(order, {})[link] = _slot_link_capacity(link, order, radio, grid)
+                caps.append(cap)
+            hops, wlan = len(caps), leg.wlan_hops
+            capacity = min(caps) if leg.route.complete and caps else 0.0
             delay = float(wlan * wlan_wait + (hops - wlan) * NUM_COLORS)
-            rates[user] = user_utility(route_capacity(leg.route, caps), delay, power * hops, 1.0)
+            rates[user] = user_utility(capacity, delay, radio.power * hops, 1.0)
         ctx._instants[key] = rates
     return rates
+
+
+def _rate_sum(users: Iterable[str], instant: Mapping[str, float]) -> float:
+    """Sum of the users' rates in one instant, added in name order."""
+    return sum(map(instant.__getitem__, sorted(users)))
+
+
+def _after_sums(
+    ctx: OffloadContext, bs_users: frozenset[str], wlan_users: frozenset[str], offload: frozenset[str]
+) -> tuple[float, float, float]:
+    """Rate sums of the base-station, WLAN and offloaded users after a step.
+
+    ``bs_users`` and ``wlan_users`` are the step's user sets after it, the
+    offloaded users left out of both; the instant puts them on the WLAN.
+    """
+    after = _instant_rates(ctx, bs_users, wlan_users | offload)
+    return _rate_sum(bs_users, after), _rate_sum(wlan_users, after), _rate_sum(offload, after)
 
 
 @dataclass(frozen=True)
@@ -625,19 +645,15 @@ def offload_breakdown(ctx: OffloadContext, state: TrafficState) -> OffloadBreakd
     if missing:
         raise EconError(f"users without placements: {sorted(missing)}")
 
-    def rates(users: Iterable[str], instant: Mapping[str, float]) -> float:
-        return sum(map(instant.__getitem__, sorted(users)))
-
     before = _instant_rates(ctx, state.bs_users, state.wlan_users)
     bs_next, wlan_next = apply_traffic_step(state)
-    after = _instant_rates(ctx, bs_next, wlan_next)
-
+    bs_after, wlan_after, offload_after = _after_sums(ctx, bs_next, wlan_next - state.offload, state.offload)
     return OffloadBreakdown(
-        bs_before=rates(state.bs_users, before),
-        wlan_before=rates(state.wlan_users, before),
-        bs_after=rates(bs_next, after),
-        wlan_after=rates(wlan_next - state.offload, after),
-        offload_after=rates(state.offload, after),
+        bs_before=_rate_sum(state.bs_users, before),
+        wlan_before=_rate_sum(state.wlan_users, before),
+        bs_after=bs_after,
+        wlan_after=wlan_after,
+        offload_after=offload_after,
     )
 
 
@@ -848,7 +864,10 @@ def negotiate(
 ) -> NegotiationResult:
     """Negotiate the offload price (and optionally the set) for one step.
 
-    The walk reads each probed set's terms (m, w, o) from one breakdown of it.
+    One ``offload_breakdown`` of the step checks its placements and gives
+    the sums before it, which no offload set changes.  Each probed set then
+    costs only its instant after the step and that instant's three rate
+    sums (see ``_after_sums``).
     """
     if mode not in ("price", "price-and-set"):
         raise EconError(f"unknown negotiation mode {mode!r}")
@@ -856,18 +875,18 @@ def negotiate(
         raise EconError("negotiation needs a non-empty starting offload set")
 
     rho, rho1 = econ.mno_revenue, econ.sso_revenue
+    b = offload_breakdown(ctx, state)
+    bs_next, wlan_next = apply_traffic_step(state)
+    # the step's user sets after it, before any user is offloaded
+    bs_stay, wlan_stay = bs_next | state.offload, wlan_next - state.offload
     # Per offload set, the price-free terms of both offsets:
     # (rho * MNO rate change, rho1 * SSO rate change, offloaded rate).
     terms: dict[frozenset[str], tuple[float, float, float]] = {}
 
     def term(off: frozenset[str]) -> tuple[float, float, float]:
         if off not in terms:
-            b = offload_breakdown(ctx, replace(state, offload=off))
-            terms[off] = (
-                rho * (b.bs_after - b.bs_before),
-                rho1 * (b.wlan_after - b.wlan_before),
-                b.offload_after,
-            )
+            bs_after, wlan_after, offload_after = _after_sums(ctx, bs_stay - off, wlan_stay, off)
+            terms[off] = (rho * (bs_after - b.bs_before), rho1 * (wlan_after - b.wlan_before), offload_after)
         return terms[off]
 
     candidates: tuple[str, ...] = ()

@@ -67,7 +67,7 @@ class GridParams:
     K: int = 7
 
     def __post_init__(self):
-        if not isinstance(self.H, int) or self.H < 1:
+        if not isinstance(self.H, int) or isinstance(self.H, bool) or self.H < 1:
             raise GridError(f"ring count H must be an integer >= 1, got {self.H!r}")
         check_finite_positive(GridError, "macrocell radius R", self.R)
         if self.K != NUM_COLORS:

@@ -565,16 +565,11 @@ def _by_link(memo):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(slot_tables())
-def test_link_capacities_key_each_link_by_its_co_slot_transmitters(slots):
+def test_link_capacities_hear_each_links_co_slot_transmitters(slots):
     radio = RadioParams(power=0.15, alpha=2.0, noise=1e-6)
     expected = _loop_capacities(slots, radio, GRID4)
-    memo = {}
-    caps = link_capacities(slots, radio, GRID4, memo)
-    assert memo == expected
+    caps = link_capacities(slots, radio, GRID4)
     assert caps == _by_link(expected)
-    # a second call finds every link in its slot's entry
-    assert link_capacities(slots, radio, GRID4, memo) == caps
-    assert memo == expected
 
 
 def _loop_capacities(slots, radio, grid):
@@ -650,12 +645,10 @@ def test_link_capacities_equal_the_loop_with_every_subcell_routed(kind):
     assert link_capacities(rs.slots, radio, grid) == expected
 
 
-def test_wide_slot_memo_misses_go_to_the_kernel(monkeypatch):
+def test_wide_slots_go_to_the_kernel_in_one_call(monkeypatch):
     rs, radio, grid = _mdr_overlay_schedule()
     expected = _loop_capacities(rs.slots, radio, grid)
     assert min(map(len, expected)) >= economics.WIDE_SLOT
-    memo = {order: dict(sorted(by_link.items())[::2]) for order, by_link in expected.items()}
-    misses = sorted(link for by_link in expected.values() for link in sorted(by_link)[1::2])
     handed, kernel_calls = [], []
     real_slot = economics.slot_sinrs
 
@@ -669,11 +662,10 @@ def test_wide_slot_memo_misses_go_to_the_kernel(monkeypatch):
 
     monkeypatch.setattr(economics, "slot_sinrs", recorded)
     monkeypatch.setattr(economics, "link_sinr", refused)
-    caps = link_capacities(rs.slots, radio, grid, memo)
-    assert memo == expected
+    caps = link_capacities(rs.slots, radio, grid)
     assert caps == _by_link(expected)
-    assert sorted(handed) == misses
-    # one kernel call for the whole slot table, one entry per slot with misses
+    assert sorted(handed) == sorted(link for links in rs.slots.values() for link in links)
+    # one kernel call for the whole slot table, one entry per slot
     assert kernel_calls == [len(expected)]
 
 
@@ -1339,21 +1331,19 @@ def test_memoized_negotiation_matches_fresh_contexts_on_random_placements(study)
 def test_memoized_link_capacities_match_memo_free_calls(study):
     ctx, steps = study
     econ = EconParams(mno_revenue=2.0, sso_revenue=1.0, price_step=0.02, price_bounds=(0.05, 2.0))
-    real = economics.link_capacities
-    checked = []
-
-    def compared(slots, radio, grid, memo=None):
-        assert memo is ctx._link_caps
-        caps = real(slots, radio, grid, memo)
-        assert caps == real(slots, radio, grid)
-        checked.append(caps)
-        return caps
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(economics, "link_capacities", compared)
-        for state in steps:
-            negotiate(ctx, state, econ, mode="price-and-set")
-    assert len(checked) == len(ctx._instants)
+    for state in steps:
+        negotiate(ctx, state, econ, mode="price-and-set")
+    checked = set()
+    for bs_users, wlan_users in ctx._instants:
+        _, slots = _oracle_schedule(ctx, bs_users, wlan_users)
+        caps = link_capacities(slots, ctx.radio, ctx.grid)
+        for links in slots.values():
+            transmitters = tuple(sorted({tx for tx, _ in links}))
+            for link in links:
+                assert ctx._link_caps[transmitters][link] == caps[link]
+                checked.add((transmitters, link))
+    # the memo holds no capacity that no instant schedules
+    assert sum(map(len, ctx._link_caps.values())) == len(checked)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1362,8 +1352,7 @@ def test_memoized_negotiation_evaluates_each_link_once_per_slot_transmitter_set(
     ctx, steps = study
     econ = EconParams(mno_revenue=2.0, sso_revenue=1.0, price_step=0.02, price_bounds=(0.05, 2.0))
     evaluated = []
-    scheduled = set()
-    real_sinr, real_slot, real_caps = economics.link_sinr, economics.slot_sinrs, economics.link_capacities
+    real_sinr, real_slot = economics.link_sinr, economics.slot_sinrs
 
     def counted_sinr(tx, rx, interferers, radio, grid):
         evaluated.append((tx, rx))
@@ -1373,36 +1362,29 @@ def test_memoized_negotiation_evaluates_each_link_once_per_slot_transmitter_set(
         evaluated.extend(link for links, _ in table for link in links)
         return real_slot(table, radio, grid)
 
-    def recorded(slots, radio, grid, memo=None):
-        assert memo is ctx._link_caps
-        for links in slots.values():
-            transmitters = tuple(sorted({tx for tx, _ in links}))
-            scheduled.update((tx, rx, transmitters) for tx, rx in links)
-        return real_caps(slots, radio, grid, memo)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(economics, "link_sinr", counted_sinr)
         mp.setattr(economics, "slot_sinrs", counted_slot)
-        mp.setattr(economics, "link_capacities", recorded)
         for state in steps:
             negotiate(ctx, state, econ, mode="price-and-set")
+    scheduled = _oracle_scheduled(ctx)
     assert len(evaluated) == len(scheduled)
-    assert sum(map(len, ctx._link_caps.values())) == len(scheduled)
+    # the memo holds each of them once, under its slot's transmitters
+    assert {(tx, rx, sent) for sent, by_link in ctx._link_caps.items() for tx, rx in by_link} == scheduled
     # no receiver transmits in its own slot, so a link's interferers name
     # its slot's transmitter set: the per-slot memo misses no more often
     assert not any(rx in transmitters for _, rx, transmitters in scheduled)
 
 
-def _oracle_instant(ctx, bs_users, wlan_users):
-    """Reference: one traffic instant's ``RouteMetrics`` by user, from fresh
-    routes, an ``on_wlan`` test per link and memo-free link capacities.
+def _oracle_schedule(ctx, bs_users, wlan_users):
+    """Reference: one traffic instant's routes by user and its slot table,
+    from fresh routes and an ``_on_wlan`` test per link.
 
     Routes list the base-station users first, each group in name order.  A
     link whose endpoints both sit in the WLAN domain gets a slot of its own
     past the color round robin, numbered by its place among the instant's
     distinct links; every other link sits in its transmitter's color slot.
     """
-    domain = ctx.wlan_domain
     to_bs = Destinations(bs=ctx.dest.bs)
     to_ap = Destinations(bs=None, aps=ctx.dest.aps, coverage=ctx.dest.coverage)
     routes = {}
@@ -1413,16 +1395,36 @@ def _oracle_instant(ctx, bs_users, wlan_users):
             by_cell = {r.source: r for r in extracted}
             routes.update((u, by_cell[ctx.placements[u]]) for u in users)
 
-    def on_wlan(link):
-        return link[0] in domain and link[1] in domain
-
-    wlan_hops = {user: sum(map(on_wlan, route.links)) for user, route in routes.items()}
-    wlan_wait = max(sum(wlan_hops.values()), 1)
     slots = {}
     instances = (link for route in routes.values() for link in route.links)
     for n, link in enumerate(dict.fromkeys(instances)):
-        slot = NUM_COLORS + n if on_wlan(link) else ctx.grid.colors[link[0]]
+        slot = NUM_COLORS + n if _on_wlan(ctx, link) else ctx.grid.colors[link[0]]
         slots.setdefault(slot, []).append(link)
+    return routes, slots
+
+
+def _on_wlan(ctx, link):
+    return link[0] in ctx.wlan_domain and link[1] in ctx.wlan_domain
+
+
+def _oracle_scheduled(ctx):
+    """(tx, rx, sorted slot transmitters) of every link that the oracle
+    schedules in any of the context's memoized instants."""
+    scheduled = set()
+    for bs_users, wlan_users in ctx._instants:
+        _, slots = _oracle_schedule(ctx, bs_users, wlan_users)
+        for links in slots.values():
+            transmitters = tuple(sorted({tx for tx, _ in links}))
+            scheduled.update((tx, rx, transmitters) for tx, rx in links)
+    return scheduled
+
+
+def _oracle_instant(ctx, bs_users, wlan_users):
+    """Reference: one traffic instant's ``RouteMetrics`` by user, from the
+    oracle's routes and slot table and memo-free link capacities."""
+    routes, slots = _oracle_schedule(ctx, bs_users, wlan_users)
+    wlan_hops = {user: sum(_on_wlan(ctx, link) for link in route.links) for user, route in routes.items()}
+    wlan_wait = max(sum(wlan_hops.values()), 1)
     caps = link_capacities(slots, ctx.radio, ctx.grid)
 
     metrics = {}
@@ -1461,25 +1463,46 @@ def _oracle_breakdown(ctx, state):
 
 def _assert_instants_match_the_oracle(ctx, steps, econ):
     """Negotiate every step in both modes, each on a new context, and compare
-    every memoized instant and every probed breakdown with the oracle."""
+    every step's breakdown, every probed set's terms and every memoized
+    instant with the oracle."""
     for mode in ("price", "price-and-set"):
         fresh = replace(ctx)
         states = []
-        real = economics.offload_breakdown
+        probed = {}  # (step, offload set) -> the terms the walk read
+        real, real_walk = economics.offload_breakdown, economics.negotiate_price
 
         def recorded(ctx, state):
             states.append(state)
             return real(ctx, state)
 
+        def walked(terms, econ, **kwargs):
+            def read(off):
+                probed[(step, off)] = terms(off)
+                return probed[(step, off)]
+
+            return real_walk(read, econ, **kwargs)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(economics, "offload_breakdown", recorded)
-            for state in steps:
-                negotiate(fresh, state, econ, mode=mode)
-        assert states
+            mp.setattr(economics, "negotiate_price", walked)
+            for step in steps:
+                negotiate(fresh, step, econ, mode=mode)
+        # one breakdown per step: the probed sets only add their after-instants
+        assert states == list(steps)
         for state in states:
             b = offload_breakdown(fresh, state)
             sums = (b.bs_before, b.wlan_before, b.bs_after, b.wlan_after, b.offload_after)
             assert sums == _oracle_breakdown(fresh, state)
+        assert {(state, state.offload) for state in steps} <= probed.keys()
+        for (state, off), terms in probed.items():
+            bs_before, wlan_before, bs_after, wlan_after, offload_after = _oracle_breakdown(
+                fresh, replace(state, offload=off)
+            )
+            assert terms == (
+                econ.mno_revenue * (bs_after - bs_before),
+                econ.sso_revenue * (wlan_after - wlan_before),
+                offload_after,
+            )
         for (bs_users, wlan_users), instant in fresh._instants.items():
             expected = _oracle_instant(fresh, bs_users, wlan_users)
             assert instant.keys() == expected.keys()
@@ -1504,61 +1527,109 @@ def test_memoized_instants_equal_the_oracle_on_the_bundled_scenario():
 def test_negotiate_extracts_each_direction_and_each_instant_once(monkeypatch):
     scn = load_scenario(bundled_scenario("offload"))
     ctx = OffloadContext(grid=scn.grid, dest=scn.dest, radio=scn.radio, placements=scn.users)
-    calls = {"extract_routes": 0, "link_capacities": 0}
+    extractions = []
     states = []
+    computed = []  # the instants evaluated, not read off the memo
+    probed = set()  # (step, offload set) of every set a walk priced
     sinr_keys = []
-    real_sinr = economics.link_sinr
+    real_extract, real_sinr = economics.extract_routes, economics.link_sinr
+    real_instant, real_breakdown, real_walk = (
+        economics._instant_rates,
+        economics.offload_breakdown,
+        economics.negotiate_price,
+    )
+
+    def counted_extract(*args):
+        extractions.append(args)
+        return real_extract(*args)
 
     def keyed_sinr(tx, rx, interferers, radio, grid):
         sinr_keys.append((tx, rx, tuple(interferers)))
         return real_sinr(tx, rx, interferers, radio, grid)
 
-    scheduled = set()
-    real_caps = economics.link_capacities
-
-    def keyed_caps(slots, radio, grid, memo=None):
-        calls["link_capacities"] += 1
-        for links in slots.values():
-            transmitters = {tx for tx, _ in links}
-            scheduled.update((tx, rx, tuple(sorted(transmitters - {tx, rx}))) for tx, rx in links)
-        return real_caps(slots, radio, grid, memo)
-
-    def counted(name):
-        real = getattr(economics, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(economics, name, wrapper)
-
-    counted("extract_routes")
-    monkeypatch.setattr(economics, "link_sinr", keyed_sinr)
-    monkeypatch.setattr(economics, "link_capacities", keyed_caps)
-    real_breakdown = economics.offload_breakdown
+    def counted_instant(ctx, bs_users, wlan_users):
+        if (bs_users, wlan_users) not in ctx._instants:
+            computed.append((bs_users, wlan_users))
+        return real_instant(ctx, bs_users, wlan_users)
 
     def recorded(ctx, state):
         states.append(state)
         return real_breakdown(ctx, state)
 
+    def walked(terms, econ, **kwargs):
+        def read(off):
+            probed.add((step, off))
+            return terms(off)
+
+        return real_walk(read, econ, **kwargs)
+
+    monkeypatch.setattr(economics, "extract_routes", counted_extract)
+    monkeypatch.setattr(economics, "link_sinr", keyed_sinr)
+    monkeypatch.setattr(economics, "_instant_rates", counted_instant)
     monkeypatch.setattr(economics, "offload_breakdown", recorded)
-    for state in scn.steps:
-        negotiate(ctx, state, scn.econ, mode="price-and-set")
-    instants = {(s.bs_users, s.wlan_users) for s in states} | {apply_traffic_step(s) for s in states}
-    assert len(states) > len(scn.steps)
-    assert calls["extract_routes"] <= 2
-    # each memo miss schedules its instant's links once
-    assert calls["link_capacities"] == len(ctx._instants) == len(instants)
+    monkeypatch.setattr(economics, "negotiate_price", walked)
+    for step in scn.steps:
+        negotiate(ctx, step, scn.econ, mode="price-and-set")
+    instants = {(s.bs_users, s.wlan_users) for s in scn.steps}
+    instants |= {apply_traffic_step(replace(s, offload=off)) for s, off in probed}
+    # one breakdown per step; every further probed set adds its after-instant
+    assert states == list(scn.steps)
+    assert len(probed) > len(scn.steps)
+    assert len(extractions) <= 2
+    # each instant is evaluated once, and the memo holds the visited ones
+    assert len(computed) == len(set(computed)) == len(ctx._instants)
+    assert set(computed) == ctx._instants.keys() == instants
     # one SINR per link and set of co-slot transmitters, however many
     # instants schedule it that way
+    scheduled = {(tx, rx, tuple(c for c in sent if c not in (tx, rx))) for tx, rx, sent in _oracle_scheduled(ctx)}
     assert len(sinr_keys) == len(set(sinr_keys))
     assert set(sinr_keys) == scheduled
     assert any(others for _, _, others in sinr_keys)
     evaluated = len(sinr_keys)
-    for state in scn.steps:
-        negotiate(ctx, state, scn.econ, mode="price-and-set")
+    for step in scn.steps:
+        negotiate(ctx, step, scn.econ, mode="price-and-set")
     assert len(sinr_keys) == evaluated
-    assert calls["link_capacities"] == len(instants)
+    assert len(computed) == len(instants)
+    assert len(extractions) <= 2
+
+
+def test_an_instant_prices_a_wide_color_slot_link_by_link():
+    # a user on every free subcell of an H=6 grid, all but two sending to
+    # the base station, so each color slot holds 17 or 18 transmitters
+    grid = SubcellGrid(GridParams(H=6))
+    dest = make_destinations(grid, [(5, 100)])
+    free = [c.i for c in grid.cells if c.h > 0 and c.i not in dest.indices()]
+    placements = {f"u{c}": c for c in free}
+    ctx = OffloadContext(grid=grid, dest=dest, radio=RadioParams(noise=1e-6), placements=placements)
+    # two users on the access point's side, so the instant has WLAN hops too
+    wlan_users = frozenset(sorted(placements, key=lambda u: grid.hop_distance(grid.cells[placements[u]], dest.aps[0]))[:2])
+    bs_users = frozenset(placements) - wlan_users
+    _, slots = _oracle_schedule(ctx, bs_users, wlan_users)
+    widths = [len({tx for tx, _ in links}) for links in slots.values()]
+    assert min(widths) == 1 and max(widths) >= economics.WIDE_SLOT
+    evaluated, kernel = [], []
+    real_sinr, real_slot = economics.link_sinr, economics.slot_sinrs
+
+    def counted_sinr(tx, rx, interferers, radio, grid):
+        evaluated.append((tx, rx))
+        return real_sinr(tx, rx, interferers, radio, grid)
+
+    def counted_slot(table, radio, grid):
+        kernel.extend(link for links, _ in table for link in links)
+        return real_slot(table, radio, grid)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(economics, "link_sinr", counted_sinr)
+        mp.setattr(economics, "slot_sinrs", counted_slot)
+        rates = economics._instant_rates(ctx, bs_users, wlan_users)
+        # every link goes through link_sinr once, however wide its slot
+        assert sorted(evaluated) == sorted(link for links in slots.values() for link in links)
+        assert not kernel
+        expected = _oracle_instant(ctx, bs_users, wlan_users)
+    # the oracle's link_capacities sent the wide slots to the kernel
+    assert kernel
+    assert rates == {user: m.rate for user, m in expected.items()}
+    assert min(rates.values()) > 0.0
 
 
 def test_signature_defaults_come_from_the_dataclasses():

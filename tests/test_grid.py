@@ -51,6 +51,10 @@ def test_relay_distance_default_grid():
 def test_params_validation():
     with pytest.raises(GridError):
         GridParams(H=0)
+    # a bool is an int, but no ring count
+    for flag in (True, False):
+        with pytest.raises(GridError, match=f"^ring count H must be an integer >= 1, got {flag}$"):
+            GridParams(H=flag)
     with pytest.raises(GridError):
         GridParams(H=3, R=-5.0)
     with pytest.raises(GridError):
